@@ -4,7 +4,10 @@ Every command sweeps the declarations it applies to, prints one line per
 check and exits 0 when all pass, 1 when some verified check failed (the
 failure carries a witness), and 2 when the input itself is bad: syntax
 errors, unresolved references, declarations failing their load-time checks,
-or enumerations over the size bound.
+or enumerations over the size bound. Exit 3 means an internal error: an
+unexpected exception inside finstack, which is no verdict on the input. Its
+traceback goes to stderr and the report carries the exception type as
+`error.kind`.
 
 Seeded randomness only enters verify-stack (corpus generation) and the
 sampling side of cover checks; the same seed reproduces the same run.
@@ -276,7 +279,7 @@ def main(argv=None) -> int:
         "elapsed_s": 0.0,
     }
 
-    def finish_error(err) -> int:
+    def finish_error(err, code=2) -> int:
         kind = err.kind() if isinstance(err, FinstackError) else type(err).__name__
         payload = err.payload() if isinstance(err, FinstackError) else {}
         report["status"] = "error"
@@ -285,21 +288,31 @@ def main(argv=None) -> int:
         report["elapsed_s"] = round(time.time() - t0, 3)
         _write_report(args.report, report)
         print(f"desc: error: {err}", file=sys.stderr)
-        return 2
+        return code
+
+    def internal_error(err) -> int:
+        # a fault inside finstack is no verdict on the input: keep it apart
+        # from exit 1 (check failed) and exit 2 (bad input). traceback is
+        # imported here because it costs about 3 ms of start-up otherwise.
+        import traceback
+        traceback.print_exc()
+        return finish_error(err, code=3)
 
     if args.command not in _COMMANDS:
         return finish_error(UnknownCommand(args.command))
     try:
         site = load_site(args.site)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError, FinstackError) as err:
         return finish_error(err)
-    except FinstackError as err:
-        return finish_error(err)
+    except Exception as err:
+        return internal_error(err)
 
     try:
         checks = _COMMANDS[args.command](site, args)
     except BoundExceeded as err:
         return finish_error(err)
+    except Exception as err:
+        return internal_error(err)
 
     passed = sum(1 for c in checks if c["status"] == "ok")
     failed = len(checks) - passed

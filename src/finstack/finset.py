@@ -5,6 +5,17 @@ Atoms are ints, strings, or tuples of atoms. Derived constructions name their
 atoms canonically: products and pullbacks use pair tuples (a, b), coproducts
 use Tag(part, atom), coequalizers pick the least representative of each class.
 Everything is deterministic: same inputs, byte-for-byte same outputs.
+
+The public `FinSet(...)` sorts its atoms by `atom_key`. The derived sets
+(products, pullbacks, coproducts, coequalizer quotients) are canonical by
+construction: the kernels emit their atoms already in `atom_key` order and
+build the set with the internal `FinSet._ordered`, which skips the sort but
+still rejects duplicates. Each kernel runs in time linear in its inputs and
+output.
+
+FinSet and FinMap are read-only after construction: a FinSet's hash is
+computed when it is built and a FinMap's on first use, then cached, and both
+are keys of the lru caches below. Never mutate `elements` or `table`.
 """
 
 from __future__ import annotations
@@ -52,15 +63,32 @@ def format_atom(a) -> str:
 class FinSet:
     """An explicit finite set of atoms, kept in canonical sorted order."""
 
-    __slots__ = ("elements", "_index")
+    __slots__ = ("elements", "_index", "_hash")
 
     def __init__(self, elements: Iterable[Atom] = ()):
-        elems = tuple(sorted(elements, key=atom_key))
-        for a, b in zip(elems, elems[1:]):
-            if a == b:
-                raise ValueError(f"duplicate atom {format_atom(a)}")
+        self._set(tuple(sorted(elements, key=atom_key)))
+
+    @classmethod
+    def _ordered(cls, elems) -> FinSet:
+        """A FinSet from atoms the caller already emits in canonical order.
+
+        Internal to this module's kernels: the order is trusted, not checked.
+        """
+        s = object.__new__(cls)
+        s._set(tuple(elems))
+        return s
+
+    def _set(self, elems: tuple) -> None:
+        index = frozenset(elems)
+        if len(index) != len(elems):
+            seen = set()
+            for a in elems:
+                if a in seen:
+                    raise ValueError(f"duplicate atom {format_atom(a)}")
+                seen.add(a)
         self.elements = elems
-        self._index = frozenset(elems)
+        self._index = index
+        self._hash = hash(elems)
 
     def __contains__(self, a) -> bool:
         return a in self._index
@@ -75,26 +103,31 @@ class FinSet:
         return isinstance(other, FinSet) and self.elements == other.elements
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return self._hash
 
     def __repr__(self) -> str:
         return "{" + " ".join(format_atom(a) for a in self.elements) + "}"
 
 
 class FinMap:
-    """A total map between finite sets, given by an explicit table."""
+    """A total map between finite sets, given by an explicit table.
 
-    __slots__ = ("src", "dst", "table")
+    The table is copied on construction and read-only afterwards.
+    """
+
+    __slots__ = ("src", "dst", "table", "_hash")
 
     def __init__(self, src: FinSet, dst: FinSet, table):
         table = dict(table)
-        if len(table) != len(src) or any(a not in src for a in table):
+        if len(table) != len(src) or not src._index.issuperset(table):
             raise ValueError("table keys must be exactly the source atoms")
-        for a, v in table.items():
-            if v not in dst:
-                raise ValueError(
-                    f"table value {format_atom(v)} at {format_atom(a)} not in target")
+        if not dst._index.issuperset(table.values()):
+            for a, v in table.items():
+                if v not in dst:
+                    raise ValueError(
+                        f"table value {format_atom(v)} at {format_atom(a)} not in target")
         self.src, self.dst, self.table = src, dst, table
+        self._hash = None
 
     def __call__(self, a):
         return self.table[a]
@@ -104,7 +137,10 @@ class FinMap:
                 and self.dst == other.dst and self.table == other.table)
 
     def __hash__(self):
-        return hash((self.src, self.dst, tuple(self.table[a] for a in self.src)))
+        if self._hash is None:
+            self._hash = hash((self.src, self.dst,
+                               tuple(self.table[a] for a in self.src)))
+        return self._hash
 
     def __repr__(self) -> str:
         if len(self.src) <= 6:
@@ -180,8 +216,7 @@ class Product(NamedTuple):
 @functools.lru_cache(maxsize=65536)
 def product(a: FinSet, b: FinSet) -> Product:
     """Cartesian product with pair atoms (x, y)."""
-    pairs = [(x, y) for x in a for y in b]
-    space = FinSet(pairs)
+    space = FinSet._ordered([(x, y) for x in a for y in b])
     return Product(
         space,
         FinMap(space, a, {p: p[0] for p in space}),
@@ -218,10 +253,15 @@ class PullbackCert(NamedTuple):
 
 @functools.lru_cache(maxsize=65536)
 def pullback(f: FinMap, g: FinMap) -> PullbackCert:
+    """A hash join: the fibers of g, each in canonical order, are looked up
+    once per atom of f.src, so the pairs come out in canonical order."""
     if f.dst != g.dst:
         raise CodomainMismatch(f"{f.dst!r} != {g.dst!r}")
-    pairs = [(a, b) for a in f.src for b in g.src if f.table[a] == g.table[b]]
-    apex = FinSet(pairs)
+    fibers = {}
+    for b in g.src:
+        fibers.setdefault(g.table[b], []).append(b)
+    apex = FinSet._ordered(
+        [(a, b) for a in f.src for b in fibers.get(f.table[a], ())])
     return PullbackCert(
         apex,
         FinMap(apex, f.src, {p: p[0] for p in apex}),
@@ -253,8 +293,7 @@ class Coproduct(NamedTuple):
 def coproduct(parts: Iterable[FinSet]) -> Coproduct:
     """Disjoint union with atoms Tag(i, a)."""
     parts = tuple(parts)
-    atoms = [Tag(i, a) for i, p in enumerate(parts) for a in p]
-    space = FinSet(atoms)
+    space = FinSet._ordered([Tag(i, a) for i, p in enumerate(parts) for a in p])
     injections = tuple(
         FinMap(p, space, {a: Tag(i, a) for a in p}) for i, p in enumerate(parts))
     return Coproduct(space, injections)
@@ -281,10 +320,13 @@ def copair(cop: Coproduct, maps, dst: FinSet | None = None) -> FinMap:
 
 
 class _UnionFind:
-    """Union-find over atoms with path compression; rank-free, sizes are tiny."""
+    """Union-find over a canonical atom sequence with path compression;
+    rank-free, sizes are tiny. Every root is the earliest atom of its class,
+    so representatives are the canonical least ones."""
 
     def __init__(self, atoms):
         self.parent = {a: a for a in atoms}
+        self.position = {a: i for i, a in enumerate(atoms)}
 
     def find(self, a):
         root = a
@@ -297,8 +339,7 @@ class _UnionFind:
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            # keep the least atom as the root so representatives are canonical
-            if atom_key(rb) < atom_key(ra):
+            if self.position[rb] < self.position[ra]:
                 ra, rb = rb, ra
             self.parent[rb] = ra
 
@@ -319,7 +360,7 @@ def coequalizer(gamma1: FinMap, gamma2: FinMap) -> CoequalizerCert:
     for a in gamma1.src:
         uf.union(gamma1.table[a], gamma2.table[a])
     proj_table = {a: uf.find(a) for a in gamma1.dst}
-    quotient = FinSet(set(proj_table.values()))
+    quotient = FinSet._ordered([a for a, r in proj_table.items() if a == r])
     return CoequalizerCert(
         gamma1, gamma2, quotient, FinMap(gamma1.dst, quotient, proj_table))
 

@@ -298,7 +298,7 @@ class _Parser:
     def _build(self, name, where, builder):
         try:
             return builder()
-        except (FinstackError, ValueError, KeyError, AssertionError) as err:
+        except (FinstackError, ValueError, KeyError) as err:
             raise ValidationError(name, err) from err
 
     def decl_set(self):

@@ -309,7 +309,7 @@ def classifying_fiber_equiv(group: FinGroup, base: FinSet,
     cap = min(len(bundles), 3)
     for i in range(cap):
         for j in range(cap):
-            bms = enumerate_bundle_morphisms(bundles[i], bundles[j])
+            bms = enumerate_bundle_morphisms(bundles[i], bundles[j], bound=bound)
             qs = []
             for bm in bms:
                 try:
@@ -320,7 +320,7 @@ def classifying_fiber_equiv(group: FinGroup, base: FinSet,
                 hom_equal = False
             pairs_checked += 1
     triv = trivial_bundle(group, base)
-    aut = len(enumerate_bundle_morphisms(triv, triv))
+    aut = len(enumerate_bundle_morphisms(triv, triv, bound=bound))
     return ClassifyingReport(
         n_bundles=len(bundles),
         n_objects=len(objects),

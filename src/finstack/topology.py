@@ -222,12 +222,6 @@ def is_colim_sieve(s: GeneratedSieve) -> bool:
     return morphism_predicates(cech_colimit(s.family).comparison).iso
 
 
-def subcanonical_witness(family: CoveringFamily, a: FinSet,
-                         bound: int = 4096) -> bool:
-    """Representables are sheaves: the sheaf condition for Hom(-, a)."""
-    return check_sheaf_condition(family, a, bound=bound)
-
-
 def _overlap_certs(family: CoveringFamily):
     legs = family.legs
     return {(i, j): pullback(legs[i], legs[j])

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from finstack import cli
 from finstack.cli import main
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
@@ -59,6 +60,14 @@ def test_unknown_command(capsys):
 def test_missing_site_file(capsys):
     code, out, err = run(capsys, "check-group", SITES / "nope.site")
     assert code == 2
+
+
+def test_undecodable_site_file_is_bad_input(capsys, tmp_path):
+    site = tmp_path / "latin1.site"
+    site.write_bytes(b"set Y = { \xff }\n")
+    code, out, err = run(capsys, "check-group", site)
+    assert code == 2
+    assert "desc: error:" in err
 
 
 def test_nothing_to_check(capsys):
@@ -147,3 +156,27 @@ def test_check_lines_name_each_declaration(capsys):
     assert code == 0
     assert any(line.startswith("check-group G ") for line in out.splitlines())
     assert "order 2" in out
+
+
+def test_bound_reaches_classify_morphism_enumeration(capsys, tmp_path):
+    # 6 bundles fit in 100, the 4^4 = 256 candidate morphisms do not
+    site = tmp_path / "z4.site"
+    site.write_text(Z4_CLASSIFY)
+    code, out, err = run(capsys, "classify", site, "--bound", 100)
+    assert code == 2
+    assert "bundle-morphism enumeration" in err
+
+
+def test_internal_error_exits_3_with_report(capsys, tmp_path, monkeypatch):
+    def broken(site, args):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setitem(cli._COMMANDS, "check-group", broken)
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "check-group", SITES / "z2_demo.site",
+                         "--report", path)
+    assert code == 3
+    assert "invariant broken" in err
+    rep = json.loads(path.read_text())
+    assert rep["status"] == "error"
+    assert rep["error"]["kind"] == "AssertionError"

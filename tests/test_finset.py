@@ -371,3 +371,138 @@ def test_colimit_rejects_dangling_arrows():
     a = FinSet([0])
     with pytest.raises(DanglingArrow):
         colimit_of_diagram([a], [(0, 3, identity(a))])
+
+
+# ------------------------------------------- kernels against the old algorithms
+#
+# product, pullback, coproduct and the coequalizer quotient build their sets
+# in canonical order without sorting. The old sort-based algorithms stay here
+# as reference oracles.
+
+leaf_atoms = st.integers(-3, 3) | st.text(alphabet="ab", max_size=2)
+mixed_atoms = st.recursive(
+    leaf_atoms,
+    lambda inner: st.tuples(inner, inner) | st.builds(Tag, st.integers(0, 2), inner),
+    max_leaves=4)
+
+
+def mixed_sets(min_size=0, max_size=5):
+    return st.lists(mixed_atoms, min_size=min_size, max_size=max_size,
+                    unique=True).map(FinSet)
+
+
+def draw_map(data, src, dst):
+    """A random map whose table is filled in a random order, so a kernel
+    that reads a table's insertion order instead of src order shows."""
+    keys = data.draw(st.permutations(src.elements))
+    return FinMap(src, dst, {a: data.draw(st.sampled_from(dst.elements)) for a in keys})
+
+
+def old_finmap_error(src, dst, table):
+    """The message the sequential FinMap validation gave, or None."""
+    if len(table) != len(src) or any(a not in src for a in table):
+        return "table keys must be exactly the source atoms"
+    for a, v in table.items():
+        if v not in dst:
+            return f"table value {format_atom(v)} at {format_atom(a)} not in target"
+    return None
+
+
+def atom_key_coequalizer(g1, g2):
+    """Union-find that keeps the root with the least atom_key."""
+    parent = {a: a for a in g1.dst}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for s in g1.src:
+        ra, rb = find(g1.table[s]), find(g2.table[s])
+        if ra != rb:
+            if atom_key(rb) < atom_key(ra):
+                ra, rb = rb, ra
+            parent[rb] = ra
+    proj = {a: find(a) for a in g1.dst}
+    return FinSet(set(proj.values())), proj
+
+
+def fresh_finmap_hash(f):
+    return hash((f.src, f.dst, tuple(f.table[a] for a in f.src)))
+
+
+@given(mixed_sets(), mixed_sets())
+def test_product_is_canonical_by_construction(a, b):
+    prod = product(a, b)
+    atoms = [(x, y) for x in a for y in b]
+    assert prod.space.elements == FinSet(atoms).elements
+    assert hash(prod.space) == hash(FinSet(atoms).elements)
+
+
+@given(st.data())
+def test_pullback_equals_nested_loop_in_canonical_order(data):
+    y = data.draw(mixed_sets(min_size=1, max_size=3))
+    f = draw_map(data, data.draw(mixed_sets()), y)
+    g = draw_map(data, data.draw(mixed_sets()), y)
+    nested = [(a, b) for a in f.src for b in g.src if f.table[a] == g.table[b]]
+    apex = pullback(f, g).apex
+    assert list(apex.elements) == nested
+    assert apex.elements == FinSet(nested).elements
+
+
+@given(st.lists(mixed_sets(max_size=4), max_size=4))
+def test_coproduct_is_canonical_by_construction(parts):
+    space = coproduct(parts).space
+    assert space.elements == FinSet(
+        Tag(i, a) for i, p in enumerate(parts) for a in p).elements
+
+
+@given(st.data())
+def test_coequalizer_matches_atom_key_union_find(data):
+    src = data.draw(mixed_sets())
+    dst = data.draw(mixed_sets(min_size=1, max_size=6))
+    g1, g2 = draw_map(data, src, dst), draw_map(data, src, dst)
+    cert = coequalizer(g1, g2)
+    quotient, proj = atom_key_coequalizer(g1, g2)
+    assert cert.quotient.elements == quotient.elements
+    assert cert.quotient.elements == FinSet(cert.quotient.elements).elements
+    assert cert.proj.table == proj
+
+
+@given(st.data())
+def test_cached_hashes_equal_fresh_hashes(data):
+    a = data.draw(mixed_sets())
+    y = data.draw(mixed_sets(min_size=1, max_size=3))
+    f, g = draw_map(data, a, y), draw_map(data, a, y)
+    assert hash(a) == hash(a.elements)
+    for m in (f, g, f, pullback(f, g).proj1, coequalizer(f, g).proj):
+        assert hash(m) == fresh_finmap_hash(m)
+    same = FinMap(FinSet(reversed(a.elements)), y, dict(reversed(f.table.items())))
+    assert same == f and hash(same) == hash(f)
+
+
+@given(st.data())
+def test_finmap_rejects_bad_tables_with_the_old_messages(data):
+    src = data.draw(mixed_sets())
+    dst = data.draw(mixed_sets(min_size=1, max_size=3))
+    keys = data.draw(st.lists(mixed_atoms, unique=True, max_size=6)
+                     | st.just(list(src.elements)))
+    values = st.sampled_from(dst.elements) | mixed_atoms
+    table = {k: data.draw(values) for k in keys}
+    expected = old_finmap_error(src, dst, table)
+    if expected is None:
+        assert FinMap(src, dst, table).table == table
+    else:
+        with pytest.raises(ValueError) as err:
+            FinMap(src, dst, table)
+        assert str(err.value) == expected
+
+
+@given(st.lists(mixed_atoms, min_size=1, max_size=6))
+def test_ordered_rejects_duplicates_like_finset(atoms):
+    doubled = sorted(atoms + atoms[:1], key=atom_key)
+    with pytest.raises(ValueError) as public:
+        FinSet(doubled)
+    with pytest.raises(ValueError) as ordered:
+        FinSet._ordered(doubled)
+    assert str(ordered.value) == str(public.value)

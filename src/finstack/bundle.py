@@ -1,5 +1,5 @@
-"""Principal G-bundles over finite sets: local triviality certificates,
-the torsor fast path, base change, and bundle morphisms.
+"""Principal G-bundles over finite sets: the torsor-fiber decider, local
+triviality certificates, base change, and bundle morphisms.
 
 A bundle is an equivariant map onto a trivially-acted base together with an
 optional trivialization certificate: a canonical cover and, per leg, an
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -28,7 +29,6 @@ from .action import (
 from .errors import (
     BaseMismatch,
     BoundExceeded,
-    CoverNotInTopology,
     EquivarianceFail,
     TriangleFail,
 )
@@ -47,8 +47,8 @@ from .finset import (
 from .topology import (
     CoveringFamily,
     all_maps,
-    is_canonical_cover,
     point_cover,
+    require_canonical,
 )
 
 
@@ -60,11 +60,6 @@ def _trivial_action_cached(group: FinGroup, space: FinSet) -> GAction:
 @functools.lru_cache(maxsize=None)
 def _product_action_cached(group: FinGroup, u: FinSet) -> GAction:
     return product_action(group, u)
-
-
-@functools.lru_cache(maxsize=None)
-def _canonical_cover_cached(family: CoveringFamily, sample_budget: int) -> bool:
-    return is_canonical_cover(family, sample_budget=sample_budget)
 
 
 class TrivLeg(NamedTuple):
@@ -117,18 +112,17 @@ def _require_trivial_base(proj: EquivariantMap) -> None:
         raise ValueError("the base must carry the trivial action")
 
 
-def is_locally_trivial(proj: EquivariantMap, cover: CoveringFamily,
-                       sample_budget: int = 2) -> Union[Trivialization, NotTrivial]:
+def is_locally_trivial(proj: EquivariantMap,
+                       cover: CoveringFamily) -> Union[Trivialization, NotTrivial]:
     """Search a trivializing iso over every leg of the cover.
 
-    Raises CoverNotInTopology unless the cover is canonical. Returns the
+    Raises CoverNotCanonical unless the cover is canonical. Returns the
     certificate, or NotTrivial naming the first leg with no iso.
     """
     _require_trivial_base(proj)
     if cover.target != proj.map.dst:
         raise BaseMismatch(f"cover target {cover.target!r} != base {proj.map.dst!r}")
-    if not _canonical_cover_cached(cover, sample_budget):
-        raise CoverNotInTopology(f"over {cover.target!r}")
+    require_canonical(cover)
     group = proj.src_action.group
     legs = []
     for i, f in enumerate(cover.legs):
@@ -166,7 +160,7 @@ def check_trivialization(proj: EquivariantMap, triv: Trivialization) -> None:
 
 
 def _torsor_fibers(proj: EquivariantMap) -> Optional[NotBundle]:
-    """The fast path: every fiber must be a free transitive G-set."""
+    """The bundlehood decider: every fiber must be a free transitive G-set."""
     act = proj.src_action
     group = act.group
     e = group.unit_atom
@@ -185,21 +179,23 @@ def _torsor_fibers(proj: EquivariantMap) -> Optional[NotBundle]:
 
 
 def is_principal_bundle(proj: EquivariantMap) -> Union[Bundle, NotBundle]:
-    """Decide bundlehood over the point cover of the base.
+    """Decide bundlehood by the torsor fibers.
 
-    The cover-based answer is authoritative; the torsor fast path is
-    computed as well and asserted equal.
+    A bundle gets its trivialization over the point cover of the base, built
+    by is_locally_trivial and stored. Torsor fibers without a trivialization
+    are an internal fault, raised as RuntimeError and never returned as a
+    verdict.
     """
     _require_trivial_base(proj)
-    fast = _torsor_fibers(proj)
-    cover = point_cover(proj.map.dst)
-    slow = is_locally_trivial(proj, cover)
-    assert isinstance(slow, Trivialization) == (fast is None), \
-        "torsor fast path disagrees with the cover-based answer"
-    if fast is not None:
-        return fast
+    witness = _torsor_fibers(proj)
+    if witness is not None:
+        return witness
+    triv = is_locally_trivial(proj, point_cover(proj.map.dst))
+    if not isinstance(triv, Trivialization):
+        raise RuntimeError(
+            f"torsor fibers but no trivialization over leg {triv.leg_index}")
     return Bundle(proj.src_action.group, proj.map.dst,
-                  proj.src_action, proj, slow)
+                  proj.src_action, proj, triv)
 
 
 def trivial_bundle(group: FinGroup, base: FinSet) -> Bundle:
@@ -317,11 +313,7 @@ def torsor_structures(group: FinGroup) -> tuple:
         key = tuple(sorted(table.items(), key=lambda kv: atom_key(kv[0])))
         seen.setdefault(key, table)
     out = tuple(seen.values())
-    n = len(atoms)
-    expected = 1
-    for i in range(1, n):
-        expected *= i
-    assert len(out) == expected
+    assert len(out) == math.factorial(len(atoms) - 1)
     return out
 
 
@@ -334,11 +326,11 @@ def enumerate_bundles(group: FinGroup, base: FinSet,
     relabels to the canonical one along a fiber-preserving bijection (the
     reduction is itself exercised in the tests).
     """
-    prod = product(group.carrier, base)
-    structures = torsor_structures(group)
-    count = len(structures) ** len(base)
+    count = math.factorial(len(group.carrier) - 1) ** len(base)
     if count > bound:
         raise BoundExceeded("bundle enumeration", count, bound)
+    prod = product(group.carrier, base)
+    structures = torsor_structures(group)
     triv_base = _trivial_action_cached(group, base)
     out = []
     for choice in itertools.product(range(len(structures)), repeat=len(base)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .action import FinGroup, GAction, check_action, check_equivariant
-from .bundle import Bundle, _canonical_cover_cached, _trivial_action_cached, is_principal_bundle
+from .bundle import Bundle, _trivial_action_cached, is_principal_bundle
 from .errors import (
     CocycleFail,
     CocycleRequired,
@@ -36,7 +36,6 @@ from .finset import (
     mediate_coequalizer,
     mediate_pullback,
     morphism_predicates,
-    pair_map,
     product,
     pullback,
 )
@@ -48,12 +47,7 @@ from .stack import (
     restrict,
     restrict_morphism,
 )
-from .topology import CoveringFamily, pullback_family
-
-
-def _require_canonical(cover: CoveringFamily) -> None:
-    if not _canonical_cover_cached(cover, 2):
-        raise CoverNotCanonical(f"over {cover.target!r}")
+from .topology import CoveringFamily, pullback_family, require_canonical
 
 
 def overlap(cover: CoveringFamily, i: int, j: int):
@@ -152,7 +146,7 @@ def check_cocycle(datum: DescentDatum) -> None:
 def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
     """Restrict an object over Y to a datum on the cover, with the canonical
     overlap isos; the result passes check_cocycle."""
-    _require_canonical(cover)
+    require_canonical(cover)
     if cover.target != obj.base:
         raise ValueError(f"cover is over {cover.target!r}, object over {obj.base!r}")
     objects = tuple(restrict(obj, f) for f in cover.legs)
@@ -183,7 +177,7 @@ def glue_morphisms(cover: CoveringFamily, x: QSObject, y: QSObject,
                    locals_: list) -> QSMorphism:
     """Glue per-leg morphisms that agree on overlaps into the unique global
     one, through the kernel-pair coequalizer presentation of the total."""
-    _require_canonical(cover)
+    require_canonical(cover)
     if x.base != cover.target or y.base != cover.target:
         raise ValueError("objects do not live over the cover's target")
     locals_ = list(locals_)
@@ -235,7 +229,7 @@ def check_uniqueness(cover: CoveringFamily, m1: QSMorphism,
     """Two globals with equal restrictions along a canonical cover are equal.
     Returns None when all restrictions (and hence the morphisms) agree, else
     the first distinguishing leg and point."""
-    _require_canonical(cover)
+    require_canonical(cover)
     if m1.src != m2.src or m1.dst != m2.dst:
         raise ValueError("morphisms do not share endpoints")
     if m1.src.base != cover.target:
@@ -283,7 +277,7 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     the empty cover of the empty base needs both passed in explicitly.
     """
     cover = datum.cover
-    _require_canonical(cover)
+    require_canonical(cover)
     try:
         check_cocycle(datum)
     except CocycleFail as err:
@@ -427,7 +421,7 @@ class ConditionReport:
 
     @property
     def ok(self) -> bool:
-        return self.passed == self.attempted and self.attempted >= 0
+        return self.passed == self.attempted
 
 
 @dataclass

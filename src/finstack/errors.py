@@ -121,6 +121,15 @@ class TargetMismatch(FinstackError):
     """Covering family leg or tested map with the wrong codomain."""
 
 
+class CoverNotCanonical(FinstackError):
+    def __init__(self, detail=""):
+        self.detail = detail
+        super().__init__(f"cover not canonical{': ' + detail if detail else ''}")
+
+    def payload(self):
+        return {"detail": self.detail}
+
+
 class BoundExceeded(FinstackError):
     def __init__(self, what, size, bound):
         self.what, self.size, self.bound = what, size, bound
@@ -131,15 +140,6 @@ class BoundExceeded(FinstackError):
 
 
 # ------------------------------------------------------------------ bundle ---
-
-class CoverNotInTopology(FinstackError):
-    def __init__(self, detail=""):
-        self.detail = detail
-        super().__init__(f"cover is not canonical{': ' + detail if detail else ''}")
-
-    def payload(self):
-        return {"detail": self.detail}
-
 
 class BaseMismatch(FinstackError):
     """Bundles or maps over different bases."""
@@ -183,15 +183,6 @@ class CocycleRequired(FinstackError):
 
     def payload(self):
         return {"cause": self.cause.payload() if isinstance(self.cause, FinstackError) else str(self.cause)}
-
-
-class CoverNotCanonical(FinstackError):
-    def __init__(self, detail=""):
-        self.detail = detail
-        super().__init__(f"cover not canonical{': ' + detail if detail else ''}")
-
-    def payload(self):
-        return {"detail": self.detail}
 
 
 class MissingOverlapIso(FinstackError):

@@ -14,7 +14,6 @@ from random import Random
 from typing import Optional
 
 from .action import (
-    EquivariantMap,
     FinGroup,
     GAction,
     check_action,
@@ -23,7 +22,6 @@ from .action import (
     orbits,
     subgroups,
     sym,
-    trivial_action,
     zmod,
 )
 from .bundle import (
@@ -48,14 +46,14 @@ from .finset import (
     product,
 )
 from .stack import (
-    QSMorphism,
     QSObject,
     check_qs_morphism,
     check_qs_object,
     compose_qs,
+    constant_gauge,
+    fiber_gauge,  # noqa: F401 - re-exported with the other generators
     qs_identity,
     qs_inverse,
-    restrict,
     restrict_morphism,
 )
 from .topology import (
@@ -252,25 +250,6 @@ def relabel_qsobject(rng: Random, obj: QSObject):
     alpha2 = compose(obj.alpha.map, invert(h))
     obj2 = check_qs_object(b2, alpha2, obj.x_action)
     return obj2, check_qs_morphism(obj, obj2, h)
-
-
-def fiber_gauge(obj: QSObject, k_by_base: dict) -> QSMorphism:
-    """The automorphism acting on the fiber over y as the right translation
-    by k_by_base[y] in the coordinates of the least fiber atom. Raises
-    TriangleFail when some k moves the alpha values it must fix."""
-    group = obj.bundle.group
-    act = obj.bundle.total
-    table = {}
-    for y in obj.base:
-        w0 = min(fiber(obj.bundle.proj.map, y), key=atom_key)
-        k = k_by_base[y]
-        for g in group.carrier:
-            table[act(g, w0)] = act(group.times(g, k), w0)
-    return check_qs_morphism(obj, obj, FinMap(obj.total, obj.total, table))
-
-
-def constant_gauge(obj: QSObject, k) -> QSMorphism:
-    return fiber_gauge(obj, {y: k for y in obj.base})
 
 
 def conjugate_datum(datum: DescentDatum, leg_isos) -> DescentDatum:

@@ -15,7 +15,6 @@ back yields the same declarations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .action import (
     EquivariantMap,
@@ -27,7 +26,7 @@ from .action import (
     regular_action,
     trivial_action,
 )
-from .bundle import Bundle, NotBundle, is_principal_bundle
+from .bundle import NotBundle, is_principal_bundle
 from .descent import DescentDatum, restrict_to_datum
 from .errors import (
     FinstackError,
@@ -36,15 +35,14 @@ from .errors import (
     ValidationError,
 )
 from .finset import FinMap, FinSet, format_atom, product, terminal
-from .sample import constant_gauge
 from .stack import (
-    QSMorphism,
     QSObject,
     QuotientStack,
     check_qs_morphism,
     check_qs_object,
     classifying_stack,
     compose_qs,
+    constant_gauge,
     restrict,
 )
 from .topology import CoveringFamily, point_cover

@@ -31,12 +31,12 @@ from .errors import BaseMismatch, TriangleFail
 from .finset import (
     FinMap,
     FinSet,
-    bang,
+    atom_key,
     compose,
+    fiber,
     identity,
     invert,
     mediate_pullback,
-    morphism_predicates,
     pair_map,
     product,
     pullback,
@@ -47,11 +47,11 @@ from .topology import all_maps
 
 @dataclass(frozen=True, eq=True)
 class QuotientStack:
-    """The stack handle: a group acting on a space, over a fixed topology."""
+    """The stack handle: a group acting on a space, over the canonical
+    topology."""
 
     group: FinGroup
     x_action: GAction
-    topology: str = "canonical"
 
     @property
     def space(self) -> FinSet:
@@ -117,6 +117,25 @@ def check_qs_morphism(src: QSObject, dst: QSObject, m: FinMap) -> QSMorphism:
         if dst.alpha.map.table[m.table[p]] != src.alpha.map.table[p]:
             raise TriangleFail(p, "alpha")
     return QSMorphism(src, dst, bm)
+
+
+def fiber_gauge(obj: QSObject, k_by_base: dict) -> QSMorphism:
+    """The automorphism acting on the fiber over y as the right translation
+    by k_by_base[y] in the coordinates of the least fiber atom. Raises
+    TriangleFail when some k moves the alpha values it must fix."""
+    group = obj.bundle.group
+    act = obj.bundle.total
+    table = {}
+    for y in obj.base:
+        w0 = min(fiber(obj.bundle.proj.map, y), key=atom_key)
+        k = k_by_base[y]
+        for g in group.carrier:
+            table[act(g, w0)] = act(group.times(g, k), w0)
+    return check_qs_morphism(obj, obj, FinMap(obj.total, obj.total, table))
+
+
+def constant_gauge(obj: QSObject, k) -> QSMorphism:
+    return fiber_gauge(obj, {y: k for y in obj.base})
 
 
 def qs_identity(obj: QSObject) -> QSMorphism:

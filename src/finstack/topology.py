@@ -4,6 +4,12 @@ sieves, effective epimorphisms, colim sieves, and the sheaf condition.
 Sieves are kept intensionally as their generating family; membership is
 decided by factorization through a generator, which for finite sets reduces
 to an image-containment test that also produces the witness.
+
+A family covers exactly when it is jointly surjective, and that is how
+finstack decides it (`is_jointly_surjective`, `require_canonical`). The
+definitional checks (`is_canonical_cover`, `is_universal_effective_epi`,
+`is_effective_epi`, `is_colim_sieve`, `cech_colimit`) are kept as oracles
+that the tests compare with it; no production path runs them.
 """
 
 from __future__ import annotations
@@ -13,17 +19,15 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import BoundExceeded, TargetMismatch
+from .errors import BoundExceeded, CoverNotCanonical, TargetMismatch
 from .finset import (
     FinMap,
     FinSet,
-    Tag,
     coequalizer,
     compose,
     coproduct,
     copair,
     fiber,
-    is_epi,
     mediate_coequalizer,
     morphism_predicates,
     pullback,
@@ -101,15 +105,13 @@ def is_effective_epi(f: FinMap) -> bool:
     """f is the coequalizer of its kernel pair.
 
     Computed by the definition: coequalize the kernel pair, mediate f
-    through, and test that the comparison is an iso. Cross-checked against
-    surjectivity, which is equivalent in finite sets.
+    through, and test that the comparison is an iso. In finite sets this is
+    surjectivity; the tests compare the two.
     """
     kp = pullback(f, f)
     cert = coequalizer(kp.proj1, kp.proj2)
     comparison = mediate_coequalizer(cert, f)
-    verdict = morphism_predicates(comparison).iso
-    assert verdict == is_epi(f)
-    return verdict
+    return morphism_predicates(comparison).iso
 
 
 def all_maps(src: FinSet, dst: FinSet):
@@ -163,19 +165,25 @@ def family_map(family: CoveringFamily) -> FinMap:
 
 
 def is_jointly_surjective(family: CoveringFamily) -> bool:
+    """Membership in the canonical topology, decided by its finite-set
+    characterization: the legs' images cover the target."""
     hit = set()
     for f in family.legs:
         hit.update(f.table.values())
     return hit == set(family.target.elements)
 
 
-def is_canonical_cover(family: CoveringFamily, sample_budget: int = 8,
-                       seed: int = 0) -> bool:
-    """Membership in the canonical topology: the induced coproduct map is a
-    universal effective epi. Fast path (joint surjectivity) asserted equal."""
-    verdict = is_universal_effective_epi(family_map(family), sample_budget, seed)
-    assert verdict == is_jointly_surjective(family)
-    return verdict
+def require_canonical(family: CoveringFamily) -> None:
+    """Raise CoverNotCanonical unless the family is jointly surjective."""
+    if not is_jointly_surjective(family):
+        raise CoverNotCanonical(f"over {family.target!r}")
+
+
+def is_canonical_cover(family: CoveringFamily, sample_budget: int = 8) -> bool:
+    """Membership in the canonical topology by the definition: the induced
+    coproduct map is a universal effective epi. An oracle for
+    is_jointly_surjective."""
+    return is_universal_effective_epi(family_map(family), sample_budget)
 
 
 def pullback_family(family: CoveringFamily, t: FinMap) -> CoveringFamily:

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
+import finstack.topology
 from finstack.action import klein_four, sym, zmod
 
 settings.register_profile(
@@ -17,6 +18,17 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return random.Random(20260814)
+
+
+@pytest.fixture
+def oracles_forbidden(monkeypatch):
+    """Make the definitional cover checks raise: production paths decide
+    canonicity by joint surjectivity and must never reach them."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a definitional oracle ran on a production path")
+
+    monkeypatch.setattr(finstack.topology, "is_effective_epi", forbidden)
+    monkeypatch.setattr(finstack.topology, "cech_colimit", forbidden)
 
 
 @pytest.fixture(scope="session")

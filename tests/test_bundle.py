@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import finstack.bundle
 from finstack import (
     BaseMismatch,
     BoundExceeded,
@@ -31,6 +32,7 @@ from finstack import (
     morphism_predicates,
     point_cover,
     product,
+    product_action,
     pullback_bundle,
     sym,
     terminal,
@@ -39,8 +41,13 @@ from finstack import (
     trivial_bundle,
     zmod,
 )
-from finstack.errors import CoverNotInTopology
-from finstack.sample import random_bundle, twist_bundle
+from finstack.errors import CoverNotCanonical
+from finstack.sample import (
+    group_catalog,
+    random_bundle,
+    random_gset_over,
+    twist_bundle,
+)
 from finstack.topology import all_maps
 
 
@@ -116,10 +123,41 @@ def test_local_trivialization_rejects_bad_cover():
     base = FinSet(("p", "q"))
     b = trivial_bundle(z2, base)
     missing = CoveringFamily(base, [FinMap(terminal(), base, {"*": "p"})])
-    with pytest.raises(CoverNotInTopology):
+    with pytest.raises(CoverNotCanonical):
         is_locally_trivial(b.proj, missing)
     with pytest.raises(BaseMismatch):
         is_locally_trivial(b.proj, point_cover(FinSet(("z",))))
+
+
+def test_local_triviality_oracle_matches_torsor_fibers(rng):
+    # local triviality over the point cover is the definition; the torsor
+    # fibers decide
+    verdicts = set()
+    for grp in group_catalog(4):
+        for size in range(3):
+            base = FinSet(tuple(f"y{k}" for k in range(size)))
+            y = trivial_action(grp, base)
+            projs = [random_bundle(rng, grp, base).proj]
+            projs += [random_gset_over(rng, y, 2 * len(grp.carrier))[1]
+                      for _ in range(4)]
+            for proj in projs:
+                decided = isinstance(is_principal_bundle(proj), Bundle)
+                local = is_locally_trivial(proj, point_cover(base))
+                assert decided == isinstance(local, Trivialization)
+                verdicts.add(decided)
+    assert verdicts == {True, False}
+
+
+def test_torsor_fibers_without_trivialization_is_an_internal_fault(monkeypatch):
+    # a failed trivialization search on torsor fibers is a fault, not a verdict
+    z2, base = zmod(2), FinSet(("p", "q"))
+    proj = check_equivariant(product(z2.carrier, base).proj2,
+                             product_action(z2, base), trivial_action(z2, base))
+    assert isinstance(is_principal_bundle(proj), Bundle)
+    monkeypatch.setattr(finstack.bundle, "is_locally_trivial",
+                        lambda proj, cover: NotTrivial(0))
+    with pytest.raises(RuntimeError):
+        is_principal_bundle(proj)
 
 
 def test_random_bundles_certify(rng):
@@ -153,6 +191,17 @@ def test_bundle_enumeration_counts():
 def test_bundle_enumeration_bound():
     with pytest.raises(BoundExceeded):
         enumerate_bundles(zmod(4), FinSet(("p", "q")), bound=10)
+
+
+def test_bundle_enumeration_bound_precedes_torsor_search():
+    # (|G|-1)!^|base| is known before the |G|! permutations are searched
+    z8 = zmod(8)
+    before = torsor_structures.cache_info()
+    with pytest.raises(BoundExceeded) as exc:
+        enumerate_bundles(z8, FinSet(("p",)), bound=1)
+    assert exc.value.size == 5040
+    assert str(exc.value) == "bundle enumeration: size 5040 exceeds bound 1"
+    assert torsor_structures.cache_info() == before
 
 
 def brute_morphisms(src, dst):

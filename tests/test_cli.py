@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from finstack import cli
+import finstack.bundle
+from finstack import NotTrivial, cli
 from finstack.cli import main
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
@@ -165,6 +166,46 @@ def test_bound_reaches_classify_morphism_enumeration(capsys, tmp_path):
     code, out, err = run(capsys, "classify", site, "--bound", 100)
     assert code == 2
     assert "bundle-morphism enumeration" in err
+
+
+# exit code and (declaration, status) per check; oracles_forbidden makes
+# every definitional cover check raise, so these verdicts come from the
+# deciders alone
+DECIDED_WITHOUT_ORACLES = [
+    ("check-cover", "covers_ok.site", 0, [("ByPoints", "ok"), ("Overlapping", "ok")]),
+    ("check-cover", "covers_bad.site", 1, [("Gappy", "fail")]),
+    ("check-cover", "stack_demo.site", 0, [("C", "ok")]),
+    ("check-bundle", "covers_ok.site", 0, []),
+    ("check-bundle", "covers_bad.site", 0, []),
+    ("check-bundle", "stack_demo.site", 0, [("B", "ok")]),
+    ("glue-object", "covers_ok.site", 0, []),
+    ("glue-object", "covers_bad.site", 0, []),
+    ("glue-object", "stack_demo.site", 0, [("D", "ok")]),
+]
+
+
+@pytest.mark.parametrize("command,site,expected,verdicts", DECIDED_WITHOUT_ORACLES)
+def test_commands_run_no_oracle(capsys, tmp_path, oracles_forbidden,
+                                command, site, expected, verdicts):
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, command, SITES / site, "--report", path)
+    assert code == expected, err
+    rep = json.loads(path.read_text())
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == verdicts
+
+
+def test_bundle_without_trivialization_exits_3(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(finstack.bundle, "is_locally_trivial",
+                        lambda proj, cover: NotTrivial(0))
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "check-bundle", SITES / "bundles.site",
+                         "--report", path)
+    assert code == 3
+    assert out == ""
+    rep = json.loads(path.read_text())
+    assert rep["status"] == "error"
+    assert rep["error"]["kind"] == "RuntimeError"
+    assert rep["checks"] == []
 
 
 def test_internal_error_exits_3_with_report(capsys, tmp_path, monkeypatch):

@@ -147,6 +147,14 @@ def test_glue_round_trip_overlapping_cover(rng):
     assert qs_isomorphism(result.glued, obj) is not None
 
 
+def test_round_trip_runs_no_oracle(rng, oracles_forbidden):
+    z2 = zmod(2)
+    obj = random_qsobject(rng, z2, point_x(z2), FinSet(("p", "q", "r")))
+    cover = random_cover(rng, obj.base, max_legs=3, max_extra=2)
+    result = glue_object(restrict_to_datum(obj, cover))
+    assert qs_isomorphism(result.glued, obj) is not None
+
+
 def test_glue_conjugated_datum_same_class(rng):
     z3 = zmod(3)
     base = FinSet(("p", "q"))

@@ -26,6 +26,7 @@ from finstack import (
     sieve_member,
     terminal,
 )
+from finstack.finset import is_epi
 from finstack.topology import all_maps, cech_colimit
 
 
@@ -56,6 +57,14 @@ def test_effective_epi_is_surjectivity():
     assert not is_effective_epi(skip)
     assert is_effective_epi(FinMap(FinSet(()), FinSet(()), {}))
     assert not is_effective_epi(FinMap(FinSet(()), two, {}))
+
+
+def test_effective_epi_oracle_matches_surjectivity():
+    for n in range(4):
+        for m in range(4):
+            src, dst = FinSet(tuple(range(n))), FinSet(tuple(f"d{k}" for k in range(m)))
+            for f in all_maps(src, dst):
+                assert is_effective_epi(f) == is_epi(f)
 
 
 def test_universal_effective_epi_agrees(rng):

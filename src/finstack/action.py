@@ -1,12 +1,14 @@
 """Group objects in finite sets and their actions.
 
 A group is a Cayley table certified by check_group; an action is a map
-G×X -> X certified by check_action against both action diagrams, evaluated
-pointwise. Equivariant maps are certified squares.
+G×X -> X certified by check_action against both action diagrams. Equivariant
+maps are certified squares. Actions and equivariant maps are certified on a
+generating set of the group, which implies the laws for every element.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -17,6 +19,7 @@ from .errors import (
     NoInverse,
     NotAssociative,
     NoUnit,
+    SquareNotCommuting,
     UnitFail,
 )
 from .finset import (
@@ -24,10 +27,7 @@ from .finset import (
     FinSet,
     atom_key,
     compose,
-    identity,
-    mediate_pullback,
     product,
-    product_map,
     pullback,
     terminal,
 )
@@ -147,6 +147,30 @@ def subgroups(g: FinGroup):
     return found
 
 
+@functools.lru_cache(maxsize=256)
+def generators(g: FinGroup) -> tuple:
+    """A generating set, picked greedily in canonical order: an atom is taken
+    when it is not in the subgroup generated by the earlier picks.
+
+    So every atom before a pick is the unit, an earlier pick, or in the
+    subgroup the earlier picks generate. (1,) for Z/n, two atoms for V4
+    and S3.
+    """
+    picks = []
+    span = {g.unit_atom}
+    for a in g.carrier:
+        if a in span:
+            continue
+        picks.append(a)
+        # in a finite group, the subgroup the picks generate is the closure
+        # of the unit under right multiplication by the picks
+        frontier = span
+        while frontier:
+            frontier = {g.times(h, s) for h in frontier for s in picks} - span
+            span |= frontier
+    return tuple(picks)
+
+
 # ----------------------------------------------------------------- actions ---
 
 @dataclass(frozen=True, eq=True)
@@ -164,14 +188,45 @@ class GAction:
         return f"GAction({self.group!r} on {self.space!r})"
 
 
-def check_action(group: FinGroup, space: FinSet, act: FinMap) -> GAction:
-    """Certify act against both diagrams, pointwise over G×G×X and T×X.
+def _laws_on_generators(group: FinGroup, space: FinSet, act: FinMap) -> bool:
+    """σ(e) = id and σ(g·s) = σ(g)∘σ(s) for every g and generator s, where
+    σ(g) = act(g, -) is read as a list of indices into the space."""
+    n = len(space)
+    pos = {x: i for i, x in enumerate(space)}
+    t = act.table
+    # act.src is product(G, X).space, emitted G-major in canonical order
+    flat = [pos[t[k]] for k in act.src]
+    index = {g: i for i, g in enumerate(group.carrier)}
+    rows = [flat[i * n:(i + 1) * n] for i in range(len(index))]
+    if rows[index[group.unit_atom]] != list(range(n)):
+        return False
+    for s in generators(group):
+        row_s = rows[index[s]]
+        for g, i in index.items():
+            row_g = rows[i]
+            if rows[index[group.times(g, s)]] != [row_g[j] for j in row_s]:
+                return False
+    return True
 
-    Raises AssocFail(g,h,x) or UnitFail(x) with the first witness.
+
+def check_action(group: FinGroup, space: FinSet, act: FinMap) -> GAction:
+    """Certify act against both action diagrams.
+
+    The decider checks the unit law on every x and σ(g·s) = σ(g)∘σ(s) for
+    every g, every generator s and every x, where σ(g) = act(g, -). This
+    implies σ(g·h) = σ(g)∘σ(h) for all h, by induction on the length of h
+    as a word in the generators: h = e holds by the unit law, and
+    σ(g·h'·s) = σ(g·h')∘σ(s) = σ(g)∘σ(h')∘σ(s) = σ(g)∘σ(h'·s).
+
+    Only on failure does it scan the diagrams pointwise over G×G×X and
+    T×X in canonical order, so the witness is the first one: raises
+    AssocFail(g,h,x) or UnitFail(x).
     """
     prod = product(group.carrier, space)
     if act.src != prod.space or act.dst != space:
         raise ValueError("action must be a map G×X -> X")
+    if _laws_on_generators(group, space, act):
+        return GAction(group, space, act)
     t = act.table
     for g in group.carrier:
         for h in group.carrier:
@@ -235,15 +290,26 @@ class EquivariantMap:
 
 
 def check_equivariant(f: FinMap, a: GAction, b: GAction) -> EquivariantMap:
-    """Certify f(a.act(g,x)) = b.act(g, f(x)) for all g, x."""
+    """Certify f(a.act(g,x)) = b.act(g, f(x)) for all g, x.
+
+    a and b must be certified actions (only check_action and regular_action
+    build a GAction). Then the square commutes for g·s once it commutes for
+    g and s, and for the unit, so checking the generators decides it for
+    every g. They are scanned in canonical order, each over x in canonical
+    order, and the first failure is raised as EquivarianceFail(s, x). That
+    is the first witness of the full scan over G×X: every atom before s is
+    the unit, an earlier generator or in the subgroup the earlier
+    generators generate, and all of those pass.
+    """
     if a.group != b.group:
         raise ValueError("actions are for different groups")
     if f.src != a.space or f.dst != b.space:
         raise ValueError("map endpoints do not match the action spaces")
-    for g in a.group.carrier:
+    ft, at, bt = f.table, a.act.table, b.act.table
+    for s in generators(a.group):
         for x in a.space:
-            if f.table[a(g, x)] != b(g, f.table[x]):
-                raise EquivarianceFail(g, x)
+            if ft[at[(s, x)]] != bt[(s, ft[x])]:
+                raise EquivarianceFail(s, x)
     return EquivariantMap(f, a, b)
 
 
@@ -252,7 +318,9 @@ def pullback_action(p: GAction, z: GAction, y: GAction,
     """The induced action on the pullback P×_Y Z of f along g.
 
     The structure map is the mediating map of (act_P ∘ (id×proj1),
-    act_Z ∘ (id×proj2)) into the pullback, then certified as an action.
+    act_Z ∘ (id×proj2)) into the pullback, then certified as an action. It
+    is built in one pass over G×(P×_Y Z): h·(a, b) = (h·a, h·b), raising
+    SquareNotCommuting((h, (a, b)), f(h·a), g(h·b)) where the two differ.
     """
     if f.src_action != p or f.dst_action != y:
         raise ValueError("f must be an equivariant map P -> Y")
@@ -260,10 +328,17 @@ def pullback_action(p: GAction, z: GAction, y: GAction,
         raise ValueError("g must be an equivariant map Z -> Y")
     group = p.group
     cert = pullback(f.map, g.map)
-    u = compose(p.act, product_map(identity(group.carrier), cert.proj1))
-    v = compose(z.act, product_map(identity(group.carrier), cert.proj2))
-    psi = mediate_pullback(cert, u, v)
-    return check_action(group, cert.apex, psi)
+    src = product(group.carrier, cert.apex).space
+    pt, zt, ft, gt = p.act.table, z.act.table, f.map.table, g.map.table
+    table = {}
+    for k in src:
+        h, (a, b) = k
+        u, v = pt[(h, a)], zt[(h, b)]
+        left, right = ft[u], gt[v]
+        if left != right:
+            raise SquareNotCommuting(k, left, right)
+        table[k] = (u, v)
+    return check_action(group, cert.apex, FinMap(src, cert.apex, table))
 
 
 def product_action(group: FinGroup, u: FinSet) -> GAction:
@@ -329,6 +404,8 @@ def gset_isomorphism_over(a: GAction, b: GAction,
     h = FinMap(a.space, b.space, assignment)
     # sound by construction, but verify anyway: the caller gets a certificate
     check_equivariant(h, a, b)
-    assert compose(pb, h) == pa
-    assert len(set(h.table.values())) == len(h.src)
+    if compose(pb, h) != pa:
+        raise RuntimeError("equivariant iso search returned a map not over the base")
+    if len(set(h.table.values())) != len(h.src):
+        raise RuntimeError("equivariant iso search returned a non-injective map")
     return h

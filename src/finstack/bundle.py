@@ -37,7 +37,6 @@ from .finset import (
     FinSet,
     atom_key,
     compose,
-    fiber,
     mediate_pullback,
     morphism_predicates,
     pair_map,
@@ -160,21 +159,28 @@ def check_trivialization(proj: EquivariantMap, triv: Trivialization) -> None:
 
 
 def _torsor_fibers(proj: EquivariantMap) -> Optional[NotBundle]:
-    """The bundlehood decider: every fiber must be a free transitive G-set."""
-    act = proj.src_action
-    group = act.group
-    e = group.unit_atom
-    n = len(group.carrier)
-    for x in proj.map.dst:
-        fib = fiber(proj.map, x)
+    """The bundlehood decider: every fiber must be a free transitive G-set.
+
+    proj is equivariant onto a trivially acted base, so each orbit stays in
+    its fiber. A fiber of |G| atoms is then a torsor exactly when the orbit
+    of its least atom has |G| atoms: that orbit is the whole fiber, and a
+    transitive action with one trivial stabilizer has all of them trivial.
+    A smaller orbit means that atom has a nontrivial stabilizer, so the
+    fiber is reported as not free.
+    """
+    act = proj.src_action.act.table
+    carrier = proj.src_action.group.carrier
+    n = len(carrier)
+    t = proj.map.table
+    fibers = {x: [] for x in proj.map.dst}
+    for p in proj.map.src:
+        fibers[t[p]].append(p)
+    for x, fib in fibers.items():
         if len(fib) != n:
             return NotBundle(x, f"fiber has {len(fib)} atoms, expected {n}")
-        for p in fib:
-            for g in group.carrier:
-                if g != e and act(g, p) == p:
-                    return NotBundle(x, "fiber action is not free")
-        if fib and {act(g, fib[0]) for g in group.carrier} != set(fib):
-            return NotBundle(x, "fiber action is not transitive")
+        least = fib[0]
+        if len({act[(g, least)] for g in carrier}) != n:
+            return NotBundle(x, "fiber action is not free")
     return None
 
 

@@ -10,7 +10,8 @@ traceback goes to stderr and the report carries the exception type as
 `error.kind`.
 
 --seed and --budget drive only verify-stack's generated corpus; the same
-seed reproduces the same run. Cover and bundle checks are deterministic.
+seed reproduces the same run. A budget below 1 is bad input (exit 2). Cover
+and bundle checks are deterministic.
 """
 
 from __future__ import annotations
@@ -249,7 +250,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for verify-stack's generated corpus")
     parser.add_argument("--budget", type=int, default=8,
-                        help="size of verify-stack's generated corpus")
+                        help="size of verify-stack's generated corpus, "
+                             "at least 1")
     parser.add_argument("--bound", type=int, default=4096,
                         help="enumeration size guard")
     parser.add_argument("--report", default=None, metavar="PATH",
@@ -291,6 +293,8 @@ def main(argv=None) -> int:
 
     if args.command not in _COMMANDS:
         return finish_error(UnknownCommand(args.command))
+    if args.budget < 1:
+        return finish_error(ValueError(f"--budget must be at least 1, got {args.budget}"))
     try:
         site = load_site(args.site)
     except (OSError, UnicodeDecodeError, FinstackError) as err:

@@ -20,6 +20,7 @@ from .errors import (
     CocycleFail,
     CocycleRequired,
     CoverNotCanonical,
+    FinstackError,
     MissingOverlapIso,
     OverlapMismatch,
 )
@@ -444,6 +445,9 @@ def verify_stack(group: FinGroup, x_action: GAction, corpus: Corpus) -> StackRep
     object they came from, up to iso in the fiber. Gluing: compatible local
     morphisms glue to a global one restricting back to them. Uniqueness:
     globals agreeing on a canonical cover are equal.
+
+    A FinstackError from gluing counts as a failed case. Any other exception
+    is an internal fault, no verdict on the stack, and propagates.
     """
     from .stack import qs_isomorphism
 
@@ -456,7 +460,7 @@ def verify_stack(group: FinGroup, x_action: GAction, corpus: Corpus) -> StackRep
                 eff.failures.append(("not isomorphic to the source object", datum))
                 continue
             eff.passed += 1
-        except Exception as err:  # noqa: BLE001 - reported, not swallowed
+        except FinstackError as err:
             eff.failures.append((repr(err), datum))
     glue = ConditionReport("gluing of morphisms")
     for cover, x, y, locals_, expected in corpus.morphism_gluings:
@@ -467,7 +471,7 @@ def verify_stack(group: FinGroup, x_action: GAction, corpus: Corpus) -> StackRep
                 glue.failures.append(("glued morphism differs from expected", cover))
                 continue
             glue.passed += 1
-        except Exception as err:  # noqa: BLE001
+        except FinstackError as err:
             glue.failures.append((repr(err), cover))
     uniq = ConditionReport("uniqueness of gluings")
     for cover, m1, m2 in corpus.uniqueness_pairs:

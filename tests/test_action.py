@@ -6,8 +6,12 @@ from random import Random
 
 import pytest
 
+import finstack.action
+
 from finstack import (
+    AssocFail,
     EquivarianceFail,
+    EquivariantMap,
     FinMap,
     FinSet,
     GAction,
@@ -15,18 +19,22 @@ from finstack import (
     NoInverse,
     NotAssociative,
     NoUnit,
+    SquareNotCommuting,
     action_from_function,
     check_action,
     check_equivariant,
     check_group,
+    compose,
     group_from_table,
     gset_isomorphism_over,
     identity,
     invert,
     klein_four,
+    mediate_pullback,
     orbits,
     product,
     product_action,
+    product_map,
     pullback,
     pullback_action,
     regular_action,
@@ -36,6 +44,8 @@ from finstack import (
     trivial_action,
     zmod,
 )
+from finstack.action import generators
+from finstack.finset import atom_key
 from finstack.sample import group_catalog, random_gset, random_gset_over
 from finstack.topology import all_maps
 
@@ -233,6 +243,27 @@ def test_iso_search_respects_projection():
     assert gset_isomorphism_over(a, a, pa, one_point) is None
 
 
+@pytest.mark.parametrize("over,broken,message", [
+    ({"u": "p", "v": "q"}, {"u": "v", "v": "u"}, "not over the base"),
+    ({"u": "p", "v": "p"}, {"u": "u", "v": "u"}, "non-injective"),
+])
+def test_iso_search_certificate_is_checked(monkeypatch, over, broken, message):
+    # the search's result is re-certified by checks that python -O keeps;
+    # here FinMap in finstack.action bends each image along `broken`, which
+    # stays equivariant but is no iso over the base
+    z2 = zmod(2)
+    a = product_action(z2, FinSet(("u", "v")))
+    pa = FinMap(a.space, FinSet(set(over.values())), {x: over[x[1]] for x in a.space})
+    assert gset_isomorphism_over(a, a, pa, pa) is not None
+
+    def bent(src, dst, table):
+        return FinMap(src, dst, {x: (y[0], broken[y[1]]) for x, y in table.items()})
+
+    monkeypatch.setattr(finstack.action, "FinMap", bent)
+    with pytest.raises(RuntimeError, match=message):
+        gset_isomorphism_over(a, a, pa, pa)
+
+
 # ------------------------------------------------- pullback actions
 
 def test_pullback_action_frozen_example():
@@ -312,3 +343,245 @@ def test_pullback_action_random_suite(rng):
             assert w.group == grp
             done += 1
     assert done >= 64
+
+
+# ------------------------------------- generator deciders against full scans
+#
+# check_action and check_equivariant decide on a generating set; the full
+# pointwise scans they replaced are kept here as oracles, as is the
+# pullback_action built from product_map, compose and mediate_pullback.
+
+def full_scan_action(group, space, act):
+    """check_action by definition: both diagrams, pointwise over G×G×X and
+    T×X in canonical order."""
+    prod = product(group.carrier, space)
+    if act.src != prod.space or act.dst != space:
+        raise ValueError("action must be a map G×X -> X")
+    t = act.table
+    for g in group.carrier:
+        for h in group.carrier:
+            gh = group.times(g, h)
+            for x in space:
+                if t[(gh, x)] != t[(g, t[(h, x)])]:
+                    raise AssocFail(g, h, x)
+    e = group.unit_atom
+    for x in space:
+        if t[(e, x)] != x:
+            raise UnitFail(x)
+    return GAction(group, space, act)
+
+
+def full_scan_equivariant(f, a, b):
+    """check_equivariant by definition, pointwise over G×X."""
+    if a.group != b.group:
+        raise ValueError("actions are for different groups")
+    if f.src != a.space or f.dst != b.space:
+        raise ValueError("map endpoints do not match the action spaces")
+    for g in a.group.carrier:
+        for x in a.space:
+            if f.table[a(g, x)] != b(g, f.table[x]):
+                raise EquivarianceFail(g, x)
+    return EquivariantMap(f, a, b)
+
+
+def mediated_pullback_action(p, z, y, f, g):
+    """pullback_action by definition: the mediating map of
+    (act_P ∘ (id×proj1), act_Z ∘ (id×proj2)) into the pullback."""
+    if f.src_action != p or f.dst_action != y:
+        raise ValueError("f must be an equivariant map P -> Y")
+    if g.src_action != z or g.dst_action != y:
+        raise ValueError("g must be an equivariant map Z -> Y")
+    group = p.group
+    cert = pullback(f.map, g.map)
+    u = compose(p.act, product_map(identity(group.carrier), cert.proj1))
+    v = compose(z.act, product_map(identity(group.carrier), cert.proj2))
+    return full_scan_action(group, cert.apex, mediate_pullback(cert, u, v))
+
+
+def outcome(fn, *args):
+    """The accepted object, or the exception type and arguments."""
+    try:
+        return fn(*args)
+    except Exception as err:  # noqa: BLE001 - compared, not swallowed
+        return type(err), err.args
+
+
+def closure(group, atoms):
+    """The subgroup generated by atoms, independently of action.generators."""
+    span, frontier = {group.unit_atom}, {group.unit_atom}
+    while frontier:
+        frontier = {group.times(h, s) for h in frontier for s in atoms} - span
+        span |= frontier
+    return span
+
+
+ORACLE_GROUPS = {"z2": zmod(2), "z3": zmod(3), "z4": zmod(4), "z5": zmod(5),
+                 "z6": zmod(6), "v4": klein_four(), "s3": sym(3), "s4": sym(4)}
+
+
+def some_subgroups(group, rng):
+    """Subgroups as sets: all of them up to order 6, else cyclic ones and a
+    few generated by two random elements."""
+    if len(group.carrier) <= 6:
+        return [set(h) for h in subgroups(group)]
+    atoms = list(group.carrier)
+    subs = {frozenset(closure(group, [a])) for a in atoms}
+    subs |= {frozenset(closure(group, rng.sample(atoms, 2))) for _ in range(4)}
+    return sorted((set(h) for h in subs), key=lambda h: (len(h), sorted(h)))
+
+
+def coset_action(group, h):
+    """G acting on the left cosets G/H, each labelled by its least atom."""
+    label = {}
+    for g in group.carrier:
+        coset = frozenset(group.times(g, k) for k in h)
+        label.setdefault(coset, min(coset))
+    cosets = {g: label[frozenset(group.times(g, k) for k in h)] for g in group.carrier}
+    space = FinSet(set(cosets.values()))
+    return action_from_function(group, space, lambda g, c: cosets[group.times(g, c)])
+
+
+def relabel(a, rng):
+    """a transported along a random bijection of its space onto ints."""
+    labels = list(range(len(a.space)))
+    rng.shuffle(labels)
+    to = dict(zip(a.space, labels))
+    back = {v: k for k, v in to.items()}
+    return action_from_function(a.group, FinSet(labels),
+                                lambda g, x: to[a(g, back[x])])
+
+
+def action_table(group, space, fn):
+    return FinMap(product(group.carrier, space).space, space,
+                  {(g, x): fn(g, x) for g in group.carrier for x in space})
+
+
+def oracle_inputs(group, rng):
+    """(space, act) pairs: valid actions, their single-entry corruptions,
+    tables that obey the laws on a proper subgroup only, collapsed tables
+    that break only the unit law, and uniformly random tables."""
+    carrier = list(group.carrier)
+    valid = [relabel(coset_action(group, h), rng) for h in some_subgroups(group, rng)]
+    valid.append(relabel(trivial_action(group, FinSet((0, 1))), rng))
+    out = []
+    for a in valid:
+        out.append((a.space, a.act))
+        xs = list(a.space)
+        for _ in range(3):
+            key = (rng.choice(carrier), rng.choice(xs))
+            table = dict(a.act.table)
+            table[key] = rng.choice(xs)
+            out.append((a.space, FinMap(a.act.src, a.space, table)))
+    tau = max(valid, key=lambda a: len(a.space))    # the regular action
+    xs = list(tau.space)
+    for h in some_subgroups(group, rng):
+        if len(h) == len(carrier):
+            continue
+        # σ(g) = π(gH)∘τ(g) with π(H) = id: σ(g·s) = σ(g)∘σ(s) for s in H
+        perms = {}
+        for g in carrier:
+            coset = frozenset(group.times(g, k) for k in h)
+            if coset not in perms:
+                perms[coset] = dict(zip(xs, xs if group.unit_atom in coset
+                                        else rng.sample(xs, len(xs))))
+
+        def twisted(g, x):
+            return perms[frozenset(group.times(g, k) for k in h)][tau(g, x)]
+        out.append((tau.space, action_table(group, tau.space, twisted)))
+    for a in valid[:3]:
+        # σ(g) = a(g)∘r for a retraction r onto a's space: the composition
+        # law holds, σ(e) = r is no identity
+        space = FinSet(list(a.space) + ["extra"])
+        r = {x: x for x in a.space}
+        r["extra"] = rng.choice(list(a.space))
+        out.append((space, action_table(group, space, lambda g, x: a(g, r[x]))))
+    for n in (1, 2, 3):
+        space = FinSet(range(n))
+        out.append((space, action_table(group, space, lambda g, x: rng.randrange(n))))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_generators_generate_greedily(name):
+    group = ORACLE_GROUPS[name]
+    gens = generators(group)
+    assert closure(group, gens) == set(group.carrier)
+    for i, s in enumerate(gens):
+        before = [a for a in group.carrier if atom_key(a) < atom_key(s)]
+        assert set(before) <= closure(group, gens[:i])
+        assert s not in closure(group, gens[:i])
+    if name.startswith("z"):
+        assert gens == (1,)
+    if name in ("v4", "s3"):
+        assert gens == (1, 2)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_check_action_matches_full_scan(name):
+    rng = Random(f"check_action {name}")
+    group = ORACLE_GROUPS[name]
+    verdicts = set()
+    for space, act in oracle_inputs(group, rng):
+        want = outcome(full_scan_action, group, space, act)
+        assert outcome(check_action, group, space, act) == want
+        verdicts.add(want[0] if isinstance(want, tuple) else want)
+    assert {AssocFail, UnitFail} <= verdicts
+    assert any(isinstance(v, GAction) for v in verdicts)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_check_equivariant_matches_full_scan(name):
+    rng = Random(f"check_equivariant {name}")
+    group = ORACLE_GROUPS[name]
+    actions = [coset_action(group, h) for h in some_subgroups(group, rng)]
+    actions = [relabel(a, rng) for a in actions if len(a.space) <= 6]
+    actions.append(trivial_action(group, FinSet((0, 1))))
+    accepted = rejected = 0
+    for a in actions:
+        for b in actions:
+            if len(b.space) ** len(a.space) <= 256:
+                maps = all_maps(a.space, b.space)
+            else:
+                maps = [FinMap(a.space, b.space,
+                               {x: rng.choice(b.space.elements) for x in a.space})
+                        for _ in range(16)]
+            for f in maps:
+                want = outcome(full_scan_equivariant, f, a, b)
+                assert outcome(check_equivariant, f, a, b) == want
+                if isinstance(want, EquivariantMap):
+                    accepted += 1
+                else:
+                    rejected += 1
+    assert accepted and rejected
+
+
+def test_pullback_action_matches_mediating_map(rng):
+    done = 0
+    for grp in group_catalog(6):
+        for _ in range(6):
+            y = random_gset(rng, grp, 3)
+            p, f = random_gset_over(rng, y, 5)
+            z, g = random_gset_over(rng, y, 5)
+            assert pullback_action(p, z, y, f, g) == mediated_pullback_action(p, z, y, f, g)
+            done += 1
+    assert done == 48
+
+
+def test_pullback_action_square_witness_matches_mediating_map(rng):
+    # uncertified legs: the square fails, and both constructions name the
+    # same first point of G×(P×_Y Z) with the same two sides
+    raised = 0
+    for grp in (zmod(2), zmod(3), klein_four(), sym(3)):
+        for _ in range(6):
+            y = random_gset(rng, grp, 3)
+            p, f = random_gset_over(rng, y, 5)
+            z, g = random_gset_over(rng, y, 5)
+            bent = EquivariantMap(
+                FinMap(p.space, y.space,
+                       {x: rng.choice(y.space.elements) for x in p.space}), p, y)
+            want = outcome(mediated_pullback_action, p, z, y, bent, g)
+            assert outcome(pullback_action, p, z, y, bent, g) == want
+            if isinstance(want, tuple):
+                assert want[0] is SquareNotCommuting
+                raised += 1
+    assert raised

@@ -148,6 +148,48 @@ def test_local_triviality_oracle_matches_torsor_fibers(rng):
     assert verdicts == {True, False}
 
 
+def torsor_fibers_by_definition(proj):
+    """The torsor check by definition: every fiber has |G| atoms, no atom of
+    it is fixed by a non-unit, and the orbit of its first atom is all of it."""
+    act = proj.src_action
+    group = act.group
+    e = group.unit_atom
+    n = len(group.carrier)
+    for x in proj.map.dst:
+        fib = fiber(proj.map, x)
+        if len(fib) != n:
+            return NotBundle(x, f"fiber has {len(fib)} atoms, expected {n}")
+        for p in fib:
+            for g in group.carrier:
+                if g != e and act(g, p) == p:
+                    return NotBundle(x, "fiber action is not free")
+        if fib and {act(g, fib[0]) for g in group.carrier} != set(fib):
+            return NotBundle(x, "fiber action is not transitive")
+    return None
+
+
+def test_torsor_fibers_match_definition(rng):
+    # free, non-free and wrong-size fibers, with the same NotBundle witness
+    kinds = set()
+    for grp in group_catalog(6):
+        for size in range(1, 4):
+            base = FinSet(tuple(f"y{k}" for k in range(size)))
+            y = trivial_action(grp, base)
+            projs = [random_bundle(rng, grp, base).proj]
+            projs += [random_gset_over(rng, y, 2 * len(grp.carrier), stop=0.1)[1]
+                      for _ in range(12)]
+            for proj in projs:
+                want = torsor_fibers_by_definition(proj)
+                assert finstack.bundle._torsor_fibers(proj) == want
+                if want is None:
+                    kinds.add("torsor")
+                elif want.reason == "fiber action is not free":
+                    kinds.add("not free")
+                else:
+                    kinds.add("wrong size")
+    assert kinds == {"torsor", "not free", "wrong size"}
+
+
 def test_torsor_fibers_without_trivialization_is_an_internal_fault(monkeypatch):
     # a failed trivialization search on torsor fibers is a fault, not a verdict
     z2, base = zmod(2), FinSet(("p", "q"))

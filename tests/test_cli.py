@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import finstack.bundle
+import finstack.descent
 from finstack import NotTrivial, cli
 from finstack.cli import main
 
@@ -221,3 +222,42 @@ def test_internal_error_exits_3_with_report(capsys, tmp_path, monkeypatch):
     rep = json.loads(path.read_text())
     assert rep["status"] == "error"
     assert rep["error"]["kind"] == "AssertionError"
+
+
+def test_internal_fault_in_verify_stack_exits_3(capsys, tmp_path, monkeypatch):
+    # a fault inside gluing is no failed stack condition
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(finstack.descent, "check_action", broken)
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify-stack", SITES / "stack_demo.site",
+                         "--report", path)
+    assert code == 3
+    assert out == ""
+    assert "invariant broken" in err
+    rep = json.loads(path.read_text())
+    assert rep["status"] == "error"
+    assert rep["error"]["kind"] == "AssertionError"
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_bad_input(capsys, tmp_path, budget):
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify-stack", SITES / "stack_demo.site",
+                         "--budget", budget, "--report", path)
+    assert code == 2
+    assert out == ""
+    assert "--budget must be at least 1" in err
+    rep = json.loads(path.read_text())
+    assert rep["status"] == "error"
+    assert rep["budget"] == budget
+    assert rep["checks"] == []
+
+
+def test_budget_one_exercises_verify_stack(capsys):
+    code, out, _ = run(capsys, "verify-stack", SITES / "stack_demo.site",
+                       "--budget", 1)
+    assert code == 0
+    assert "ok (effectiveness" in out
+    assert "0/0" not in out

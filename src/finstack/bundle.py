@@ -1,10 +1,12 @@
 """Principal G-bundles over finite sets: the torsor-fiber decider, local
 triviality certificates, base change, and bundle morphisms.
 
-A bundle is an equivariant map onto a trivially-acted base together with an
-optional trivialization certificate: a canonical cover and, per leg, an
+A bundle is an equivariant map onto a trivially-acted base whose fibers are
+G-torsors; that is what `is_principal_bundle` decides and all a `Bundle`
+stores. Local triviality by definition (a canonical cover and, per leg, an
 equivariant iso from the pulled-back action to the trivialized model G×U_i
-over U_i. Certificates are stored, never recomputed behind the caller's back.
+over U_i) is kept as an oracle, `is_locally_trivial` with
+`check_trivialization`, that the tests compare with the decider.
 """
 
 from __future__ import annotations
@@ -37,26 +39,23 @@ from .finset import (
     FinSet,
     atom_key,
     compose,
-    mediate_pullback,
     morphism_predicates,
-    pair_map,
     product,
     pullback,
 )
 from .topology import (
     CoveringFamily,
     all_maps,
-    point_cover,
     require_canonical,
 )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _trivial_action_cached(group: FinGroup, space: FinSet) -> GAction:
     return trivial_action(group, space)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _product_action_cached(group: FinGroup, u: FinSet) -> GAction:
     return product_action(group, u)
 
@@ -93,13 +92,12 @@ class NotBundle:
 
 @dataclass(frozen=True, eq=True)
 class Bundle:
-    """A certified principal bundle."""
+    """A certified principal bundle: its fibers are G-torsors."""
 
     group: FinGroup
     base: FinSet
     total: GAction
     proj: EquivariantMap
-    trivialization: Optional[Trivialization] = None
 
     def __repr__(self):
         return f"Bundle(|{len(self.total.space)}| -> {self.base!r})"
@@ -185,23 +183,12 @@ def _torsor_fibers(proj: EquivariantMap) -> Optional[NotBundle]:
 
 
 def is_principal_bundle(proj: EquivariantMap) -> Union[Bundle, NotBundle]:
-    """Decide bundlehood by the torsor fibers.
-
-    A bundle gets its trivialization over the point cover of the base, built
-    by is_locally_trivial and stored. Torsor fibers without a trivialization
-    are an internal fault, raised as RuntimeError and never returned as a
-    verdict.
-    """
+    """Decide bundlehood by the torsor fibers."""
     _require_trivial_base(proj)
     witness = _torsor_fibers(proj)
     if witness is not None:
         return witness
-    triv = is_locally_trivial(proj, point_cover(proj.map.dst))
-    if not isinstance(triv, Trivialization):
-        raise RuntimeError(
-            f"torsor fibers but no trivialization over leg {triv.leg_index}")
-    return Bundle(proj.src_action.group, proj.map.dst,
-                  proj.src_action, proj, triv)
+    return Bundle(proj.src_action.group, proj.map.dst, proj.src_action, proj)
 
 
 def trivial_bundle(group: FinGroup, base: FinSet) -> Bundle:
@@ -210,13 +197,15 @@ def trivial_bundle(group: FinGroup, base: FinSet) -> Bundle:
     proj = check_equivariant(product(group.carrier, base).proj2,
                              total, _trivial_action_cached(group, base))
     out = is_principal_bundle(proj)
-    assert isinstance(out, Bundle)
+    if not isinstance(out, Bundle):
+        raise RuntimeError(f"the trivial model is not a bundle: {out}")
     return out
 
 
 def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
-    """Base change of a bundle along f, with the trivialization transported
-    along the pulled-back cover when one is stored."""
+    """Base change of a bundle along f: the pulled-back action on P×_Y Z
+    over Z. Its fibers are those of b, so they are torsors; the decider
+    confirms it, and a failure is an internal fault."""
     if f.dst != b.base:
         raise BaseMismatch(f"{f.dst!r} != {b.base!r}")
     group = b.group
@@ -226,34 +215,10 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     eq_f = check_equivariant(f, triv_z, b.proj.dst_action)
     psi = pullback_action(b.total, triv_z, b.proj.dst_action, b.proj, eq_f)
     new_proj = check_equivariant(cert.proj2, psi, triv_z)
-    if b.trivialization is None:
-        out = is_principal_bundle(new_proj)
-        assert isinstance(out, Bundle)
-        return out
-    new_legs = []
-    pulled = []
-    for leg in b.trivialization.legs:
-        g_i = b.trivialization.cover.legs[leg.leg_index]
-        pcert = pullback(g_i, f)              # V_i×_Y Z, atoms (v, z)
-        pulled.append(pcert.proj2)
-        ncert = pullback(cert.proj2, pcert.proj2)   # atoms ((p,z),(v,z))
-        q = pullback(b.proj.map, g_i)
-        to_pv = mediate_pullback(
-            q,
-            compose(cert.proj1, ncert.proj1),       # ((p,z),(v,z)) -> p
-            compose(pcert.proj1, ncert.proj2),      # ((p,z),(v,z)) -> v
-        )
-        s1 = compose(product(group.carrier, g_i.src).proj1,
-                     compose(leg.phi, to_pv))
-        phi_new = pair_map(s1, ncert.proj2,
-                           product(group.carrier, pcert.apex))
-        new_legs.append(TrivLeg(leg.leg_index, ncert, phi_new))
-    new_cover = CoveringFamily(z, pulled)
-    triv = Trivialization(new_cover, tuple(new_legs))
-    out = Bundle(group, z, psi, new_proj, triv)
-    check_trivialization(new_proj, triv)
-    assert _torsor_fibers(new_proj) is None
-    return out
+    witness = _torsor_fibers(new_proj)
+    if witness is not None:
+        raise RuntimeError(f"base change is not a bundle: {witness}")
+    return Bundle(group, z, psi, new_proj)
 
 
 @dataclass(frozen=True, eq=True)
@@ -305,7 +270,7 @@ def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def torsor_structures(group: FinGroup) -> tuple:
     """The distinct free transitive actions of G on its own carrier,
     as act tables; there are (|G|-1)! of them."""
@@ -319,7 +284,9 @@ def torsor_structures(group: FinGroup) -> tuple:
         key = tuple(sorted(table.items(), key=lambda kv: atom_key(kv[0])))
         seen.setdefault(key, table)
     out = tuple(seen.values())
-    assert len(out) == math.factorial(len(atoms) - 1)
+    if len(out) != math.factorial(len(atoms) - 1):
+        raise RuntimeError(
+            f"{len(out)} torsor structures, expected (|G|-1)!")
     return out
 
 
@@ -338,18 +305,20 @@ def enumerate_bundles(group: FinGroup, base: FinSet,
     prod = product(group.carrier, base)
     structures = torsor_structures(group)
     triv_base = _trivial_action_cached(group, base)
+    position = {x: k for k, x in enumerate(base)}
     out = []
     for choice in itertools.product(range(len(structures)), repeat=len(base)):
         table = {}
         for g in group.carrier:
             for (h, x) in prod.space:
-                s = structures[choice[list(base).index(x)]]
+                s = structures[choice[position[x]]]
                 table[(g, (h, x))] = (s[(g, h)], x)
         act = check_action(group, prod.space,
                            FinMap(product(group.carrier, prod.space).space,
                                   prod.space, table))
         proj = check_equivariant(prod.proj2, act, triv_base)
         bundle = is_principal_bundle(proj)
-        assert isinstance(bundle, Bundle)
+        if not isinstance(bundle, Bundle):
+            raise RuntimeError(f"an enumerated structure is not a bundle: {bundle}")
         out.append(bundle)
     return out

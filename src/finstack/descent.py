@@ -213,8 +213,8 @@ def glue_morphisms(cover: CoveringFamily, x: QSObject, y: QSObject,
                      invert(mediate_coequalizer(cert, bigmap)))
     eta = check_qs_morphism(x, y, eta_fn)
     for i in range(n):
-        assert restrict_morphism(eta, cover.legs[i]).fn == locals_[i].fn, \
-            f"glued morphism does not restrict to local {i}"
+        if restrict_morphism(eta, cover.legs[i]).fn != locals_[i].fn:
+            raise RuntimeError(f"glued morphism does not restrict to local {i}")
     return eta
 
 
@@ -242,7 +242,8 @@ def check_uniqueness(cover: CoveringFamily, m1: QSMorphism,
             for pt in r1.fn.src:
                 if r1.fn.table[pt] != r2.fn.table[pt]:
                     return Distinguish(i, pt)
-    assert m1.fn == m2.fn, "all restrictions agree but the morphisms differ"
+    if m1.fn != m2.fn:
+        raise RuntimeError("all restrictions agree but the morphisms differ")
     return None
 
 
@@ -261,7 +262,8 @@ def _glue_empty(cover: CoveringFamily, group: FinGroup, x_action: GAction) -> Gl
     proj = check_equivariant(
         FinMap(empty, cover.target, {}), act, _trivial_action_cached(group, cover.target))
     bundle = is_principal_bundle(proj)
-    assert isinstance(bundle, Bundle)
+    if not isinstance(bundle, Bundle):
+        raise RuntimeError(f"the empty projection is not a bundle: {bundle}")
     alpha = FinMap(empty, x_action.space, {})
     return GluingResult(check_qs_object(bundle, alpha, x_action), ())
 
@@ -322,7 +324,8 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
                 cert.proj.table[Tag(t.part, datum.objects[t.part].bundle.total.act.table[(g, t.atom)])]
                 for t in members[q]
             }
-            assert len(images) == 1, "overlap relation is not equivariant"
+            if len(images) != 1:
+                raise RuntimeError("overlap relation is not equivariant")
             act_table[(g, q)] = images.pop()
     act = check_action(group, cert.quotient,
                        FinMap(gxw.space, cert.quotient, act_table))
@@ -335,7 +338,8 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     proj_eq = check_equivariant(pi_w, act,
                                 _trivial_action_cached(group, cover.target))
     bundle = is_principal_bundle(proj_eq)
-    assert isinstance(bundle, Bundle), f"glued projection is not a bundle: {bundle}"
+    if not isinstance(bundle, Bundle):
+        raise RuntimeError(f"glued projection is not a bundle: {bundle}")
     glued = check_qs_object(bundle, alpha_w, x_action)
     # comparison isos psi_i : glued|U_i -> W_i, assembled through the datum
     phis = {(i, j): _phi_points(datum, i, j) for i in range(n) for j in range(n)}
@@ -350,12 +354,15 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
             for t in members[q]:
                 j, w = t.part, t.atom
                 values.add(phis[(j, i)][(w, (pis[j][w], a))])
-            assert len(values) == 1, "comparison is ill-defined; cocycle should have caught this"
+            if len(values) != 1:
+                raise RuntimeError(
+                    "comparison is ill-defined; cocycle should have caught this")
             table[(q, a)] = values.pop()
         psi = check_qs_morphism(
             restrict(glued, fi), datum.objects[i],
             FinMap(rcert.apex, datum.objects[i].total, table))
-        assert morphism_predicates(psi.fn).iso, f"comparison over leg {i} is not an iso"
+        if not morphism_predicates(psi.fn).iso:
+            raise RuntimeError(f"comparison over leg {i} is not an iso")
         comparisons.append(psi)
     # compatibility of the comparisons against every overlap iso, pointwise
     for i in range(n):
@@ -368,8 +375,9 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
                     w_i = comparisons[i].fn.table[(q, a)]
                     via_phi = phis[(i, j)][(w_i, (a, b))]
                     direct = comparisons[j].fn.table[(q, b)]
-                    assert via_phi == direct, \
-                        f"comparison isos disagree with overlap iso ({i},{j})"
+                    if via_phi != direct:
+                        raise RuntimeError(
+                            f"comparison isos disagree with overlap iso ({i},{j})")
     return GluingResult(glued, tuple(comparisons))
 
 

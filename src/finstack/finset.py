@@ -153,7 +153,7 @@ class FinMap:
         return FinSet(set(self.table.values()))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=65536)
 def identity(a: FinSet) -> FinMap:
     return FinMap(a, a, {x: x for x in a})
 

@@ -9,7 +9,9 @@ A family covers exactly when it is jointly surjective, and that is how
 finstack decides it (`is_jointly_surjective`, `require_canonical`). The
 definitional checks (`is_canonical_cover`, `is_universal_effective_epi`,
 `is_effective_epi`, `is_colim_sieve`, `cech_colimit`) are kept as oracles
-that the tests compare with it; no production path runs them.
+that the tests compare with it; no production path runs them. The sheaf
+condition is decided the same way (`check_sheaf_condition`), and
+`sheaf_condition_by_enumeration` is its oracle.
 """
 
 from __future__ import annotations
@@ -245,44 +247,42 @@ def _is_matching(family, certs, maps) -> bool:
     return True
 
 
-def check_sheaf_condition(family: CoveringFamily, a: FinSet,
-                          strategy: str = "auto", bound: int = 4096) -> bool:
+def check_sheaf_condition(family: CoveringFamily, a: FinSet) -> bool:
     """Every matching family of maps into `a` glues uniquely through the
     cover.
 
-    strategy="exhaustive" enumerates all candidate families (|a|^Σ|U_i| of
-    them, guarded by `bound`); "constructive" glues each abstract matching
-    family on the images and decides totality and uniqueness directly;
-    "auto" picks exhaustive when it fits in the bound.
+    A matching family determines the gluing on the union of the images
+    (well-defined exactly by the matching condition), so the condition
+    reduces to totality and uniqueness of the extension; nothing is
+    enumerated. `sheaf_condition_by_enumeration` is the oracle.
     """
-    legs = family.legs
-    total = sum(len(f.src) for f in legs)
-    cost = len(a) ** total if len(a) > 0 else (0 if total else 1)
-    if strategy == "auto":
-        strategy = "exhaustive" if cost <= bound else "constructive"
-    if strategy == "exhaustive":
-        if cost > bound:
-            raise BoundExceeded("matching-family enumeration", cost, bound)
-        certs = _overlap_certs(family)
-        for maps in itertools.product(*[list(all_maps(f.src, a)) for f in legs]):
-            if not _is_matching(family, certs, maps):
-                continue
-            gluings = [
-                s for s in all_maps(family.target, a)
-                if all(compose(s, legs[i]) == maps[i] for i in range(len(legs)))
-            ]
-            if len(gluings) != 1:
-                return False
-        return True
-    if strategy != "constructive":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    # Constructive: a matching family determines the gluing on the union of
-    # the images (well-defined exactly by the matching condition), so the
-    # condition reduces to totality and uniqueness of the extension.
     if is_jointly_surjective(family):
         return True
     # an uncovered point exists; matching families exist unless a is empty
     # and some leg source is nonempty
     if len(a) == 0:
-        return any(len(f.src) > 0 for f in legs)
+        return any(len(f.src) > 0 for f in family.legs)
     return len(a) == 1
+
+
+def sheaf_condition_by_enumeration(family: CoveringFamily, a: FinSet,
+                                   bound: int) -> bool:
+    """The sheaf condition by definition: enumerate all candidate families
+    (|a|^Σ|U_i| of them, guarded by `bound`) and count the gluings of each
+    matching one. An oracle for check_sheaf_condition."""
+    legs = family.legs
+    total = sum(len(f.src) for f in legs)
+    cost = len(a) ** total if len(a) > 0 else (0 if total else 1)
+    if cost > bound:
+        raise BoundExceeded("matching-family enumeration", cost, bound)
+    certs = _overlap_certs(family)
+    for maps in itertools.product(*[list(all_maps(f.src, a)) for f in legs]):
+        if not _is_matching(family, certs, maps):
+            continue
+        gluings = [
+            s for s in all_maps(family.target, a)
+            if all(compose(s, legs[i]) == maps[i] for i in range(len(legs)))
+        ]
+        if len(gluings) != 1:
+            return False
+    return True

@@ -18,7 +18,6 @@ from finstack import (
     FinMap,
     FinSet,
     check_equivariant,
-    check_sheaf_condition,
     coherence_assoc,
     coherence_epsilon,
     coherence_iota,
@@ -62,7 +61,7 @@ from finstack.sample import (
     random_map,
     random_qsobject,
 )
-from finstack.topology import all_maps
+from finstack.topology import all_maps, sheaf_condition_by_enumeration
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
 
@@ -177,7 +176,7 @@ def test_representables_are_sheaves(capsys):
         failures = 0
         for fam in fams:
             for a in values:
-                if not check_sheaf_condition(fam, a, bound=4096):
+                if not sheaf_condition_by_enumeration(fam, a, bound=4096):
                     failures += 1
                 checked += 1
         dt = time.monotonic() - t0

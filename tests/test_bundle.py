@@ -24,16 +24,22 @@ from finstack import (
     enumerate_bundle_morphisms,
     enumerate_bundles,
     fiber,
+    glue_object,
     identity,
     invert,
     is_locally_trivial,
     is_principal_bundle,
     klein_four,
+    mediate_pullback,
     morphism_predicates,
+    pair_map,
     point_cover,
     product,
     product_action,
+    pullback,
     pullback_bundle,
+    pullback_family,
+    restrict_to_datum,
     sym,
     terminal,
     torsor_structures,
@@ -41,11 +47,15 @@ from finstack import (
     trivial_bundle,
     zmod,
 )
+from finstack.bundle import TrivLeg
 from finstack.errors import CoverNotCanonical
 from finstack.sample import (
     group_catalog,
     random_bundle,
+    random_cover,
     random_gset_over,
+    random_map,
+    random_qsobject,
     twist_bundle,
 )
 from finstack.topology import all_maps
@@ -57,6 +67,14 @@ def projection_to(group, space, base, values):
         FinMap(space, base, values), total, trivial_action(group, base))
 
 
+def point_trivialization(b):
+    """The definitional certificate over the point cover, re-verified."""
+    triv = is_locally_trivial(b.proj, point_cover(b.base))
+    assert isinstance(triv, Trivialization)
+    check_trivialization(b.proj, triv)
+    return triv
+
+
 # ------------------------------------------------------------ certification
 
 def test_trivial_bundle_shape():
@@ -66,8 +84,7 @@ def test_trivial_bundle_shape():
     assert b.base == base
     assert sorted(b.total.space.elements) == [(0, "p"), (0, "q"), (1, "p"), (1, "q")]
     assert b.proj.map((1, "q")) == "q"
-    assert b.trivialization is not None
-    check_trivialization(b.proj, b.trivialization)
+    point_trivialization(b)
 
 
 def test_wrong_fiber_size_is_rejected():
@@ -190,16 +207,18 @@ def test_torsor_fibers_match_definition(rng):
     assert kinds == {"torsor", "not free", "wrong size"}
 
 
-def test_torsor_fibers_without_trivialization_is_an_internal_fault(monkeypatch):
-    # a failed trivialization search on torsor fibers is a fault, not a verdict
+def test_base_change_without_torsor_fibers_is_an_internal_fault(monkeypatch):
+    # base change keeps the fibers; a decider saying otherwise is a fault,
+    # not a verdict
     z2, base = zmod(2), FinSet(("p", "q"))
     proj = check_equivariant(product(z2.carrier, base).proj2,
                              product_action(z2, base), trivial_action(z2, base))
-    assert isinstance(is_principal_bundle(proj), Bundle)
-    monkeypatch.setattr(finstack.bundle, "is_locally_trivial",
-                        lambda proj, cover: NotTrivial(0))
-    with pytest.raises(RuntimeError):
-        is_principal_bundle(proj)
+    b = is_principal_bundle(proj)
+    assert isinstance(b, Bundle)
+    monkeypatch.setattr(finstack.bundle, "_torsor_fibers",
+                        lambda proj: NotBundle("p", "fiber action is not free"))
+    with pytest.raises(RuntimeError, match="base change is not a bundle"):
+        pullback_bundle(b, identity(base))
 
 
 def test_random_bundles_certify(rng):
@@ -228,6 +247,21 @@ def test_bundle_enumeration_counts():
     assert len(enumerate_bundles(zmod(3), two)) == 4
     assert len(enumerate_bundles(zmod(4), FinSet(("p",)))) == 6
     assert len(enumerate_bundles(zmod(3), FinSet(()))) == 1
+
+
+def test_bundle_enumeration_order():
+    # one torsor structure per base atom, choices in itertools.product order
+    z3, base = zmod(3), FinSet(("p", "q"))
+    structures = torsor_structures(z3)
+    choices = []
+    for b in enumerate_bundles(z3, base):
+        act = b.total.act.table
+        choices.append(tuple(
+            next(k for k, s in enumerate(structures)
+                 if all(act[(g, (h, x))] == (s[(g, h)], x)
+                        for g in z3.carrier for h in z3.carrier))
+            for x in base))
+    assert choices == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_bundle_enumeration_bound():
@@ -324,8 +358,7 @@ def test_pullback_bundle_frozen_example():
     assert len(pb.total.space) == 4
     # every total atom sits over its f-image
     assert all(f(pb.proj.map(t)) == b.proj.map(t[0]) for t in pb.total.space)
-    assert pb.trivialization is not None
-    check_trivialization(pb.proj, pb.trivialization)
+    point_trivialization(pb)
 
 
 def test_pullback_bundle_along_identity_preserves_fibers(rng):
@@ -352,3 +385,79 @@ def test_pullback_of_twisted_bundle(rng):
     pb = pullback_bundle(b, f)
     assert isinstance(pb, Bundle)
     assert len(pb.total.space) == 8
+
+
+def test_pullback_bundle_is_what_the_decider_returns(rng):
+    for grp in (zmod(2), zmod(3), klein_four(), sym(3)):
+        for _ in range(6):
+            base = FinSet(tuple(f"y{k}" for k in range(rng.randint(1, 3))))
+            b = random_bundle(rng, grp, base)
+            z = FinSet(tuple(f"z{k}" for k in range(rng.randint(0, 3))))
+            pb = pullback_bundle(b, random_map(rng, z, base))
+            assert is_principal_bundle(pb.proj) == pb
+
+
+# ------------------------------------------- local triviality, by definition
+
+def transport_trivialization(b, triv, f):
+    """Base change of a trivialization along f, leg by leg over the
+    pulled-back cover: phi_i on V_i pulls back to (g, (v, z)) along the
+    mediating map into P×_Y V_i."""
+    group = b.group
+    cert = pullback(b.proj.map, f)
+    new_legs = []
+    pulled = []
+    for leg in triv.legs:
+        g_i = triv.cover.legs[leg.leg_index]
+        pcert = pullback(g_i, f)              # V_i×_Y Z, atoms (v, z)
+        pulled.append(pcert.proj2)
+        ncert = pullback(cert.proj2, pcert.proj2)   # atoms ((p,z),(v,z))
+        q = pullback(b.proj.map, g_i)
+        to_pv = mediate_pullback(
+            q,
+            compose(cert.proj1, ncert.proj1),       # ((p,z),(v,z)) -> p
+            compose(pcert.proj1, ncert.proj2),      # ((p,z),(v,z)) -> v
+        )
+        s1 = compose(product(group.carrier, g_i.src).proj1,
+                     compose(leg.phi, to_pv))
+        phi_new = pair_map(s1, ncert.proj2,
+                           product(group.carrier, pcert.apex))
+        new_legs.append(TrivLeg(leg.leg_index, ncert, phi_new))
+    return Trivialization(CoveringFamily(f.src, pulled), tuple(new_legs))
+
+
+def test_bundles_are_locally_trivial_by_definition(rng):
+    # every constructor's output passes the definitional oracle
+    bundles = []
+    for grp in (zmod(2), zmod(3), klein_four(), sym(3)):
+        for size in range(3):
+            base = FinSet(tuple(f"y{k}" for k in range(size)))
+            b = trivial_bundle(grp, base)
+            bundles += [b, twist_bundle(rng, b)[0]]
+    bundles += enumerate_bundles(zmod(3), FinSet(("p", "q")))
+    bundles += enumerate_bundles(klein_four(), FinSet(("p",)))
+    for b in list(bundles):
+        if len(b.base):
+            z = FinSet(tuple(f"z{k}" for k in range(rng.randint(0, 3))))
+            bundles.append(pullback_bundle(b, random_map(rng, z, b.base)))
+    x = trivial_action(zmod(3), FinSet(("s", "t")))
+    for _ in range(4):
+        base = FinSet(tuple(f"y{k}" for k in range(rng.randint(1, 3))))
+        obj = random_qsobject(rng, zmod(3), x, base)
+        datum = restrict_to_datum(obj, random_cover(rng, base))
+        bundles.append(glue_object(datum).glued.bundle)
+    for b in bundles:
+        point_trivialization(b)
+
+
+def test_transported_trivialization_certifies(rng):
+    for grp in (zmod(2), zmod(3), klein_four(), sym(3)):
+        for _ in range(6):
+            base = FinSet(tuple(f"y{k}" for k in range(rng.randint(1, 3))))
+            b = random_bundle(rng, grp, base)
+            triv = point_trivialization(b)
+            z = FinSet(tuple(f"z{k}" for k in range(rng.randint(0, 3))))
+            f = random_map(rng, z, base)
+            moved = transport_trivialization(b, triv, f)
+            assert moved.cover == pullback_family(triv.cover, f)
+            check_trivialization(pullback_bundle(b, f).proj, moved)

@@ -5,9 +5,8 @@ from pathlib import Path
 
 import pytest
 
-import finstack.bundle
 import finstack.descent
-from finstack import NotTrivial, cli
+from finstack import NotBundle, cli
 from finstack.cli import main
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
@@ -195,11 +194,13 @@ def test_commands_run_no_oracle(capsys, tmp_path, oracles_forbidden,
     assert [(c["name"], c["status"]) for c in rep["checks"]] == verdicts
 
 
-def test_bundle_without_trivialization_exits_3(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(finstack.bundle, "is_locally_trivial",
-                        lambda proj, cover: NotTrivial(0))
+def test_glued_non_bundle_exits_3(capsys, tmp_path, monkeypatch):
+    # gluing a datum of bundles yields a bundle; a decider saying otherwise
+    # is an internal fault, also under python -O
+    monkeypatch.setattr(finstack.descent, "is_principal_bundle",
+                        lambda proj: NotBundle("p", "fiber action is not free"))
     path = tmp_path / "report.json"
-    code, out, err = run(capsys, "check-bundle", SITES / "bundles.site",
+    code, out, err = run(capsys, "glue-object", SITES / "stack_demo.site",
                          "--report", path)
     assert code == 3
     assert out == ""

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import finstack.descent
 from finstack import (
     CocycleFail,
     CocycleRequired,
@@ -247,6 +248,21 @@ def test_glue_morphisms_empty_cover():
     assert eta.fn == identity(obj.total)
 
 
+def test_glue_morphisms_checks_its_restrictions(monkeypatch):
+    # a glued morphism that fails to restrict to its locals is an internal
+    # fault, raised also under python -O
+    z2 = zmod(2)
+    base = FinSet(("p", "q"))
+    obj = trivial_object(z2, base)
+    cover = point_cover(base)
+    locals_ = [qs_identity(restrict(obj, f)) for f in cover.legs]
+    gauge = constant_gauge(obj, 1)
+    monkeypatch.setattr(finstack.descent, "restrict_morphism",
+                        lambda m, f: restrict_morphism(gauge, f))
+    with pytest.raises(RuntimeError, match="does not restrict to local 0"):
+        glue_morphisms(cover, obj, obj, locals_)
+
+
 # ------------------------------------------------------------- uniqueness
 
 def test_uniqueness_detects_distinct_gauges():
@@ -273,6 +289,19 @@ def test_uniqueness_partial_gauge(rng):
     g2 = fiber_gauge(obj, {"p": 1, "q": 1})
     diff = check_uniqueness(point_cover(base), g1, g2)
     assert diff is not None and diff.leg_index == 1
+
+
+def test_uniqueness_checks_agreeing_restrictions(monkeypatch):
+    # equal restrictions along a cover force equal morphisms; a violation is
+    # an internal fault, not a verdict
+    z2 = zmod(2)
+    base = FinSet(("p", "q"))
+    obj = trivial_object(z2, base)
+    ident = qs_identity(obj)
+    monkeypatch.setattr(finstack.descent, "restrict_morphism",
+                        lambda m, f: restrict_morphism(ident, f))
+    with pytest.raises(RuntimeError, match="restrictions agree"):
+        check_uniqueness(point_cover(base), ident, constant_gauge(obj, 1))
 
 
 # ------------------------------------------------------------- base change

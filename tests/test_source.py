@@ -1,0 +1,33 @@
+"""Source-level guarantees that the suite keeps from regressing."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "finstack"
+
+
+@pytest.mark.parametrize("module", ["action", "bundle", "descent", "finset"])
+def test_no_assert_statements(module):
+    # python -O strips assert statements, so a check in these modules must
+    # raise explicitly
+    path = SRC / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Assert))
+    assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+def test_caches_are_bounded():
+    # long runs keep bounded memory: no unbounded lru_cache in the library
+    import importlib
+    unbounded = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"finstack.{path.stem}")
+        for name, obj in vars(module).items():
+            info = getattr(obj, "cache_info", None)
+            if callable(info) and getattr(obj, "__module__", None) == module.__name__:
+                if info().maxsize is None:
+                    unbounded.append(f"{path.stem}.{name}")
+    assert unbounded == []

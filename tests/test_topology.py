@@ -27,7 +27,11 @@ from finstack import (
     terminal,
 )
 from finstack.finset import is_epi
-from finstack.topology import all_maps, cech_colimit
+from finstack.topology import (
+    all_maps,
+    cech_colimit,
+    sheaf_condition_by_enumeration,
+)
 
 
 def small_families(target_sizes=(0, 1, 2), max_src=2, max_legs=2):
@@ -203,12 +207,15 @@ def test_sheaf_condition_fails_off_cover():
 
 
 def test_sheaf_strategies_agree():
-    two = FinSet(("x", "y"))
-    for fam in small_families():
-        exhaustive = check_sheaf_condition(fam, two, strategy="exhaustive",
-                                           bound=10 ** 6)
-        constructive = check_sheaf_condition(fam, two, strategy="constructive")
-        assert exhaustive == constructive
+    # the decider against the enumeration oracle, both verdicts reached
+    verdicts = set()
+    for size in range(4):
+        a = FinSet(tuple(f"a{k}" for k in range(size)))
+        for fam in small_families():
+            decided = check_sheaf_condition(fam, a)
+            assert decided == sheaf_condition_by_enumeration(fam, a, 10 ** 6)
+            verdicts.add(decided)
+    assert verdicts == {True, False}
 
 
 def test_sheaf_empty_target_edge_cases():
@@ -226,6 +233,6 @@ def test_sheaf_bound_is_enforced():
     cover = point_cover(target)
     big = FinSet(tuple(range(5)))
     with pytest.raises(BoundExceeded) as exc:
-        check_sheaf_condition(cover, big, strategy="exhaustive", bound=100)
+        sheaf_condition_by_enumeration(cover, big, bound=100)
     assert exc.value.size == 125
-    assert check_sheaf_condition(cover, big, bound=100)  # auto falls back
+    assert check_sheaf_condition(cover, big)  # the decider enumerates nothing

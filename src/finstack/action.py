@@ -248,6 +248,7 @@ def action_from_function(group: FinGroup, space: FinSet, fn) -> GAction:
         FinMap(prod.space, space, {(g, x): fn(g, x) for (g, x) in prod.space}))
 
 
+@functools.lru_cache(maxsize=4096)
 def trivial_action(group: FinGroup, space: FinSet) -> GAction:
     return action_from_function(group, space, lambda g, x: x)
 
@@ -341,6 +342,7 @@ def pullback_action(p: GAction, z: GAction, y: GAction,
     return check_action(group, cert.apex, FinMap(src, cert.apex, table))
 
 
+@functools.lru_cache(maxsize=4096)
 def product_action(group: FinGroup, u: FinSet) -> GAction:
     """The trivialized model: G acting on G×U by g·(h, u) = (gh, u)."""
     space = product(group.carrier, u).space

@@ -50,16 +50,6 @@ from .topology import (
 )
 
 
-@functools.lru_cache(maxsize=4096)
-def _trivial_action_cached(group: FinGroup, space: FinSet) -> GAction:
-    return trivial_action(group, space)
-
-
-@functools.lru_cache(maxsize=4096)
-def _product_action_cached(group: FinGroup, u: FinSet) -> GAction:
-    return product_action(group, u)
-
-
 class TrivLeg(NamedTuple):
     """Per-leg trivialization: the pullback square over U_i and the
     equivariant iso phi from its apex onto the model G×U_i."""
@@ -125,10 +115,10 @@ def is_locally_trivial(proj: EquivariantMap,
     for i, f in enumerate(cover.legs):
         u = f.src
         cert = pullback(proj.map, f)
-        triv_u = _trivial_action_cached(group, u)
+        triv_u = trivial_action(group, u)
         eq_f = check_equivariant(f, triv_u, proj.dst_action)
         psi = pullback_action(proj.src_action, triv_u, proj.dst_action, proj, eq_f)
-        theta = _product_action_cached(group, u)
+        theta = product_action(group, u)
         pb = product(group.carrier, u).proj2
         phi = gset_isomorphism_over(psi, theta, cert.proj2, pb)
         if phi is None:
@@ -144,10 +134,10 @@ def check_trivialization(proj: EquivariantMap, triv: Trivialization) -> None:
     for leg in triv.legs:
         f = triv.cover.legs[leg.leg_index]
         u = f.src
-        triv_u = _trivial_action_cached(group, u)
+        triv_u = trivial_action(group, u)
         eq_f = check_equivariant(f, triv_u, proj.dst_action)
         psi = pullback_action(proj.src_action, triv_u, proj.dst_action, proj, eq_f)
-        theta = _product_action_cached(group, u)
+        theta = product_action(group, u)
         if not morphism_predicates(leg.phi).iso:
             raise ValueError(f"stored phi over leg {leg.leg_index} is not an iso")
         check_equivariant(leg.phi, psi, theta)
@@ -193,9 +183,9 @@ def is_principal_bundle(proj: EquivariantMap) -> Union[Bundle, NotBundle]:
 
 def trivial_bundle(group: FinGroup, base: FinSet) -> Bundle:
     """The trivialized model G×X with the second projection."""
-    total = _product_action_cached(group, base)
+    total = product_action(group, base)
     proj = check_equivariant(product(group.carrier, base).proj2,
-                             total, _trivial_action_cached(group, base))
+                             total, trivial_action(group, base))
     out = is_principal_bundle(proj)
     if not isinstance(out, Bundle):
         raise RuntimeError(f"the trivial model is not a bundle: {out}")
@@ -211,7 +201,7 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     group = b.group
     z = f.src
     cert = pullback(b.proj.map, f)
-    triv_z = _trivial_action_cached(group, z)
+    triv_z = trivial_action(group, z)
     eq_f = check_equivariant(f, triv_z, b.proj.dst_action)
     psi = pullback_action(b.total, triv_z, b.proj.dst_action, b.proj, eq_f)
     new_proj = check_equivariant(cert.proj2, psi, triv_z)
@@ -304,7 +294,7 @@ def enumerate_bundles(group: FinGroup, base: FinSet,
         raise BoundExceeded("bundle enumeration", count, bound)
     prod = product(group.carrier, base)
     structures = torsor_structures(group)
-    triv_base = _trivial_action_cached(group, base)
+    triv_base = trivial_action(group, base)
     position = {x: k for k, x in enumerate(base)}
     out = []
     for choice in itertools.product(range(len(structures)), repeat=len(base)):

@@ -24,7 +24,7 @@ import time
 from random import Random
 
 from .action import check_action, check_group
-from .bundle import Bundle, NotBundle, is_principal_bundle
+from .bundle import Bundle, is_principal_bundle
 from .descent import glue_morphisms, glue_object, verify_stack
 from .errors import (
     BoundExceeded,
@@ -37,7 +37,7 @@ from .errors import (
 from .finset import format_atom
 from .sample import build_corpus
 from .sitefile import load_site
-from .topology import check_sheaf_condition, is_jointly_surjective
+from .topology import check_sheaf_condition, is_jointly_surjective, uncovered
 
 
 def _json_safe(v):
@@ -84,7 +84,6 @@ def _cmd_check_bundle(site, args):
             out.append(_check(d.name, "ok",
                               f"{len(r.base)} fibers of size {len(r.group.carrier)}"))
         else:
-            assert isinstance(r, NotBundle)
             out.append(_check(d.name, "fail",
                               f"fiber over {format_atom(r.base_atom)} {r.reason}",
                               error="NotBundle",
@@ -96,19 +95,16 @@ def _cmd_check_cover(site, args):
     out = []
     for d in site.by_kind("cover"):
         fam = d.value
-        if is_jointly_surjective(fam):
+        missed = uncovered(fam)
+        if not missed:
             out.append(_check(d.name, "ok",
                               f"{len(fam.legs)} legs onto {len(fam.target)} atoms"))
         else:
-            hit = set()
-            for leg in fam.legs:
-                hit.update(leg.table.values())
-            uncovered = [a for a in fam.target if a not in hit]
             out.append(_check(d.name, "fail",
                               "not jointly surjective, misses "
-                              + " ".join(format_atom(a) for a in uncovered),
+                              + " ".join(format_atom(a) for a in missed),
                               error="CoverNotCanonical",
-                              witness={"uncovered": uncovered}))
+                              witness={"uncovered": missed}))
     return out
 
 

@@ -1,6 +1,10 @@
 """Descent for [X/G] along canonical covers: descent data, cocycle checking,
 gluing of morphisms and of objects, and the three stack conditions.
 
+An empty overlap U_i ×_Y U_j imposes nothing: a datum stores isos only on
+the leg pairs with a nonempty overlap (`overlapping_pairs`), and every pass
+walks those pairs, reading points through indexes by base atom.
+
 Gluing realizes the colimit over a cover's overlap diagram concretely: the
 glued total is the coequalizer of the pairwise-overlap relation on the
 disjoint union of the locals, the action, projection and structure map are
@@ -14,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .action import FinGroup, GAction, check_action, check_equivariant
-from .bundle import Bundle, _trivial_action_cached, is_principal_bundle
+from .action import FinGroup, GAction, check_action, check_equivariant, trivial_action
+from .bundle import Bundle, is_principal_bundle
 from .errors import (
     CocycleFail,
     CocycleRequired,
@@ -35,7 +39,6 @@ from .finset import (
     identity,
     invert,
     mediate_coequalizer,
-    mediate_pullback,
     morphism_predicates,
     product,
     pullback,
@@ -56,10 +59,35 @@ def overlap(cover: CoveringFamily, i: int, j: int):
     return pullback(cover.legs[i], cover.legs[j])
 
 
+def _fibers(f: FinMap) -> dict:
+    """The nonempty fibers of f, keyed by image, each in canonical order."""
+    out: dict = {}
+    for a in f.src:
+        out.setdefault(f.table[a], []).append(a)
+    return out
+
+
+def overlapping_pairs(cover: CoveringFamily) -> list:
+    """The sorted leg pairs (i, j) whose overlap U_i ×_Y U_j is nonempty,
+    found by indexing the legs by the base atoms they hit."""
+    legs_at: dict = {}
+    for i, f in enumerate(cover.legs):
+        for y in set(f.table.values()):
+            legs_at.setdefault(y, []).append(i)
+    return sorted({(i, j) for legs in legs_at.values() for i in legs for j in legs})
+
+
+def _identity_iso(objects, cert, i: int, j: int) -> QSMorphism:
+    """The certified identity over an empty overlap or a mono diagonal."""
+    src = restrict(objects[i], cert.proj1)
+    return check_qs_morphism(src, restrict(objects[j], cert.proj2), identity(src.total))
+
+
 @dataclass(frozen=True, eq=True)
 class DescentDatum:
-    """Objects over the legs of a cover plus overlap isos for every ordered
-    pair of legs, diagonal included (a non-mono leg has real self-overlap).
+    """Objects over the legs of a cover plus an overlap iso for every ordered
+    pair of legs with a nonempty overlap, diagonal included (a non-mono leg
+    has real self-overlap). Isos over empty overlaps are forced, not stored.
 
     The cocycle condition is NOT checked at construction, so violating data
     are representable; glue_object rejects them first.
@@ -70,12 +98,21 @@ class DescentDatum:
     overlaps: dict
 
     def overlap_iso(self, i: int, j: int) -> QSMorphism:
-        return self.overlaps[(i, j)]
+        """The stored iso, else the forced one over an empty overlap; raises
+        MissingOverlapIso for a nonempty overlap with no iso."""
+        iso = self.overlaps.get((i, j))
+        if iso is not None:
+            return iso
+        cert = overlap(self.cover, i, j)
+        if len(cert.apex):
+            raise MissingOverlapIso(i, j)
+        return _identity_iso(self.objects, cert, i, j)
 
 
 def make_datum(cover: CoveringFamily, objects, overlaps) -> DescentDatum:
-    """Validate shapes and isos; fill in the forced overlap isos (empty
-    overlap, or the diagonal of a mono leg)."""
+    """Validate shapes and isos. Each pair of overlapping_pairs(cover) needs
+    an iso: the identity on the diagonal of a mono leg is filled in, any other
+    gap raises MissingOverlapIso. Isos over empty overlaps are kept."""
     objects = tuple(objects)
     if len(objects) != len(cover.legs):
         raise ValueError("need exactly one object per leg")
@@ -83,18 +120,13 @@ def make_datum(cover: CoveringFamily, objects, overlaps) -> DescentDatum:
         if obj.base != leg.src:
             raise ValueError(f"object {i} lives over {obj.base!r}, leg wants {leg.src!r}")
     overlaps = dict(overlaps)
-    n = len(cover.legs)
-    for i in range(n):
-        for j in range(n):
-            if (i, j) in overlaps:
-                continue
-            cert = overlap(cover, i, j)
-            if len(cert.apex) == 0 or (i == j and cert.proj1 == cert.proj2):
-                src = restrict(objects[i], cert.proj1)
-                dst = restrict(objects[j], cert.proj2)
-                overlaps[(i, j)] = check_qs_morphism(src, dst, identity(src.total))
-            else:
-                raise MissingOverlapIso(i, j)
+    for i, j in overlapping_pairs(cover):
+        if (i, j) in overlaps:
+            continue
+        cert = overlap(cover, i, j)
+        if i != j or cert.proj1 != cert.proj2:
+            raise MissingOverlapIso(i, j)
+        overlaps[(i, j)] = _identity_iso(objects, cert, i, j)
     for (i, j), iso in overlaps.items():
         cert = overlap(cover, i, j)
         if iso.src != restrict(objects[i], cert.proj1):
@@ -106,69 +138,69 @@ def make_datum(cover: CoveringFamily, objects, overlaps) -> DescentDatum:
     return DescentDatum(cover, objects, overlaps)
 
 
-def _phi_points(datum: DescentDatum, i: int, j: int):
-    """The overlap iso (i,j) as a point function (w over a) -> (w' over b),
-    keyed by (w, (a, b))."""
-    fn = datum.overlaps[(i, j)].fn
-    return {key: value[0] for key, value in fn.table.items()}
+def _phis(datum: DescentDatum) -> dict:
+    """The stored isos as point functions (w over a, (a, b)) -> w' over b,
+    by leg pair; raises MissingOverlapIso for a nonempty overlap without."""
+    for i, j in overlapping_pairs(datum.cover):
+        if (i, j) not in datum.overlaps:
+            raise MissingOverlapIso(i, j)
+    return {ij: {key: value[0] for key, value in iso.fn.table.items()}
+            for ij, iso in datum.overlaps.items()}
 
 
 def check_cocycle(datum: DescentDatum) -> None:
     """For every ordered triple (i,j,k), the two composites around the
-    triple overlap agree pointwise. Raises CocycleFail(i,j,k,point)."""
+    triple overlap agree pointwise. Raises CocycleFail(i,j,k,point) at the
+    first failure in (i, j, k, a, b, c, w) order.
+
+    A nonempty triple overlap lies over stored pairs (i,j), (j,k), (i,k), so
+    the scan takes the stored (i,j) in order and the k whose (j,k), (i,k) are
+    stored; c comes from leg k's fiber over a's image, w from W_i's over a."""
     cover = datum.cover
-    n = len(cover.legs)
-    phis = {(i, j): _phi_points(datum, i, j) for i in range(n) for j in range(n)}
-    pis = [obj.bundle.proj.map.table for obj in datum.objects]
-    totals = [tuple(obj.total) for obj in datum.objects]
-    for i in range(n):
+    phis = _phis(datum)
+    pairs = sorted(phis)
+    partners: dict = {}
+    for i, k in pairs:
+        partners.setdefault(i, []).append(k)
+    legs_over = [_fibers(f) for f in cover.legs]
+    locals_over = [_fibers(obj.bundle.proj.map) for obj in datum.objects]
+    for i, j in pairs:
         fi = cover.legs[i].table
-        for j in range(n):
-            fj = cover.legs[j].table
-            for k in range(n):
-                fk = cover.legs[k].table
-                for a in cover.legs[i].src:
-                    for b in cover.legs[j].src:
-                        if fi[a] != fj[b]:
-                            continue
-                        for c in cover.legs[k].src:
-                            if fi[a] != fk[c]:
-                                continue
-                            for w in totals[i]:
-                                if pis[i][w] != a:
-                                    continue
-                                w1 = phis[(i, j)][(w, (a, b))]
-                                w2 = phis[(j, k)][(w1, (b, c))]
-                                w3 = phis[(i, k)][(w, (a, c))]
-                                if w2 != w3:
-                                    raise CocycleFail(i, j, k, ((a, b), c))
+        apex = overlap(cover, i, j).apex
+        for k in partners[i]:
+            if (j, k) not in phis:
+                continue
+            phi_ij, phi_jk, phi_ik = phis[(i, j)], phis[(j, k)], phis[(i, k)]
+            for a, b in apex:
+                for c in legs_over[k].get(fi[a], ()):
+                    for w in locals_over[i].get(a, ()):
+                        if phi_jk[(phi_ij[(w, (a, b))], (b, c))] != phi_ik[(w, (a, c))]:
+                            raise CocycleFail(i, j, k, ((a, b), c))
+
+
+def _overlap_isos(cover: CoveringFamily, objects, move) -> dict:
+    """The certified isos ((u, a), (a, b)) -> ((move(i, j, u, a, b), b), (a, b))
+    over the nonempty overlaps, for objects with atoms (u, a) over a."""
+    isos = {}
+    for i, j in overlapping_pairs(cover):
+        cert = overlap(cover, i, j)
+        src = restrict(objects[i], cert.proj1)
+        dst = restrict(objects[j], cert.proj2)
+        table = {((u, a), (a2, b)): ((move(i, j, u, a, b), b), (a2, b))
+                 for ((u, a), (a2, b)) in src.total}
+        isos[(i, j)] = check_qs_morphism(src, dst, FinMap(src.total, dst.total, table))
+    return isos
 
 
 def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
     """Restrict an object over Y to a datum on the cover, with the canonical
-    overlap isos; the result passes check_cocycle."""
+    overlap isos ((p, a), (a, b)) -> ((p, b), (a, b)); the result passes
+    check_cocycle."""
     require_canonical(cover)
     if cover.target != obj.base:
         raise ValueError(f"cover is over {cover.target!r}, object over {obj.base!r}")
     objects = tuple(restrict(obj, f) for f in cover.legs)
-    certs = [pullback(obj.bundle.proj.map, f) for f in cover.legs]
-    overlaps = {}
-    n = len(cover.legs)
-    for i in range(n):
-        for j in range(n):
-            cert_ij = overlap(cover, i, j)
-            rc_i = pullback(objects[i].bundle.proj.map, cert_ij.proj1)
-            rc_j = pullback(objects[j].bundle.proj.map, cert_ij.proj2)
-            into_total_j = mediate_pullback(
-                certs[j],
-                compose(certs[i].proj1, rc_i.proj1),   # ((p,a),(a,b)) -> p
-                compose(cert_ij.proj2, rc_i.proj2),    # ((p,a),(a,b)) -> b
-            )
-            t = mediate_pullback(rc_j, into_total_j, rc_i.proj2)
-            overlaps[(i, j)] = check_qs_morphism(
-                restrict(objects[i], cert_ij.proj1),
-                restrict(objects[j], cert_ij.proj2),
-                t)
+    overlaps = _overlap_isos(cover, objects, lambda i, j, p, a, b: p)
     datum = make_datum(cover, objects, overlaps)
     check_cocycle(datum)
     return datum
@@ -188,18 +220,16 @@ def glue_morphisms(cover: CoveringFamily, x: QSObject, y: QSObject,
         if loc.src != restrict(x, cover.legs[i]) or loc.dst != restrict(y, cover.legs[i]):
             raise ValueError(f"local {i} does not go between the leg restrictions")
     # overlap agreement, pointwise through the canonical identifications
+    x_over = _fibers(x.bundle.proj.map)
+    for i, j in overlapping_pairs(cover):
+        fi = cover.legs[i].table
+        for a, b in overlap(cover, i, j).apex:
+            for p in x_over.get(fi[a], ()):
+                qi = locals_[i].fn.table[(p, a)][0]
+                qj = locals_[j].fn.table[(p, b)][0]
+                if qi != qj:
+                    raise OverlapMismatch(i, j, (p, (a, b)))
     n = len(cover.legs)
-    for i in range(n):
-        for j in range(n):
-            cert_ij = overlap(cover, i, j)
-            for (a, b) in cert_ij.apex:
-                for p in x.total:
-                    if x.bundle.proj.map.table[p] != cover.legs[i].table[a]:
-                        continue
-                    qi = locals_[i].fn.table[(p, a)][0]
-                    qj = locals_[j].fn.table[(p, b)][0]
-                    if qi != qj:
-                        raise OverlapMismatch(i, j, (p, (a, b)))
     certs_x = [pullback(x.bundle.proj.map, f) for f in cover.legs]
     certs_y = [pullback(y.bundle.proj.map, f) for f in cover.legs]
     big = coproduct([c.apex for c in certs_x])
@@ -260,7 +290,7 @@ def _glue_empty(cover: CoveringFamily, group: FinGroup, x_action: GAction) -> Gl
     empty = FinSet(())
     act = check_action(group, empty, FinMap(product(group.carrier, empty).space, empty, {}))
     proj = check_equivariant(
-        FinMap(empty, cover.target, {}), act, _trivial_action_cached(group, cover.target))
+        FinMap(empty, cover.target, {}), act, trivial_action(group, cover.target))
     bundle = is_principal_bundle(proj)
     if not isinstance(bundle, Bundle):
         raise RuntimeError(f"the empty projection is not a bundle: {bundle}")
@@ -292,28 +322,15 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
         return _glue_empty(cover, group, x_action)
     group = datum.objects[0].bundle.group
     x_action = datum.objects[0].x_action
-    totals = [obj.total for obj in datum.objects]
-    c1 = coproduct(totals)
-    rel_parts = []
-    d0_parts = []
-    d1_parts = []
-    for i in range(n):
-        for j in range(n):
-            cert_ij = overlap(cover, i, j)
-            rc_i = pullback(datum.objects[i].bundle.proj.map, cert_ij.proj1)
-            rc_j = pullback(datum.objects[j].bundle.proj.map, cert_ij.proj2)
-            rel_parts.append(rc_i.apex)
-            d0_parts.append(compose(c1.injections[i], rc_i.proj1))
-            d1_parts.append(compose(
-                c1.injections[j],
-                compose(rc_j.proj1, datum.overlaps[(i, j)].fn)))
-    c2 = coproduct(rel_parts)
-    d0 = copair(c2, d0_parts, dst=c1.space)
-    d1 = copair(c2, d1_parts, dst=c1.space)
+    phis = _phis(datum)
+    pairs = sorted(phis)
+    c1 = coproduct(obj.total for obj in datum.objects)
+    rel = coproduct(datum.overlaps[ij].fn.src for ij in pairs).space
+    d0 = FinMap(rel, c1.space, {t: Tag(pairs[t.part][0], t.atom[0]) for t in rel})
+    d1 = FinMap(rel, c1.space,
+                {t: Tag(pairs[t.part][1], phis[pairs[t.part]][t.atom]) for t in rel})
     cert = coequalizer(d0, d1)
-    members: dict = {}
-    for atom in c1.space:
-        members.setdefault(cert.proj.table[atom], []).append(atom)
+    members = _fibers(cert.proj)
     # the action descends because every relation map is equivariant; build
     # the table from any member and verify all members agree
     act_table = {}
@@ -335,14 +352,12 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
         dst=cover.target))
     alpha_w = mediate_coequalizer(cert, copair(
         c1, [obj.alpha.map for obj in datum.objects], dst=x_action.space))
-    proj_eq = check_equivariant(pi_w, act,
-                                _trivial_action_cached(group, cover.target))
+    proj_eq = check_equivariant(pi_w, act, trivial_action(group, cover.target))
     bundle = is_principal_bundle(proj_eq)
     if not isinstance(bundle, Bundle):
         raise RuntimeError(f"glued projection is not a bundle: {bundle}")
     glued = check_qs_object(bundle, alpha_w, x_action)
     # comparison isos psi_i : glued|U_i -> W_i, assembled through the datum
-    phis = {(i, j): _phi_points(datum, i, j) for i in range(n) for j in range(n)}
     pis = [obj.bundle.proj.map.table for obj in datum.objects]
     comparisons = []
     for i in range(n):
@@ -365,47 +380,31 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
             raise RuntimeError(f"comparison over leg {i} is not an iso")
         comparisons.append(psi)
     # compatibility of the comparisons against every overlap iso, pointwise
-    for i in range(n):
-        for j in range(n):
-            cert_ij = overlap(cover, i, j)
-            for (a, b) in cert_ij.apex:
-                for q in cert.quotient:
-                    if pi_w.table[q] != cover.legs[i].table[a]:
-                        continue
-                    w_i = comparisons[i].fn.table[(q, a)]
-                    via_phi = phis[(i, j)][(w_i, (a, b))]
-                    direct = comparisons[j].fn.table[(q, b)]
-                    if via_phi != direct:
-                        raise RuntimeError(
-                            f"comparison isos disagree with overlap iso ({i},{j})")
+    glued_over = _fibers(pi_w)
+    for i, j in pairs:
+        fi = cover.legs[i].table
+        for a, b in overlap(cover, i, j).apex:
+            for q in glued_over.get(fi[a], ()):
+                via_phi = phis[(i, j)][(comparisons[i].fn.table[(q, a)], (a, b))]
+                if via_phi != comparisons[j].fn.table[(q, b)]:
+                    raise RuntimeError(
+                        f"comparison isos disagree with overlap iso ({i},{j})")
     return GluingResult(glued, tuple(comparisons))
 
 
 def pullback_datum(datum: DescentDatum, t: FinMap) -> DescentDatum:
     """Base change of a whole datum along t : Z -> Y; gluing commutes with
-    this up to iso, which the tests exercise."""
+    this up to iso, which the tests exercise. The new isos move w over (a, z)
+    by the old iso at (w, (a, b))."""
     cover = datum.cover
     if t.dst != cover.target:
         raise ValueError(f"{t.dst!r} != {cover.target!r}")
     new_cover = pullback_family(cover, t)
-    pcerts = [pullback(f, t) for f in cover.legs]
     new_objects = tuple(
-        restrict(datum.objects[i], pcerts[i].proj1) for i in range(len(cover.legs)))
-    overlaps = {}
-    n = len(cover.legs)
-    phis = {(i, j): _phi_points(datum, i, j) for i in range(n) for j in range(n)}
-    for i in range(n):
-        for j in range(n):
-            cert_ij = pullback(new_cover.legs[i], new_cover.legs[j])
-            src = restrict(new_objects[i], cert_ij.proj1)
-            dst = restrict(new_objects[j], cert_ij.proj2)
-            table = {}
-            for ((w, az), (az2, bz)) in src.total:
-                a, b = az2[0], bz[0]
-                w2 = phis[(i, j)][(w, (a, b))]
-                table[((w, az), (az2, bz))] = ((w2, bz), (az2, bz))
-            overlaps[(i, j)] = check_qs_morphism(
-                src, dst, FinMap(src.total, dst.total, table))
+        restrict(obj, pullback(f, t).proj1) for obj, f in zip(datum.objects, cover.legs))
+    phis = _phis(datum)
+    overlaps = _overlap_isos(new_cover, new_objects,
+                             lambda i, j, w, az, bz: phis[(i, j)][(w, (az[0], bz[0]))])
     return make_datum(new_cover, new_objects, overlaps)
 
 

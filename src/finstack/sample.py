@@ -114,8 +114,8 @@ def random_cover(rng: Random, target: FinSet, max_legs: int = 3,
         src = FinSet(f"u{i}_{k}" for k in range(len(vals)))
         legs.append(FinMap(src, target, {f"u{i}_{k}": v for k, v in enumerate(vals)}))
     fam = CoveringFamily(target, legs)
-    if surjective:
-        assert is_jointly_surjective(fam)
+    if surjective and not is_jointly_surjective(fam):
+        raise RuntimeError("a family built to cover misses a target atom")
     return fam
 
 
@@ -208,10 +208,12 @@ def twist_bundle(rng: Random, b: Bundle):
                  {(g, q): h.table[b.total(g, hinv.table[q])] for (g, q) in prod.space})
     total2 = check_action(b.group, b.total.space, act)
     # h permutes within fibers, so the projection is untouched
-    assert compose(b.proj.map, hinv) == b.proj.map
+    if compose(b.proj.map, hinv) != b.proj.map:
+        raise RuntimeError("the relabelling moves atoms across fibers")
     proj2 = check_equivariant(b.proj.map, total2, b.proj.dst_action)
     b2 = is_principal_bundle(proj2)
-    assert isinstance(b2, Bundle)
+    if not isinstance(b2, Bundle):
+        raise RuntimeError(f"the relabelled bundle is not a bundle: {b2}")
     return b2, h
 
 
@@ -237,8 +239,7 @@ def random_qsobject(rng: Random, group: FinGroup, x_action: GAction,
 
 def empty_object(group: FinGroup, x_action: GAction) -> QSObject:
     """The unique object over the empty base."""
-    b = is_principal_bundle(trivial_bundle(group, FinSet(())).proj)
-    assert isinstance(b, Bundle)
+    b = trivial_bundle(group, FinSet(()))
     alpha = FinMap(b.total.space, x_action.space, {})
     return check_qs_object(b, alpha, x_action)
 
@@ -267,13 +268,11 @@ def conjugate_datum(datum: DescentDatum, leg_isos) -> DescentDatum:
     from .descent import make_datum, overlap
     new_objects = tuple(iso.dst for iso in leg_isos)
     new_overlaps = {}
-    for i in range(n):
-        for j in range(n):
-            cert = overlap(cover, i, j)
-            lam_i = restrict_morphism(leg_isos[i], cert.proj1)
-            lam_j = restrict_morphism(leg_isos[j], cert.proj2)
-            new_overlaps[(i, j)] = compose_qs(
-                lam_j, compose_qs(datum.overlap_iso(i, j), qs_inverse(lam_i)))
+    for (i, j), phi in datum.overlaps.items():
+        cert = overlap(cover, i, j)
+        lam_i = restrict_morphism(leg_isos[i], cert.proj1)
+        lam_j = restrict_morphism(leg_isos[j], cert.proj2)
+        new_overlaps[(i, j)] = compose_qs(lam_j, compose_qs(phi, qs_inverse(lam_i)))
     return make_datum(cover, new_objects, new_overlaps)
 
 

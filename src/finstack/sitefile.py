@@ -23,6 +23,7 @@ from .action import (
     check_action,
     check_equivariant,
     group_from_table,
+    product_action,
     regular_action,
     trivial_action,
 )
@@ -445,14 +446,7 @@ class _Parser:
         act_name = f"{t.value}_act"
         proj_name = f"{t.value}_proj"
         self.define("set", total_name, prod.space, where=where)
-        act = self._build(t.value, t,
-                          lambda: check_action(
-                              group, prod.space,
-                              FinMap(product(group.carrier, prod.space).space,
-                                     prod.space,
-                                     {(g, (h, y)): (group.times(g, h), y)
-                                      for (g, (h, y))
-                                      in product(group.carrier, prod.space).space})))
+        act = self._build(t.value, t, lambda: product_action(group, base))
         self.define("action", act_name, act,
                     {"group": g_name, "space": total_name}, where)
         self.define("map", proj_name, prod.proj2,

@@ -32,6 +32,7 @@ from .finset import (
     FinMap,
     FinSet,
     atom_key,
+    bang,
     compose,
     fiber,
     identity,
@@ -42,7 +43,6 @@ from .finset import (
     pullback,
     terminal,
 )
-from .topology import all_maps
 
 
 @dataclass(frozen=True, eq=True)
@@ -176,9 +176,9 @@ def restrict_morphism(m: QSMorphism, f: FinMap) -> QSMorphism:
     return check_qs_morphism(src, dst, t)
 
 
-def _assert_mutually_inverse(fwd: FinMap, bwd: FinMap) -> None:
-    assert compose(bwd, fwd) == identity(fwd.src)
-    assert compose(fwd, bwd) == identity(bwd.src)
+def _require_mutually_inverse(fwd: FinMap, bwd: FinMap) -> None:
+    if compose(bwd, fwd) != identity(fwd.src) or compose(fwd, bwd) != identity(bwd.src):
+        raise RuntimeError("the two directions of a canonical iso are not inverse")
 
 
 def iota_component(obj: QSObject) -> QSMorphism:
@@ -187,7 +187,7 @@ def iota_component(obj: QSObject) -> QSMorphism:
     cert = pullback(obj.bundle.proj.map, identity(obj.base))
     fwd = cert.proj1
     bwd = mediate_pullback(cert, identity(obj.total), obj.bundle.proj.map)
-    _assert_mutually_inverse(fwd, bwd)
+    _require_mutually_inverse(fwd, bwd)
     return check_qs_morphism(restrict(obj, identity(obj.base)), obj, fwd)
 
 
@@ -206,7 +206,7 @@ def epsilon_component(obj: QSObject, f: FinMap, g: FinMap) -> QSMorphism:
     fwd = mediate_pullback(outer_cert, to_mid, cert_fg.proj2)
     back_p = compose(mid_cert.proj1, outer_cert.proj1)
     bwd = mediate_pullback(cert_fg, back_p, outer_cert.proj2)
-    _assert_mutually_inverse(fwd, bwd)
+    _require_mutually_inverse(fwd, bwd)
     return check_qs_morphism(src, restrict(restricted, g), fwd)
 
 
@@ -232,7 +232,8 @@ def coherence_iota(base: FinSet, objects, morphisms=()) -> CoherenceCell:
     for m in morphisms:
         left = compose_qs(comps[m.dst], restrict_morphism(m, identity(base)))
         right = compose_qs(m, comps[m.src])
-        assert left.fn == right.fn, "iota naturality square failed"
+        if left.fn != right.fn:
+            raise RuntimeError("iota naturality square failed")
         checked += 1
     return CoherenceCell("iota", tuple(comps[o] for o in objects), checked)
 
@@ -247,7 +248,8 @@ def coherence_epsilon(f: FinMap, g: FinMap, objects, morphisms=()) -> CoherenceC
         left = compose_qs(comps[m.dst], restrict_morphism(m, fg))
         right = compose_qs(restrict_morphism(restrict_morphism(m, f), g),
                            comps[m.src])
-        assert left.fn == right.fn, "epsilon naturality square failed"
+        if left.fn != right.fn:
+            raise RuntimeError("epsilon naturality square failed")
         checked += 1
     return CoherenceCell("epsilon", tuple(comps[o] for o in objects), checked)
 
@@ -260,7 +262,8 @@ def coherence_assoc(obj: QSObject, f: FinMap, g: FinMap, h: FinMap) -> bool:
     route_b = compose_qs(
         restrict_morphism(epsilon_component(obj, f, g), h),
         epsilon_component(obj, compose(f, g), h))
-    assert route_a.fn == route_b.fn, "epsilon associativity failed"
+    if route_a.fn != route_b.fn:
+        raise RuntimeError("epsilon associativity failed")
     return True
 
 
@@ -268,10 +271,12 @@ def coherence_triangles(obj: QSObject, f: FinMap) -> bool:
     """ε against ι: both unit triangles collapse to the identity."""
     r = restrict(obj, f)
     left = compose_qs(iota_component(r), epsilon_component(obj, f, identity(f.src)))
-    assert left.fn == identity(r.total), "right unit triangle failed"
+    if left.fn != identity(r.total):
+        raise RuntimeError("right unit triangle failed")
     eps = epsilon_component(obj, identity(obj.base), f)
     back = restrict_morphism(iota_component(obj), f)
-    assert compose_qs(back, eps).fn == identity(r.total), "left unit triangle failed"
+    if compose_qs(back, eps).fn != identity(r.total):
+        raise RuntimeError("left unit triangle failed")
     return True
 
 
@@ -314,11 +319,7 @@ def classifying_fiber_equiv(group: FinGroup, base: FinSet,
     object bijection (alpha to the point is forced) and hom-set equality."""
     bundles = enumerate_bundles(group, base, bound=bound)
     x_act = trivial_action(group, terminal())
-    objects = []
-    for b in bundles:
-        alphas = list(all_maps(b.total.space, terminal()))
-        assert len(alphas) == 1, "alpha must be forced"
-        objects.append(check_qs_object(b, alphas[0], x_act))
+    objects = [check_qs_object(b, bang(b.total.space), x_act) for b in bundles]
     reps: list = []
     for b in bundles:
         if not any(bundle_isomorphic(b, r) for r in reps):

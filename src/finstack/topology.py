@@ -98,7 +98,8 @@ def sieve_member(s: GeneratedSieve, g: FinMap) -> Optional[SieveWitness]:
         if all(v in image for v in g.table.values()):
             via = FinMap(g.src, f.src,
                          {a: fiber(f, g.table[a])[0] for a in g.src})
-            assert compose(f, via) == g
+            if compose(f, via) != g:
+                raise RuntimeError(f"the witness through leg {i} does not factor g")
             return SieveWitness(i, via)
     return None
 
@@ -166,13 +167,18 @@ def family_map(family: CoveringFamily) -> FinMap:
     return copair(cop, family.legs, dst=family.target)
 
 
-def is_jointly_surjective(family: CoveringFamily) -> bool:
-    """Membership in the canonical topology, decided by its finite-set
-    characterization: the legs' images cover the target."""
+def uncovered(family: CoveringFamily) -> list:
+    """The target atoms no leg hits, in canonical order."""
     hit = set()
     for f in family.legs:
         hit.update(f.table.values())
-    return hit == set(family.target.elements)
+    return [y for y in family.target if y not in hit]
+
+
+def is_jointly_surjective(family: CoveringFamily) -> bool:
+    """Membership in the canonical topology, decided by its finite-set
+    characterization: the legs' images cover the target."""
+    return not uncovered(family)
 
 
 def require_canonical(family: CoveringFamily) -> None:

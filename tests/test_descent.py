@@ -1,6 +1,8 @@
 """Descent along canonical covers: data, cocycles, gluing of objects and
 morphisms, uniqueness, and the stack verdict over generated corpora."""
 
+import itertools
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -37,7 +39,8 @@ from finstack import (
     verify_stack,
     zmod,
 )
-from finstack.descent import Distinguish
+from finstack.descent import Distinguish, overlap, overlapping_pairs
+from finstack.finset import compose, mediate_pullback, pullback
 from finstack.sample import (
     break_cocycle,
     build_corpus,
@@ -51,7 +54,10 @@ from finstack.sample import (
     random_qsobject,
     relabel_qsobject,
 )
-from finstack.stack import check_qs_object
+from finstack.sitefile import parse_site
+from finstack.stack import QSMorphism, check_qs_object
+
+SITES = Path(__file__).resolve().parent.parent / "sites"
 
 
 def point_x(group):
@@ -122,6 +128,162 @@ def test_broken_cocycle_is_detected(rng):
     assert exc.value.i == exc.value.j == exc.value.k
     with pytest.raises(ValueError):
         break_cocycle(datum, 0)  # the unit twists nothing
+
+
+# ------------------------------------------------ sparse data and oracles
+
+def dense_cocycle_witness(datum):
+    """The first failing (i, j, k, point) of the dense cocycle scan over all
+    triples of legs and all (a, b, c, w), or None: the oracle that
+    check_cocycle must agree with. Reads every pair through overlap_iso."""
+    cover = datum.cover
+    n = len(cover.legs)
+    phis = {(i, j): {key: v[0] for key, v in datum.overlap_iso(i, j).fn.table.items()}
+            for i in range(n) for j in range(n)}
+    pis = [obj.bundle.proj.map.table for obj in datum.objects]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        fi, fj, fk = (cover.legs[m].table for m in (i, j, k))
+        for a in cover.legs[i].src:
+            for b in cover.legs[j].src:
+                if fi[a] != fj[b]:
+                    continue
+                for c in cover.legs[k].src:
+                    if fi[a] != fk[c]:
+                        continue
+                    for w in datum.objects[i].total:
+                        if pis[i][w] != a:
+                            continue
+                        w2 = phis[(j, k)][(phis[(i, j)][(w, (a, b))], (b, c))]
+                        if w2 != phis[(i, k)][(w, (a, c))]:
+                            return (i, j, k, ((a, b), c))
+    return None
+
+
+def sparse_cocycle_witness(datum):
+    try:
+        check_cocycle(datum)
+    except CocycleFail as err:
+        return (err.i, err.j, err.k, err.point)
+    return None
+
+
+def mediated_overlap_iso(obj, cover, i, j):
+    """The canonical overlap iso (i, j) built through the pullbacks'
+    universal properties: the oracle for restrict_to_datum's point formula."""
+    objects = [restrict(obj, f) for f in cover.legs]
+    certs = [pullback(obj.bundle.proj.map, f) for f in cover.legs]
+    cert_ij = overlap(cover, i, j)
+    rc_i = pullback(objects[i].bundle.proj.map, cert_ij.proj1)
+    rc_j = pullback(objects[j].bundle.proj.map, cert_ij.proj2)
+    into_total_j = mediate_pullback(
+        certs[j],
+        compose(certs[i].proj1, rc_i.proj1),   # ((p,a),(a,b)) -> p
+        compose(cert_ij.proj2, rc_i.proj2))    # ((p,a),(a,b)) -> b
+    return mediate_pullback(rc_j, into_total_j, rc_i.proj2)
+
+
+def sharing_cover(base):
+    """Two legs over {p, q} that share the point q."""
+    f = FinMap(FinSet(("a", "b")), base, {"a": "p", "b": "q"})
+    g = FinMap(FinSet(("c",)), base, {"c": "q"})
+    return CoveringFamily(base, [f, g])
+
+
+def cocycle_cases(rng):
+    """Round-trip, conjugated and broken data on point covers and on random
+    covers of at least three legs."""
+    for grp in (zmod(2), zmod(3), sym(3)):
+        nonunit = [g for g in grp.carrier if g != grp.unit_atom]
+        for _ in range(6):
+            base = FinSet(range(rng.randint(1, 3)))
+            obj = random_qsobject(rng, grp, point_x(grp), base)
+            cover = random_cover(rng, base, max_legs=4, max_extra=2)
+            while len(cover.legs) < 3:
+                cover = random_cover(rng, base, max_legs=4, max_extra=2)
+            for cov in (point_cover(base), cover):
+                datum = restrict_to_datum(obj, cov)
+                gauges = [constant_gauge(w, rng.choice(grp.carrier.elements))
+                          for w in datum.objects]
+                conjugated = conjugate_datum(datum, gauges)
+                yield datum
+                yield conjugated
+                yield break_cocycle(datum, rng.choice(nonunit), rng=rng)
+                yield break_cocycle(conjugated, rng.choice(nonunit), rng=rng)
+
+
+def test_sparse_cocycle_matches_dense_oracle(rng):
+    failing = 0
+    for datum in cocycle_cases(rng):
+        witness = dense_cocycle_witness(datum)
+        assert sparse_cocycle_witness(datum) == witness
+        failing += witness is not None
+    assert failing >= 30
+
+
+def test_canonical_iso_matches_mediated_oracle(rng):
+    for grp in (zmod(2), zmod(3), klein_four()):
+        base = FinSet(("p", "q", "r"))
+        obj = random_qsobject(rng, grp, point_x(grp), base)
+        for cover in (point_cover(base), random_cover(rng, base, max_legs=3, max_extra=2),
+                      CoveringFamily(base, point_cover(base).legs * 2)):
+            datum = restrict_to_datum(obj, cover)
+            n = len(cover.legs)
+            for i, j in itertools.product(range(n), repeat=2):
+                assert datum.overlap_iso(i, j).fn == mediated_overlap_iso(obj, cover, i, j)
+
+
+def test_datum_stores_the_nonempty_overlaps():
+    z2 = zmod(2)
+    base = FinSet(("p", "q"))
+    obj = trivial_object(z2, base)
+    cover = sharing_cover(base)
+    datum = restrict_to_datum(obj, cover)
+    assert list(datum.overlaps) == overlapping_pairs(cover) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    big = point_cover(FinSet(range(64)))
+    datum = restrict_to_datum(trivial_object(z2, big.target), big)
+    assert overlapping_pairs(big) == [(i, i) for i in range(64)]
+    assert len(datum.overlaps) == 64
+
+
+def test_empty_overlap_iso_is_forced():
+    z2 = zmod(2)
+    obj = trivial_object(z2, FinSet(("p", "q")))
+    cover = point_cover(obj.base)
+    datum = restrict_to_datum(obj, cover)
+    assert (0, 1) not in datum.overlaps
+    iso = datum.overlap_iso(0, 1)
+    cert = overlap(cover, 0, 1)
+    assert isinstance(iso, QSMorphism)
+    assert iso.src == restrict(datum.objects[0], cert.proj1)
+    assert iso.dst == restrict(datum.objects[1], cert.proj2)
+    assert len(iso.fn.src) == 0 and iso.fn == identity(iso.src.total)
+
+
+def test_missing_nonempty_overlap_is_refused():
+    z2 = zmod(2)
+    obj = trivial_object(z2, FinSet(("p", "q")))
+    cover = sharing_cover(obj.base)
+    datum = restrict_to_datum(obj, cover)
+    partial = {k: v for k, v in datum.overlaps.items() if k != (0, 1)}
+    gappy = finstack.descent.DescentDatum(cover, datum.objects, partial)
+    with pytest.raises(MissingOverlapIso) as exc:
+        gappy.overlap_iso(0, 1)
+    assert (exc.value.i, exc.value.j) == (0, 1)
+    with pytest.raises(MissingOverlapIso) as exc:
+        glue_object(gappy)
+    assert (exc.value.i, exc.value.j) == (0, 1)
+
+
+def test_twist_of_an_empty_overlap_glues():
+    # the point cover's legs 0 and 1 do not meet, so twisting their overlap
+    # iso constrains nothing
+    text = (SITES / "cocycle_bad.site").read_text(encoding="utf-8")
+    assert "twist (0 , 0)" in text
+    datum = parse_site(text.replace("twist (0 , 0)", "twist (0 , 1)"))["Bad"].value
+    assert (0, 1) in datum.overlaps
+    check_cocycle(datum)
+    result = glue_object(datum)
+    assert len(result.glued.total) == 4
 
 
 # ------------------------------------------------------------- gluing

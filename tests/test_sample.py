@@ -4,11 +4,14 @@ from random import Random
 
 import pytest
 
+import finstack.sample
 from finstack import (
     BoundExceeded,
     FinSet,
+    NotBundle,
     TriangleFail,
     is_canonical_cover,
+    identity,
     is_jointly_surjective,
     regular_action,
     terminal,
@@ -80,6 +83,29 @@ def test_twist_preserves_projection(rng):
     b1, h = twist_bundle(rng, b0)
     assert b1.proj.map == b0.proj.map
     assert set(h.table) == set(b0.total.space.elements)
+
+
+# The generators' internal checks raise RuntimeError, also under python -O.
+
+def test_random_cover_checks_it_covers(rng, monkeypatch):
+    monkeypatch.setattr(finstack.sample, "is_jointly_surjective", lambda fam: False)
+    with pytest.raises(RuntimeError, match="misses a target atom"):
+        random_cover(rng, FinSet((0, 1)))
+
+
+def test_twist_checks_it_keeps_fibers(rng, monkeypatch):
+    b0 = random_bundle(rng, zmod(2), FinSet(("p",)))
+    monkeypatch.setattr(finstack.sample, "compose", lambda g, f: identity(f.src))
+    with pytest.raises(RuntimeError, match="across fibers"):
+        twist_bundle(rng, b0)
+
+
+def test_twist_checks_its_bundle(rng, monkeypatch):
+    b0 = random_bundle(rng, zmod(2), FinSet(("p",)))
+    monkeypatch.setattr(finstack.sample, "is_principal_bundle",
+                        lambda proj: NotBundle("p", "planted"))
+    with pytest.raises(RuntimeError, match="not a bundle"):
+        twist_bundle(rng, b0)
 
 
 def test_fiber_gauge_guards_alpha(rng):

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import finstack.stack
 from finstack import (
     BaseMismatch,
     EquivarianceFail,
@@ -244,6 +245,75 @@ def test_associativity_and_triangles(rng):
     h = FinMap(terminal(), g.src, {"*": "v"})
     assert coherence_assoc(obj, f, g, h)
     assert coherence_triangles(obj, f)
+
+
+# Each coherence cell raises RuntimeError when its comparison fails, also
+# under python -O. A monkeypatch breaks one composite or one mediated map.
+
+def break_nth_composite(monkeypatch, nth):
+    """Follow the nth compose_qs result in stack by a nontrivial Z/2 gauge."""
+    real = finstack.stack.compose_qs
+    calls = []
+
+    def patched(m2, m1):
+        calls.append(None)
+        out = real(m2, m1)
+        if len(calls) == nth:
+            out = real(constant_gauge(out.dst, 1), out)
+        return out
+    monkeypatch.setattr(finstack.stack, "compose_qs", patched)
+
+
+def coherence_setup():
+    obj = trivial_object(zmod(2), FinSet(("p", "q")))
+    f = FinMap(FinSet(("a", "b")), obj.base, {"a": "q", "b": "p"})
+    g = FinMap(FinSet(("u", "v")), f.src, {"u": "a", "v": "a"})
+    h = FinMap(terminal(), g.src, {"*": "v"})
+    return obj, f, g, h
+
+
+def test_canonical_iso_directions_must_be_inverse(monkeypatch):
+    obj, *_ = coherence_setup()
+    swap = constant_gauge(obj, 1).fn
+    real = finstack.stack.mediate_pullback
+    monkeypatch.setattr(finstack.stack, "mediate_pullback",
+                        lambda cert, u, v: compose(real(cert, u, v), swap))
+    with pytest.raises(RuntimeError, match="not inverse"):
+        iota_component(obj)
+    # a left inverse that is not a right inverse fails the second composite
+    fwd = FinMap(FinSet((0,)), FinSet((0, 1)), {0: 0})
+    bwd = FinMap(FinSet((0, 1)), FinSet((0,)), {0: 0, 1: 0})
+    with pytest.raises(RuntimeError, match="not inverse"):
+        finstack.stack._require_mutually_inverse(fwd, bwd)
+
+
+def test_iota_naturality_failure_raises(monkeypatch):
+    obj, *_ = coherence_setup()
+    break_nth_composite(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match="iota naturality"):
+        coherence_iota(obj.base, [obj], [qs_identity(obj)])
+
+
+def test_epsilon_naturality_failure_raises(monkeypatch):
+    obj, f, g, _ = coherence_setup()
+    break_nth_composite(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match="epsilon naturality"):
+        coherence_epsilon(f, g, [obj], [qs_identity(obj)])
+
+
+def test_associativity_failure_raises(monkeypatch):
+    obj, f, g, h = coherence_setup()
+    break_nth_composite(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match="associativity"):
+        coherence_assoc(obj, f, g, h)
+
+
+@pytest.mark.parametrize("nth, side", [(1, "right"), (2, "left")])
+def test_unit_triangle_failure_raises(monkeypatch, nth, side):
+    obj, f, _, _ = coherence_setup()
+    break_nth_composite(monkeypatch, nth)
+    with pytest.raises(RuntimeError, match=f"{side} unit triangle"):
+        coherence_triangles(obj, f)
 
 
 def test_coherence_iota_wrong_base():

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import finstack.topology
 from finstack import (
     BoundExceeded,
     CoveringFamily,
@@ -152,6 +153,18 @@ def test_sieve_membership_witness():
     assert compose(fold, w.via) == g
     # least-preimage choice: 0 has preimages a,b and the witness picks a
     assert w.via.table["y"] == "a"
+
+
+def test_sieve_membership_checks_its_witness(monkeypatch):
+    # a factorization that does not factor is an internal fault, raised also
+    # under python -O
+    target = FinSet((0, 1))
+    fold = FinMap(FinSet(("a", "b", "c")), target, {"a": 0, "b": 0, "c": 1})
+    sieve = GeneratedSieve(CoveringFamily(target, [fold]))
+    monkeypatch.setattr(finstack.topology, "fiber",
+                        lambda f, y: tuple(a for a in f.src if f.table[a] != y))
+    with pytest.raises(RuntimeError, match="does not factor"):
+        sieve_member(sieve, FinMap(FinSet(("x",)), target, {"x": 1}))
 
 
 def test_sieve_membership_negative():

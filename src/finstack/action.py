@@ -366,6 +366,7 @@ def gset_isomorphism_over(a: GAction, b: GAction,
     group = a.group.carrier
     orbs = orbits(a)
     assignment: dict = {}
+    images: set = set()     # assignment.values(), for constant-time probes
 
     def try_rep(rep, y):
         # propagate the orbit of rep through the candidate image y
@@ -380,7 +381,7 @@ def gset_isomorphism_over(a: GAction, b: GAction,
                 return None
         if len(set(local.values())) != len(local):
             return None
-        if any(y2 in assignment.values() for y2 in local.values()):
+        if not images.isdisjoint(local.values()):
             return None
         return local
 
@@ -395,10 +396,12 @@ def gset_isomorphism_over(a: GAction, b: GAction,
             if local is None:
                 continue
             assignment.update(local)
+            images.update(local.values())
             if search(k + 1):
                 return True
             for x2 in local:
                 del assignment[x2]
+            images.difference_update(local.values())
         return False
 
     if not search(0):

@@ -37,7 +37,6 @@ from .errors import (
 from .finset import (
     FinMap,
     FinSet,
-    atom_key,
     compose,
     morphism_predicates,
     product,
@@ -45,7 +44,6 @@ from .finset import (
 )
 from .topology import (
     CoveringFamily,
-    all_maps,
     require_canonical,
 )
 
@@ -242,21 +240,47 @@ def check_bundle_morphism(src: Bundle, dst: Bundle, m: FinMap) -> BundleMorphism
 
 def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
                                bound: int = 65536) -> list:
-    """All bundle morphisms src => dst, by brute enumeration and filtering."""
+    """All bundle morphisms src => dst, built from one image per fiber.
+
+    The fibers are G-torsors, so a morphism over the base is fixed by where
+    it sends p0, the least atom of each src fiber: choosing q0 in the dst
+    fiber over the same base atom gives m(g·p0) = g·q0. That yields exactly
+    |G|^|base| maps, and the bound counts them. Each is still certified by
+    `check_bundle_morphism`, where a failure is an internal fault.
+
+    The maps come in `topology.all_maps` order, lexicographic in the
+    canonical positions of the images of src's atoms. Two choices first
+    differ at the least p0 among the fibers where they differ, and there the
+    images are their q0s. So the product over the fibers, taken in the order
+    of their p0 with each q0 in canonical order, is already that order.
+    """
     if src.group != dst.group:
         raise ValueError("bundles are for different groups")
     if src.base != dst.base:
         raise BaseMismatch(f"{src.base!r} != {dst.base!r}")
-    n, k = len(dst.total.space), len(src.total.space)
-    count = n ** k
+    carrier = src.group.carrier
+    count = len(carrier) ** len(src.base)
     if count > bound:
         raise BoundExceeded("bundle-morphism enumeration", count, bound)
+    least = {}      # base atom -> p0, in the canonical order of p0
+    for p in src.total.space:
+        least.setdefault(src.proj.map.table[p], p)
+    dst_fibers = {y: [] for y in dst.base}
+    for q in dst.total.space:
+        dst_fibers[dst.proj.map.table[q]].append(q)
+    src_act, dst_act = src.total.act.table, dst.total.act.table
+    # per fiber, the restriction to it of each choice of q0
+    pieces = [[[(src_act[(g, p0)], dst_act[(g, q0)]) for g in carrier]
+               for q0 in dst_fibers[y]]
+              for y, p0 in least.items()]
     out = []
-    for m in all_maps(src.total.space, dst.total.space):
+    for choice in itertools.product(*pieces):
+        m = FinMap(src.total.space, dst.total.space,
+                   itertools.chain.from_iterable(choice))
         try:
             out.append(check_bundle_morphism(src, dst, m))
-        except (TriangleFail, EquivarianceFail):
-            continue
+        except (TriangleFail, EquivarianceFail) as err:
+            raise RuntimeError(f"a constructed bundle morphism fails: {err}") from err
     return out
 
 
@@ -271,8 +295,9 @@ def torsor_structures(group: FinGroup) -> tuple:
         binv = {v: k for k, v in b.items()}
         table = {(g, h): b[group.times(g, binv[h])]
                  for g in atoms for h in atoms}
-        key = tuple(sorted(table.items(), key=lambda kv: atom_key(kv[0])))
-        seen.setdefault(key, table)
+        # every table is filled in the same (g, h) order, so its values
+        # identify it
+        seen.setdefault(tuple(table.values()), table)
     out = tuple(seen.values())
     if len(out) != math.factorial(len(atoms) - 1):
         raise RuntimeError(

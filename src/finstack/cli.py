@@ -250,7 +250,8 @@ def main(argv=None) -> int:
                         help="size of verify-stack's generated corpus, "
                              "at least 1")
     parser.add_argument("--bound", type=int, default=4096,
-                        help="enumeration size guard")
+                        help="enumeration size guard; for bundle "
+                             "morphisms it counts the |G|^|base| maps built")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write a JSON report here")
     args = parser.parse_args(argv)

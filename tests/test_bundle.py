@@ -1,6 +1,7 @@
 """Principal bundles: torsor fibers, trivializations, base change, and
 morphism/automorphism enumeration against brute-force oracles."""
 
+import itertools
 from random import Random
 
 import pytest
@@ -11,6 +12,7 @@ from finstack import (
     BoundExceeded,
     Bundle,
     CoveringFamily,
+    EquivarianceFail,
     FinMap,
     FinSet,
     NotBundle,
@@ -49,6 +51,7 @@ from finstack import (
 )
 from finstack.bundle import TrivLeg
 from finstack.errors import CoverNotCanonical
+from finstack.finset import atom_key
 from finstack.sample import (
     group_catalog,
     random_bundle,
@@ -241,6 +244,30 @@ def test_torsor_structure_counts():
     assert len(torsor_structures(klein_four())) == 6
 
 
+def sorted_key_torsor_structures(group):
+    """The dedup by atom-sorted table items, an oracle for the dedup by
+    table values in `torsor_structures`."""
+    atoms = list(group.carrier)
+    seen = {}
+    for beta in itertools.permutations(atoms):
+        b = dict(zip(atoms, beta))
+        binv = {v: k for k, v in b.items()}
+        table = {(g, h): b[group.times(g, binv[h])]
+                 for g in atoms for h in atoms}
+        key = tuple(sorted(table.items(), key=lambda kv: atom_key(kv[0])))
+        seen.setdefault(key, table)
+    return tuple(seen.values())
+
+
+@pytest.mark.parametrize(
+    "group",
+    [zmod(1), zmod(2), zmod(3), zmod(4), zmod(5), klein_four(), sym(3)],
+    ids=["z1", "z2", "z3", "z4", "z5", "v4", "s3"])
+def test_torsor_structures_match_sorted_key_oracle(group):
+    assert ([list(t.items()) for t in torsor_structures(group)]
+            == [list(t.items()) for t in sorted_key_torsor_structures(group)])
+
+
 def test_bundle_enumeration_counts():
     two = FinSet(("p", "q"))
     assert len(enumerate_bundles(zmod(2), two)) == 1
@@ -295,17 +322,53 @@ def brute_morphisms(src, dst):
     return out
 
 
+# (group, largest base) cells with at most 6^6 brute candidates
+BRUTE_CELLS = [(zmod(2), 3), (zmod(3), 2), (klein_four(), 1), (sym(3), 1)]
+
+
 def test_morphism_enumeration_matches_brute_force(rng):
-    for grp in (zmod(2), zmod(3)):
-        for _ in range(6):
-            base = FinSet(tuple(f"y{k}" for k in range(rng.randint(0, 2))))
+    for grp, largest in BRUTE_CELLS:
+        for size in range(largest + 1):
+            base = FinSet(tuple(f"y{k}" for k in range(size)))
             a = random_bundle(rng, grp, base)
             b = random_bundle(rng, grp, base)
-            fancy = {tuple(sorted(m.fn.table.items()))
-                     for m in enumerate_bundle_morphisms(a, b)}
-            brute = {tuple(sorted(m.table.items()))
-                     for m in brute_morphisms(a, b)}
-            assert fancy == brute
+            # base change along a shuffle of the base puts the fibers'
+            # least atoms out of base order
+            shuffled = list(base)
+            rng.shuffle(shuffled)
+            f = FinMap(base, base, dict(zip(base, shuffled)))
+            for src, dst in ((a, b), (pullback_bundle(a, f), pullback_bundle(b, f))):
+                # the same maps, in all_maps order
+                assert ([m.fn.table for m in enumerate_bundle_morphisms(src, dst)]
+                        == [m.table for m in brute_morphisms(src, dst)])
+
+
+def test_morphism_enumeration_certifies_only_what_it_emits(monkeypatch):
+    # Z/5 over a point: 5 maps built and certified, not 5^5 candidates
+    calls = []
+    certify = finstack.bundle.check_bundle_morphism
+
+    def counting(src, dst, m):
+        calls.append(m)
+        return certify(src, dst, m)
+
+    monkeypatch.setattr(finstack.bundle, "check_bundle_morphism", counting)
+    bundles = enumerate_bundles(zmod(5), terminal())
+    for a in bundles[:3]:
+        for b in bundles[:3]:
+            calls.clear()
+            assert len(enumerate_bundle_morphisms(a, b)) == 5
+            assert len(calls) == 5
+
+
+def test_constructed_morphism_failing_its_check_is_an_internal_fault(monkeypatch):
+    def broken(m, src, dst):
+        raise EquivarianceFail(0, next(iter(src.space)))
+
+    b = trivial_bundle(zmod(2), FinSet(("p",)))
+    monkeypatch.setattr(finstack.bundle, "check_equivariant", broken)
+    with pytest.raises(RuntimeError, match="constructed bundle morphism"):
+        enumerate_bundle_morphisms(b, b)
 
 
 def test_all_bundle_morphisms_are_isos(rng):
@@ -329,9 +392,12 @@ def test_automorphism_counts():
 
 
 def test_morphism_enumeration_bound():
-    b = trivial_bundle(klein_four(), FinSet(("p", "q")))
-    with pytest.raises(BoundExceeded):
+    # the guard counts the |G|^|base| = 4^4 maps emitted
+    b = trivial_bundle(klein_four(), FinSet(("p", "q", "r", "s")))
+    with pytest.raises(BoundExceeded) as exc:
         enumerate_bundle_morphisms(b, b, bound=100)
+    assert exc.value.size == 256
+    assert str(exc.value) == "bundle-morphism enumeration: size 256 exceeds bound 100"
 
 
 def test_bundle_morphism_triangle_witness():

@@ -159,13 +159,33 @@ def test_check_lines_name_each_declaration(capsys):
     assert "order 2" in out
 
 
+def classify_site(order, base):
+    """A site declaring Z/order and classifying over the given base atoms."""
+    rows = "\n".join(
+        "    [ " + " ".join(str((i + j) % order) for j in range(order)) + " ]"
+        for i in range(order))
+    return (f"set Y = {{ {' '.join(map(str, base))} }}\n"
+            f"group G {{\n  elements {{ {' '.join(map(str, range(order)))} }}\n"
+            f"  table [\n{rows}\n  ]\n}}\n"
+            "classify K { group G base Y }\n")
+
+
 def test_bound_reaches_classify_morphism_enumeration(capsys, tmp_path):
-    # 6 bundles fit in 100, the 4^4 = 256 candidate morphisms do not
-    site = tmp_path / "z4.site"
-    site.write_text(Z4_CLASSIFY)
+    # Z/2 over 7 points: 1 bundle fits in 100, the 2^7 = 128 morphisms do not
+    site = tmp_path / "z2.site"
+    site.write_text(classify_site(2, range(7)))
     code, out, err = run(capsys, "classify", site, "--bound", 100)
     assert code == 2
     assert "bundle-morphism enumeration" in err
+
+
+def test_classify_z3_over_three_points_fits_the_bound(capsys, tmp_path):
+    # 27 morphisms per pair are built; 9^9 candidates would not fit
+    site = tmp_path / "z3.site"
+    site.write_text(classify_site(3, range(3)))
+    code, out, err = run(capsys, "classify", site, "--bound", 65536)
+    assert code == 0, err
+    assert "(8 bundles, 1 classes, 27 automorphisms of the trivial one)" in out
 
 
 # exit code and (declaration, status) per check; oracles_forbidden makes

@@ -27,12 +27,15 @@ from .finset import (
     FinSet,
     atom_key,
     compose,
+    hash_once,
+    memo,
     product,
     pullback,
     terminal,
 )
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class FinGroup:
     """A group object: carrier with multiplication, unit and inverse tables.
@@ -173,6 +176,7 @@ def generators(g: FinGroup) -> tuple:
 
 # ----------------------------------------------------------------- actions ---
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class GAction:
     """A certified action: act : G×X -> X satisfying both action diagrams."""
@@ -248,7 +252,7 @@ def action_from_function(group: FinGroup, space: FinSet, fn) -> GAction:
         FinMap(prod.space, space, {(g, x): fn(g, x) for (g, x) in prod.space}))
 
 
-@functools.lru_cache(maxsize=4096)
+@memo(lambda group, space: (group.carrier, space))
 def trivial_action(group: FinGroup, space: FinSet) -> GAction:
     return action_from_function(group, space, lambda g, x: x)
 
@@ -271,6 +275,7 @@ def orbits(a: GAction):
     return out
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class EquivariantMap:
     """A certified equivariant map between two actions of the same group."""
@@ -342,7 +347,7 @@ def pullback_action(p: GAction, z: GAction, y: GAction,
     return check_action(group, cert.apex, FinMap(src, cert.apex, table))
 
 
-@functools.lru_cache(maxsize=4096)
+@memo(lambda group, u: (group.carrier, u))
 def product_action(group: FinGroup, u: FinSet) -> GAction:
     """The trivialized model: G acting on G×U by g·(h, u) = (gh, u)."""
     space = product(group.carrier, u).space

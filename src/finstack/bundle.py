@@ -38,6 +38,7 @@ from .finset import (
     FinMap,
     FinSet,
     compose,
+    hash_once,
     morphism_predicates,
     product,
     pullback,
@@ -78,6 +79,7 @@ class NotBundle:
     reason: str
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class Bundle:
     """A certified principal bundle: its fibers are G-torsors."""
@@ -209,6 +211,7 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     return Bundle(group, z, psi, new_proj)
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class BundleMorphism:
     """A certified map of bundles over a common base."""

@@ -36,6 +36,8 @@ from .finset import (
     compose,
     coproduct,
     copair,
+    fibers,
+    hash_once,
     identity,
     invert,
     mediate_coequalizer,
@@ -59,14 +61,6 @@ def overlap(cover: CoveringFamily, i: int, j: int):
     return pullback(cover.legs[i], cover.legs[j])
 
 
-def _fibers(f: FinMap) -> dict:
-    """The nonempty fibers of f, keyed by image, each in canonical order."""
-    out: dict = {}
-    for a in f.src:
-        out.setdefault(f.table[a], []).append(a)
-    return out
-
-
 def overlapping_pairs(cover: CoveringFamily) -> list:
     """The sorted leg pairs (i, j) whose overlap U_i ×_Y U_j is nonempty,
     found by indexing the legs by the base atoms they hit."""
@@ -83,6 +77,7 @@ def _identity_iso(objects, cert, i: int, j: int) -> QSMorphism:
     return check_qs_morphism(src, restrict(objects[j], cert.proj2), identity(src.total))
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class DescentDatum:
     """Objects over the legs of a cover plus an overlap iso for every ordered
@@ -162,8 +157,8 @@ def check_cocycle(datum: DescentDatum) -> None:
     partners: dict = {}
     for i, k in pairs:
         partners.setdefault(i, []).append(k)
-    legs_over = [_fibers(f) for f in cover.legs]
-    locals_over = [_fibers(obj.bundle.proj.map) for obj in datum.objects]
+    legs_over = [fibers(f) for f in cover.legs]
+    locals_over = [fibers(obj.bundle.proj.map) for obj in datum.objects]
     for i, j in pairs:
         fi = cover.legs[i].table
         apex = overlap(cover, i, j).apex
@@ -220,7 +215,7 @@ def glue_morphisms(cover: CoveringFamily, x: QSObject, y: QSObject,
         if loc.src != restrict(x, cover.legs[i]) or loc.dst != restrict(y, cover.legs[i]):
             raise ValueError(f"local {i} does not go between the leg restrictions")
     # overlap agreement, pointwise through the canonical identifications
-    x_over = _fibers(x.bundle.proj.map)
+    x_over = fibers(x.bundle.proj.map)
     for i, j in overlapping_pairs(cover):
         fi = cover.legs[i].table
         for a, b in overlap(cover, i, j).apex:
@@ -330,7 +325,7 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     d1 = FinMap(rel, c1.space,
                 {t: Tag(pairs[t.part][1], phis[pairs[t.part]][t.atom]) for t in rel})
     cert = coequalizer(d0, d1)
-    members = _fibers(cert.proj)
+    members = fibers(cert.proj)
     # the action descends because every relation map is equivariant; build
     # the table from any member and verify all members agree
     act_table = {}
@@ -380,7 +375,7 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
             raise RuntimeError(f"comparison over leg {i} is not an iso")
         comparisons.append(psi)
     # compatibility of the comparisons against every overlap iso, pointwise
-    glued_over = _fibers(pi_w)
+    glued_over = fibers(pi_w)
     for i, j in pairs:
         fi = cover.legs[i].table
         for a, b in overlap(cover, i, j).apex:

@@ -14,13 +14,27 @@ still rejects duplicates. Each kernel runs in time linear in its inputs and
 output.
 
 FinSet and FinMap are read-only after construction: a FinSet's hash is
-computed when it is built and a FinMap's on first use, then cached, and both
-are keys of the lru caches below. Never mutate `elements` or `table`.
+computed when it is built and a FinMap's on first use, then cached. Never
+mutate `elements` or `table`.
+
+Derived structures live on their inputs. A function wrapped by `memo` (here
+`identity`, `fibers`, `product`, `pullback`; elsewhere `restrict`,
+`trivial_action`, `product_action`) stores each result in the `_memo` slot
+of the youngest FinSet or FinMap among its arguments, youngest by the
+creation serial `_born`. An entry lives exactly as long as that object and
+keeps the older arguments alive with it. Storing on the youngest means a
+long-lived set such as `terminal()` or a group's carrier never collects
+entries for short-lived data, so a long run holds only what its live data
+can reach. `fn.cache_info()` reports the hits and misses of every call since
+import. A hit needs the same youngest object and equal other arguments.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
+import operator
 from typing import Iterable, NamedTuple, Union
 
 from .errors import (
@@ -60,10 +74,13 @@ def format_atom(a) -> str:
     return str(a)
 
 
+_serial = itertools.count()
+
+
 class FinSet:
     """An explicit finite set of atoms, kept in canonical sorted order."""
 
-    __slots__ = ("elements", "_index", "_hash")
+    __slots__ = ("elements", "_index", "_hash", "_born", "_memo", "__weakref__")
 
     def __init__(self, elements: Iterable[Atom] = ()):
         self._set(tuple(sorted(elements, key=atom_key)))
@@ -89,6 +106,8 @@ class FinSet:
         self.elements = elems
         self._index = index
         self._hash = hash(elems)
+        self._born = next(_serial)
+        self._memo = None
 
     def __contains__(self, a) -> bool:
         return a in self._index
@@ -115,7 +134,7 @@ class FinMap:
     The table is copied on construction and read-only afterwards.
     """
 
-    __slots__ = ("src", "dst", "table", "_hash")
+    __slots__ = ("src", "dst", "table", "_hash", "_born", "_memo", "__weakref__")
 
     def __init__(self, src: FinSet, dst: FinSet, table):
         table = dict(table)
@@ -128,6 +147,8 @@ class FinMap:
                         f"table value {format_atom(v)} at {format_atom(a)} not in target")
         self.src, self.dst, self.table = src, dst, table
         self._hash = None
+        self._born = next(_serial)
+        self._memo = None
 
     def __call__(self, a):
         return self.table[a]
@@ -153,7 +174,75 @@ class FinMap:
         return FinSet(set(self.table.values()))
 
 
-@functools.lru_cache(maxsize=65536)
+class MemoInfo(NamedTuple):
+    hits: int
+    misses: int
+
+
+_MISSING = object()
+
+
+def memo(holders=None):
+    """Memoize a function on the youngest FinSet or FinMap it is given.
+
+    The candidates are the arguments themselves, or `holders(*args)` for a
+    function whose arguments only hold FinSets and FinMaps. The result is
+    stored under the whole argument tuple in the youngest candidate's
+    `_memo` dict, so it dies with that object. Exceptions are not stored.
+    """
+    def decorate(fn):
+        hits = misses = 0
+
+        @functools.wraps(fn)
+        def wrapper(*args):
+            nonlocal hits, misses
+            owner = None
+            for x in (args if holders is None else holders(*args)):
+                if owner is None or x._born > owner._born:
+                    owner = x
+            key = (wrapper, args)
+            table = owner._memo
+            if table is None:
+                table = owner._memo = {}
+            else:
+                out = table.get(key, _MISSING)
+                if out is not _MISSING:
+                    hits += 1
+                    return out
+            misses += 1
+            out = table[key] = fn(*args)
+            return out
+
+        wrapper.cache_info = lambda: MemoInfo(hits, misses)
+        wrapper.memoized_on_youngest = True
+        return wrapper
+
+    return decorate
+
+
+def hash_once(cls):
+    """Give a frozen dataclass a hash computed on first use and then kept.
+
+    The value is the generated one, hash of the tuple of fields, so sets
+    and dicts keyed by these objects iterate in the same order as before.
+    """
+    names = [f.name for f in dataclasses.fields(cls)]
+    getter = operator.attrgetter(*names)
+    fields = getter if len(names) > 1 else lambda self: (getter(self),)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(fields(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
+
+
+@memo()
 def identity(a: FinSet) -> FinMap:
     return FinMap(a, a, {x: x for x in a})
 
@@ -175,9 +264,19 @@ def bang(a: FinSet) -> FinMap:
     return FinMap(a, terminal(), {x: "*" for x in a})
 
 
+@memo()
+def fibers(f: FinMap) -> dict:
+    """The nonempty fibers of f, keyed by image, each a tuple in canonical
+    order. Shared by every caller: read it, never mutate it."""
+    out: dict = {}
+    for a in f.src:
+        out.setdefault(f.table[a], []).append(a)
+    return {y: tuple(atoms) for y, atoms in out.items()}
+
+
 def fiber(f: FinMap, y) -> tuple:
     """Atoms of src sent to y, in canonical order."""
-    return tuple(a for a in f.src if f.table[a] == y)
+    return fibers(f).get(y, ())
 
 
 def is_mono(f: FinMap) -> bool:
@@ -213,7 +312,7 @@ class Product(NamedTuple):
     proj2: FinMap
 
 
-@functools.lru_cache(maxsize=65536)
+@memo()
 def product(a: FinSet, b: FinSet) -> Product:
     """Cartesian product with pair atoms (x, y)."""
     space = FinSet._ordered([(x, y) for x in a for y in b])
@@ -251,23 +350,31 @@ class PullbackCert(NamedTuple):
     g: FinMap
 
 
-@functools.lru_cache(maxsize=65536)
+@memo()
 def pullback(f: FinMap, g: FinMap) -> PullbackCert:
     """A hash join: the fibers of g, each in canonical order, are looked up
-    once per atom of f.src, so the pairs come out in canonical order."""
+    once per atom of f.src, so the pairs come out in canonical order. When
+    g hits at most one atom y, the apex is f's fiber over y times g.src,
+    read from f's memoized fibers without walking f.src."""
     if f.dst != g.dst:
         raise CodomainMismatch(f"{f.dst!r} != {g.dst!r}")
-    fibers = {}
+    over = {}
     for b in g.src:
-        fibers.setdefault(g.table[b], []).append(b)
-    apex = FinSet._ordered(
-        [(a, b) for a in f.src for b in fibers.get(f.table[a], ())])
-    return PullbackCert(
-        apex,
-        FinMap(apex, f.src, {p: p[0] for p in apex}),
-        FinMap(apex, g.src, {p: p[1] for p in apex}),
-        f, g,
-    )
+        over.setdefault(g.table[b], []).append(b)
+    if len(over) <= 1:
+        pairs = [(a, b) for y, bs in over.items()
+                 for a in fibers(f).get(y, ()) for b in bs]
+    else:
+        pairs = [(a, b) for a in f.src for b in over.get(f.table[a], ())]
+    apex = FinSet._ordered(pairs)
+    proj1 = FinMap(apex, f.src, {p: p[0] for p in apex})
+    # the kernel pair of a mono is its diagonal, where both projections are
+    # one map: share the object, so results memoized on it serve both
+    if f is g and len(apex) == len(f.src):
+        proj2 = proj1
+    else:
+        proj2 = FinMap(apex, g.src, {p: p[1] for p in apex})
+    return PullbackCert(apex, proj1, proj2, f, g)
 
 
 def mediate_pullback(cert: PullbackCert, u: FinMap, v: FinMap) -> FinMap:

@@ -6,7 +6,6 @@ computed isos, not assumptions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,9 +34,11 @@ from .finset import (
     bang,
     compose,
     fiber,
+    hash_once,
     identity,
     invert,
     mediate_pullback,
+    memo,
     pair_map,
     product,
     pullback,
@@ -45,6 +46,7 @@ from .finset import (
 )
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class QuotientStack:
     """The stack handle: a group acting on a space, over the canonical
@@ -63,6 +65,7 @@ def classifying_stack(group: FinGroup) -> QuotientStack:
     return QuotientStack(group, trivial_action(group, terminal()))
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class QSObject:
     """An object of [X/G] over its base: a bundle P -> Y with an
@@ -95,6 +98,7 @@ def check_qs_object(bundle: Bundle, alpha: FinMap, x_action: GAction) -> QSObjec
     return QSObject(bundle, eq)
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class QSMorphism:
     """A bundle morphism whose map also commutes with the alphas."""
@@ -152,7 +156,7 @@ def qs_inverse(m: QSMorphism) -> QSMorphism:
     return check_qs_morphism(m.dst, m.src, invert(m.fn))
 
 
-@functools.lru_cache(maxsize=4096)
+@memo(lambda obj, f: (obj.total, f))
 def restrict(obj: QSObject, f: FinMap) -> QSObject:
     """Restriction along f : Z -> Y, by base change of the bundle; the new
     alpha is alpha after the projection to the old total."""

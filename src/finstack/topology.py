@@ -30,12 +30,14 @@ from .finset import (
     coproduct,
     copair,
     fiber,
+    hash_once,
     mediate_coequalizer,
     morphism_predicates,
     pullback,
 )
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class CoveringFamily:
     """A finite family of maps into a common target.

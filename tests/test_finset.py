@@ -450,6 +450,27 @@ def test_pullback_equals_nested_loop_in_canonical_order(data):
     assert apex.elements == FinSet(nested).elements
 
 
+@given(st.data())
+def test_pullback_over_one_atom_image_equals_nested_loop(data):
+    # g hits at most one atom (every point-cover leg), so the apex is read
+    # from f's fibers; f hits one atom too, or any number
+    y = data.draw(mixed_sets(min_size=1, max_size=3))
+    point = FinSet([data.draw(st.sampled_from(y.elements))])
+    g = draw_map(data, data.draw(mixed_sets()), point)
+    g = FinMap(g.src, y, g.table)
+    f_dst = data.draw(st.sampled_from([y, point]))
+    f = draw_map(data, data.draw(mixed_sets()), f_dst)
+    f = FinMap(f.src, y, f.table)
+    for left, right in ((f, g), (g, f), (g, g)):
+        nested = [(a, b) for a in left.src for b in right.src
+                  if left.table[a] == right.table[b]]
+        cert = pullback(left, right)
+        assert list(cert.apex.elements) == nested
+        assert cert.apex.elements == FinSet(nested).elements
+        assert cert.proj1.table == {p: p[0] for p in nested}
+        assert cert.proj2.table == {p: p[1] for p in nested}
+
+
 @given(st.lists(mixed_sets(max_size=4), max_size=4))
 def test_coproduct_is_canonical_by_construction(parts):
     space = coproduct(parts).space

@@ -1,0 +1,146 @@
+"""Memory policy: derived structures live on their youngest input, and the
+certified dataclasses cache a hash equal to the generated one."""
+
+import dataclasses
+import gc
+import weakref
+from random import Random
+
+import pytest
+
+from finstack.action import (
+    FinGroup,
+    check_equivariant,
+    klein_four,
+    sym,
+    trivial_action,
+    zmod,
+)
+from finstack.bundle import check_bundle_morphism, trivial_bundle
+from finstack.descent import glue_object, restrict_to_datum
+from finstack.finset import FinMap, FinSet, bang, identity, product, pullback, terminal
+from finstack.sample import random_cover, random_finset, random_qsobject
+from finstack.stack import (
+    check_qs_object,
+    classifying_stack,
+    qs_identity,
+    qs_isomorphism,
+    restrict,
+)
+from finstack.topology import point_cover
+
+
+def _object(group, base):
+    b = trivial_bundle(group, base)
+    return check_qs_object(b, bang(b.total.space), trivial_action(group, terminal()))
+
+
+def test_memo_entries_die_with_their_inputs():
+    group = zmod(3)
+    base = FinSet(("p", "q"))
+    leg = FinMap(FinSet(("u", "v")), base, {"u": "p", "v": "p"})
+    obj = _object(group, base)
+    prod = product(base, leg.src)
+    cert = pullback(obj.bundle.proj.map, leg)
+    local = restrict(obj, leg)
+    act = trivial_action(group, leg.src)
+    refs = [weakref.ref(x) for x in (
+        base, leg, leg.src, obj, obj.total, prod.space, prod.proj1, cert.apex,
+        cert.proj1, local, local.total, act, act.space)]
+    del base, leg, obj, prod, cert, local, act
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+    # the group outlives them and keeps no entry keyed by them
+    for key in group.carrier._memo or {}:
+        assert all(not isinstance(x, (FinSet, FinMap)) or x is group.carrier
+                   or x is terminal() for x in key[1])
+
+
+def test_long_lived_sets_hold_no_memo():
+    groups = [zmod(2), zmod(3), klein_four(), sym(3)]
+    xs = [trivial_action(g, terminal()) for g in groups]
+    start = FinSet(())._born
+    long_lived = [terminal()] + [g.carrier for g in groups]
+    rng = Random(11)
+    for k in range(50):
+        group, x = groups[k % len(groups)], xs[k % len(xs)]
+        base = random_finset(rng, 3, min_size=1, prefix="y")
+        obj = random_qsobject(rng, group, x, base)
+        cover = point_cover(base) if k % 2 else random_cover(rng, base)
+        glued = glue_object(restrict_to_datum(obj, cover)).glued
+        assert qs_isomorphism(glued, obj) is not None
+    del base, obj, cover, glued
+    gc.collect()
+    for s in long_lived:
+        derived = [key[0].__name__ for key in (s._memo or {})
+                   if any(isinstance(x, (FinSet, FinMap)) and x._born >= start
+                          or isinstance(x, FinGroup) and x not in groups
+                          for x in key[1])]
+        assert derived == [], f"{s!r} holds entries of the round trips"
+
+
+@pytest.mark.parametrize("fn", [pullback, product, restrict],
+                         ids=["finset.pullback", "finset.product", "stack.restrict"])
+def test_cache_info_counts_hits_and_misses(fn):
+    group = zmod(2)
+    base = FinSet(("p", "q"))
+    leg = FinMap(FinSet(("u",)), base, {"u": "q"})
+    obj = _object(group, base)
+    args = {pullback: (obj.bundle.proj.map, leg), product: (base, leg.src),
+            restrict: (obj, leg)}[fn]
+    before = fn.cache_info()
+    first = fn(*args)
+    mid = fn.cache_info()
+    assert (mid.hits, mid.misses) == (before.hits, before.misses + 1)
+    assert fn(*args) is first
+    after = fn.cache_info()
+    assert (after.hits, after.misses) == (mid.hits + 1, mid.misses)
+
+
+def _certified_instances() -> dict:
+    group = zmod(3)
+    base = FinSet(("p", "q"))
+    obj = _object(group, base)
+    bundle = obj.bundle
+    return {
+        "FinGroup": group,
+        "GAction": bundle.total,
+        "EquivariantMap": bundle.proj,
+        "Bundle": bundle,
+        "BundleMorphism": check_bundle_morphism(
+            bundle, bundle, identity(bundle.total.space)),
+        "QSObject": obj,
+        "QSMorphism": qs_identity(obj),
+        "CoveringFamily": point_cover(base),
+        "QuotientStack": classifying_stack(group),
+    }
+
+
+@pytest.mark.parametrize("name", list(_certified_instances()))
+def test_cached_hash_equals_field_tuple_hash(name):
+    x = _certified_instances()[name]
+    fields = tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+    assert hash(x) == hash(fields)
+    assert x._hash == hash(fields)      # kept after the first use
+    assert hash(x) == hash(fields)
+    twin = type(x)(*fields)
+    assert twin is not x and twin == x and hash(twin) == hash(x)
+    other = _certified_instances()[name]
+    assert other == x and hash(other) == hash(x)
+
+
+def test_descent_datum_stays_unhashable():
+    obj = _object(zmod(2), FinSet(("p",)))
+    datum = restrict_to_datum(obj, point_cover(obj.base))
+    fields = tuple(getattr(datum, f.name) for f in dataclasses.fields(datum))
+    with pytest.raises(TypeError):
+        hash(fields)
+    with pytest.raises(TypeError):
+        hash(datum)
+    assert dataclasses.replace(datum) == datum
+
+
+def test_cached_hash_keeps_inequality():
+    a, b = _object(zmod(2), FinSet(("p",))), _object(zmod(2), FinSet(("q",)))
+    assert a != b and a.bundle.total != b.bundle.total
+    assert {a, b, a} == {a, b}

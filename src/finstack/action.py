@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -25,19 +24,18 @@ from .errors import (
 from .finset import (
     FinMap,
     FinSet,
+    Record,
     atom_key,
     compose,
-    hash_once,
     memo,
     product,
     pullback,
+    set_field,
     terminal,
 )
 
 
-@hash_once
-@dataclass(frozen=True, eq=True)
-class FinGroup:
+class FinGroup(Record):
     """A group object: carrier with multiplication, unit and inverse tables.
 
     Only check_group constructs these, so holding a FinGroup is holding a
@@ -48,6 +46,12 @@ class FinGroup:
     mul: FinMap
     unit: FinMap
     inv: FinMap
+
+    def __init__(self, carrier, mul, unit, inv):
+        set_field(self, "carrier", carrier)
+        set_field(self, "mul", mul)
+        set_field(self, "unit", unit)
+        set_field(self, "inv", inv)
 
     @property
     def unit_atom(self):
@@ -176,14 +180,17 @@ def generators(g: FinGroup) -> tuple:
 
 # ----------------------------------------------------------------- actions ---
 
-@hash_once
-@dataclass(frozen=True, eq=True)
-class GAction:
+class GAction(Record):
     """A certified action: act : G×X -> X satisfying both action diagrams."""
 
     group: FinGroup
     space: FinSet
     act: FinMap
+
+    def __init__(self, group, space, act):
+        set_field(self, "group", group)
+        set_field(self, "space", space)
+        set_field(self, "act", act)
 
     def __call__(self, g, x):
         return self.act.table[(g, x)]
@@ -275,14 +282,17 @@ def orbits(a: GAction):
     return out
 
 
-@hash_once
-@dataclass(frozen=True, eq=True)
-class EquivariantMap:
+class EquivariantMap(Record):
     """A certified equivariant map between two actions of the same group."""
 
     map: FinMap
     src_action: GAction
     dst_action: GAction
+
+    def __init__(self, map, src_action, dst_action):
+        set_field(self, "map", map)
+        set_field(self, "src_action", src_action)
+        set_field(self, "dst_action", dst_action)
 
     @property
     def fn(self) -> FinMap:

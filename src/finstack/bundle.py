@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .action import (
@@ -37,11 +36,12 @@ from .errors import (
 from .finset import (
     FinMap,
     FinSet,
+    Record,
     compose,
-    hash_once,
     morphism_predicates,
     product,
     pullback,
+    set_field,
 )
 from .topology import (
     CoveringFamily,
@@ -58,36 +58,48 @@ class TrivLeg(NamedTuple):
     phi: FinMap         # apex -> G×U_i
 
 
-@dataclass(frozen=True, eq=True)
-class Trivialization:
+class Trivialization(Record):
     cover: CoveringFamily
     legs: tuple
 
+    def __init__(self, cover, legs):
+        set_field(self, "cover", cover)
+        set_field(self, "legs", legs)
 
-@dataclass(frozen=True, eq=True)
-class NotTrivial:
+
+class NotTrivial(Record):
     """Witness that no trivializing iso exists over the given leg."""
 
     leg_index: int
 
+    def __init__(self, leg_index):
+        set_field(self, "leg_index", leg_index)
 
-@dataclass(frozen=True, eq=True)
-class NotBundle:
+
+class NotBundle(Record):
     """Witness that some fiber is not a G-torsor."""
 
     base_atom: object
     reason: str
 
+    def __init__(self, base_atom, reason):
+        set_field(self, "base_atom", base_atom)
+        set_field(self, "reason", reason)
 
-@hash_once
-@dataclass(frozen=True, eq=True)
-class Bundle:
+
+class Bundle(Record):
     """A certified principal bundle: its fibers are G-torsors."""
 
     group: FinGroup
     base: FinSet
     total: GAction
     proj: EquivariantMap
+
+    def __init__(self, group, base, total, proj):
+        set_field(self, "group", group)
+        set_field(self, "base", base)
+        set_field(self, "total", total)
+        set_field(self, "proj", proj)
 
     def __repr__(self):
         return f"Bundle(|{len(self.total.space)}| -> {self.base!r})"
@@ -211,14 +223,17 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     return Bundle(group, z, psi, new_proj)
 
 
-@hash_once
-@dataclass(frozen=True, eq=True)
-class BundleMorphism:
+class BundleMorphism(Record):
     """A certified map of bundles over a common base."""
 
     src: Bundle
     dst: Bundle
     map: EquivariantMap
+
+    def __init__(self, src, dst, map):
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+        set_field(self, "map", map)
 
     @property
     def fn(self) -> FinMap:

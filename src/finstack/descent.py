@@ -15,7 +15,6 @@ morphism is re-certified by the checking ops it must satisfy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .action import FinGroup, GAction, check_action, check_equivariant, trivial_action
@@ -31,19 +30,20 @@ from .errors import (
 from .finset import (
     FinMap,
     FinSet,
+    Record,
     Tag,
     coequalizer,
     compose,
     coproduct,
     copair,
     fibers,
-    hash_once,
     identity,
     invert,
     mediate_coequalizer,
     morphism_predicates,
     product,
     pullback,
+    set_field,
 )
 from .stack import (
     QSMorphism,
@@ -77,9 +77,7 @@ def _identity_iso(objects, cert, i: int, j: int) -> QSMorphism:
     return check_qs_morphism(src, restrict(objects[j], cert.proj2), identity(src.total))
 
 
-@hash_once
-@dataclass(frozen=True, eq=True)
-class DescentDatum:
+class DescentDatum(Record):
     """Objects over the legs of a cover plus an overlap iso for every ordered
     pair of legs with a nonempty overlap, diagonal included (a non-mono leg
     has real self-overlap). Isos over empty overlaps are forced, not stored.
@@ -91,6 +89,11 @@ class DescentDatum:
     cover: CoveringFamily
     objects: tuple
     overlaps: dict
+
+    def __init__(self, cover, objects, overlaps):
+        set_field(self, "cover", cover)
+        set_field(self, "objects", objects)
+        set_field(self, "overlaps", overlaps)
 
     def overlap_iso(self, i: int, j: int) -> QSMorphism:
         """The stored iso, else the forced one over an empty overlap; raises
@@ -405,34 +408,35 @@ def pullback_datum(datum: DescentDatum, t: FinMap) -> DescentDatum:
 
 # ------------------------------------------------------------ verify-stack ---
 
-@dataclass
 class Corpus:
     """Test cases for the three stack conditions."""
 
-    effectiveness: list = field(default_factory=list)   # (datum, expected QSObject or None)
-    morphism_gluings: list = field(default_factory=list)  # (cover, x, y, locals, expected or None)
-    uniqueness_pairs: list = field(default_factory=list)  # (cover, m1, m2)
-    invalid_data: list = field(default_factory=list)       # data expected to be rejected
+    def __init__(self):
+        self.effectiveness = []      # (datum, expected QSObject or None)
+        self.morphism_gluings = []   # (cover, x, y, locals, expected or None)
+        self.uniqueness_pairs = []   # (cover, m1, m2)
+        self.invalid_data = []       # data expected to be rejected
 
 
-@dataclass
 class ConditionReport:
-    name: str
-    attempted: int = 0
-    passed: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.attempted = 0
+        self.passed = 0
+        self.failures = []
 
     @property
     def ok(self) -> bool:
         return self.passed == self.attempted
 
 
-@dataclass
 class StackReport:
-    effectiveness: ConditionReport
-    gluing: ConditionReport
-    uniqueness: ConditionReport
-    rejected: ConditionReport
+    def __init__(self, effectiveness: ConditionReport, gluing: ConditionReport,
+                 uniqueness: ConditionReport, rejected: ConditionReport):
+        self.effectiveness = effectiveness
+        self.gluing = gluing
+        self.uniqueness = uniqueness
+        self.rejected = rejected
 
     @property
     def ok(self) -> bool:

@@ -27,14 +27,20 @@ long-lived set such as `terminal()` or a group's carrier never collects
 entries for short-lived data, so a long run holds only what its live data
 can reach. `fn.cache_info()` reports the hits and misses of every call since
 import. A hit needs the same youngest object and equal other arguments.
+
+The certified records built on these (`FinGroup`, `GAction`, `Bundle`,
+`QSObject`, `CoveringFamily`, `DescentDatum`, ...) are `Record` subclasses:
+frozen, equal by their field tuple within one class, and hashed by the hash
+of that tuple, computed on first use and then kept. Each writes its own
+`__init__`, so importing the package generates and compiles no code; a
+`desc` process pays for interpreter start, this import and the site load
+before its first verdict.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
-import operator
 from typing import Iterable, NamedTuple, Union
 
 from .errors import (
@@ -220,26 +226,57 @@ def memo(holders=None):
     return decorate
 
 
-def hash_once(cls):
-    """Give a frozen dataclass a hash computed on first use and then kept.
+set_field = object.__setattr__   # how a record's own __init__ sets its fields
 
-    The value is the generated one, hash of the tuple of fields, so sets
-    and dicts keyed by these objects iterate in the same order as before.
+
+class Record:
+    """Base of the frozen records: a subclass annotates its fields, in order,
+    and writes an `__init__` that sets each with `set_field`.
+
+    Nothing is generated at import. A record has `__match_args__`, equality
+    by the field tuple between instances of the same class, a hash equal to
+    the hash of the field tuple, computed on first use and then kept in the
+    `_hash` slot, a `Name(field=value, ...)` repr unless it defines one, and
+    it raises AttributeError on assigning or deleting an attribute. A record
+    with an unhashable field is unhashable.
     """
-    names = [f.name for f in dataclasses.fields(cls)]
-    getter = operator.attrgetter(*names)
-    fields = getter if len(names) > 1 else lambda self: (getter(self),)
+
+    __slots__ = ("_hash", "__dict__", "__weakref__")
+
+    def __init_subclass__(cls):
+        names = cls.__dict__.get("__annotations__")
+        if names:   # else a subclass of a record, with its fields
+            cls.__match_args__ = tuple(names)
+
+    def __eq__(self, other):
+        # the instance dict holds exactly the fields
+        if other.__class__ is self.__class__:
+            return self is other or self.__dict__ == other.__dict__
+        return NotImplemented
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(fields(self))
-            object.__setattr__(self, "_hash", h)
-        return h
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, n) for n in self.__match_args__))
+            set_field(self, "_hash", h)
+            return h
 
-    cls._hash = None
-    cls.__hash__ = __hash__
-    return cls
+    def __getstate__(self):
+        # what copy.copy restores: the fields, into the instance dict; the
+        # cached hash is left out, since restoring its slot would go
+        # through the frozen __setattr__
+        return self.__dict__
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 @memo()

@@ -14,7 +14,6 @@ back yields the same declarations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from .action import (
     EquivariantMap,
@@ -35,7 +34,15 @@ from .errors import (
     UnresolvedReference,
     ValidationError,
 )
-from .finset import FinMap, FinSet, format_atom, product, terminal
+from .finset import (
+    FinMap,
+    FinSet,
+    Record,
+    format_atom,
+    product,
+    set_field,
+    terminal,
+)
 from .stack import (
     QSObject,
     QuotientStack,
@@ -49,13 +56,16 @@ from .stack import (
 from .topology import CoveringFamily, point_cover
 
 
-@dataclass(frozen=True)
-class BundleCandidate:
+class BundleCandidate(Record):
     """A declared would-be bundle: an action with an equivariant map down to
     a trivially acted base. Whether it is principal is check-bundle's call."""
 
     total: GAction
     proj: EquivariantMap
+
+    def __init__(self, total, proj):
+        set_field(self, "total", total)
+        set_field(self, "proj", proj)
 
     @property
     def group(self) -> FinGroup:
@@ -66,8 +76,7 @@ class BundleCandidate:
         return self.proj.map.dst
 
 
-@dataclass(frozen=True)
-class GluingCase:
+class GluingCase(Record):
     """A glue-morphisms problem: locals between two objects' restrictions."""
 
     cover: CoveringFamily
@@ -75,27 +84,34 @@ class GluingCase:
     dst: QSObject
     locals_: tuple
 
+    def __init__(self, cover, src, dst, locals_):
+        set_field(self, "cover", cover)
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+        set_field(self, "locals_", locals_)
 
-@dataclass(frozen=True)
-class ClassifyTask:
+
+class ClassifyTask(Record):
     group: FinGroup
     base: FinSet
 
+    def __init__(self, group, base):
+        set_field(self, "group", group)
+        set_field(self, "base", base)
 
-@dataclass
+
 class Decl:
-    kind: str
-    name: str
-    value: object
-    refs: dict = field(default_factory=dict)
+    def __init__(self, kind: str, name: str, value, refs: dict):
+        self.kind = kind
+        self.name = name
+        self.value = value
+        self.refs = refs
 
 
-@dataclass
 class SiteFile:
-    decls: list
-
-    def __post_init__(self):
-        self.env = {d.name: d for d in self.decls}
+    def __init__(self, decls: list):
+        self.decls = decls
+        self.env = {d.name: d for d in decls}
 
     def by_kind(self, kind: str):
         return [d for d in self.decls if d.kind == kind]

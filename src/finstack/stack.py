@@ -6,7 +6,6 @@ computed isos, not assumptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .action import (
@@ -30,11 +29,11 @@ from .errors import BaseMismatch, TriangleFail
 from .finset import (
     FinMap,
     FinSet,
+    Record,
     atom_key,
     bang,
     compose,
     fiber,
-    hash_once,
     identity,
     invert,
     mediate_pullback,
@@ -42,18 +41,21 @@ from .finset import (
     pair_map,
     product,
     pullback,
+    set_field,
     terminal,
 )
 
 
-@hash_once
-@dataclass(frozen=True, eq=True)
-class QuotientStack:
+class QuotientStack(Record):
     """The stack handle: a group acting on a space, over the canonical
     topology."""
 
     group: FinGroup
     x_action: GAction
+
+    def __init__(self, group, x_action):
+        set_field(self, "group", group)
+        set_field(self, "x_action", x_action)
 
     @property
     def space(self) -> FinSet:
@@ -65,14 +67,16 @@ def classifying_stack(group: FinGroup) -> QuotientStack:
     return QuotientStack(group, trivial_action(group, terminal()))
 
 
-@hash_once
-@dataclass(frozen=True, eq=True)
-class QSObject:
+class QSObject(Record):
     """An object of [X/G] over its base: a bundle P -> Y with an
     equivariant alpha : P -> X."""
 
     bundle: Bundle
     alpha: EquivariantMap
+
+    def __init__(self, bundle, alpha):
+        set_field(self, "bundle", bundle)
+        set_field(self, "alpha", alpha)
 
     @property
     def base(self) -> FinSet:
@@ -98,14 +102,17 @@ def check_qs_object(bundle: Bundle, alpha: FinMap, x_action: GAction) -> QSObjec
     return QSObject(bundle, eq)
 
 
-@hash_once
-@dataclass(frozen=True, eq=True)
-class QSMorphism:
+class QSMorphism(Record):
     """A bundle morphism whose map also commutes with the alphas."""
 
     src: QSObject
     dst: QSObject
     bundle_morphism: BundleMorphism
+
+    def __init__(self, src, dst, bundle_morphism):
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+        set_field(self, "bundle_morphism", bundle_morphism)
 
     @property
     def fn(self) -> FinMap:
@@ -214,13 +221,17 @@ def epsilon_component(obj: QSObject, f: FinMap, g: FinMap) -> QSMorphism:
     return check_qs_morphism(src, restrict(restricted, g), fwd)
 
 
-@dataclass(frozen=True, eq=True)
-class CoherenceCell:
+class CoherenceCell(Record):
     """A family of verified canonical isos, with its naturality evidence."""
 
     kind: str
     components: tuple
     naturality_squares: int
+
+    def __init__(self, kind, components, naturality_squares):
+        set_field(self, "kind", kind)
+        set_field(self, "components", components)
+        set_field(self, "naturality_squares", naturality_squares)
 
 
 def coherence_iota(base: FinSet, objects, morphisms=()) -> CoherenceCell:
@@ -300,8 +311,7 @@ def qs_isomorphism(a: QSObject, b: QSObject) -> Optional[FinMap]:
     return gset_isomorphism_over(a.bundle.total, b.bundle.total, pa, pb)
 
 
-@dataclass(frozen=True, eq=True)
-class ClassifyingReport:
+class ClassifyingReport(Record):
     """Evidence that [T/G](Y) and Bun_G(Y) agree on the enumerated corpus."""
 
     n_bundles: int
@@ -310,6 +320,15 @@ class ClassifyingReport:
     aut_trivial: int
     hom_pairs_checked: int
     hom_counts_equal: bool
+
+    def __init__(self, n_bundles, n_objects, iso_classes, aut_trivial,
+                 hom_pairs_checked, hom_counts_equal):
+        set_field(self, "n_bundles", n_bundles)
+        set_field(self, "n_objects", n_objects)
+        set_field(self, "iso_classes", iso_classes)
+        set_field(self, "aut_trivial", aut_trivial)
+        set_field(self, "hom_pairs_checked", hom_pairs_checked)
+        set_field(self, "hom_counts_equal", hom_counts_equal)
 
 
 def bundle_isomorphic(a: Bundle, b: Bundle) -> bool:

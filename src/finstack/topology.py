@@ -18,28 +18,26 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import BoundExceeded, CoverNotCanonical, TargetMismatch
 from .finset import (
     FinMap,
     FinSet,
+    Record,
     coequalizer,
     compose,
     coproduct,
     copair,
     fiber,
-    hash_once,
     mediate_coequalizer,
     morphism_predicates,
     pullback,
+    set_field,
 )
 
 
-@hash_once
-@dataclass(frozen=True, eq=True)
-class CoveringFamily:
+class CoveringFamily(Record):
     """A finite family of maps into a common target.
 
     May be empty; over the canonical topology the empty family only covers
@@ -54,8 +52,8 @@ class CoveringFamily:
         for i, f in enumerate(legs):
             if f.dst != target:
                 raise TargetMismatch(f"leg {i} has target {f.dst!r}, expected {target!r}")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "legs", legs)
+        set_field(self, "target", target)
+        set_field(self, "legs", legs)
 
     def __len__(self):
         return len(self.legs)
@@ -69,11 +67,13 @@ def point_cover(target: FinSet) -> CoveringFamily:
         target, [FinMap(t, target, {"*": x}) for x in target])
 
 
-@dataclass(frozen=True, eq=True)
-class GeneratedSieve:
+class GeneratedSieve(Record):
     """The sieve generated by a covering family, kept intensionally."""
 
     family: CoveringFamily
+
+    def __init__(self, family):
+        set_field(self, "family", family)
 
     @property
     def target(self):

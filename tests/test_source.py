@@ -1,6 +1,8 @@
 """Source-level guarantees that the suite keeps from regressing."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,23 @@ def test_caches_are_bounded():
                 if info().maxsize is None:
                     unbounded.append(f"{path.stem}.{name}")
     assert unbounded == []
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_dataclasses_import(module):
+    # the certified records are finset.record classes: dataclasses would
+    # generate and exec their methods at every start of desc
+    path = SRC / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "dataclasses" not in imported, f"{path.name} imports dataclasses"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import finstack.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

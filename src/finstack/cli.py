@@ -136,10 +136,7 @@ def _cmd_glue_morphisms(site, args):
         try:
             eta = glue_morphisms(case.cover, case.src, case.dst, case.locals_)
             out.append(_check(d.name, "ok", f"glued on {len(eta.fn.src)} atoms"))
-        except OverlapMismatch as err:
-            out.append(_check(d.name, "fail", str(err),
-                              error=err.kind(), witness=err.payload()))
-        except CoverNotCanonical as err:
+        except (OverlapMismatch, CoverNotCanonical) as err:
             out.append(_check(d.name, "fail", str(err),
                               error=err.kind(), witness=err.payload()))
     return out

@@ -14,6 +14,7 @@ back yields the same declarations.
 
 from __future__ import annotations
 
+import re
 
 from .action import (
     EquivariantMap,
@@ -122,243 +123,232 @@ class SiteFile:
 
 # ---------------------------------------------------------------- tokenizer
 
-_PUNCT = ("{", "}", "[", "]", "(", ")", ",", "=", ":", "*")
+# One match per token, layout run or comment; only a token fills the group:
+# a run of decimal digits (INT), a word that starts with no decimal digit
+# (IDENT if it starts with a letter or "_"), "->", or any other character,
+# which the alphabet check accepts only as punctuation.
+_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|(\d+|[^\W\d]\w*|->|.)")
+_SYMBOLS = frozenset(("{", "}", "[", "]", "(", ")", ",", "=", ":", "*", "->"))
+# tokens that cannot start an atom; "" is EOF
+_NOT_ATOM = frozenset(("{", "}", "[", "]", ")", ",", "=", ":", "->", ""))
 
 
-class _Token:
-    __slots__ = ("type", "value", "line", "col")
+def _tokenize(text: str) -> tuple:
+    """The token strings of `text` followed by "" for EOF, and the value of
+    each distinct INT spelling among them. The alphabet is checked before
+    anything is parsed, so the first stray character is reported before any
+    parse error."""
+    toks = list(filter(None, _TOKEN.findall(text)))
+    ints, bad = {}, []
+    for t in set(toks):
+        if t.isdecimal():
+            ints[t] = int(t)
+        elif not (t in _SYMBOLS or t[0].isalpha() or t[0] == "_"):
+            bad.append(t)
+    if bad:
+        at = min(map(toks.index, bad))
+        c = toks[at][0]
+        message = "stray '-'" if c == "-" else f"unexpected character {c!r}"
+        raise SiteSyntaxError(message, *_where(text, at))
+    toks.append("")
+    return toks, ints
 
-    def __init__(self, type_, value, line, col):
-        self.type = type_
-        self.value = value
-        self.line = line
-        self.col = col
 
-
-def _tokenize(text: str):
-    toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                toks.append(_Token("ARROW", "->", line, col))
-                i += 2
-                col += 2
-                continue
-            raise SiteSyntaxError("stray '-'", line, col)
-        if c in _PUNCT:
-            toks.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("INT", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise SiteSyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("EOF", None, line, col))
-    return toks
+def _where(text: str, index: int) -> tuple:
+    """(line, column) of token `index`, rescanning `text` up to it. EOF sits
+    at the end of the text, or at the start of a final unterminated comment."""
+    offset = len(text)
+    for m in _TOKEN.finditer(text):
+        if m.group(1):
+            if index == 0:
+                offset = m.start()
+                break
+            index -= 1
+        elif m.end() == len(text) and m.group().startswith("#"):
+            offset = m.start()
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 # ------------------------------------------------------------------- parser
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks, self.ints = _tokenize(text)
         self.pos = 0
+        self.name_at = 0  # token index of the current declaration's name
         self.decls: list = []
         self.env: dict = {}
 
     # token plumbing
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def error(self, message: str, at: int) -> SiteSyntaxError:
+        return SiteSyntaxError(message, *_where(self.text, at))
 
-    def advance(self) -> _Token:
+    def unexpected(self, wanted: str, at: int) -> SiteSyntaxError:
+        t = self.toks[at]
+        shown = self.ints.get(t, t) if t else None  # EOF shows as None
+        return self.error(f"expected {wanted}, got {shown!r}", at)
+
+    def expect(self, symbol: str) -> None:
+        """Consume punctuation or "->" (named 'ARROW' in messages)."""
+        if self.toks[self.pos] != symbol:
+            raise self.unexpected(repr("ARROW" if symbol == "->" else symbol), self.pos)
+        self.pos += 1
+
+    def ident(self) -> str:
         t = self.toks[self.pos]
+        if not t or t in _SYMBOLS or t in self.ints:
+            raise self.unexpected("'IDENT'", self.pos)
         self.pos += 1
         return t
 
-    def expect(self, type_: str) -> _Token:
-        t = self.advance()
-        if t.type != type_:
-            raise SiteSyntaxError(f"expected {type_!r}, got {t.value!r}", t.line, t.col)
-        return t
-
-    def ident(self) -> str:
-        return self.expect("IDENT").value
+    def integer(self) -> int:
+        v = self.ints.get(self.toks[self.pos])
+        if v is None:
+            raise self.unexpected("'INT'", self.pos)
+        self.pos += 1
+        return v
 
     def keyword(self, word: str) -> None:
-        t = self.advance()
-        if t.type != "IDENT" or t.value != word:
-            raise SiteSyntaxError(f"expected {word!r}, got {t.value!r}", t.line, t.col)
+        if self.toks[self.pos] != word:
+            raise self.unexpected(repr(word), self.pos)
+        self.pos += 1
 
     def at(self, word: str) -> bool:
-        t = self.peek()
-        return t.type == "IDENT" and t.value == word
+        return self.toks[self.pos] == word
 
     # atoms and tables
 
     def atom(self):
-        t = self.advance()
-        if t.type == "INT":
-            return t.value
-        if t.type == "IDENT":
-            return t.value
-        if t.type == "*":
-            return "*"
-        if t.type == "(":
+        t = self.toks[self.pos]
+        self.pos += 1
+        if t == "(":
             a = self.atom()
             self.expect(",")
             b = self.atom()
             self.expect(")")
             return (a, b)
-        raise SiteSyntaxError(f"expected an atom, got {t.value!r}", t.line, t.col)
+        v = self.ints.get(t)
+        if v is not None:
+            return v
+        if t in _NOT_ATOM:
+            raise self.unexpected("an atom", self.pos - 1)
+        return t
 
     def atom_list(self):
         self.expect("{")
+        toks = self.toks
         out = []
-        while self.peek().type != "}":
+        while toks[self.pos] != "}":
             out.append(self.atom())
-        self.expect("}")
+        self.pos += 1
         return out
 
     def table(self):
         """{ atom -> atom ... } as a raw dict, duplicate keys rejected."""
-        t0 = self.expect("{")
+        start = self.pos
+        self.expect("{")
+        toks = self.toks
         out = {}
-        while self.peek().type != "}":
+        while toks[self.pos] != "}":
             k = self.atom()
-            self.expect("ARROW")
+            self.expect("->")
             v = self.atom()
             if k in out:
-                raise SiteSyntaxError(f"duplicate entry for {format_atom(k)}",
-                                      t0.line, t0.col)
+                raise self.error(f"duplicate entry for {format_atom(k)}", start)
             out[k] = v
-        self.expect("}")
+        self.pos += 1
         return out
 
     # symbol table
 
-    def define(self, kind: str, name: str, value, refs=None, where=None) -> Decl:
+    def define(self, kind: str, name: str, value, refs=None) -> Decl:
         if name in self.env:
-            line, col = where if where else (0, 0)
-            raise SiteSyntaxError(f"name {name!r} is already declared", line, col)
+            raise self.error(f"name {name!r} is already declared", self.name_at)
         d = Decl(kind, name, value, refs or {})
         self.env[name] = d
         self.decls.append(d)
         return d
 
-    def lookup(self, name: str, kinds, where) -> Decl:
+    def ref(self, kinds):
+        at = self.pos
+        name = self.ident()
         d = self.env.get(name)
         if d is None or d.kind not in kinds:
-            raise UnresolvedReference(name, where[0], where[1])
-        return d
+            raise UnresolvedReference(name, *_where(self.text, at))
+        return d, name
 
     def set_ref(self) -> tuple:
         """A set-position reference: T, a set name, or a group's carrier."""
-        t = self.expect("IDENT")
-        if t.value == "T" and "T" not in self.env:
+        if self.at("T") and "T" not in self.env:
+            self.pos += 1
             return terminal(), "T"
-        d = self.lookup(t.value, ("set", "group"), (t.line, t.col))
+        d, name = self.ref(("set", "group"))
         space = d.value.carrier if d.kind == "group" else d.value
-        return space, t.value
-
-    def ref(self, kinds):
-        t = self.expect("IDENT")
-        return self.lookup(t.value, kinds, (t.line, t.col)), t.value
+        return space, name
 
     # declarations
 
     def parse(self) -> SiteFile:
-        while self.peek().type != "EOF":
-            t = self.peek()
-            if t.type != "IDENT":
-                raise SiteSyntaxError(f"expected a declaration, got {t.value!r}",
-                                      t.line, t.col)
-            handler = getattr(self, f"decl_{t.value}", None)
+        toks = self.toks
+        while toks[self.pos]:
+            t = toks[self.pos]
+            if t in _SYMBOLS or t in self.ints:
+                raise self.unexpected("a declaration", self.pos)
+            handler = getattr(self, f"decl_{t}", None)
             if handler is None:
-                raise SiteSyntaxError(f"unknown declaration {t.value!r}", t.line, t.col)
-            self.advance()
+                raise self.error(f"unknown declaration {t!r}", self.pos)
+            self.pos += 1
+            self.name_at = self.pos
             handler()
         return SiteFile(self.decls)
 
-    def _build(self, name, where, builder):
+    def _build(self, name, builder):
         try:
             return builder()
         except (FinstackError, ValueError, KeyError) as err:
             raise ValidationError(name, err) from err
 
     def decl_set(self):
-        t = self.expect("IDENT")
+        name = self.ident()
         self.expect("=")
         atoms = self.atom_list()
-        value = self._build(t.value, t, lambda: FinSet(atoms))
-        if len(value) != len(atoms):
-            raise SiteSyntaxError(f"set {t.value!r} repeats an atom", t.line, t.col)
-        self.define("set", t.value, value, where=(t.line, t.col))
+        self.define("set", name, self._build(name, lambda: FinSet(atoms)))
 
     def decl_map(self):
-        t = self.expect("IDENT")
+        name = self.ident()
         self.expect(":")
         src, src_name = self.set_ref()
-        self.expect("ARROW")
+        self.expect("->")
         dst, dst_name = self.set_ref()
         self.expect("=")
         tbl = self.table()
-        value = self._build(t.value, t, lambda: FinMap(src, dst, tbl))
-        self.define("map", t.value, value,
-                    {"src": src_name, "dst": dst_name}, (t.line, t.col))
+        value = self._build(name, lambda: FinMap(src, dst, tbl))
+        self.define("map", name, value, {"src": src_name, "dst": dst_name})
 
     def decl_group(self):
-        t = self.expect("IDENT")
+        name = self.ident()
         self.expect("{")
         self.keyword("elements")
         elements = self.atom_list()
         self.keyword("table")
         self.expect("[")
         rows = []
-        while self.peek().type != "]":
+        while self.toks[self.pos] != "]":
             self.expect("[")
             row = []
-            while self.peek().type != "]":
+            while self.toks[self.pos] != "]":
                 row.append(self.atom())
             self.expect("]")
             rows.append(row)
         self.expect("]")
         self.expect("}")
-        value = self._build(t.value, t, lambda: group_from_table(elements, rows))
-        self.define("group", t.value, value, where=(t.line, t.col))
+        value = self._build(name, lambda: group_from_table(elements, rows))
+        self.define("group", name, value)
 
     def decl_action(self):
-        t = self.expect("IDENT")
+        name = self.ident()
         self.expect("{")
         self.keyword("group")
         gd, g_name = self.ref(("group",))
@@ -366,13 +356,13 @@ class _Parser:
         self.keyword("space")
         space, s_name = self.set_ref()
         if self.at("trivial"):
-            self.advance()
-            value = self._build(t.value, t, lambda: trivial_action(group, space))
+            self.pos += 1
+            value = self._build(name, lambda: trivial_action(group, space))
         elif self.at("regular"):
-            self.advance()
+            self.pos += 1
             if space != group.carrier:
                 raise ValidationError(
-                    t.value, ValueError("regular needs the group itself as the space"))
+                    name, ValueError("regular needs the group itself as the space"))
             value = regular_action(group)
         else:
             self.keyword("table")
@@ -380,13 +370,12 @@ class _Parser:
             def build():
                 prod = product(group.carrier, space)
                 return check_action(group, space, FinMap(prod.space, space, tbl))
-            value = self._build(t.value, t, build)
+            value = self._build(name, build)
         self.expect("}")
-        self.define("action", t.value, value,
-                    {"group": g_name, "space": s_name}, (t.line, t.col))
+        self.define("action", name, value, {"group": g_name, "space": s_name})
 
     def decl_equivariant(self):
-        t = self.expect("IDENT")
+        name = self.ident()
         self.expect("{")
         self.keyword("src")
         sd, s_name = self.ref(("action",))
@@ -398,21 +387,20 @@ class _Parser:
         def build():
             fm = FinMap(sd.value.space, dd.value.space, tbl)
             return check_equivariant(fm, sd.value, dd.value)
-        value = self._build(t.value, t, build)
-        self.define("equivariant", t.value, value,
-                    {"src": s_name, "dst": d_name}, (t.line, t.col))
+        value = self._build(name, build)
+        self.define("equivariant", name, value, {"src": s_name, "dst": d_name})
 
     def decl_stack(self):
-        t = self.expect("IDENT")
+        name = self.ident()
         self.expect("{")
         self.keyword("group")
         gd, g_name = self.ref(("group",))
         if self.at("classifying"):
-            self.advance()
+            self.pos += 1
             self.expect("}")
-            value = self._build(t.value, t, lambda: classifying_stack(gd.value))
-            self.define("stack", t.value, value,
-                        {"group": g_name, "classifying": True}, (t.line, t.col))
+            value = self._build(name, lambda: classifying_stack(gd.value))
+            self.define("stack", name, value,
+                        {"group": g_name, "classifying": True})
             return
         self.keyword("space")
         space, s_name = self.set_ref()
@@ -422,22 +410,22 @@ class _Parser:
         act = ad.value
         if act.group != gd.value or act.space != space:
             raise ValidationError(
-                t.value, ValueError("the action does not match the group and space"))
-        self.define("stack", t.value, QuotientStack(gd.value, act),
+                name, ValueError("the action does not match the group and space"))
+        self.define("stack", name, QuotientStack(gd.value, act),
                     {"group": g_name, "classifying": False,
-                     "space": s_name, "action": a_name}, (t.line, t.col))
+                     "space": s_name, "action": a_name})
 
     def decl_bundle(self):
-        t = self.expect("IDENT")
+        name = self.ident()
         self.expect("{")
         if self.at("trivial"):
-            self.advance()
+            self.pos += 1
             self.keyword("group")
             gd, g_name = self.ref(("group",))
             self.keyword("base")
             base, b_name = self.set_ref()
             self.expect("}")
-            self._materialize_trivial(t, gd.value, g_name, base, b_name)
+            self._materialize_trivial(name, gd.value, g_name, base, b_name)
             return
         self.keyword("action")
         ad, a_name = self.ref(("action",))
@@ -449,68 +437,64 @@ class _Parser:
             eq = check_equivariant(pd.value, ad.value,
                                    trivial_action(ad.value.group, base))
             return BundleCandidate(ad.value, eq)
-        value = self._build(t.value, t, build)
-        self.define("bundle", t.value, value,
-                    {"action": a_name, "proj": p_name}, (t.line, t.col))
+        value = self._build(name, build)
+        self.define("bundle", name, value, {"action": a_name, "proj": p_name})
 
-    def _materialize_trivial(self, t, group, g_name, base, b_name):
+    def _materialize_trivial(self, name, group, g_name, base, b_name):
         """Expand `bundle B { trivial group G base Y }` into the product-set,
         action, projection and bundle declarations it abbreviates."""
-        where = (t.line, t.col)
         prod = product(group.carrier, base)
-        total_name = f"{t.value}_total"
-        act_name = f"{t.value}_act"
-        proj_name = f"{t.value}_proj"
-        self.define("set", total_name, prod.space, where=where)
-        act = self._build(t.value, t, lambda: product_action(group, base))
+        total_name = f"{name}_total"
+        act_name = f"{name}_act"
+        proj_name = f"{name}_proj"
+        self.define("set", total_name, prod.space)
+        act = self._build(name, lambda: product_action(group, base))
         self.define("action", act_name, act,
-                    {"group": g_name, "space": total_name}, where)
+                    {"group": g_name, "space": total_name})
         self.define("map", proj_name, prod.proj2,
-                    {"src": total_name, "dst": b_name}, where)
-        eq = self._build(t.value, t,
-                         lambda: check_equivariant(
-                             prod.proj2, act, trivial_action(group, base)))
-        self.define("bundle", t.value, BundleCandidate(act, eq),
-                    {"action": act_name, "proj": proj_name}, where)
+                    {"src": total_name, "dst": b_name})
+        eq = self._build(name, lambda: check_equivariant(
+            prod.proj2, act, trivial_action(group, base)))
+        self.define("bundle", name, BundleCandidate(act, eq),
+                    {"action": act_name, "proj": proj_name})
 
     def decl_cover(self):
-        t = self.expect("IDENT")
+        name = self.ident()
         self.expect("{")
         self.keyword("target")
         target, target_name = self.set_ref()
         if self.at("points"):
-            self.advance()
+            self.pos += 1
             self.expect("}")
             if "T" in self.env and self.env["T"].value != terminal():
-                raise SiteSyntaxError(
+                raise self.error(
                     "points sugar needs the name T to stay the one-point set",
-                    t.line, t.col)
+                    self.name_at)
             fam = point_cover(target)
             leg_names = []
             for k, leg in enumerate(fam.legs):
-                nm = f"{t.value}_pt{k}"
-                self.define("map", nm, leg, {"src": "T", "dst": target_name},
-                            (t.line, t.col))
+                nm = f"{name}_pt{k}"
+                self.define("map", nm, leg, {"src": "T", "dst": target_name})
                 leg_names.append(nm)
-            self.define("cover", t.value, fam,
-                        {"target": target_name, "legs": leg_names}, (t.line, t.col))
+            self.define("cover", name, fam,
+                        {"target": target_name, "legs": leg_names})
             return
         self.keyword("legs")
         self.expect("[")
         leg_names = []
         legs = []
-        while self.peek().type != "]":
+        while self.toks[self.pos] != "]":
             d, nm = self.ref(("map",))
             leg_names.append(nm)
             legs.append(d.value)
         self.expect("]")
         self.expect("}")
-        value = self._build(t.value, t, lambda: CoveringFamily(target, legs))
-        self.define("cover", t.value, value,
-                    {"target": target_name, "legs": leg_names}, (t.line, t.col))
+        value = self._build(name, lambda: CoveringFamily(target, legs))
+        self.define("cover", name, value,
+                    {"target": target_name, "legs": leg_names})
 
     def decl_qsobject(self):
-        t = self.expect("IDENT")
+        name = self.ident()
         self.expect("{")
         self.keyword("stack")
         sd, s_name = self.ref(("stack",))
@@ -520,11 +504,11 @@ class _Parser:
         stack: QuotientStack = sd.value
         cand: BundleCandidate = bd.value
         if self.at("bang"):
-            self.advance()
+            self.pos += 1
             alpha_ref = "bang"
             if len(stack.space) != 1:
                 raise ValidationError(
-                    t.value, ValueError("alpha bang needs a one-point space"))
+                    name, ValueError("alpha bang needs a one-point space"))
             pt = stack.space.elements[0]
             alpha = FinMap(cand.total.space, stack.space,
                            {p: pt for p in cand.total.space})
@@ -540,13 +524,12 @@ class _Parser:
                 raise ValueError(
                     f"not a bundle: fiber over {format_atom(b.base_atom)} {b.reason}")
             return check_qs_object(b, alpha, stack.x_action)
-        value = self._build(t.value, t, build)
-        self.define("qsobject", t.value, value,
-                    {"stack": s_name, "bundle": b_name, "alpha": alpha_ref},
-                    (t.line, t.col))
+        value = self._build(name, build)
+        self.define("qsobject", name, value,
+                    {"stack": s_name, "bundle": b_name, "alpha": alpha_ref})
 
     def decl_datum(self):
-        t = self.expect("IDENT")
+        name = self.ident()
         self.expect("=")
         self.keyword("restrict")
         od, o_name = self.ref(("qsobject",))
@@ -554,11 +537,11 @@ class _Parser:
         cd, c_name = self.ref(("cover",))
         twist = None
         if self.at("twist"):
-            self.advance()
+            self.pos += 1
             self.expect("(")
-            i = self.expect("INT").value
+            i = self.integer()
             self.expect(",")
-            j = self.expect("INT").value
+            j = self.integer()
             self.expect(")")
             self.keyword("by")
             k = self.atom()
@@ -576,12 +559,12 @@ class _Parser:
             twisted = dict(datum.overlaps)
             twisted[(i, j)] = compose_qs(constant_gauge(phi.dst, k), phi)
             return DescentDatum(datum.cover, datum.objects, twisted)
-        value = self._build(t.value, t, build)
-        self.define("datum", t.value, value,
-                    {"obj": o_name, "cover": c_name, "twist": twist}, (t.line, t.col))
+        value = self._build(name, build)
+        self.define("datum", name, value,
+                    {"obj": o_name, "cover": c_name, "twist": twist})
 
     def decl_gluing(self):
-        t = self.expect("IDENT")
+        name = self.ident()
         self.expect("{")
         self.keyword("cover")
         cd, c_name = self.ref(("cover",))
@@ -592,7 +575,7 @@ class _Parser:
         self.keyword("locals")
         self.expect("[")
         tables = []
-        while self.peek().type != "]":
+        while self.toks[self.pos] != "]":
             tables.append(self.table())
         self.expect("]")
         self.expect("}")
@@ -607,20 +590,20 @@ class _Parser:
                 locals_.append(check_qs_morphism(
                     src, dst, FinMap(src.total, dst.total, tbl)))
             return GluingCase(cover, xd.value, yd.value, tuple(locals_))
-        value = self._build(t.value, t, build)
-        self.define("gluing", t.value, value,
-                    {"cover": c_name, "src": x_name, "dst": y_name}, (t.line, t.col))
+        value = self._build(name, build)
+        self.define("gluing", name, value,
+                    {"cover": c_name, "src": x_name, "dst": y_name})
 
     def decl_classify(self):
-        t = self.expect("IDENT")
+        name = self.ident()
         self.expect("{")
         self.keyword("group")
         gd, g_name = self.ref(("group",))
         self.keyword("base")
         base, b_name = self.set_ref()
         self.expect("}")
-        self.define("classify", t.value, ClassifyTask(gd.value, base),
-                    {"group": g_name, "base": b_name}, (t.line, t.col))
+        self.define("classify", name, ClassifyTask(gd.value, base),
+                    {"group": g_name, "base": b_name})
 
 
 def parse_site(text: str) -> SiteFile:

@@ -71,6 +71,18 @@ def test_undecodable_site_file_is_bad_input(capsys, tmp_path):
     assert "desc: error:" in err
 
 
+def test_non_decimal_digit_is_bad_input(capsys, tmp_path):
+    site = tmp_path / "superscript.site"
+    site.write_text("set Y = { \u00b2 }\n", encoding="utf-8")
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "check-cover", site, "--report", path)
+    assert code == 2
+    assert "unexpected character" in err
+    rep = json.loads(path.read_text())
+    assert rep["error"]["kind"] == "SiteSyntaxError"
+    assert (rep["error"]["payload"]["line"], rep["error"]["payload"]["col"]) == (1, 11)
+
+
 def test_nothing_to_check(capsys):
     code, out, err = run(capsys, "classify", SITES / "z2_demo.site")
     assert code == 0

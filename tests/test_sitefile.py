@@ -1,6 +1,7 @@
 """The site-file language: tokenizing, declarations, sugar, validation at
 load, and the canonical printer's round trip."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,8 @@ from finstack.sitefile import (
     BundleCandidate,
     ClassifyTask,
     GluingCase,
+    _tokenize,
+    _where,
     format_site,
     load_site,
     parse_site,
@@ -87,8 +90,51 @@ def test_stray_dash_is_rejected():
 
 
 def test_duplicate_names_are_rejected():
-    with pytest.raises(SiteSyntaxError):
+    with pytest.raises(SiteSyntaxError) as exc:
         parse_site("set A = { x }\nset A = { y }\n")
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "name 'A' is already declared", 2, 5)
+
+
+def test_duplicate_atoms_fail_validation():
+    with pytest.raises(ValidationError) as exc:
+        parse_site("set A = { x x }\n")
+    assert exc.value.decl == "A"
+    assert str(exc.value.cause) == "duplicate atom x"
+
+
+@pytest.mark.parametrize("text,col", [("set A = { \u00b2 }\n", 11),
+                                      ("set A = { 1\u00b2 }\n", 12)])
+def test_non_decimal_digit_is_a_syntax_error(text, col):
+    with pytest.raises(SiteSyntaxError) as exc:
+        parse_site(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "unexpected character '\u00b2'", 1, col)
+
+
+def test_decimal_digits_of_any_script_read_as_int():
+    assert parse_site("set A = { \u0661 }\n")["A"].value == FinSet((1,))
+
+
+def test_identifiers_spelled_like_token_kinds_stay_identifiers():
+    site = parse_site("set INT = { IDENT EOF ARROW INT }\n")
+    assert site["INT"].value == FinSet(("ARROW", "EOF", "IDENT", "INT"))
+    demo = (SITES / "stack_demo.site").read_text(encoding="utf-8")
+    with pytest.raises(SiteSyntaxError) as exc:
+        parse_site(demo + "datum X = restrict O over C twist (INT , 0) by 1\n")
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "expected 'INT', got 'INT'", demo.count("\n") + 1, 36)
+    with pytest.raises(SiteSyntaxError) as exc:
+        parse_site("set A = { x y }\nmap f : A -> A = { x ARROW y }\n")
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "expected 'ARROW', got 'ARROW'", 2, 22)
+
+
+def test_eof_after_a_trailing_comment_sits_at_the_comment():
+    with pytest.raises(SiteSyntaxError) as exc:
+        parse_site("set A = { x  # open")
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "expected an atom, got None", 1, 14)
 
 
 def test_unresolved_reference_names_culprit():
@@ -195,3 +241,152 @@ def test_round_trip_all_fixtures(name):
     again = parse_site(printed)
     assert shape(again) == shape(site)
     assert format_site(again) == printed  # idempotent
+
+
+# ------------------------------------------------------------- reader
+
+# The character scanner the regex reader replaced, kept as its reference:
+# one token object per token, with the line and column kept by hand.
+
+class _Token:
+    __slots__ = ("type", "value", "line", "col")
+
+    def __init__(self, type_, value, line, col):
+        self.type = type_
+        self.value = value
+        self.line = line
+        self.col = col
+
+
+_PUNCT = ("{", "}", "[", "]", "(", ")", ",", "=", ":", "*")
+
+
+def reference_tokenize(text: str):
+    toks = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == "-":
+            if i + 1 < n and text[i + 1] == ">":
+                toks.append(_Token("ARROW", "->", line, col))
+                i += 2
+                col += 2
+                continue
+            raise SiteSyntaxError("stray '-'", line, col)
+        if c in _PUNCT:
+            toks.append(_Token(c, c, line, col))
+            i += 1
+            col += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(_Token("INT", int(text[i:j]), line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(_Token("IDENT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise SiteSyntaxError(f"unexpected character {c!r}", line, col)
+    toks.append(_Token("EOF", None, line, col))
+    return toks
+
+
+def read_reference(text):
+    try:
+        toks = reference_tokenize(text)
+    except SiteSyntaxError as err:
+        return ("error", err.message, err.line, err.col)
+    return ("ok", [(type(t.value), t.value, t.line, t.col) for t in toks])
+
+
+def read(text):
+    """The regex reader's tokens as (value type, value, line, column), the
+    value shown as the parser reads it: INT as an int, EOF as None."""
+    try:
+        toks, ints = _tokenize(text)
+    except SiteSyntaxError as err:
+        return ("error", err.message, err.line, err.col)
+    values = [ints.get(t, t) if t else None for t in toks]
+    return ("ok", [(type(v), v, *_where(text, i)) for i, v in enumerate(values)])
+
+
+# characters the mutations draw from: layout, comment, the arrow's halves,
+# punctuation, a non-decimal digit, a non-ASCII decimal digit, a non-ASCII
+# letter, and two blanks that are not layout
+MUTATION_CHARS = [" ", "\t", "\r", "\n", "#", "-", ">", *_PUNCT,
+                  "\u00b2", "\u0661", "\u00e9", "\f", "\xa0"]
+
+
+def mutations(text, rng, count):
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(MUTATION_CHARS)
+        op = rng.randrange(3)
+        if op == 0:
+            yield text[:i] + c + text[i:]
+        elif op == 1:
+            yield text[:i] + text[i + 1:]
+        else:
+            yield text[:i] + c + text[i + 1:]
+
+
+def assert_reads_like_reference(text):
+    try:
+        want = read_reference(text)
+    except ValueError:
+        # the scanner took a non-decimal digit such as '\u00b2' for an INT
+        # and int() failed; the regex reader reports the character instead
+        got = read(text)
+        assert got[0] == "error" and got[1].startswith("unexpected character")
+        c = got[1][-2]
+        assert c.isdigit() and not c.isdecimal()
+        return
+    assert read(text) == want
+
+
+FIXTURES = sorted(p.name for p in SITES.glob("*.site"))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_reader_matches_reference_on_fixtures(name):
+    text = (SITES / name).read_text(encoding="utf-8")
+    assert read(text)[0] == "ok"
+    assert_reads_like_reference(text)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_reader_matches_reference_on_mutations(name):
+    text = (SITES / name).read_text(encoding="utf-8")
+    rng = random.Random(f"mutate {name}")
+    for mutated in mutations(text, rng, 60):
+        assert_reads_like_reference(mutated)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_reader_matches_reference_on_truncations(name):
+    text = (SITES / name).read_text(encoding="utf-8")
+    ends = range(len(text))
+    for end in random.Random(f"truncate {name}").sample(ends, min(len(ends), 100)):
+        assert_reads_like_reference(text[:end])

@@ -30,7 +30,6 @@ from .finset import (
     memo,
     product,
     pullback,
-    set_field,
     terminal,
 )
 
@@ -46,12 +45,6 @@ class FinGroup(Record):
     mul: FinMap
     unit: FinMap
     inv: FinMap
-
-    def __init__(self, carrier, mul, unit, inv):
-        set_field(self, "carrier", carrier)
-        set_field(self, "mul", mul)
-        set_field(self, "unit", unit)
-        set_field(self, "inv", inv)
 
     @property
     def unit_atom(self):
@@ -187,11 +180,6 @@ class GAction(Record):
     space: FinSet
     act: FinMap
 
-    def __init__(self, group, space, act):
-        set_field(self, "group", group)
-        set_field(self, "space", space)
-        set_field(self, "act", act)
-
     def __call__(self, g, x):
         return self.act.table[(g, x)]
 
@@ -288,11 +276,6 @@ class EquivariantMap(Record):
     map: FinMap
     src_action: GAction
     dst_action: GAction
-
-    def __init__(self, map, src_action, dst_action):
-        set_field(self, "map", map)
-        set_field(self, "src_action", src_action)
-        set_field(self, "dst_action", dst_action)
 
     @property
     def fn(self) -> FinMap:

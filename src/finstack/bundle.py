@@ -41,7 +41,6 @@ from .finset import (
     morphism_predicates,
     product,
     pullback,
-    set_field,
 )
 from .topology import (
     CoveringFamily,
@@ -62,18 +61,11 @@ class Trivialization(Record):
     cover: CoveringFamily
     legs: tuple
 
-    def __init__(self, cover, legs):
-        set_field(self, "cover", cover)
-        set_field(self, "legs", legs)
-
 
 class NotTrivial(Record):
     """Witness that no trivializing iso exists over the given leg."""
 
     leg_index: int
-
-    def __init__(self, leg_index):
-        set_field(self, "leg_index", leg_index)
 
 
 class NotBundle(Record):
@@ -81,10 +73,6 @@ class NotBundle(Record):
 
     base_atom: object
     reason: str
-
-    def __init__(self, base_atom, reason):
-        set_field(self, "base_atom", base_atom)
-        set_field(self, "reason", reason)
 
 
 class Bundle(Record):
@@ -95,12 +83,6 @@ class Bundle(Record):
     total: GAction
     proj: EquivariantMap
 
-    def __init__(self, group, base, total, proj):
-        set_field(self, "group", group)
-        set_field(self, "base", base)
-        set_field(self, "total", total)
-        set_field(self, "proj", proj)
-
     def __repr__(self):
         return f"Bundle(|{len(self.total.space)}| -> {self.base!r})"
 
@@ -109,6 +91,14 @@ def _require_trivial_base(proj: EquivariantMap) -> None:
     act = proj.dst_action
     if any(act(g, y) != y for g in act.group.carrier for y in act.space):
         raise ValueError("the base must carry the trivial action")
+
+
+def _induced_action(proj: EquivariantMap, f: FinMap):
+    """The trivial action on f.src and the action of proj pulled back along f
+    onto the apex of the pullback of (proj, f)."""
+    triv = trivial_action(proj.src_action.group, f.src)
+    eq_f = check_equivariant(f, triv, proj.dst_action)
+    return triv, pullback_action(proj.src_action, triv, proj.dst_action, proj, eq_f)
 
 
 def is_locally_trivial(proj: EquivariantMap,
@@ -127,9 +117,7 @@ def is_locally_trivial(proj: EquivariantMap,
     for i, f in enumerate(cover.legs):
         u = f.src
         cert = pullback(proj.map, f)
-        triv_u = trivial_action(group, u)
-        eq_f = check_equivariant(f, triv_u, proj.dst_action)
-        psi = pullback_action(proj.src_action, triv_u, proj.dst_action, proj, eq_f)
+        _, psi = _induced_action(proj, f)
         theta = product_action(group, u)
         pb = product(group.carrier, u).proj2
         phi = gset_isomorphism_over(psi, theta, cert.proj2, pb)
@@ -146,9 +134,7 @@ def check_trivialization(proj: EquivariantMap, triv: Trivialization) -> None:
     for leg in triv.legs:
         f = triv.cover.legs[leg.leg_index]
         u = f.src
-        triv_u = trivial_action(group, u)
-        eq_f = check_equivariant(f, triv_u, proj.dst_action)
-        psi = pullback_action(proj.src_action, triv_u, proj.dst_action, proj, eq_f)
+        _, psi = _induced_action(proj, f)
         theta = product_action(group, u)
         if not morphism_predicates(leg.phi).iso:
             raise ValueError(f"stored phi over leg {leg.leg_index} is not an iso")
@@ -210,17 +196,13 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     confirms it, and a failure is an internal fault."""
     if f.dst != b.base:
         raise BaseMismatch(f"{f.dst!r} != {b.base!r}")
-    group = b.group
-    z = f.src
     cert = pullback(b.proj.map, f)
-    triv_z = trivial_action(group, z)
-    eq_f = check_equivariant(f, triv_z, b.proj.dst_action)
-    psi = pullback_action(b.total, triv_z, b.proj.dst_action, b.proj, eq_f)
+    triv_z, psi = _induced_action(b.proj, f)
     new_proj = check_equivariant(cert.proj2, psi, triv_z)
     witness = _torsor_fibers(new_proj)
     if witness is not None:
         raise RuntimeError(f"base change is not a bundle: {witness}")
-    return Bundle(group, z, psi, new_proj)
+    return Bundle(b.group, f.src, psi, new_proj)
 
 
 class BundleMorphism(Record):
@@ -229,11 +211,6 @@ class BundleMorphism(Record):
     src: Bundle
     dst: Bundle
     map: EquivariantMap
-
-    def __init__(self, src, dst, map):
-        set_field(self, "src", src)
-        set_field(self, "dst", dst)
-        set_field(self, "map", map)
 
     @property
     def fn(self) -> FinMap:

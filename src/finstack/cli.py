@@ -37,6 +37,7 @@ from .errors import (
 from .finset import format_atom
 from .sample import build_corpus
 from .sitefile import load_site
+from .stack import classifying_fiber_equiv
 from .topology import check_sheaf_condition, is_jointly_surjective, uncovered
 
 
@@ -185,7 +186,6 @@ def _cmd_verify_stack(site, args):
 
 
 def _cmd_classify(site, args):
-    from .stack import classifying_fiber_equiv
     out = []
     for d in site.by_kind("classify"):
         task = d.value

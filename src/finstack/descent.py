@@ -43,13 +43,13 @@ from .finset import (
     morphism_predicates,
     product,
     pullback,
-    set_field,
 )
 from .stack import (
     QSMorphism,
     QSObject,
     check_qs_morphism,
     check_qs_object,
+    qs_isomorphism,
     restrict,
     restrict_morphism,
 )
@@ -89,11 +89,6 @@ class DescentDatum(Record):
     cover: CoveringFamily
     objects: tuple
     overlaps: dict
-
-    def __init__(self, cover, objects, overlaps):
-        set_field(self, "cover", cover)
-        set_field(self, "objects", objects)
-        set_field(self, "overlaps", overlaps)
 
     def overlap_iso(self, i: int, j: int) -> QSMorphism:
         """The stored iso, else the forced one over an empty overlap; raises
@@ -455,8 +450,6 @@ def verify_stack(group: FinGroup, x_action: GAction, corpus: Corpus) -> StackRep
     A FinstackError from gluing counts as a failed case. Any other exception
     is an internal fault, no verdict on the stack, and propagates.
     """
-    from .stack import qs_isomorphism
-
     eff = ConditionReport("effectiveness")
     for datum, expected in corpus.effectiveness:
         eff.attempted += 1

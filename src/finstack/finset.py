@@ -31,8 +31,9 @@ import. A hit needs the same youngest object and equal other arguments.
 The certified records built on these (`FinGroup`, `GAction`, `Bundle`,
 `QSObject`, `CoveringFamily`, `DescentDatum`, ...) are `Record` subclasses:
 frozen, equal by their field tuple within one class, and hashed by the hash
-of that tuple, computed on first use and then kept. Each writes its own
-`__init__`, so importing the package generates and compiles no code; a
+of that tuple, computed on first use and then kept. A record declares its
+fields once, as annotations; the one `Record.__init__` takes their values
+in that order, so importing the package generates and compiles no code; a
 `desc` process pays for interpreter start, this import and the site load
 before its first verdict.
 """
@@ -226,19 +227,24 @@ def memo(holders=None):
     return decorate
 
 
-set_field = object.__setattr__   # how a record's own __init__ sets its fields
+set_field = object.__setattr__   # how a record sets past its frozen __setattr__
 
 
 class Record:
     """Base of the frozen records: a subclass annotates its fields, in order,
-    and writes an `__init__` that sets each with `set_field`.
+    and is built positionally, one value per field.
 
-    Nothing is generated at import. A record has `__match_args__`, equality
-    by the field tuple between instances of the same class, a hash equal to
-    the hash of the field tuple, computed on first use and then kept in the
-    `_hash` slot, a `Name(field=value, ...)` repr unless it defines one, and
-    it raises AttributeError on assigning or deleting an attribute. A record
-    with an unhashable field is unhashable.
+    Nothing is generated at import: the one `__init__` here checks the number
+    of values and sets each field with `set_field`, in the order of
+    `__match_args__`. A subclass that validates its values (CoveringFamily)
+    ends its own `__init__` in this one.
+
+    A record has `__match_args__`, equality by the field tuple between
+    instances of the same class, a hash equal to the hash of the field
+    tuple, computed on first use and then kept in the `_hash` slot, a
+    `Name(field=value, ...)` repr unless it defines one, and it raises
+    AttributeError on assigning or deleting an attribute. A record with an
+    unhashable field is unhashable.
     """
 
     __slots__ = ("_hash", "__dict__", "__weakref__")
@@ -247,6 +253,18 @@ class Record:
         names = cls.__dict__.get("__annotations__")
         if names:   # else a subclass of a record, with its fields
             cls.__match_args__ = tuple(names)
+
+    def __init__(self, *values):
+        names = self.__match_args__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} values "
+                            f"({', '.join(names)}), got {len(values)}")
+        # an index rather than zip: the cheaper loop per record, and records
+        # are built on every hot path
+        i = 0
+        for name in names:
+            set_field(self, name, values[i])
+            i += 1
 
     def __eq__(self, other):
         # the instance dict holds exactly the fields

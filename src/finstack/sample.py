@@ -26,6 +26,7 @@ from .action import (
 )
 from .bundle import (
     Bundle,
+    enumerate_bundle_morphisms,
     enumerate_bundles,
     is_principal_bundle,
     trivial_bundle,
@@ -33,6 +34,8 @@ from .bundle import (
 from .descent import (
     Corpus,
     DescentDatum,
+    make_datum,
+    overlap,
     restrict_to_datum,
 )
 from .errors import BoundExceeded, EquivarianceFail, TriangleFail
@@ -265,7 +268,6 @@ def conjugate_datum(datum: DescentDatum, leg_isos) -> DescentDatum:
     for i, iso in enumerate(leg_isos):
         if iso.src != datum.objects[i]:
             raise ValueError(f"iso {i} does not start at the datum's object")
-    from .descent import make_datum, overlap
     new_objects = tuple(iso.dst for iso in leg_isos)
     new_overlaps = {}
     for (i, j), phi in datum.overlaps.items():
@@ -325,7 +327,6 @@ def equivariant_maps(src: GAction, dst: GAction, bound: int = 4096):
 
 
 def enumerate_qs_morphisms(a: QSObject, b: QSObject, bound: int = 65536):
-    from .bundle import enumerate_bundle_morphisms
     out = []
     for bm in enumerate_bundle_morphisms(a.bundle, b.bundle, bound=bound):
         try:

@@ -41,7 +41,6 @@ from .finset import (
     Record,
     format_atom,
     product,
-    set_field,
     terminal,
 )
 from .stack import (
@@ -64,10 +63,6 @@ class BundleCandidate(Record):
     total: GAction
     proj: EquivariantMap
 
-    def __init__(self, total, proj):
-        set_field(self, "total", total)
-        set_field(self, "proj", proj)
-
     @property
     def group(self) -> FinGroup:
         return self.total.group
@@ -85,20 +80,10 @@ class GluingCase(Record):
     dst: QSObject
     locals_: tuple
 
-    def __init__(self, cover, src, dst, locals_):
-        set_field(self, "cover", cover)
-        set_field(self, "src", src)
-        set_field(self, "dst", dst)
-        set_field(self, "locals_", locals_)
-
 
 class ClassifyTask(Record):
     group: FinGroup
     base: FinSet
-
-    def __init__(self, group, base):
-        set_field(self, "group", group)
-        set_field(self, "base", base)
 
 
 class Decl:

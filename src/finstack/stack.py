@@ -41,7 +41,6 @@ from .finset import (
     pair_map,
     product,
     pullback,
-    set_field,
     terminal,
 )
 
@@ -52,10 +51,6 @@ class QuotientStack(Record):
 
     group: FinGroup
     x_action: GAction
-
-    def __init__(self, group, x_action):
-        set_field(self, "group", group)
-        set_field(self, "x_action", x_action)
 
     @property
     def space(self) -> FinSet:
@@ -73,10 +68,6 @@ class QSObject(Record):
 
     bundle: Bundle
     alpha: EquivariantMap
-
-    def __init__(self, bundle, alpha):
-        set_field(self, "bundle", bundle)
-        set_field(self, "alpha", alpha)
 
     @property
     def base(self) -> FinSet:
@@ -108,11 +99,6 @@ class QSMorphism(Record):
     src: QSObject
     dst: QSObject
     bundle_morphism: BundleMorphism
-
-    def __init__(self, src, dst, bundle_morphism):
-        set_field(self, "src", src)
-        set_field(self, "dst", dst)
-        set_field(self, "bundle_morphism", bundle_morphism)
 
     @property
     def fn(self) -> FinMap:
@@ -228,11 +214,6 @@ class CoherenceCell(Record):
     components: tuple
     naturality_squares: int
 
-    def __init__(self, kind, components, naturality_squares):
-        set_field(self, "kind", kind)
-        set_field(self, "components", components)
-        set_field(self, "naturality_squares", naturality_squares)
-
 
 def coherence_iota(base: FinSet, objects, morphisms=()) -> CoherenceCell:
     """ι on a sample of the fiber over `base`: components for each object,
@@ -321,15 +302,6 @@ class ClassifyingReport(Record):
     hom_pairs_checked: int
     hom_counts_equal: bool
 
-    def __init__(self, n_bundles, n_objects, iso_classes, aut_trivial,
-                 hom_pairs_checked, hom_counts_equal):
-        set_field(self, "n_bundles", n_bundles)
-        set_field(self, "n_objects", n_objects)
-        set_field(self, "iso_classes", iso_classes)
-        set_field(self, "aut_trivial", aut_trivial)
-        set_field(self, "hom_pairs_checked", hom_pairs_checked)
-        set_field(self, "hom_counts_equal", hom_counts_equal)
-
 
 def bundle_isomorphic(a: Bundle, b: Bundle) -> bool:
     h = gset_isomorphism_over(a.total, b.total, a.proj.map, b.proj.map)
@@ -364,11 +336,5 @@ def classifying_fiber_equiv(group: FinGroup, base: FinSet,
             pairs_checked += 1
     triv = trivial_bundle(group, base)
     aut = len(enumerate_bundle_morphisms(triv, triv, bound=bound))
-    return ClassifyingReport(
-        n_bundles=len(bundles),
-        n_objects=len(objects),
-        iso_classes=len(reps),
-        aut_trivial=aut,
-        hom_pairs_checked=pairs_checked,
-        hom_counts_equal=hom_equal,
-    )
+    return ClassifyingReport(len(bundles), len(objects), len(reps), aut,
+                             pairs_checked, hom_equal)

@@ -33,7 +33,7 @@ from .finset import (
     mediate_coequalizer,
     morphism_predicates,
     pullback,
-    set_field,
+    terminal,
 )
 
 
@@ -52,8 +52,7 @@ class CoveringFamily(Record):
         for i, f in enumerate(legs):
             if f.dst != target:
                 raise TargetMismatch(f"leg {i} has target {f.dst!r}, expected {target!r}")
-        set_field(self, "target", target)
-        set_field(self, "legs", legs)
+        super().__init__(target, legs)
 
     def __len__(self):
         return len(self.legs)
@@ -61,7 +60,6 @@ class CoveringFamily(Record):
 
 def point_cover(target: FinSet) -> CoveringFamily:
     """One leg T -> target per atom; the default cover for bundle checks."""
-    from .finset import terminal
     t = terminal()
     return CoveringFamily(
         target, [FinMap(t, target, {"*": x}) for x in target])
@@ -71,9 +69,6 @@ class GeneratedSieve(Record):
     """The sieve generated by a covering family, kept intensionally."""
 
     family: CoveringFamily
-
-    def __init__(self, family):
-        set_field(self, "family", family)
 
     @property
     def target(self):

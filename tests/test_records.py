@@ -186,3 +186,23 @@ def test_mutable_defaults_are_fresh_per_instance():
     assert (r.name, r.attempted, r.passed, r.failures) == ("gluing", 0, 0, [])
     r.failures.append("x")
     assert s.failures == []
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_wrong_number_of_values_raises_type_error(name):
+    x = _records()[name]
+    values = _fields(x)
+    with pytest.raises(TypeError):
+        type(x)(*values[:-1])
+    with pytest.raises(TypeError):
+        type(x)(*values, None)
+
+
+def test_only_a_validating_record_defines_init():
+    def subclasses(cls):
+        return {s for sub in cls.__subclasses__() for s in {sub} | subclasses(sub)}
+    import finstack.cli  # noqa: F401 - loads every module that defines a record
+    from finstack.finset import Record
+    own = sorted(c.__name__ for c in subclasses(Record)
+                 if "__init__" in vars(c) and c.__module__.startswith("finstack."))
+    assert own == ["CoveringFamily"]

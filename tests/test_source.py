@@ -21,6 +21,32 @@ def test_no_assert_statements(module):
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_relative_import_inside_a_function(module):
+    # the package has no import cycle to break, so each module names what it
+    # takes from the others at its top, where a reader looks for it
+    path = SRC / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = sorted({node.lineno
+                    for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.ImportFrom) and node.level > 0})
+    assert lines == [], f"{path.name} imports inside a function at lines {lines}"
+
+
+def test_only_finset_imports_set_field():
+    # records take their fields through Record.__init__; set_field, which
+    # writes past the frozen __setattr__, stays inside finset
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if any(alias.name == "set_field" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names):
+            users.append(path.stem)
+    assert users == []
+
+
 def test_caches_are_bounded():
     # long runs keep bounded memory: every lru_cache in the library has a
     # finite maxsize, and the finset memo keeps an entry only as long as the

@@ -38,6 +38,7 @@ from .finset import (
     FinSet,
     Record,
     compose,
+    fibers,
     morphism_predicates,
     product,
     pullback,
@@ -157,15 +158,12 @@ def _torsor_fibers(proj: EquivariantMap) -> Optional[NotBundle]:
     act = proj.src_action.act.table
     carrier = proj.src_action.group.carrier
     n = len(carrier)
-    t = proj.map.table
-    fibers = {x: [] for x in proj.map.dst}
-    for p in proj.map.src:
-        fibers[t[p]].append(p)
-    for x, fib in fibers.items():
+    fibs = fibers(proj.map)
+    for x in proj.map.dst:
+        fib = fibs.get(x, ())
         if len(fib) != n:
             return NotBundle(x, f"fiber has {len(fib)} atoms, expected {n}")
-        least = fib[0]
-        if len({act[(g, least)] for g in carrier}) != n:
+        if len({act[(g, fib[0])] for g in carrier}) != n:
             return NotBundle(x, "fiber action is not free")
     return None
 
@@ -179,15 +177,21 @@ def is_principal_bundle(proj: EquivariantMap) -> Union[Bundle, NotBundle]:
     return Bundle(proj.src_action.group, proj.map.dst, proj.src_action, proj)
 
 
+def constructed_bundle(total: GAction, proj: FinMap) -> Bundle:
+    """Certify a projection built to be a bundle: equivariant from `total`
+    onto the trivially acted base, and with torsor fibers. A failure is an
+    internal fault, not a verdict."""
+    eq = check_equivariant(proj, total, trivial_action(total.group, proj.dst))
+    out = is_principal_bundle(eq)
+    if isinstance(out, NotBundle):
+        raise RuntimeError(f"a constructed projection is not a bundle: {out}")
+    return out
+
+
 def trivial_bundle(group: FinGroup, base: FinSet) -> Bundle:
     """The trivialized model G×X with the second projection."""
-    total = product_action(group, base)
-    proj = check_equivariant(product(group.carrier, base).proj2,
-                             total, trivial_action(group, base))
-    out = is_principal_bundle(proj)
-    if not isinstance(out, Bundle):
-        raise RuntimeError(f"the trivial model is not a bundle: {out}")
-    return out
+    return constructed_bundle(product_action(group, base),
+                              product(group.carrier, base).proj2)
 
 
 def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
@@ -257,12 +261,9 @@ def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
     count = len(carrier) ** len(src.base)
     if count > bound:
         raise BoundExceeded("bundle-morphism enumeration", count, bound)
-    least = {}      # base atom -> p0, in the canonical order of p0
-    for p in src.total.space:
-        least.setdefault(src.proj.map.table[p], p)
-    dst_fibers = {y: [] for y in dst.base}
-    for q in dst.total.space:
-        dst_fibers[dst.proj.map.table[q]].append(q)
+    # base atom -> p0, in the canonical order of p0
+    least = {y: fib[0] for y, fib in fibers(src.proj.map).items()}
+    dst_fibers = fibers(dst.proj.map)
     src_act, dst_act = src.total.act.table, dst.total.act.table
     # per fiber, the restriction to it of each choice of q0
     pieces = [[[(src_act[(g, p0)], dst_act[(g, q0)]) for g in carrier]
@@ -282,22 +283,25 @@ def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
 @functools.lru_cache(maxsize=256)
 def torsor_structures(group: FinGroup) -> tuple:
     """The distinct free transitive actions of G on its own carrier,
-    as act tables; there are (|G|-1)! of them."""
+    as act tables; there are (|G|-1)! of them.
+
+    A bijection b of the carrier gives the torsor g·h = b(g·b⁻¹(h)), and two
+    give the same one exactly when they differ by a right translation. So
+    the b that fix the least atom are one per structure, and in the
+    lexicographic order of all permutations they are the first appearances.
+    """
     atoms = list(group.carrier)
-    seen = {}
-    for beta in itertools.permutations(atoms):
-        b = dict(zip(atoms, beta))
+    tables = []
+    for rest in itertools.permutations(atoms[1:]):
+        b = dict(zip(atoms, (atoms[0],) + rest))
         binv = {v: k for k, v in b.items()}
-        table = {(g, h): b[group.times(g, binv[h])]
-                 for g in atoms for h in atoms}
-        # every table is filled in the same (g, h) order, so its values
-        # identify it
-        seen.setdefault(tuple(table.values()), table)
-    out = tuple(seen.values())
-    if len(out) != math.factorial(len(atoms) - 1):
-        raise RuntimeError(
-            f"{len(out)} torsor structures, expected (|G|-1)!")
-    return out
+        tables.append({(g, h): b[group.times(g, binv[h])]
+                       for g in atoms for h in atoms})
+    # every table is filled in the same (g, h) order, so its values
+    # identify it
+    if len({tuple(t.values()) for t in tables}) != len(tables):
+        raise RuntimeError("two torsor structures coincide")
+    return tuple(tables)
 
 
 def enumerate_bundles(group: FinGroup, base: FinSet,
@@ -314,7 +318,6 @@ def enumerate_bundles(group: FinGroup, base: FinSet,
         raise BoundExceeded("bundle enumeration", count, bound)
     prod = product(group.carrier, base)
     structures = torsor_structures(group)
-    triv_base = trivial_action(group, base)
     position = {x: k for k, x in enumerate(base)}
     out = []
     for choice in itertools.product(range(len(structures)), repeat=len(base)):
@@ -326,9 +329,5 @@ def enumerate_bundles(group: FinGroup, base: FinSet,
         act = check_action(group, prod.space,
                            FinMap(product(group.carrier, prod.space).space,
                                   prod.space, table))
-        proj = check_equivariant(prod.proj2, act, triv_base)
-        bundle = is_principal_bundle(proj)
-        if not isinstance(bundle, Bundle):
-            raise RuntimeError(f"an enumerated structure is not a bundle: {bundle}")
-        out.append(bundle)
+        out.append(constructed_bundle(act, prod.proj2))
     return out

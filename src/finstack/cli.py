@@ -146,9 +146,11 @@ def _cmd_glue_morphisms(site, args):
 def _cmd_glue_object(site, args):
     out = []
     for d in site.by_kind("datum"):
-        datum = d.value
+        # a datum over the empty cover has no local to name its group and
+        # structure space, so they come from the object it restricts
+        obj = site[d.refs["obj"]].value
         try:
-            r = glue_object(datum)
+            r = glue_object(d.value, group=obj.bundle.group, x_action=obj.x_action)
             out.append(_check(
                 d.name, "ok",
                 f"total of {len(r.glued.total)} atoms over "

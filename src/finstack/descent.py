@@ -5,20 +5,23 @@ An empty overlap U_i ×_Y U_j imposes nothing: a datum stores isos only on
 the leg pairs with a nonempty overlap (`overlapping_pairs`), and every pass
 walks those pairs, reading points through indexes by base atom.
 
-Gluing realizes the colimit over a cover's overlap diagram concretely: the
-glued total is the coequalizer of the pairwise-overlap relation on the
-disjoint union of the locals, the action, projection and structure map are
-mediated through it, and the comparison isos back to the datum are assembled
-leg by leg and verified. Nothing is trusted: every produced object or
-morphism is re-certified by the checking ops it must satisfy.
+Gluing an object realizes the colimit over a cover's overlap diagram
+concretely: the glued total is the coequalizer of the pairwise-overlap
+relation on the disjoint union of the locals, the action, projection and
+structure map are mediated through it, and the comparison isos back to the
+datum are assembled leg by leg and verified. Gluing morphisms needs no
+colimit: the cover is jointly surjective, so the glued morphism is fixed
+point by point by the locals, and the tests keep the kernel-pair
+coequalizer build as its oracle. Nothing is trusted: every produced object
+or morphism is re-certified by the checking ops it must satisfy.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .action import FinGroup, GAction, check_action, check_equivariant, trivial_action
-from .bundle import Bundle, is_principal_bundle
+from .action import FinGroup, GAction, check_action
+from .bundle import constructed_bundle
 from .errors import (
     CocycleFail,
     CocycleRequired,
@@ -29,7 +32,6 @@ from .errors import (
 )
 from .finset import (
     FinMap,
-    FinSet,
     Record,
     Tag,
     coequalizer,
@@ -38,7 +40,6 @@ from .finset import (
     copair,
     fibers,
     identity,
-    invert,
     mediate_coequalizer,
     morphism_predicates,
     product,
@@ -49,6 +50,9 @@ from .stack import (
     QSObject,
     check_qs_morphism,
     check_qs_object,
+    compose_qs,
+    constant_gauge,
+    empty_object,
     qs_isomorphism,
     restrict,
     restrict_morphism,
@@ -202,7 +206,10 @@ def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
 def glue_morphisms(cover: CoveringFamily, x: QSObject, y: QSObject,
                    locals_: list) -> QSMorphism:
     """Glue per-leg morphisms that agree on overlaps into the unique global
-    one, through the kernel-pair coequalizer presentation of the total."""
+    one, by its point formula: p over y goes where every local sends (p, a)
+    for a over y. The overlap scan compares the locals and fills the table,
+    and reaches every p, since the cover is jointly surjective and each leg
+    i is paired with itself."""
     require_canonical(cover)
     if x.base != cover.target or y.base != cover.target:
         raise ValueError("objects do not live over the cover's target")
@@ -214,6 +221,7 @@ def glue_morphisms(cover: CoveringFamily, x: QSObject, y: QSObject,
             raise ValueError(f"local {i} does not go between the leg restrictions")
     # overlap agreement, pointwise through the canonical identifications
     x_over = fibers(x.bundle.proj.map)
+    table = {}
     for i, j in overlapping_pairs(cover):
         fi = cover.legs[i].table
         for a, b in overlap(cover, i, j).apex:
@@ -222,20 +230,9 @@ def glue_morphisms(cover: CoveringFamily, x: QSObject, y: QSObject,
                 qj = locals_[j].fn.table[(p, b)][0]
                 if qi != qj:
                     raise OverlapMismatch(i, j, (p, (a, b)))
-    n = len(cover.legs)
-    certs_x = [pullback(x.bundle.proj.map, f) for f in cover.legs]
-    certs_y = [pullback(y.bundle.proj.map, f) for f in cover.legs]
-    big = coproduct([c.apex for c in certs_x])
-    bigmap = copair(big, [c.proj1 for c in certs_x], dst=x.total)
-    kp = pullback(bigmap, bigmap)
-    cert = coequalizer(kp.proj1, kp.proj2)
-    delta = copair(big,
-                   [compose(certs_y[i].proj1, locals_[i].fn) for i in range(n)],
-                   dst=y.total)
-    eta_fn = compose(mediate_coequalizer(cert, delta),
-                     invert(mediate_coequalizer(cert, bigmap)))
-    eta = check_qs_morphism(x, y, eta_fn)
-    for i in range(n):
+                table[p] = qi
+    eta = check_qs_morphism(x, y, FinMap(x.total, y.total, table))
+    for i in range(len(cover.legs)):
         if restrict_morphism(eta, cover.legs[i]).fn != locals_[i].fn:
             raise RuntimeError(f"glued morphism does not restrict to local {i}")
     return eta
@@ -277,20 +274,6 @@ class GluingResult(NamedTuple):
     comparisons: tuple
 
 
-def _glue_empty(cover: CoveringFamily, group: FinGroup, x_action: GAction) -> GluingResult:
-    # the empty cover is canonical only over the empty base; the glued object
-    # is the empty bundle with the empty structure map
-    empty = FinSet(())
-    act = check_action(group, empty, FinMap(product(group.carrier, empty).space, empty, {}))
-    proj = check_equivariant(
-        FinMap(empty, cover.target, {}), act, trivial_action(group, cover.target))
-    bundle = is_principal_bundle(proj)
-    if not isinstance(bundle, Bundle):
-        raise RuntimeError(f"the empty projection is not a bundle: {bundle}")
-    alpha = FinMap(empty, x_action.space, {})
-    return GluingResult(check_qs_object(bundle, alpha, x_action), ())
-
-
 def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     """Glue a descent datum to a global object.
 
@@ -312,7 +295,7 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     if n == 0:
         if group is None or x_action is None:
             raise ValueError("gluing over the empty cover needs group and x_action")
-        return _glue_empty(cover, group, x_action)
+        return GluingResult(empty_object(group, x_action), ())
     group = datum.objects[0].bundle.group
     x_action = datum.objects[0].x_action
     phis = _phis(datum)
@@ -345,11 +328,7 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
         dst=cover.target))
     alpha_w = mediate_coequalizer(cert, copair(
         c1, [obj.alpha.map for obj in datum.objects], dst=x_action.space))
-    proj_eq = check_equivariant(pi_w, act, trivial_action(group, cover.target))
-    bundle = is_principal_bundle(proj_eq)
-    if not isinstance(bundle, Bundle):
-        raise RuntimeError(f"glued projection is not a bundle: {bundle}")
-    glued = check_qs_object(bundle, alpha_w, x_action)
+    glued = check_qs_object(constructed_bundle(act, pi_w), alpha_w, x_action)
     # comparison isos psi_i : glued|U_i -> W_i, assembled through the datum
     pis = [obj.bundle.proj.map.table for obj in datum.objects]
     comparisons = []
@@ -383,6 +362,16 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
                     raise RuntimeError(
                         f"comparison isos disagree with overlap iso ({i},{j})")
     return GluingResult(glued, tuple(comparisons))
+
+
+def twist_overlap(datum: DescentDatum, i: int, j: int, k) -> DescentDatum:
+    """The datum with its overlap iso (i, j) followed by the right
+    translation by k in the coordinates of the least fiber atom; the cocycle
+    is not checked, so a k != e over a nonempty overlap breaks it."""
+    phi = datum.overlap_iso(i, j)
+    twisted = dict(datum.overlaps)
+    twisted[(i, j)] = compose_qs(constant_gauge(phi.dst, k), phi)
+    return DescentDatum(datum.cover, datum.objects, twisted)
 
 
 def pullback_datum(datum: DescentDatum, t: FinMap) -> DescentDatum:

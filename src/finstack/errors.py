@@ -5,9 +5,9 @@ plain dict via payload(), which is what the CLI serializes into reports.
 
 A witness error declares its fields once, as the class attribute `fields`
 (the witness names, in argument order), with a `template` for its message
-formatted over them; `FinstackError` holds the one `__init__` and the one
-`payload()` for all of them. An error with no template takes a free-form
-message, like a plain exception, and has an empty payload.
+formatted over them; `FinstackError` holds the one `__init__`, `payload()`
+and `__reduce__` for all of them. An error with no template takes a
+free-form message, like a plain exception, and has an empty payload.
 """
 
 from __future__ import annotations
@@ -28,6 +28,13 @@ class FinstackError(Exception):
                 setattr(self, name, value)
             values = (self.template.format_map(vars(self)),)
         super().__init__(*values)
+
+    def __reduce__(self):
+        # pickle and copy rebuild a witness error from its field values and
+        # a free-message error from its message
+        if self.template is not None:
+            return type(self), tuple(getattr(self, name) for name in self.fields)
+        return type(self), self.args
 
     def payload(self) -> dict:
         return {name: getattr(self, name) for name in self.fields}

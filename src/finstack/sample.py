@@ -26,9 +26,9 @@ from .action import (
 )
 from .bundle import (
     Bundle,
+    constructed_bundle,
     enumerate_bundle_morphisms,
     enumerate_bundles,
-    is_principal_bundle,
     trivial_bundle,
 )
 from .descent import (
@@ -37,6 +37,7 @@ from .descent import (
     make_datum,
     overlap,
     restrict_to_datum,
+    twist_overlap,
 )
 from .errors import BoundExceeded, EquivarianceFail, TriangleFail
 from .finset import (
@@ -54,6 +55,7 @@ from .stack import (
     check_qs_object,
     compose_qs,
     constant_gauge,
+    empty_object,
     fiber_gauge,  # noqa: F401 - re-exported with the other generators
     qs_identity,
     qs_inverse,
@@ -200,8 +202,8 @@ def twist_bundle(rng: Random, b: Bundle):
     total; returns the certified twist and h, which is an iso onto it."""
     perm = {}
     for y in b.base:
-        fib = sorted(fiber(b.proj.map, y), key=atom_key)
-        img = fib[:]
+        fib = fiber(b.proj.map, y)
+        img = list(fib)
         rng.shuffle(img)
         perm.update(zip(fib, img))
     h = FinMap(b.total.space, b.total.space, perm)
@@ -213,11 +215,7 @@ def twist_bundle(rng: Random, b: Bundle):
     # h permutes within fibers, so the projection is untouched
     if compose(b.proj.map, hinv) != b.proj.map:
         raise RuntimeError("the relabelling moves atoms across fibers")
-    proj2 = check_equivariant(b.proj.map, total2, b.proj.dst_action)
-    b2 = is_principal_bundle(proj2)
-    if not isinstance(b2, Bundle):
-        raise RuntimeError(f"the relabelled bundle is not a bundle: {b2}")
-    return b2, h
+    return constructed_bundle(total2, b.proj.map), h
 
 
 def random_bundle(rng: Random, group: FinGroup, base: FinSet) -> Bundle:
@@ -237,13 +235,6 @@ def random_qsobject(rng: Random, group: FinGroup, x_action: GAction,
         for g in group.carrier:
             table[b.total(g, orb[0])] = x_action(g, x0)
     alpha = FinMap(b.total.space, x_action.space, table)
-    return check_qs_object(b, alpha, x_action)
-
-
-def empty_object(group: FinGroup, x_action: GAction) -> QSObject:
-    """The unique object over the empty base."""
-    b = trivial_bundle(group, FinSet(()))
-    alpha = FinMap(b.total.space, x_action.space, {})
     return check_qs_object(b, alpha, x_action)
 
 
@@ -286,13 +277,9 @@ def break_cocycle(datum: DescentDatum, k, rng: Optional[Random] = None) -> Desce
     if not candidates:
         raise ValueError("no nonempty overlap to twist")
     i, j = rng.choice(candidates) if rng is not None else min(candidates)
-    group = datum.objects[0].bundle.group
-    if k == group.unit_atom:
+    if k == datum.objects[0].bundle.group.unit_atom:
         raise ValueError("twisting by the unit changes nothing")
-    twisted = dict(datum.overlaps)
-    phi = datum.overlap_iso(i, j)
-    twisted[(i, j)] = compose_qs(constant_gauge(phi.dst, k), phi)
-    return DescentDatum(datum.cover, datum.objects, twisted)
+    return twist_overlap(datum, i, j, k)
 
 
 def drop_leg(datum: DescentDatum) -> Optional[DescentDatum]:

@@ -28,7 +28,7 @@ from .action import (
     trivial_action,
 )
 from .bundle import NotBundle, is_principal_bundle
-from .descent import DescentDatum, restrict_to_datum
+from .descent import restrict_to_datum, twist_overlap
 from .errors import (
     FinstackError,
     SiteSyntaxError,
@@ -49,8 +49,6 @@ from .stack import (
     check_qs_morphism,
     check_qs_object,
     classifying_stack,
-    compose_qs,
-    constant_gauge,
     restrict,
 )
 from .topology import CoveringFamily, point_cover
@@ -540,10 +538,7 @@ class _Parser:
                 raise ValueError("twist indexes a missing leg")
             if k not in od.value.bundle.group.carrier:
                 raise ValueError(f"{format_atom(k)} is not a group element")
-            phi = datum.overlap_iso(i, j)
-            twisted = dict(datum.overlaps)
-            twisted[(i, j)] = compose_qs(constant_gauge(phi.dst, k), phi)
-            return DescentDatum(datum.cover, datum.objects, twisted)
+            return twist_overlap(datum, i, j, k)
         value = self._build(name, build)
         self.define("datum", name, value,
                     {"obj": o_name, "cover": c_name, "twist": twist})

@@ -30,7 +30,6 @@ from .finset import (
     FinMap,
     FinSet,
     Record,
-    atom_key,
     bang,
     compose,
     fiber,
@@ -124,7 +123,7 @@ def fiber_gauge(obj: QSObject, k_by_base: dict) -> QSMorphism:
     act = obj.bundle.total
     table = {}
     for y in obj.base:
-        w0 = min(fiber(obj.bundle.proj.map, y), key=atom_key)
+        w0 = fiber(obj.bundle.proj.map, y)[0]
         k = k_by_base[y]
         for g in group.carrier:
             table[act(g, w0)] = act(group.times(g, k), w0)
@@ -133,6 +132,12 @@ def fiber_gauge(obj: QSObject, k_by_base: dict) -> QSMorphism:
 
 def constant_gauge(obj: QSObject, k) -> QSMorphism:
     return fiber_gauge(obj, {y: k for y in obj.base})
+
+
+def empty_object(group: FinGroup, x_action: GAction) -> QSObject:
+    """The unique object over the empty base."""
+    b = trivial_bundle(group, FinSet(()))
+    return check_qs_object(b, FinMap(b.total.space, x_action.space, {}), x_action)
 
 
 def qs_identity(obj: QSObject) -> QSMorphism:
@@ -162,14 +167,16 @@ def restrict(obj: QSObject, f: FinMap) -> QSObject:
 
 
 def restrict_morphism(m: QSMorphism, f: FinMap) -> QSMorphism:
-    """Restriction of a morphism, by the pullback's universal property."""
+    """Restriction of a morphism along f : Z -> Y, by its point formula
+    (p, z) ↦ (m(p), z) on the pulled-back totals. That is the map the
+    pullback's universal property mediates from m after the first
+    projection and the second projection; the pair lands in the target's
+    total because m lies over the base, the square that FinMap's target
+    check confirms."""
     src = restrict(m.src, f)
     dst = restrict(m.dst, f)
-    cert_src = pullback(m.src.bundle.proj.map, f)
-    cert_dst = pullback(m.dst.bundle.proj.map, f)
-    t = mediate_pullback(cert_dst,
-                         compose(m.fn, cert_src.proj1),
-                         cert_src.proj2)
+    mt = m.fn.table
+    t = FinMap(src.total, dst.total, {(p, z): (mt[p], z) for p, z in src.total})
     return check_qs_morphism(src, dst, t)
 
 

@@ -2,6 +2,7 @@
 morphism/automorphism enumeration against brute-force oracles."""
 
 import itertools
+import math
 from random import Random
 
 import pytest
@@ -266,6 +267,34 @@ def sorted_key_torsor_structures(group):
 def test_torsor_structures_match_sorted_key_oracle(group):
     assert ([list(t.items()) for t in torsor_structures(group)]
             == [list(t.items()) for t in sorted_key_torsor_structures(group)])
+
+
+def deduped_torsor_structures(group):
+    """Every permutation of the carrier, deduped by table values: an oracle
+    for `torsor_structures`, which builds only the permutations fixing the
+    least atom."""
+    atoms = list(group.carrier)
+    seen = {}
+    for beta in itertools.permutations(atoms):
+        b = dict(zip(atoms, beta))
+        binv = {v: k for k, v in b.items()}
+        table = {(g, h): b[group.times(g, binv[h])]
+                 for g in atoms for h in atoms}
+        seen.setdefault(tuple(table.values()), table)
+    return tuple(seen.values())
+
+
+@pytest.mark.parametrize(
+    "group",
+    [zmod(1), zmod(2), zmod(3), zmod(4), zmod(5), zmod(6), zmod(7),
+     klein_four(), sym(3)],
+    ids=["z1", "z2", "z3", "z4", "z5", "z6", "z7", "v4", "s3"])
+def test_torsor_structures_match_dedup_oracle(group):
+    # the same tables in the same order, and (|G|-1)! of them
+    out = torsor_structures(group)
+    assert ([list(t.items()) for t in out]
+            == [list(t.items()) for t in deduped_torsor_structures(group)])
+    assert len(out) == math.factorial(len(group.carrier) - 1)
 
 
 def test_bundle_enumeration_counts():

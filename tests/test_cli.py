@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import finstack.bundle
 import finstack.descent
 from finstack import NotBundle, cli
 from finstack.cli import main
@@ -229,7 +230,7 @@ def test_commands_run_no_oracle(capsys, tmp_path, oracles_forbidden,
 def test_glued_non_bundle_exits_3(capsys, tmp_path, monkeypatch):
     # gluing a datum of bundles yields a bundle; a decider saying otherwise
     # is an internal fault, also under python -O
-    monkeypatch.setattr(finstack.descent, "is_principal_bundle",
+    monkeypatch.setattr(finstack.bundle, "is_principal_bundle",
                         lambda proj: NotBundle("p", "fiber action is not free"))
     path = tmp_path / "report.json"
     code, out, err = run(capsys, "glue-object", SITES / "stack_demo.site",
@@ -239,7 +240,35 @@ def test_glued_non_bundle_exits_3(capsys, tmp_path, monkeypatch):
     rep = json.loads(path.read_text())
     assert rep["status"] == "error"
     assert rep["error"]["kind"] == "RuntimeError"
+    assert "not a bundle" in rep["error"]["message"]
     assert rep["checks"] == []
+
+
+EMPTY_COVER_SITE = """\
+set E = { }
+group G {
+  elements { 0 1 }
+  table [
+    [ 0 1 ]
+    [ 1 0 ]
+  ]
+}
+stack BG { group G classifying }
+bundle B { trivial group G base E }
+qsobject O { stack BG bundle B alpha bang }
+cover C { target E legs [ ] }
+datum D = restrict O over C
+"""
+
+
+def test_glue_object_over_the_empty_cover(capsys, tmp_path):
+    # the datum has no local object, so the group and structure space come
+    # from the object it restricts; the glued object is the empty one
+    site = tmp_path / "empty.site"
+    site.write_text(EMPTY_COVER_SITE)
+    code, out, err = run(capsys, "glue-object", site)
+    assert code == 0, err
+    assert "total of 0 atoms over 0 with 0 leg comparisons" in out
 
 
 def test_internal_error_exits_3_with_report(capsys, tmp_path, monkeypatch):

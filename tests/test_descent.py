@@ -24,6 +24,7 @@ from finstack import (
     glue_object,
     identity,
     klein_four,
+    regular_action,
     make_datum,
     point_cover,
     pullback_datum,
@@ -40,7 +41,17 @@ from finstack import (
     zmod,
 )
 from finstack.descent import Distinguish, overlap, overlapping_pairs
-from finstack.finset import compose, mediate_pullback, pullback
+from finstack.errors import FinstackError
+from finstack.finset import (
+    coequalizer,
+    compose,
+    copair,
+    coproduct,
+    invert,
+    mediate_coequalizer,
+    mediate_pullback,
+    pullback,
+)
 from finstack.sample import (
     break_cocycle,
     build_corpus,
@@ -50,11 +61,12 @@ from finstack.sample import (
     empty_object,
     exhaustive_corpus,
     fiber_gauge,
+    group_catalog,
     random_cover,
     random_qsobject,
     relabel_qsobject,
 )
-from finstack.sitefile import parse_site
+from finstack.sitefile import load_site, parse_site
 from finstack.stack import QSMorphism, check_qs_object
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
@@ -423,6 +435,60 @@ def test_glue_morphisms_checks_its_restrictions(monkeypatch):
                         lambda m, f: restrict_morphism(gauge, f))
     with pytest.raises(RuntimeError, match="does not restrict to local 0"):
         glue_morphisms(cover, obj, obj, locals_)
+
+
+def glue_morphisms_by_coequalizer(cover, x, y, locals_):
+    """The glued map through the kernel-pair coequalizer presentation of x's
+    total: the locals copaired on the coproduct of the pulled-back totals,
+    mediated through the coequalizer and composed with the inverse of the
+    mediated total. The oracle for glue_morphisms' point formula."""
+    n = len(cover.legs)
+    certs_x = [pullback(x.bundle.proj.map, f) for f in cover.legs]
+    certs_y = [pullback(y.bundle.proj.map, f) for f in cover.legs]
+    big = coproduct([c.apex for c in certs_x])
+    bigmap = copair(big, [c.proj1 for c in certs_x], dst=x.total)
+    kp = pullback(bigmap, bigmap)
+    cert = coequalizer(kp.proj1, kp.proj2)
+    delta = copair(big,
+                   [compose(certs_y[i].proj1, locals_[i].fn) for i in range(n)],
+                   dst=y.total)
+    return compose(mediate_coequalizer(cert, delta),
+                   invert(mediate_coequalizer(cert, bigmap)))
+
+
+def corpus_gluings():
+    """The gluing cases of build_corpus over the group catalog, with the
+    one-point and the regular structure space."""
+    rng = Random(61)
+    for grp in group_catalog():
+        for x in (point_x(grp), regular_action(grp)):
+            yield from build_corpus(grp, x, rng, cases=3).morphism_gluings
+
+
+def test_glued_morphism_matches_coequalizer_oracle():
+    cases = 0
+    for cover, x, y, locals_, expected in corpus_gluings():
+        eta = glue_morphisms(cover, x, y, locals_)
+        assert eta.fn.table == glue_morphisms_by_coequalizer(cover, x, y, locals_).table
+        assert eta.fn == expected.fn
+        cases += 1
+    assert cases >= 60
+
+
+@pytest.mark.parametrize("name", ["stack_demo.site", "overlap_bad.site"])
+def test_glued_morphism_matches_coequalizer_oracle_on_fixtures(name):
+    # a gluing that the locals refuse has no mediated map either
+    site = load_site(SITES / name)
+    for d in site.by_kind("gluing"):
+        case = d.value
+        args = (case.cover, case.src, case.dst, case.locals_)
+        try:
+            eta = glue_morphisms(*args)
+        except OverlapMismatch:
+            with pytest.raises(FinstackError):
+                glue_morphisms_by_coequalizer(*args)
+        else:
+            assert eta.fn.table == glue_morphisms_by_coequalizer(*args).table
 
 
 # ------------------------------------------------------------- uniqueness

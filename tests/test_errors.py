@@ -5,6 +5,9 @@ builds each `FinstackError` subclass directly, so a change to how errors
 declare their fields cannot move what a report or a traceback shows.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from finstack import errors
@@ -187,6 +190,21 @@ def test_error_text_repr_args_payload_and_kind(cls, args, text, rep, payload):
     assert repr(e.payload()) == repr(payload)   # key order included
     assert e.kind() == cls.__name__
     assert isinstance(e, FinstackError) and isinstance(e, Exception)
+
+
+@pytest.mark.parametrize("cls, args, text, rep, payload", TABLE,
+                         ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(TABLE)])
+@pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy],
+                         ids=["pickle", "copy"])
+def test_error_survives_pickle_and_copy(clone, cls, args, text, rep, payload):
+    # a witness error rebuilds from its field values, a free-message error
+    # from its message
+    e = clone(cls(*args))
+    assert type(e) is cls
+    assert str(e) == text
+    assert repr(e) == rep
+    assert e.args == (text,)
+    assert e.payload() == payload
 
 
 @pytest.mark.parametrize("cls, args", FIXED, ids=[cls.__name__ for cls, _ in FIXED])

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import finstack.bundle
 import finstack.sample
 from finstack import (
     BoundExceeded,
@@ -102,7 +103,7 @@ def test_twist_checks_it_keeps_fibers(rng, monkeypatch):
 
 def test_twist_checks_its_bundle(rng, monkeypatch):
     b0 = random_bundle(rng, zmod(2), FinSet(("p",)))
-    monkeypatch.setattr(finstack.sample, "is_principal_bundle",
+    monkeypatch.setattr(finstack.bundle, "is_principal_bundle",
                         lambda proj: NotBundle("p", "planted"))
     with pytest.raises(RuntimeError, match="not a bundle"):
         twist_bundle(rng, b0)

@@ -1,6 +1,7 @@
 """Quotient-stack fibers: objects, morphisms, restriction, the canonical
 coherence isos, and the classifying-stack comparison."""
 
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -39,14 +40,23 @@ from finstack import (
     trivial_bundle,
     zmod,
 )
+from finstack.descent import glue_morphisms
+from finstack.errors import OverlapMismatch
+from finstack.finset import mediate_pullback, pullback
 from finstack.sample import (
+    build_corpus,
     constant_gauge,
     empty_object,
     enumerate_qs_morphisms,
     fiber_gauge,
+    group_catalog,
+    random_map,
     random_qsobject,
     relabel_qsobject,
 )
+from finstack.sitefile import load_site
+
+SITES = Path(__file__).resolve().parent.parent / "sites"
 
 
 def point_x(group):
@@ -191,6 +201,57 @@ def test_restrict_morphism_commutes_with_projection(rng):
     rm = restrict_morphism(m, f)
     assert rm.src == restrict(obj, f)
     assert morphism_predicates(rm.fn).iso
+
+
+def mediated_restriction(m, f):
+    """The restriction of m along f through the pullback's universal
+    property: the map into the target's pulled-back total mediated by m
+    after the first projection and the second projection. The oracle for
+    restrict_morphism's point formula."""
+    cert_src = pullback(m.src.bundle.proj.map, f)
+    cert_dst = pullback(m.dst.bundle.proj.map, f)
+    return mediate_pullback(cert_dst, compose(m.fn, cert_src.proj1), cert_src.proj2)
+
+
+def test_restricted_morphism_matches_mediated_oracle():
+    # the global morphisms of build_corpus's gluing cases over the group
+    # catalog, along each leg of their cover and along random maps
+    rng = Random(62)
+    cases = 0
+    for grp in group_catalog():
+        for x in (point_x(grp), regular_action(grp)):
+            corpus = build_corpus(grp, x, rng, cases=3)
+            for cover, _, _, _, m in corpus.morphism_gluings:
+                maps = list(cover.legs)
+                maps += [random_map(rng, FinSet(range(rng.randint(0, 3))), m.src.base)
+                         for _ in range(2)]
+                for f in maps:
+                    assert (restrict_morphism(m, f).fn.table
+                            == mediated_restriction(m, f).table)
+                    cases += 1
+    assert cases >= 200
+
+
+@pytest.mark.parametrize("name", ["cocycle_bad.site", "overlap_bad.site", "stack_demo.site"])
+def test_restricted_morphism_matches_mediated_oracle_on_fixtures(name):
+    # the fixtures that declare a gluing or a datum: the locals of each
+    # gluing and the isos of each datum along identities, and each glued
+    # morphism along the legs of its cover
+    site = load_site(SITES / name)
+    pairs = []
+    for d in site.by_kind("gluing"):
+        case = d.value
+        pairs += [(loc, identity(loc.src.base)) for loc in case.locals_]
+        try:
+            eta = glue_morphisms(case.cover, case.src, case.dst, case.locals_)
+        except OverlapMismatch:
+            continue
+        pairs += [(eta, f) for f in case.cover.legs]
+    for d in site.by_kind("datum"):
+        pairs += [(iso, identity(iso.src.base)) for iso in d.value.overlaps.values()]
+    assert pairs
+    for m, f in pairs:
+        assert restrict_morphism(m, f).fn.table == mediated_restriction(m, f).table
 
 
 # ------------------------------------------------------------- coherence

@@ -5,15 +5,14 @@ An empty overlap U_i ×_Y U_j imposes nothing: a datum stores isos only on
 the leg pairs with a nonempty overlap (`overlapping_pairs`), and every pass
 walks those pairs, reading points through indexes by base atom.
 
-Gluing an object realizes the colimit over a cover's overlap diagram
-concretely: the glued total is the coequalizer of the pairwise-overlap
-relation on the disjoint union of the locals, the action, projection and
-structure map are mediated through it, and the comparison isos back to the
-datum are assembled leg by leg and verified. Gluing morphisms needs no
-colimit: the cover is jointly surjective, so the glued morphism is fixed
-point by point by the locals, and the tests keep the kernel-pair
-coequalizer build as its oracle. Nothing is trusted: every produced object
-or morphism is re-certified by the checking ops it must satisfy.
+Gluing builds by point formulas, not through colimits. Once the cocycle
+holds, the overlap isos identify a point of W_i with exactly one point of
+each W_j over the same base atom, so the glued object is written chart by
+chart and its comparison isos back to the datum are single overlap isos.
+A glued morphism is fixed point by point by the locals, since the cover is
+jointly surjective. The tests keep the coequalizer builds of both as
+oracles. Nothing is trusted: every produced object or morphism is
+re-certified by the checking ops it must satisfy.
 """
 
 from __future__ import annotations
@@ -32,15 +31,11 @@ from .errors import (
 )
 from .finset import (
     FinMap,
+    FinSet,
     Record,
     Tag,
-    coequalizer,
-    compose,
-    coproduct,
-    copair,
     fibers,
     identity,
-    mediate_coequalizer,
     morphism_predicates,
     product,
     pullback,
@@ -109,13 +104,16 @@ class DescentDatum(Record):
 def make_datum(cover: CoveringFamily, objects, overlaps) -> DescentDatum:
     """Validate shapes and isos. Each pair of overlapping_pairs(cover) needs
     an iso: the identity on the diagonal of a mono leg is filled in, any other
-    gap raises MissingOverlapIso. Isos over empty overlaps are kept."""
+    gap raises MissingOverlapIso. Isos over empty overlaps are kept. Every
+    object must have the first one's group and structure action."""
     objects = tuple(objects)
     if len(objects) != len(cover.legs):
         raise ValueError("need exactly one object per leg")
     for i, (obj, leg) in enumerate(zip(objects, cover.legs)):
         if obj.base != leg.src:
             raise ValueError(f"object {i} lives over {obj.base!r}, leg wants {leg.src!r}")
+        if obj.bundle.group != objects[0].bundle.group or obj.x_action != objects[0].x_action:
+            raise ValueError(f"object {i} has another group or structure action than object 0")
     overlaps = dict(overlaps)
     for i, j in overlapping_pairs(cover):
         if (i, j) in overlaps:
@@ -275,86 +273,85 @@ class GluingResult(NamedTuple):
 
 
 def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
-    """Glue a descent datum to a global object.
+    """Glue a descent datum to a global object by its point formulas.
 
-    The total is the coequalizer of the overlap relation on the disjoint
-    union of the locals; action, projection and structure map are mediated
-    through it; the leg comparisons are assembled from the overlap isos and
-    verified to be isos compatible with the datum.
+    Once the cocycle holds, the class of w over a in W_i is
+    {(j, φ_ij(w, (a, b)))}. So each base atom y is charted by the least leg
+    i that hits it, and a glued point over y is Tag(i, r) for r the first
+    atom in W_i's canonical order among the φ_ii(w, (a, b)) for b over y,
+    the name the coequalizer of the overlap relation gives it. Action,
+    projection and structure map are read through the chart, and
+    ψ_j(Tag(i, r), b) = φ_ij(r, (π_i(r), b)); each is certified.
 
-    A datum with no legs carries no group or structure space of its own, so
-    the empty cover of the empty base needs both passed in explicitly.
+    The group and structure action are the objects'; passing others raises
+    ValueError. The empty cover of the empty base has no objects to read
+    them from, so it needs both passed in.
     """
     cover = datum.cover
     require_canonical(cover)
+    for obj in datum.objects:
+        group = obj.bundle.group if group is None else group
+        x_action = obj.x_action if x_action is None else x_action
+        if obj.bundle.group != group or obj.x_action != x_action:
+            raise ValueError("the datum's objects are not all over the group "
+                             "and structure action of the gluing")
+    if group is None or x_action is None:
+        raise ValueError("gluing over the empty cover needs group and x_action")
     try:
         check_cocycle(datum)
     except CocycleFail as err:
         raise CocycleRequired(err) from err
     n = len(cover.legs)
     if n == 0:
-        if group is None or x_action is None:
-            raise ValueError("gluing over the empty cover needs group and x_action")
         return GluingResult(empty_object(group, x_action), ())
-    group = datum.objects[0].bundle.group
-    x_action = datum.objects[0].x_action
     phis = _phis(datum)
-    pairs = sorted(phis)
-    c1 = coproduct(obj.total for obj in datum.objects)
-    rel = coproduct(datum.overlaps[ij].fn.src for ij in pairs).space
-    d0 = FinMap(rel, c1.space, {t: Tag(pairs[t.part][0], t.atom[0]) for t in rel})
-    d1 = FinMap(rel, c1.space,
-                {t: Tag(pairs[t.part][1], phis[pairs[t.part]][t.atom]) for t in rel})
-    cert = coequalizer(d0, d1)
-    members = fibers(cert.proj)
-    # the action descends because every relation map is equivariant; build
-    # the table from any member and verify all members agree
-    act_table = {}
-    gxw = product(group.carrier, cert.quotient)
-    for g in group.carrier:
-        for q in cert.quotient:
-            images = {
-                cert.proj.table[Tag(t.part, datum.objects[t.part].bundle.total.act.table[(g, t.atom)])]
-                for t in members[q]
-            }
-            if len(images) != 1:
-                raise RuntimeError("overlap relation is not equivariant")
-            act_table[(g, q)] = images.pop()
-    act = check_action(group, cert.quotient,
-                       FinMap(gxw.space, cert.quotient, act_table))
-    pi_w = mediate_coequalizer(cert, copair(
-        c1,
-        [compose(cover.legs[i], datum.objects[i].bundle.proj.map) for i in range(n)],
-        dst=cover.target))
-    alpha_w = mediate_coequalizer(cert, copair(
-        c1, [obj.alpha.map for obj in datum.objects], dst=x_action.space))
-    glued = check_qs_object(constructed_bundle(act, pi_w), alpha_w, x_action)
-    # comparison isos psi_i : glued|U_i -> W_i, assembled through the datum
+    legs = [f.table for f in cover.legs]
     pis = [obj.bundle.proj.map.table for obj in datum.objects]
+    chart: dict = {}
+    for i, fi in enumerate(legs):
+        for y in fi.values():
+            chart.setdefault(y, i)
+    # names[i][w]: the glued point of w, for w over an atom charted by leg i;
+    # W_i is walked in canonical order, so a class is named by its first atom
+    names = [{} for _ in range(n)]
+    points = []
+    for i, obj in enumerate(datum.objects):
+        fi, legs_over = legs[i], fibers(cover.legs[i])
+        for w in obj.total:
+            a = pis[i][w]
+            if chart[fi[a]] != i or w in names[i]:
+                continue
+            q = Tag(i, w)
+            points.append(q)
+            for b in legs_over[fi[a]]:
+                names[i][phis[(i, i)][(w, (a, b))]] = q
+    total = FinSet(points)
+    acts = [obj.bundle.total.act.table for obj in datum.objects]
+    alphas = [obj.alpha.map.table for obj in datum.objects]
+    gxw = product(group.carrier, total)
+    act = check_action(group, total, FinMap(
+        gxw.space, total, {(g, q): names[q.part][acts[q.part][(g, q.atom)]]
+                           for g, q in gxw.space}))
+    pi_w = FinMap(total, cover.target, {q: legs[q.part][pis[q.part][q.atom]] for q in total})
+    alpha_w = FinMap(total, x_action.space, {q: alphas[q.part][q.atom] for q in total})
+    glued = check_qs_object(constructed_bundle(act, pi_w), alpha_w, x_action)
+    # comparison isos psi_j : glued|U_j -> W_j, one overlap iso per point
     comparisons = []
-    for i in range(n):
-        fi = cover.legs[i]
-        rcert = pullback(pi_w, fi)
-        table = {}
-        for (q, a) in rcert.apex:
-            values = set()
-            for t in members[q]:
-                j, w = t.part, t.atom
-                values.add(phis[(j, i)][(w, (pis[j][w], a))])
-            if len(values) != 1:
-                raise RuntimeError(
-                    "comparison is ill-defined; cocycle should have caught this")
-            table[(q, a)] = values.pop()
+    for j in range(n):
+        fj = cover.legs[j]
+        rcert = pullback(pi_w, fj)
+        table = {(q, b): phis[(q.part, j)][(q.atom, (pis[q.part][q.atom], b))]
+                 for q, b in rcert.apex}
         psi = check_qs_morphism(
-            restrict(glued, fi), datum.objects[i],
-            FinMap(rcert.apex, datum.objects[i].total, table))
+            restrict(glued, fj), datum.objects[j],
+            FinMap(rcert.apex, datum.objects[j].total, table))
         if not morphism_predicates(psi.fn).iso:
-            raise RuntimeError(f"comparison over leg {i} is not an iso")
+            raise RuntimeError(f"comparison over leg {j} is not an iso")
         comparisons.append(psi)
     # compatibility of the comparisons against every overlap iso, pointwise
     glued_over = fibers(pi_w)
-    for i, j in pairs:
-        fi = cover.legs[i].table
+    for i, j in sorted(phis):
+        fi = legs[i]
         for a, b in overlap(cover, i, j).apex:
             for q in glued_over.get(fi[a], ()):
                 via_phi = phis[(i, j)][(comparisons[i].fn.table[(q, a)], (a, b))]

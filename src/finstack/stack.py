@@ -1,7 +1,10 @@
 """Fibers of the quotient prestack [X/G]: objects are bundles with an
 equivariant map to X, morphisms are bundle maps compatible with those,
 restriction is by base change, and the pseudofunctor coherence cells are
-computed isos, not assumptions.
+computed isos, not assumptions: each component of ι and ε is written by its
+point formula on the pulled-back totals and certified a bijection and a
+morphism in its fiber, and the tests keep the pullbacks' mediated maps as
+their oracles.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .finset import (
     fiber,
     identity,
     invert,
-    mediate_pullback,
     memo,
+    morphism_predicates,
     pair_map,
     product,
     pullback,
@@ -180,38 +183,31 @@ def restrict_morphism(m: QSMorphism, f: FinMap) -> QSMorphism:
     return check_qs_morphism(src, dst, t)
 
 
-def _require_mutually_inverse(fwd: FinMap, bwd: FinMap) -> None:
-    if compose(bwd, fwd) != identity(fwd.src) or compose(fwd, bwd) != identity(bwd.src):
-        raise RuntimeError("the two directions of a canonical iso are not inverse")
+def _canonical_iso(src: QSObject, dst: QSObject, table: dict) -> QSMorphism:
+    """Certify a canonical comparison given by its point formula: it must be
+    a bijection of the totals, else RuntimeError, and a morphism in the
+    fiber."""
+    fn = FinMap(src.total, dst.total, table)
+    if not morphism_predicates(fn).iso:
+        raise RuntimeError("a canonical comparison is not a bijection")
+    return check_qs_morphism(src, dst, fn)
 
 
 def iota_component(obj: QSObject) -> QSMorphism:
-    """The canonical iso restrict(obj, id) -> obj. Both directions are
-    mediated and verified mutually inverse."""
-    cert = pullback(obj.bundle.proj.map, identity(obj.base))
-    fwd = cert.proj1
-    bwd = mediate_pullback(cert, identity(obj.total), obj.bundle.proj.map)
-    _require_mutually_inverse(fwd, bwd)
-    return check_qs_morphism(restrict(obj, identity(obj.base)), obj, fwd)
+    """The canonical iso restrict(obj, id) -> obj, (p, y) ↦ p: the first
+    projection of the pullback along the identity."""
+    src = restrict(obj, identity(obj.base))
+    return _canonical_iso(src, obj, {(p, y): p for p, y in src.total})
 
 
 def epsilon_component(obj: QSObject, f: FinMap, g: FinMap) -> QSMorphism:
     """The canonical iso restrict(obj, f∘g) -> restrict(restrict(obj, f), g),
-    both directions mediated and verified mutually inverse."""
+    (p, z) ↦ ((p, g(z)), z)."""
     if f.dst != obj.base or g.dst != f.src:
         raise BaseMismatch("maps are not composable under the object's base")
-    fg = compose(f, g)
-    src = restrict(obj, fg)
-    mid_cert = pullback(obj.bundle.proj.map, f)
-    cert_fg = pullback(obj.bundle.proj.map, fg)
-    restricted = restrict(obj, f)
-    outer_cert = pullback(restricted.bundle.proj.map, g)
-    to_mid = mediate_pullback(mid_cert, cert_fg.proj1, compose(g, cert_fg.proj2))
-    fwd = mediate_pullback(outer_cert, to_mid, cert_fg.proj2)
-    back_p = compose(mid_cert.proj1, outer_cert.proj1)
-    bwd = mediate_pullback(cert_fg, back_p, outer_cert.proj2)
-    _require_mutually_inverse(fwd, bwd)
-    return check_qs_morphism(src, restrict(restricted, g), fwd)
+    src = restrict(obj, compose(f, g))
+    return _canonical_iso(src, restrict(restrict(obj, f), g),
+                          {(p, z): ((p, g.table[z]), z) for p, z in src.total})
 
 
 class CoherenceCell(Record):

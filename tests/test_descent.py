@@ -40,16 +40,28 @@ from finstack import (
     verify_stack,
     zmod,
 )
-from finstack.descent import Distinguish, overlap, overlapping_pairs
+from finstack.action import check_action
+from finstack.bundle import constructed_bundle
+from finstack.descent import (
+    Distinguish,
+    GluingResult,
+    _phis,
+    overlap,
+    overlapping_pairs,
+)
 from finstack.errors import FinstackError
 from finstack.finset import (
+    Tag,
     coequalizer,
     compose,
     copair,
     coproduct,
+    fibers,
     invert,
     mediate_coequalizer,
     mediate_pullback,
+    morphism_predicates,
+    product,
     pullback,
 )
 from finstack.sample import (
@@ -63,11 +75,13 @@ from finstack.sample import (
     fiber_gauge,
     group_catalog,
     random_cover,
+    random_gset,
     random_qsobject,
     relabel_qsobject,
 )
 from finstack.sitefile import load_site, parse_site
-from finstack.stack import QSMorphism, check_qs_object
+from finstack.stack import QSMorphism, check_qs_morphism, check_qs_object
+from finstack.topology import require_canonical
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
 
@@ -104,6 +118,44 @@ def test_make_datum_fills_forced_overlaps_only():
     with pytest.raises(MissingOverlapIso) as exc:
         make_datum(sharing, parts.objects, partial)
     assert (exc.value.i, exc.value.j) == (0, 1)
+
+
+def mixed_objects():
+    """A Z/2 object over leg 0 and a Z/3 object over leg 1 of the point
+    cover of a 2-atom base; the legs do not meet."""
+    cover = point_cover(FinSet(("p", "q")))
+    objects = [trivial_object(grp, leg.src)
+               for grp, leg in zip((zmod(2), zmod(3)), cover.legs)]
+    diagonals = {(i, i): qs_identity(restrict(obj, overlap(cover, i, i).proj1))
+                 for i, obj in enumerate(objects)}
+    return cover, objects, diagonals
+
+
+def test_make_datum_refuses_mixed_groups():
+    cover, objects, _ = mixed_objects()
+    with pytest.raises(ValueError, match="another group or structure action"):
+        make_datum(cover, objects, {})
+    # the same group over another structure space is refused too
+    z2 = zmod(2)
+    other = random_qsobject(Random(3), z2, regular_action(z2), cover.legs[1].src)
+    with pytest.raises(ValueError, match="another group or structure action"):
+        make_datum(cover, [objects[0], other], {})
+
+
+def test_glue_refuses_objects_off_its_group():
+    cover, objects, diagonals = mixed_objects()
+    # a datum built past make_datum is refused before gluing, not with the
+    # action law failure of a mixed total
+    mixed = finstack.descent.DescentDatum(cover, tuple(objects), diagonals)
+    with pytest.raises(ValueError, match="not all over the group"):
+        glue_object(mixed)
+    z2 = zmod(2)
+    datum = restrict_to_datum(trivial_object(z2, cover.target), cover)
+    with pytest.raises(ValueError, match="not all over the group"):
+        glue_object(datum, group=zmod(3), x_action=point_x(zmod(3)))
+    with pytest.raises(ValueError, match="not all over the group"):
+        glue_object(datum, x_action=regular_action(z2))
+    assert glue_object(datum, group=z2).glued.x_action == point_x(z2)
 
 
 def test_round_trip_datum_passes_cocycle():
@@ -377,6 +429,147 @@ def test_empty_cover_gluing():
     result = glue_object(datum, group=z2, x_action=point_x(z2))
     assert len(result.glued.total) == 0
     assert result.comparisons == ()
+
+
+def glue_object_by_coequalizer(datum, group=None, x_action=None):
+    """The glued object through the coequalizer of the overlap relation on
+    the disjoint union of the locals: action, projection and structure map
+    mediated through it, each comparison assembled from every member of a
+    class. The oracle for glue_object's point formulas.
+    """
+    cover = datum.cover
+    require_canonical(cover)
+    try:
+        check_cocycle(datum)
+    except CocycleFail as err:
+        raise CocycleRequired(err) from err
+    n = len(cover.legs)
+    if n == 0:
+        if group is None or x_action is None:
+            raise ValueError("gluing over the empty cover needs group and x_action")
+        return GluingResult(empty_object(group, x_action), ())
+    group = datum.objects[0].bundle.group
+    x_action = datum.objects[0].x_action
+    phis = _phis(datum)
+    pairs = sorted(phis)
+    c1 = coproduct(obj.total for obj in datum.objects)
+    rel = coproduct(datum.overlaps[ij].fn.src for ij in pairs).space
+    d0 = FinMap(rel, c1.space, {t: Tag(pairs[t.part][0], t.atom[0]) for t in rel})
+    d1 = FinMap(rel, c1.space,
+                {t: Tag(pairs[t.part][1], phis[pairs[t.part]][t.atom]) for t in rel})
+    cert = coequalizer(d0, d1)
+    members = fibers(cert.proj)
+    # the action descends because every relation map is equivariant; build
+    # the table from any member and verify all members agree
+    act_table = {}
+    gxw = product(group.carrier, cert.quotient)
+    for g in group.carrier:
+        for q in cert.quotient:
+            images = {
+                cert.proj.table[Tag(t.part, datum.objects[t.part].bundle.total.act.table[(g, t.atom)])]
+                for t in members[q]
+            }
+            if len(images) != 1:
+                raise RuntimeError("overlap relation is not equivariant")
+            act_table[(g, q)] = images.pop()
+    act = check_action(group, cert.quotient,
+                       FinMap(gxw.space, cert.quotient, act_table))
+    pi_w = mediate_coequalizer(cert, copair(
+        c1,
+        [compose(cover.legs[i], datum.objects[i].bundle.proj.map) for i in range(n)],
+        dst=cover.target))
+    alpha_w = mediate_coequalizer(cert, copair(
+        c1, [obj.alpha.map for obj in datum.objects], dst=x_action.space))
+    glued = check_qs_object(constructed_bundle(act, pi_w), alpha_w, x_action)
+    # comparison isos psi_i : glued|U_i -> W_i, assembled through the datum
+    pis = [obj.bundle.proj.map.table for obj in datum.objects]
+    comparisons = []
+    for i in range(n):
+        fi = cover.legs[i]
+        rcert = pullback(pi_w, fi)
+        table = {}
+        for (q, a) in rcert.apex:
+            values = set()
+            for t in members[q]:
+                j, w = t.part, t.atom
+                values.add(phis[(j, i)][(w, (pis[j][w], a))])
+            if len(values) != 1:
+                raise RuntimeError(
+                    "comparison is ill-defined; cocycle should have caught this")
+            table[(q, a)] = values.pop()
+        psi = check_qs_morphism(
+            restrict(glued, fi), datum.objects[i],
+            FinMap(rcert.apex, datum.objects[i].total, table))
+        if not morphism_predicates(psi.fn).iso:
+            raise RuntimeError(f"comparison over leg {i} is not an iso")
+        comparisons.append(psi)
+    # compatibility of the comparisons against every overlap iso, pointwise
+    glued_over = fibers(pi_w)
+    for i, j in pairs:
+        fi = cover.legs[i].table
+        for a, b in overlap(cover, i, j).apex:
+            for q in glued_over.get(fi[a], ()):
+                via_phi = phis[(i, j)][(comparisons[i].fn.table[(q, a)], (a, b))]
+                if via_phi != comparisons[j].fn.table[(q, b)]:
+                    raise RuntimeError(
+                        f"comparison isos disagree with overlap iso ({i},{j})")
+    return GluingResult(glued, tuple(comparisons))
+
+
+
+def glued_tables(result):
+    """The glued total in order, its action, projection and structure map,
+    and every comparison, as tables."""
+    g = result.glued
+    return (g.total.elements, g.bundle.total.act.table, g.bundle.proj.map.table,
+            g.alpha.map.table, [psi.fn.table for psi in result.comparisons])
+
+
+def glue_both(datum, **kwargs):
+    """glue_object and its oracle on one datum: the tables, or the type of
+    the error each raises."""
+    out = []
+    for glue in (glue_object, glue_object_by_coequalizer):
+        try:
+            out.append(glued_tables(glue(datum, **kwargs)))
+        except FinstackError as err:
+            out.append(type(err))
+    return out
+
+
+def corpus_data():
+    """build_corpus's round-trip, conjugated and refused data over the group
+    catalog, with the one-point, the regular and a random structure space,
+    for three seeds."""
+    for seed in range(3):
+        rng = Random(70 + seed)
+        for grp in group_catalog():
+            for x in (point_x(grp), regular_action(grp), random_gset(rng, grp, 4)):
+                corpus = build_corpus(grp, x, rng, cases=3)
+                for datum, _ in corpus.effectiveness:
+                    yield datum, grp, x
+                for datum in corpus.invalid_data:
+                    yield datum, grp, x
+
+
+def test_glued_object_matches_coequalizer_oracle():
+    kinds = []
+    for datum, grp, x in corpus_data():
+        new, old = glue_both(datum, group=grp, x_action=x)
+        assert new == old
+        kinds.append(new if isinstance(new, type) else "glued")
+    assert kinds.count("glued") >= 500
+    assert kinds.count(CocycleRequired) >= 60 and kinds.count(CoverNotCanonical) >= 150
+
+
+@pytest.mark.parametrize("name", ["stack_demo.site", "cocycle_bad.site"])
+def test_glued_object_matches_coequalizer_oracle_on_fixtures(name):
+    # the refused twist of cocycle_bad must make the oracle refuse it too
+    data = load_site(SITES / name).by_kind("datum")
+    assert data
+    for d in data:
+        new, old = glue_both(d.value)
+        assert new == old
 
 
 # --------------------------------------------------- morphism gluing

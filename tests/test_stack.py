@@ -278,6 +278,55 @@ def test_epsilon_component_shape(rng):
         epsilon_component(obj, g, f)
 
 
+def mediated_iota(obj):
+    """ι through the pullback along the identity: its first projection, with
+    the inverse mediated from the identity and the projection and checked
+    to be inverse. The oracle for iota_component's point formula."""
+    cert = pullback(obj.bundle.proj.map, identity(obj.base))
+    fwd = cert.proj1
+    bwd = mediate_pullback(cert, identity(obj.total), obj.bundle.proj.map)
+    assert compose(bwd, fwd) == identity(fwd.src) and compose(fwd, bwd) == identity(bwd.src)
+    return fwd.table
+
+
+def mediated_epsilon(obj, f, g):
+    """ε_{f,g} through the pullbacks' universal properties, both directions
+    mediated and checked to be inverse. The oracle for epsilon_component's
+    point formula."""
+    fg = compose(f, g)
+    mid_cert = pullback(obj.bundle.proj.map, f)
+    cert_fg = pullback(obj.bundle.proj.map, fg)
+    outer_cert = pullback(restrict(obj, f).bundle.proj.map, g)
+    to_mid = mediate_pullback(mid_cert, cert_fg.proj1, compose(g, cert_fg.proj2))
+    fwd = mediate_pullback(outer_cert, to_mid, cert_fg.proj2)
+    back_p = compose(mid_cert.proj1, outer_cert.proj1)
+    bwd = mediate_pullback(cert_fg, back_p, outer_cert.proj2)
+    assert compose(bwd, fwd) == identity(fwd.src) and compose(fwd, bwd) == identity(bwd.src)
+    return fwd.table
+
+
+def random_map_into(rng, dst):
+    """A random map into dst from up to 3 atoms, from none when dst is empty."""
+    return random_map(rng, FinSet(range(rng.randint(0, 3) if len(dst) else 0)), dst)
+
+
+def test_coherence_components_match_mediated_oracles():
+    # the source objects of build_corpus over the group catalog, along
+    # random composable pairs into their base, empty sources included
+    rng = Random(63)
+    cases = 0
+    for grp in group_catalog():
+        for x in (point_x(grp), regular_action(grp)):
+            for _, obj in build_corpus(grp, x, rng, cases=3).effectiveness:
+                assert iota_component(obj).fn.table == mediated_iota(obj)
+                for _ in range(2):
+                    f = random_map_into(rng, obj.base)
+                    g = random_map_into(rng, f.src)
+                    assert epsilon_component(obj, f, g).fn.table == mediated_epsilon(obj, f, g)
+                    cases += 1
+    assert cases >= 200
+
+
 def test_iota_naturality_on_gauges(rng):
     z3 = zmod(3)
     base = FinSet(("p", "q"))
@@ -309,7 +358,7 @@ def test_associativity_and_triangles(rng):
 
 
 # Each coherence cell raises RuntimeError when its comparison fails, also
-# under python -O. A monkeypatch breaks one composite or one mediated map.
+# under python -O. A monkeypatch breaks one composite or one comparison.
 
 def break_nth_composite(monkeypatch, nth):
     """Follow the nth compose_qs result in stack by a nontrivial Z/2 gauge."""
@@ -333,19 +382,30 @@ def coherence_setup():
     return obj, f, g, h
 
 
-def test_canonical_iso_directions_must_be_inverse(monkeypatch):
-    obj, *_ = coherence_setup()
-    swap = constant_gauge(obj, 1).fn
-    real = finstack.stack.mediate_pullback
-    monkeypatch.setattr(finstack.stack, "mediate_pullback",
-                        lambda cert, u, v: compose(real(cert, u, v), swap))
-    with pytest.raises(RuntimeError, match="not inverse"):
+def test_canonical_iso_must_be_a_bijection():
+    one = trivial_object(zmod(2), FinSet(("p",)))
+    two = trivial_object(zmod(2), FinSet(("p", "q")))
+    # onto the two atoms of one, but not injective
+    onto = {t: one.total.elements[k % 2] for k, t in enumerate(two.total)}
+    with pytest.raises(RuntimeError, match="not a bijection"):
+        finstack.stack._canonical_iso(two, one, onto)
+    # injective, but missing the fiber over q
+    into = {t: t for t in one.total}
+    with pytest.raises(RuntimeError, match="not a bijection"):
+        finstack.stack._canonical_iso(one, two, into)
+
+
+def test_non_bijective_comparison_raises(monkeypatch):
+    # a comparison whose table sends every point to one target atom reaches
+    # the certification of iota and of epsilon
+    obj, f, g, _ = coherence_setup()
+    real = finstack.stack.FinMap
+    monkeypatch.setattr(finstack.stack, "FinMap", lambda src, dst, table: real(
+        src, dst, dict.fromkeys(table, dst.elements[0])))
+    with pytest.raises(RuntimeError, match="not a bijection"):
         iota_component(obj)
-    # a left inverse that is not a right inverse fails the second composite
-    fwd = FinMap(FinSet((0,)), FinSet((0, 1)), {0: 0})
-    bwd = FinMap(FinSet((0, 1)), FinSet((0,)), {0: 0, 1: 0})
-    with pytest.raises(RuntimeError, match="not inverse"):
-        finstack.stack._require_mutually_inverse(fwd, bwd)
+    with pytest.raises(RuntimeError, match="not a bijection"):
+        epsilon_component(obj, f, g)
 
 
 def test_iota_naturality_failure_raises(monkeypatch):

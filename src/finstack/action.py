@@ -314,12 +314,12 @@ def check_equivariant(f: FinMap, a: GAction, b: GAction) -> EquivariantMap:
 
 def pullback_action(p: GAction, z: GAction, y: GAction,
                     f: EquivariantMap, g: EquivariantMap) -> GAction:
-    """The induced action on the pullback P×_Y Z of f along g.
-
-    The structure map is the mediating map of (act_P ∘ (id×proj1),
-    act_Z ∘ (id×proj2)) into the pullback, then certified as an action. It
-    is built in one pass over G×(P×_Y Z): h·(a, b) = (h·a, h·b), raising
+    """The induced action on the pullback P×_Y Z of f along g: the mediating
+    map of (act_P ∘ (id×proj1), act_Z ∘ (id×proj2)), h·(a, b) = (h·a, h·b),
+    built in one pass over G×(P×_Y Z) and certified as an action. Raises
     SquareNotCommuting((h, (a, b)), f(h·a), g(h·b)) where the two differ.
+    No production path calls it: base change writes (h·p, z) directly, and
+    this is its reference and the local-triviality oracles' construction.
     """
     if f.src_action != p or f.dst_action != y:
         raise ValueError("f must be an equivariant map P -> Y")
@@ -350,10 +350,10 @@ def product_action(group: FinGroup, u: FinSet) -> GAction:
 
 def gset_isomorphism_over(a: GAction, b: GAction,
                           pa: FinMap, pb: FinMap) -> Optional[FinMap]:
-    """Search for an equivariant bijection h with pb ∘ h = pa.
-
-    Backtracks over orbit representatives; deterministic (orbits and
-    candidates in canonical order). Returns None when no such map exists.
+    """Search for an equivariant bijection h with pb ∘ h = pa, backtracking
+    over orbit representatives in canonical order; None when none exists.
+    No production path calls it: it is the reference of the isos in a fiber
+    and the local-triviality oracles' search.
     """
     if a.group != b.group:
         raise ValueError("actions are for different groups")

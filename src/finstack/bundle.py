@@ -89,17 +89,16 @@ class Bundle(Record):
 
 
 def _require_trivial_base(proj: EquivariantMap) -> None:
-    act = proj.dst_action
-    if any(act(g, y) != y for g in act.group.carrier for y in act.space):
+    if any(gy != y for (_, y), gy in proj.dst_action.act.table.items()):
         raise ValueError("the base must carry the trivial action")
 
 
 def _induced_action(proj: EquivariantMap, f: FinMap):
-    """The trivial action on f.src and the action of proj pulled back along f
-    onto the apex of the pullback of (proj, f)."""
+    """The action of proj pulled back along f onto the apex of the pullback
+    of (proj, f), by the general `pullback_action`."""
     triv = trivial_action(proj.src_action.group, f.src)
-    eq_f = check_equivariant(f, triv, proj.dst_action)
-    return triv, pullback_action(proj.src_action, triv, proj.dst_action, proj, eq_f)
+    return pullback_action(proj.src_action, triv, proj.dst_action, proj,
+                           check_equivariant(f, triv, proj.dst_action))
 
 
 def is_locally_trivial(proj: EquivariantMap,
@@ -116,12 +115,9 @@ def is_locally_trivial(proj: EquivariantMap,
     group = proj.src_action.group
     legs = []
     for i, f in enumerate(cover.legs):
-        u = f.src
         cert = pullback(proj.map, f)
-        _, psi = _induced_action(proj, f)
-        theta = product_action(group, u)
-        pb = product(group.carrier, u).proj2
-        phi = gset_isomorphism_over(psi, theta, cert.proj2, pb)
+        phi = gset_isomorphism_over(_induced_action(proj, f), product_action(group, f.src),
+                                    cert.proj2, product(group.carrier, f.src).proj2)
         if phi is None:
             return NotTrivial(i)
         legs.append(TrivLeg(i, cert, phi))
@@ -134,14 +130,11 @@ def check_trivialization(proj: EquivariantMap, triv: Trivialization) -> None:
     group = proj.src_action.group
     for leg in triv.legs:
         f = triv.cover.legs[leg.leg_index]
-        u = f.src
-        _, psi = _induced_action(proj, f)
-        theta = product_action(group, u)
+        psi, theta = _induced_action(proj, f), product_action(group, f.src)
         if not morphism_predicates(leg.phi).iso:
             raise ValueError(f"stored phi over leg {leg.leg_index} is not an iso")
         check_equivariant(leg.phi, psi, theta)
-        pb = product(group.carrier, u).proj2
-        if compose(pb, leg.phi) != leg.cert.proj2:
+        if compose(product(group.carrier, f.src).proj2, leg.phi) != leg.cert.proj2:
             raise TriangleFail(leg.leg_index, "trivialization-base")
 
 
@@ -195,18 +188,17 @@ def trivial_bundle(group: FinGroup, base: FinSet) -> Bundle:
 
 
 def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
-    """Base change of a bundle along f: the pulled-back action on P×_Y Z
-    over Z. Its fibers are those of b, so they are torsors; the decider
-    confirms it, and a failure is an internal fault."""
+    """Base change of a bundle along f: the action h·(p, z) = (h·p, z) on
+    P×_Y Z over Z, certified by `check_action`, with the second projection.
+    Its fibers are those of b, so `constructed_bundle` certifies it."""
     if f.dst != b.base:
         raise BaseMismatch(f"{f.dst!r} != {b.base!r}")
     cert = pullback(b.proj.map, f)
-    triv_z, psi = _induced_action(b.proj, f)
-    new_proj = check_equivariant(cert.proj2, psi, triv_z)
-    witness = _torsor_fibers(new_proj)
-    if witness is not None:
-        raise RuntimeError(f"base change is not a bundle: {witness}")
-    return Bundle(b.group, f.src, psi, new_proj)
+    at = b.total.act.table
+    src = product(b.group.carrier, cert.apex).space
+    # keyed by src's own atoms, which FinMap's check then finds by identity
+    act = FinMap(src, cert.apex, {k: (at[(h, p)], z) for k in src for h, (p, z) in (k,)})
+    return constructed_bundle(check_action(b.group, cert.apex, act), cert.proj2)
 
 
 class BundleMorphism(Record):
@@ -237,14 +229,24 @@ def check_bundle_morphism(src: Bundle, dst: Bundle, m: FinMap) -> BundleMorphism
     return BundleMorphism(src, dst, eq)
 
 
+def fiber_map(src: Bundle, dst: Bundle, image: dict) -> FinMap:
+    """The map g·p0 ↦ g·image[y] over the common base, p0 the least atom of
+    src's fiber over y: the fibers are G-torsors, so it is the one
+    equivariant map with those images. The caller certifies it."""
+    sa, da = src.total.act.table, dst.total.act.table
+    return FinMap(src.total.space, dst.total.space, {
+        sa[(g, fib[0])]: da[(g, image[y])]
+        for y, fib in fibers(src.proj.map).items() for g in src.group.carrier})
+
+
 def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
                                bound: int = 65536) -> list:
     """All bundle morphisms src => dst, built from one image per fiber.
 
     The fibers are G-torsors, so a morphism over the base is fixed by where
     it sends p0, the least atom of each src fiber: choosing q0 in the dst
-    fiber over the same base atom gives m(g·p0) = g·q0. That yields exactly
-    |G|^|base| maps, and the bound counts them. Each is still certified by
+    fiber over the same base atom gives the `fiber_map` g·p0 ↦ g·q0: exactly
+    |G|^|base| maps, which the bound counts, each certified by
     `check_bundle_morphism`, where a failure is an internal fault.
 
     The maps come in `topology.all_maps` order, lexicographic in the
@@ -257,22 +259,14 @@ def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
         raise ValueError("bundles are for different groups")
     if src.base != dst.base:
         raise BaseMismatch(f"{src.base!r} != {dst.base!r}")
-    carrier = src.group.carrier
-    count = len(carrier) ** len(src.base)
+    count = len(src.group.carrier) ** len(src.base)
     if count > bound:
         raise BoundExceeded("bundle-morphism enumeration", count, bound)
-    # base atom -> p0, in the canonical order of p0
-    least = {y: fib[0] for y, fib in fibers(src.proj.map).items()}
+    bases = list(fibers(src.proj.map))
     dst_fibers = fibers(dst.proj.map)
-    src_act, dst_act = src.total.act.table, dst.total.act.table
-    # per fiber, the restriction to it of each choice of q0
-    pieces = [[[(src_act[(g, p0)], dst_act[(g, q0)]) for g in carrier]
-               for q0 in dst_fibers[y]]
-              for y, p0 in least.items()]
     out = []
-    for choice in itertools.product(*pieces):
-        m = FinMap(src.total.space, dst.total.space,
-                   itertools.chain.from_iterable(choice))
+    for choice in itertools.product(*(dst_fibers[y] for y in bases)):
+        m = fiber_map(src, dst, dict(zip(bases, choice)))
         try:
             out.append(check_bundle_morphism(src, dst, m))
         except (TriangleFail, EquivarianceFail) as err:
@@ -317,7 +311,8 @@ def enumerate_bundles(group: FinGroup, base: FinSet,
     if count > bound:
         raise BoundExceeded("bundle enumeration", count, bound)
     prod = product(group.carrier, base)
-    structures = torsor_structures(group)
+    # the one bundle over the empty base uses none of the structures
+    structures = torsor_structures(group) if len(base) else ()
     position = {x: k for k, x in enumerate(base)}
     out = []
     for choice in itertools.product(range(len(structures)), repeat=len(base)):

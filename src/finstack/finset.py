@@ -177,9 +177,6 @@ class FinMap:
             return f"FinMap({body} : {self.src!r} -> {self.dst!r})"
         return f"FinMap(|{len(self.src)}| -> |{len(self.dst)}|)"
 
-    def image(self) -> FinSet:
-        return FinSet(set(self.table.values()))
-
 
 class MemoInfo(NamedTuple):
     hits: int

@@ -16,7 +16,6 @@ from .action import (
     FinGroup,
     GAction,
     check_equivariant,
-    gset_isomorphism_over,
     trivial_action,
 )
 from .bundle import (
@@ -25,24 +24,22 @@ from .bundle import (
     check_bundle_morphism,
     enumerate_bundle_morphisms,
     enumerate_bundles,
+    fiber_map,
     pullback_bundle,
     trivial_bundle,
 )
-from .errors import BaseMismatch, TriangleFail
+from .errors import BaseMismatch, EquivarianceFail, TriangleFail
 from .finset import (
     FinMap,
     FinSet,
     Record,
     bang,
     compose,
-    fiber,
+    fibers,
     identity,
     invert,
     memo,
     morphism_predicates,
-    pair_map,
-    product,
-    pullback,
     terminal,
 )
 
@@ -120,17 +117,13 @@ def check_qs_morphism(src: QSObject, dst: QSObject, m: FinMap) -> QSMorphism:
 
 def fiber_gauge(obj: QSObject, k_by_base: dict) -> QSMorphism:
     """The automorphism acting on the fiber over y as the right translation
-    by k_by_base[y] in the coordinates of the least fiber atom. Raises
-    TriangleFail when some k moves the alpha values it must fix."""
-    group = obj.bundle.group
+    by k_by_base[y] in the coordinates of the least fiber atom w0: the fiber
+    map onto k·w0. Raises TriangleFail when some k moves the alpha values
+    it must fix."""
     act = obj.bundle.total
-    table = {}
-    for y in obj.base:
-        w0 = fiber(obj.bundle.proj.map, y)[0]
-        k = k_by_base[y]
-        for g in group.carrier:
-            table[act(g, w0)] = act(group.times(g, k), w0)
-    return check_qs_morphism(obj, obj, FinMap(obj.total, obj.total, table))
+    image = {y: act(k_by_base[y], fib[0])
+             for y, fib in fibers(obj.bundle.proj.map).items()}
+    return check_qs_morphism(obj, obj, fiber_map(obj.bundle, obj.bundle, image))
 
 
 def constant_gauge(obj: QSObject, k) -> QSMorphism:
@@ -160,12 +153,13 @@ def qs_inverse(m: QSMorphism) -> QSMorphism:
 @memo(lambda obj, f: (obj.total, f))
 def restrict(obj: QSObject, f: FinMap) -> QSObject:
     """Restriction along f : Z -> Y, by base change of the bundle; the new
-    alpha is alpha after the projection to the old total."""
+    alpha is (p, z) ↦ alpha(p)."""
     if f.dst != obj.base:
         raise BaseMismatch(f"{f.dst!r} != {obj.base!r}")
     b = pullback_bundle(obj.bundle, f)
-    cert = pullback(obj.bundle.proj.map, f)
-    alpha = compose(obj.alpha.map, cert.proj1)
+    at = obj.alpha.map.table
+    alpha = FinMap(b.total.space, obj.x_action.space,
+                   {pz: at[pz[0]] for pz in b.total.space})
     return check_qs_object(b, alpha, obj.x_action)
 
 
@@ -183,21 +177,24 @@ def restrict_morphism(m: QSMorphism, f: FinMap) -> QSMorphism:
     return check_qs_morphism(src, dst, t)
 
 
-def _canonical_iso(src: QSObject, dst: QSObject, table: dict) -> QSMorphism:
-    """Certify a canonical comparison given by its point formula: it must be
-    a bijection of the totals, else RuntimeError, and a morphism in the
-    fiber."""
-    fn = FinMap(src.total, dst.total, table)
+def _canonical_iso(check, src, dst, fn: FinMap):
+    """Certify a canonical iso given by its point formula: a bijection of
+    the totals, and a morphism by `check`. A failure is an internal fault,
+    so it raises RuntimeError."""
     if not morphism_predicates(fn).iso:
-        raise RuntimeError("a canonical comparison is not a bijection")
-    return check_qs_morphism(src, dst, fn)
+        raise RuntimeError("a canonical iso is not a bijection")
+    try:
+        return check(src, dst, fn)
+    except (TriangleFail, EquivarianceFail) as err:
+        raise RuntimeError(f"a canonical iso fails its check: {err}") from err
 
 
 def iota_component(obj: QSObject) -> QSMorphism:
     """The canonical iso restrict(obj, id) -> obj, (p, y) ↦ p: the first
     projection of the pullback along the identity."""
     src = restrict(obj, identity(obj.base))
-    return _canonical_iso(src, obj, {(p, y): p for p, y in src.total})
+    return _canonical_iso(check_qs_morphism, src, obj, FinMap(
+        src.total, obj.total, {(p, y): p for p, y in src.total}))
 
 
 def epsilon_component(obj: QSObject, f: FinMap, g: FinMap) -> QSMorphism:
@@ -205,9 +202,9 @@ def epsilon_component(obj: QSObject, f: FinMap, g: FinMap) -> QSMorphism:
     (p, z) ↦ ((p, g(z)), z)."""
     if f.dst != obj.base or g.dst != f.src:
         raise BaseMismatch("maps are not composable under the object's base")
-    src = restrict(obj, compose(f, g))
-    return _canonical_iso(src, restrict(restrict(obj, f), g),
-                          {(p, z): ((p, g.table[z]), z) for p, z in src.total})
+    src, dst = restrict(obj, compose(f, g)), restrict(restrict(obj, f), g)
+    return _canonical_iso(check_qs_morphism, src, dst, FinMap(
+        src.total, dst.total, {(p, z): ((p, g.table[z]), z) for p, z in src.total}))
 
 
 class CoherenceCell(Record):
@@ -285,14 +282,20 @@ def qs_isomorphism(a: QSObject, b: QSObject) -> Optional[FinMap]:
     """An iso of a and b in their fiber: an equivariant bijection of totals
     over the base that also commutes with the alphas, or None.
 
-    Both triangles are folded into one projection condition by pairing the
-    bundle projection with alpha."""
+    It is the fiber map sending the least atom p0 of each fiber to a q0
+    with alpha_b(q0) = alpha_a(p0). The first such q0 gives the map that the
+    search `gset_isomorphism_over` returns first: the fibers are its orbits,
+    and they never collide, so it never backtracks."""
     if a.base != b.base or a.x_action != b.x_action:
         return None
-    prod = product(a.base, a.x_action.space)
-    pa = pair_map(a.bundle.proj.map, a.alpha.map, prod)
-    pb = pair_map(b.bundle.proj.map, b.alpha.map, prod)
-    return gset_isomorphism_over(a.bundle.total, b.bundle.total, pa, pb)
+    aa, ba = a.alpha.map.table, b.alpha.map.table
+    b_fibers = fibers(b.bundle.proj.map)
+    image = {}
+    for y, fib in fibers(a.bundle.proj.map).items():
+        image[y] = next((q for q in b_fibers[y] if ba[q] == aa[fib[0]]), None)
+        if image[y] is None:
+            return None
+    return _canonical_iso(check_qs_morphism, a, b, fiber_map(a.bundle, b.bundle, image)).fn
 
 
 class ClassifyingReport(Record):
@@ -307,8 +310,13 @@ class ClassifyingReport(Record):
 
 
 def bundle_isomorphic(a: Bundle, b: Bundle) -> bool:
-    h = gset_isomorphism_over(a.total, b.total, a.proj.map, b.proj.map)
-    return h is not None
+    """Always true over one finite base: the fibers are G-torsors, and the
+    fiber map onto the least atoms, built and certified, is an iso."""
+    if a.group != b.group or a.base != b.base:
+        raise ValueError("bundles are for different groups or bases")
+    least = {y: fib[0] for y, fib in fibers(b.proj.map).items()}
+    _canonical_iso(check_bundle_morphism, a, b, fiber_map(a, b, least))
+    return True
 
 
 def classifying_fiber_equiv(group: FinGroup, base: FinSet,

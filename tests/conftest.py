@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+import finstack.action
 import finstack.topology
 from finstack.action import klein_four, sym, zmod
 
@@ -22,13 +24,23 @@ def rng():
 
 @pytest.fixture
 def oracles_forbidden(monkeypatch):
-    """Make the definitional cover checks raise: production paths decide
-    canonicity by joint surjectivity and must never reach them."""
+    """Make the definitional constructions raise: production paths decide
+    canonicity by joint surjectivity, change base by h·(p, z) = (h·p, z)
+    and find isos in a fiber by the least matching atom, so they must never
+    reach the cover checks, the general pullback action or the G-set
+    isomorphism search. The last two are patched in every finstack module
+    that binds them."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a definitional oracle ran on a production path")
 
     monkeypatch.setattr(finstack.topology, "is_effective_epi", forbidden)
     monkeypatch.setattr(finstack.topology, "cech_colimit", forbidden)
+    oracles = (finstack.action.pullback_action, finstack.action.gset_isomorphism_over)
+    for name, module in list(sys.modules.items()):
+        if name == "finstack" or name.startswith("finstack."):
+            for attr, value in list(vars(module).items()):
+                if any(value is oracle for oracle in oracles):
+                    monkeypatch.setattr(module, attr, forbidden)
 
 
 @pytest.fixture(scope="session")

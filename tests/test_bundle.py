@@ -27,7 +27,9 @@ from finstack import (
     enumerate_bundle_morphisms,
     enumerate_bundles,
     fiber,
+    fibers,
     glue_object,
+    gset_isomorphism_over,
     identity,
     invert,
     is_locally_trivial,
@@ -40,6 +42,7 @@ from finstack import (
     product,
     product_action,
     pullback,
+    pullback_action,
     pullback_bundle,
     pullback_family,
     restrict_to_datum,
@@ -50,16 +53,18 @@ from finstack import (
     trivial_bundle,
     zmod,
 )
-from finstack.bundle import TrivLeg
+from finstack.bundle import TrivLeg, fiber_map
 from finstack.errors import CoverNotCanonical
 from finstack.finset import atom_key
 from finstack.sample import (
+    build_corpus,
     group_catalog,
     random_bundle,
     random_cover,
     random_gset_over,
     random_map,
     random_qsobject,
+    random_gset,
     twist_bundle,
 )
 from finstack.topology import all_maps
@@ -221,7 +226,7 @@ def test_base_change_without_torsor_fibers_is_an_internal_fault(monkeypatch):
     assert isinstance(b, Bundle)
     monkeypatch.setattr(finstack.bundle, "_torsor_fibers",
                         lambda proj: NotBundle("p", "fiber action is not free"))
-    with pytest.raises(RuntimeError, match="base change is not a bundle"):
+    with pytest.raises(RuntimeError, match="a constructed projection is not a bundle"):
         pullback_bundle(b, identity(base))
 
 
@@ -334,6 +339,16 @@ def test_bundle_enumeration_bound_precedes_torsor_search():
     assert exc.value.size == 5040
     assert str(exc.value) == "bundle enumeration: size 5040 exceeds bound 1"
     assert torsor_structures.cache_info() == before
+
+
+def test_bundles_over_the_empty_base_build_no_torsor_structure(monkeypatch):
+    # ((|G|-1)!)^0 = 1 bundle, which uses none of the 5040 structures of Z/8
+    def forbidden(group):
+        raise AssertionError("torsor structures built for the empty base")
+
+    monkeypatch.setattr(finstack.bundle, "torsor_structures", forbidden)
+    (b,) = enumerate_bundles(zmod(8), FinSet(()), bound=1)
+    assert b == trivial_bundle(zmod(8), FinSet(()))
 
 
 def brute_morphisms(src, dst):
@@ -490,6 +505,59 @@ def test_pullback_bundle_is_what_the_decider_returns(rng):
             z = FinSet(tuple(f"z{k}" for k in range(rng.randint(0, 3))))
             pb = pullback_bundle(b, random_map(rng, z, base))
             assert is_principal_bundle(pb.proj) == pb
+
+
+def pullback_bundle_by_pullback_action(b, f):
+    """Base change by the general construction: the action of b pulled back
+    along f by `pullback_action`, its second projection certified
+    equivariant onto the trivially acted source of f, and decided a
+    bundle."""
+    cert = pullback(b.proj.map, f)
+    triv = trivial_action(b.group, f.src)
+    psi = pullback_action(b.total, triv, b.proj.dst_action, b.proj,
+                          check_equivariant(f, triv, b.proj.dst_action))
+    out = is_principal_bundle(check_equivariant(cert.proj2, psi, triv))
+    assert isinstance(out, Bundle)
+    return out
+
+
+def base_change_cases(rng, grp):
+    """Bundles over bases of 0 to 3 atoms, from the enumeration, twists and
+    the totals of a corpus over a random G-set, each with maps into its base
+    from sources of 0 to 3 atoms; the empty base takes only the empty map."""
+    bundles = []
+    for size in range(4):
+        base = FinSet(tuple(f"y{k}" for k in range(size)))
+        bundles.append(random_bundle(rng, grp, base))
+        if math.factorial(len(grp.carrier) - 1) ** size <= 4:
+            bundles += enumerate_bundles(grp, base)
+    corpus = build_corpus(grp, random_gset(rng, grp, 6), rng, cases=2)
+    bundles += [obj.bundle for _, obj in corpus.effectiveness]
+    for b in bundles:
+        for size in range(4 if len(b.base) else 1):
+            z = FinSet(tuple(f"z{k}" for k in range(size)))
+            yield b, random_map(rng, z, b.base)
+
+
+def test_base_change_matches_pullback_action(rng):
+    seen = set()
+    for grp in group_catalog():
+        for b, f in base_change_cases(rng, grp):
+            assert pullback_bundle(b, f) == pullback_bundle_by_pullback_action(b, f)
+            seen.add((len(b.base) > 0, len(f.src) > 0))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_fiber_map_onto_least_atoms_is_what_the_search_finds_first(rng):
+    # two bundles over one base: the search over orbits takes the least atom
+    # of each target fiber first and never backtracks
+    for grp in group_catalog():
+        for size in range(4):
+            base = FinSet(tuple(f"y{k}" for k in range(size)))
+            a, b = random_bundle(rng, grp, base), random_bundle(rng, grp, base)
+            least = {y: fib[0] for y, fib in fibers(b.proj.map).items()}
+            assert (fiber_map(a, b, least)
+                    == gset_isomorphism_over(a.total, b.total, a.proj.map, b.proj.map))
 
 
 # ------------------------------------------- local triviality, by definition

@@ -202,8 +202,8 @@ def test_classify_z3_over_three_points_fits_the_bound(capsys, tmp_path):
 
 
 # exit code and (declaration, status) per check; oracles_forbidden makes
-# every definitional cover check raise, so these verdicts come from the
-# deciders alone
+# every definitional cover check, the general pullback action and the G-set
+# isomorphism search raise, so these verdicts come from the deciders alone
 DECIDED_WITHOUT_ORACLES = [
     ("check-cover", "covers_ok.site", 0, [("ByPoints", "ok"), ("Overlapping", "ok")]),
     ("check-cover", "covers_bad.site", 1, [("Gappy", "fail")]),
@@ -214,6 +214,8 @@ DECIDED_WITHOUT_ORACLES = [
     ("glue-object", "covers_ok.site", 0, []),
     ("glue-object", "covers_bad.site", 0, []),
     ("glue-object", "stack_demo.site", 0, [("D", "ok")]),
+    ("verify-stack", "stack_demo.site", 0, [("BG", "ok")]),
+    ("classify", "stack_demo.site", 0, [("K", "ok")]),
 ]
 
 

@@ -83,3 +83,35 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def _names_read(tree):
+    """Every name the module reads. Under `from __future__ import
+    annotations` an annotation is still an expression in the tree, so a
+    name read only there counts."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_unused_imports(module):
+    # no linter is installed, so this is the F401 rule: every name a
+    # top-level import binds is read in the module, unless its line is a
+    # re-export marked `# noqa: F401`
+    path = SRC / f"{module}.py"
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
+    read = _names_read(tree)
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name == "annotations" or name in read:
+                continue
+            marked = lines[node.lineno - 1:node.end_lineno]
+            if not any("# noqa: F401" in line for line in marked):
+                unused.append(f"{name} (line {node.lineno})")
+    assert unused == [], f"{path.name} imports and never reads {unused}"

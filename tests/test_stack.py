@@ -1,6 +1,7 @@
 """Quotient-stack fibers: objects, morphisms, restriction, the canonical
 coherence isos, and the classifying-stack comparison."""
 
+import math
 from pathlib import Path
 from random import Random
 
@@ -13,6 +14,7 @@ from finstack import (
     FinMap,
     FinSet,
     TriangleFail,
+    check_equivariant,
     check_qs_morphism,
     check_qs_object,
     classifying_fiber_equiv,
@@ -23,11 +25,17 @@ from finstack import (
     coherence_triangles,
     compose,
     compose_qs,
+    enumerate_bundles,
     epsilon_component,
+    gset_isomorphism_over,
     identity,
     iota_component,
+    is_principal_bundle,
     klein_four,
     morphism_predicates,
+    pair_map,
+    product,
+    pullback_action,
     qs_identity,
     qs_inverse,
     qs_isomorphism,
@@ -43,6 +51,7 @@ from finstack import (
 from finstack.descent import glue_morphisms
 from finstack.errors import OverlapMismatch
 from finstack.finset import mediate_pullback, pullback
+from finstack.stack import bundle_isomorphic
 from finstack.sample import (
     build_corpus,
     constant_gauge,
@@ -50,6 +59,8 @@ from finstack.sample import (
     enumerate_qs_morphisms,
     fiber_gauge,
     group_catalog,
+    random_bundle,
+    random_gset,
     random_map,
     random_qsobject,
     relabel_qsobject,
@@ -388,11 +399,13 @@ def test_canonical_iso_must_be_a_bijection():
     # onto the two atoms of one, but not injective
     onto = {t: one.total.elements[k % 2] for k, t in enumerate(two.total)}
     with pytest.raises(RuntimeError, match="not a bijection"):
-        finstack.stack._canonical_iso(two, one, onto)
+        finstack.stack._canonical_iso(check_qs_morphism, two, one,
+                                      FinMap(two.total, one.total, onto))
     # injective, but missing the fiber over q
     into = {t: t for t in one.total}
     with pytest.raises(RuntimeError, match="not a bijection"):
-        finstack.stack._canonical_iso(one, two, into)
+        finstack.stack._canonical_iso(check_qs_morphism, one, two,
+                                      FinMap(one.total, two.total, into))
 
 
 def test_non_bijective_comparison_raises(monkeypatch):
@@ -474,6 +487,108 @@ def test_empty_object_is_self_isomorphic():
     obj = empty_object(z2, point_x(z2))
     assert len(obj.total) == 0
     assert qs_isomorphism(obj, obj) is not None
+
+
+def qs_isomorphism_by_search(a, b):
+    """The iso in the fiber by the backtracking search over orbits, with both
+    triangles folded into one projection by pairing the bundle projection
+    with alpha."""
+    if a.base != b.base or a.x_action != b.x_action:
+        return None
+    prod = product(a.base, a.x_action.space)
+    pa = pair_map(a.bundle.proj.map, a.alpha.map, prod)
+    pb = pair_map(b.bundle.proj.map, b.alpha.map, prod)
+    return gset_isomorphism_over(a.bundle.total, b.bundle.total, pa, pb)
+
+
+def restrict_by_pullback_action(obj, f):
+    """Restriction by the general constructions: the pullback action on
+    P×_Y Z, and alpha after the first projection."""
+    b = obj.bundle
+    cert = pullback(b.proj.map, f)
+    triv = trivial_action(b.group, f.src)
+    psi = pullback_action(b.total, triv, b.proj.dst_action, b.proj,
+                          check_equivariant(f, triv, b.proj.dst_action))
+    bundle = is_principal_bundle(check_equivariant(cert.proj2, psi, triv))
+    return check_qs_object(bundle, compose(obj.alpha.map, cert.proj1), obj.x_action)
+
+
+def structure_spaces(rng, group):
+    """The point, the regular action and a random G-set."""
+    return [point_x(group), regular_action(group), random_gset(rng, group, 6)]
+
+
+def fiber_objects(rng, group, x):
+    """Objects over bases of 0 to 3 atoms: the corpus's, random ones, and
+    the empty object."""
+    corpus = build_corpus(group, x, rng, cases=3)
+    objects = [obj for _, obj in corpus.effectiveness]
+    objects += [random_qsobject(rng, group, x, FinSet(range(size)))
+                for size in range(1, 4)]
+    return objects + [empty_object(group, x)]
+
+
+def iso_pairs(rng, objects):
+    """Each object against itself, a relabelled copy, every object of the
+    list (other bases, mismatched alphas) and a restriction to a shuffled
+    base."""
+    for a in objects:
+        shuffled = list(a.base)
+        rng.shuffle(shuffled)
+        moved = restrict(a, FinMap(a.base, a.base, dict(zip(a.base, shuffled))))
+        yield a, a
+        yield a, relabel_qsobject(rng, a)[0]
+        yield a, moved
+        yield moved, a
+        for b in objects:
+            yield a, b
+
+
+def test_qs_isomorphism_matches_search(rng):
+    outcomes = set()
+    for grp in group_catalog():
+        for x in structure_spaces(rng, grp):
+            for a, b in iso_pairs(rng, fiber_objects(rng, grp, x)):
+                got, want = qs_isomorphism(a, b), qs_isomorphism_by_search(a, b)
+                assert got == want
+                outcomes.add(("iso" if want is not None else "none",
+                              len(a.base) > 0, a.base == b.base))
+    assert outcomes == {("iso", True, True), ("iso", False, True),
+                        ("none", True, True), ("none", True, False),
+                        ("none", False, False)}
+
+
+def test_restrict_matches_pullback_action(rng):
+    seen = set()
+    for grp in group_catalog():
+        for x in structure_spaces(rng, grp):
+            for obj in fiber_objects(rng, grp, x):
+                for size in range(4 if len(obj.base) else 1):
+                    f = random_map(rng, FinSet(tuple(f"z{k}" for k in range(size))),
+                                   obj.base)
+                    assert restrict(obj, f) == restrict_by_pullback_action(obj, f)
+                    seen.add((len(obj.base) > 0, size > 0))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_bundle_isomorphic_matches_search(rng):
+    for grp in group_catalog():
+        for size in range(3):
+            base = FinSet(tuple(f"y{k}" for k in range(size)))
+            bundles = [random_bundle(rng, grp, base) for _ in range(2)]
+            if math.factorial(len(grp.carrier) - 1) ** size <= 4:
+                bundles += enumerate_bundles(grp, base)
+            for a in bundles:
+                for b in bundles:
+                    found = gset_isomorphism_over(a.total, b.total, a.proj.map, b.proj.map)
+                    assert bundle_isomorphic(a, b) == (found is not None)
+    # both refuse bundles of different groups or over different bases
+    a = trivial_bundle(zmod(2), FinSet(("p",)))
+    for b in (trivial_bundle(zmod(3), FinSet(("p",))), trivial_bundle(zmod(2), FinSet(("q",)))):
+        with pytest.raises(ValueError):
+            gset_isomorphism_over(a.total, b.total, a.proj.map, b.proj.map)
+        with pytest.raises(ValueError):
+            bundle_isomorphic(a, b)
 
 
 # ------------------------------------------------------- classifying stack

@@ -22,11 +22,14 @@ from .errors import (
     UnitFail,
 )
 from .finset import (
+    CrossCheck,
     FinMap,
     FinSet,
     Record,
     atom_key,
     compose,
+    cross_check,
+    exact_map,
     memo,
     product,
     pullback,
@@ -247,9 +250,22 @@ def action_from_function(group: FinGroup, space: FinSet, fn) -> GAction:
         FinMap(prod.space, space, {(g, x): fn(g, x) for (g, x) in prod.space}))
 
 
+def _model_action(group: FinGroup, space: FinSet, act: FinMap, what: str) -> GAction:
+    """An action whose table is lawful by its formula, so it skips
+    check_action; under cross-check it is re-run."""
+    out = GAction(group, space, act)
+    if CrossCheck.on:
+        cross_check(what, out, lambda: check_action(group, space, act))
+    return out
+
+
 @memo(lambda group, space: (group.carrier, space))
 def trivial_action(group: FinGroup, space: FinSet) -> GAction:
-    return action_from_function(group, space, lambda g, x: x)
+    """G acting by g·x = x: every σ(g) is the identity, so both action laws
+    hold."""
+    src = product(group.carrier, space).space
+    return _model_action(group, space, exact_map(src, space, {k: k[1] for k in src}),
+                         "the trivial action")
 
 
 def regular_action(group: FinGroup) -> GAction:
@@ -342,10 +358,15 @@ def pullback_action(p: GAction, z: GAction, y: GAction,
 
 @memo(lambda group, u: (group.carrier, u))
 def product_action(group: FinGroup, u: FinSet) -> GAction:
-    """The trivialized model: G acting on G×U by g·(h, u) = (gh, u)."""
+    """The trivialized model: G acting on G×U by g·(h, u) = (gh, u), left
+    multiplication on the first factor, so the unit law is e·h = h and the
+    composition law is associativity."""
     space = product(group.carrier, u).space
-    return action_from_function(
-        group, space, lambda g, hu: (group.times(g, hu[0]), hu[1]))
+    src = product(group.carrier, space).space
+    mul = group.mul.table
+    return _model_action(group, space, exact_map(
+        src, space, {k: (mul[(k[0], k[1][0])], k[1][1]) for k in src}),
+        "the trivialized model action")
 
 
 def gset_isomorphism_over(a: GAction, b: GAction,

@@ -34,10 +34,13 @@ from .errors import (
     TriangleFail,
 )
 from .finset import (
+    CrossCheck,
     FinMap,
     FinSet,
     Record,
     compose,
+    cross_check,
+    exact_map,
     fibers,
     morphism_predicates,
     product,
@@ -189,16 +192,27 @@ def trivial_bundle(group: FinGroup, base: FinSet) -> Bundle:
 
 def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     """Base change of a bundle along f: the action h·(p, z) = (h·p, z) on
-    P×_Y Z over Z, certified by `check_action`, with the second projection.
-    Its fibers are those of b, so `constructed_bundle` certifies it."""
+    P×_Y Z over Z, with the second projection.
+
+    It is a bundle by its formula, so no certifier runs: (h·p, z) stays in
+    the pullback because b's projection is equivariant onto a trivially
+    acted base; h acts as on P, so both action laws hold; the projection
+    keeps z, so it is equivariant onto the trivially acted Z; and the fiber
+    over z is b's fiber over f(z), a G-torsor, paired with z. Under
+    cross-check, `check_action` and `constructed_bundle` re-run on it."""
     if f.dst != b.base:
         raise BaseMismatch(f"{f.dst!r} != {b.base!r}")
     cert = pullback(b.proj.map, f)
     at = b.total.act.table
     src = product(b.group.carrier, cert.apex).space
-    # keyed by src's own atoms, which FinMap's check then finds by identity
-    act = FinMap(src, cert.apex, {k: (at[(h, p)], z) for k in src for h, (p, z) in (k,)})
-    return constructed_bundle(check_action(b.group, cert.apex, act), cert.proj2)
+    act = exact_map(src, cert.apex, {k: (at[(h, p)], z) for k in src for h, (p, z) in (k,)})
+    total = GAction(b.group, cert.apex, act)
+    out = Bundle(b.group, f.src, total,
+                 EquivariantMap(cert.proj2, total, trivial_action(b.group, f.src)))
+    if CrossCheck.on:
+        cross_check("a base change", out, lambda: constructed_bundle(
+            check_action(b.group, cert.apex, act), cert.proj2))
+    return out
 
 
 class BundleMorphism(Record):

@@ -12,7 +12,16 @@ traceback goes to stderr and the report carries the exception type as
 --seed and --budget drive only verify-stack's generated corpus; the same
 seed reproduces the same run. A budget below 1 is bad input (exit 2). Cover
 and bundle checks are deterministic. check-sheaf enumerates nothing, so
---bound does not apply to it.
+--bound does not apply to it, except to its oracle under --cross-check.
+
+--cross-check turns on the library's cross-check switch for the run: every
+construction built by a formula re-runs the certifier it skips, and
+check-bundle, check-cover and check-sheaf also run the definitional oracle
+of their decider (local triviality over the point cover with its
+certificate re-checked, the universal effective epi, the enumeration of
+matching families when it fits in --bound). A disagreement is an internal
+fault, exit 3. The report then counts the re-runs in `cross_checks`.
+Verdicts and output are the same either way.
 """
 
 from __future__ import annotations
@@ -24,7 +33,13 @@ import time
 from random import Random
 
 from .action import check_action, check_group
-from .bundle import Bundle, is_principal_bundle
+from .bundle import (
+    Bundle,
+    Trivialization,
+    check_trivialization,
+    is_locally_trivial,
+    is_principal_bundle,
+)
 from .descent import glue_morphisms, glue_object, verify_stack
 from .errors import (
     BoundExceeded,
@@ -34,11 +49,18 @@ from .errors import (
     OverlapMismatch,
     UnknownCommand,
 )
-from .finset import format_atom
+from .finset import CrossCheck, cross_check, format_atom
 from .sample import build_corpus
 from .sitefile import load_site
 from .stack import classifying_fiber_equiv
-from .topology import check_sheaf_condition, is_jointly_surjective, uncovered
+from .topology import (
+    check_sheaf_condition,
+    is_canonical_cover,
+    is_jointly_surjective,
+    point_cover,
+    sheaf_condition_by_enumeration,
+    uncovered,
+)
 
 
 def _json_safe(v):
@@ -77,10 +99,23 @@ def _cmd_check_action(site, args):
     return out
 
 
+def _locally_trivial(proj) -> bool:
+    """The definitional bundle oracle: a trivialization over the point
+    cover, its certificate re-checked."""
+    triv = is_locally_trivial(proj, point_cover(proj.map.dst))
+    if isinstance(triv, Trivialization):
+        check_trivialization(proj, triv)
+        return True
+    return False
+
+
 def _cmd_check_bundle(site, args):
     out = []
     for d in site.by_kind("bundle"):
         r = is_principal_bundle(d.value.proj)
+        if CrossCheck.on:
+            cross_check(f"bundle {d.name} by local triviality", isinstance(r, Bundle),
+                        lambda: _locally_trivial(d.value.proj))
         if isinstance(r, Bundle):
             out.append(_check(d.name, "ok",
                               f"{len(r.base)} fibers of size {len(r.group.carrier)}"))
@@ -97,6 +132,9 @@ def _cmd_check_cover(site, args):
     for d in site.by_kind("cover"):
         fam = d.value
         missed = uncovered(fam)
+        if CrossCheck.on:
+            cross_check(f"cover {d.name} by universal effective epi", not missed,
+                        lambda: is_canonical_cover(fam))
         if not missed:
             out.append(_check(d.name, "ok",
                               f"{len(fam.legs)} legs onto {len(fam.target)} atoms"))
@@ -117,6 +155,14 @@ def _cmd_check_sheaf(site, args):
         for sd in sets:
             name = f"{cd.name}/{sd.name}"
             ok = check_sheaf_condition(cd.value, sd.value)
+            if CrossCheck.on:
+                try:
+                    enumerated = sheaf_condition_by_enumeration(cd.value, sd.value,
+                                                                args.bound)
+                except BoundExceeded:
+                    pass    # over --bound: the oracle is skipped, not counted
+                else:
+                    cross_check(f"sheaf {name} by enumeration", ok, lambda: enumerated)
             if ok:
                 out.append(_check(name, "ok", f"values in {len(sd.value)} atoms"))
             else:
@@ -253,9 +299,22 @@ def main(argv=None) -> int:
                              "morphisms it counts the |G|^|base| maps built")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write a JSON report here")
+    parser.add_argument("--cross-check", action="store_true",
+                        help="re-run the certifiers that constructions skip "
+                             "and the deciders' definitional oracles; a "
+                             "disagreement exits 3")
     args = parser.parse_args(argv)
+    was_on = CrossCheck.on
+    CrossCheck.on = was_on or args.cross_check
+    try:
+        return _run(args)
+    finally:
+        CrossCheck.on = was_on
 
+
+def _run(args) -> int:
     t0 = time.time()
+    ran, agreed = CrossCheck.ran, CrossCheck.agreed
     report = {
         "schema": "desc-report/1",
         "command": args.command,
@@ -269,14 +328,20 @@ def main(argv=None) -> int:
         "elapsed_s": 0.0,
     }
 
+    def write_report():
+        if args.cross_check:
+            report["cross_checks"] = {"ran": CrossCheck.ran - ran,
+                                      "agreed": CrossCheck.agreed - agreed}
+        report["elapsed_s"] = round(time.time() - t0, 3)
+        _write_report(args.report, report)
+
     def finish_error(err, code=2) -> int:
         kind = err.kind() if isinstance(err, FinstackError) else type(err).__name__
         payload = err.payload() if isinstance(err, FinstackError) else {}
         report["status"] = "error"
         report["error"] = {"kind": kind, "message": str(err),
                            "payload": _json_safe(payload)}
-        report["elapsed_s"] = round(time.time() - t0, 3)
-        _write_report(args.report, report)
+        write_report()
         print(f"desc: error: {err}", file=sys.stderr)
         return code
 
@@ -311,8 +376,7 @@ def main(argv=None) -> int:
     report["checks"] = checks
     report["summary"] = {"total": len(checks), "passed": passed, "failed": failed}
     report["status"] = "ok" if failed == 0 else "fail"
-    report["elapsed_s"] = round(time.time() - t0, 3)
-    _write_report(args.report, report)
+    write_report()
 
     _print_checks(args.command, checks, sys.stdout)
     if not checks:

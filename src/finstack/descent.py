@@ -11,8 +11,10 @@ each W_j over the same base atom, so the glued object is written chart by
 chart and its comparison isos back to the datum are single overlap isos.
 A glued morphism is fixed point by point by the locals, since the cover is
 jointly surjective. The tests keep the coequalizer builds of both as
-oracles. Nothing is trusted: every produced object or morphism is
-re-certified by the checking ops it must satisfy.
+oracles. Every glued object, glued morphism and overlap iso is certified by
+the checking ops it must satisfy; the restrictions they are built on are
+lawful by their formulas (`stack.restrict`), re-certified only under
+cross-check.
 """
 
 from __future__ import annotations

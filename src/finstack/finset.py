@@ -11,7 +11,17 @@ The public `FinSet(...)` sorts its atoms by `atom_key`. The derived sets
 construction: the kernels emit their atoms already in `atom_key` order and
 build the set with the internal `FinSet._ordered`, which skips the sort but
 still rejects duplicates. Each kernel runs in time linear in its inputs and
-output.
+output. In the same way the public `FinMap(...)` checks that its table's
+keys are exactly the source atoms and its values lie in the target, while
+the maps whose tables are exact by their formula (`identity`, `compose`,
+the projections of `product` and `pullback`, and elsewhere the tables of
+base change, restriction and the model actions) are built by the internal
+`exact_map`, which skips that check.
+
+Skipped checks are not lost. `CrossCheck.on` (off by default, `desc
+--cross-check` turns it on) makes each construction that skips a
+certifier re-run it on what it built, through `cross_check`, which raises
+RuntimeError when the two disagree: an internal fault, never a verdict.
 
 FinSet and FinMap are read-only after construction: a FinSet's hash is
 computed when it is built and a FinMap's on first use, then cached. Never
@@ -138,7 +148,8 @@ class FinSet:
 class FinMap:
     """A total map between finite sets, given by an explicit table.
 
-    The table is copied on construction and read-only afterwards.
+    The constructor copies and checks the table (`exact_map` takes a table
+    built for it); it is read-only afterwards.
     """
 
     __slots__ = ("src", "dst", "table", "_hash", "_born", "_memo", "__weakref__")
@@ -152,6 +163,9 @@ class FinMap:
                 if v not in dst:
                     raise ValueError(
                         f"table value {format_atom(v)} at {format_atom(a)} not in target")
+        self._set(src, dst, table)
+
+    def _set(self, src: FinSet, dst: FinSet, table: dict) -> None:
         self.src, self.dst, self.table = src, dst, table
         self._hash = None
         self._born = next(_serial)
@@ -176,6 +190,48 @@ class FinMap:
                 f"{format_atom(a)}->{format_atom(self.table[a])}" for a in self.src)
             return f"FinMap({body} : {self.src!r} -> {self.dst!r})"
         return f"FinMap(|{len(self.src)}| -> |{len(self.dst)}|)"
+
+
+class CrossCheck:
+    """The cross-check switch and its tally since import.
+
+    Off, a construction whose result is lawful by its formula skips the
+    certifier that would confirm it. On, it re-runs that certifier on the
+    value it built, by `cross_check`; `desc` also runs its definitional
+    oracles beside the deciders. Read `on` at the time of the call.
+    """
+
+    on = False
+    ran = 0
+    agreed = 0
+
+
+def cross_check(what: str, built, again) -> None:
+    """Re-run a skipped certifier: `again()` must return a value equal to
+    `built`. Raises RuntimeError, an internal fault, when it raises or
+    returns something else."""
+    CrossCheck.ran += 1
+    try:
+        checked = again()
+    except Exception as err:
+        raise RuntimeError(f"cross-check of {what} failed: {err}") from err
+    if checked != built:
+        raise RuntimeError(f"cross-check of {what} disagrees: {checked!r} != {built!r}")
+    CrossCheck.agreed += 1
+
+
+def exact_map(src: FinSet, dst: FinSet, table: dict) -> FinMap:
+    """A FinMap from a fresh table the caller builds, by its formula, with
+    exactly the source atoms as keys and values in the target.
+
+    Internal to the package's constructions: the table is taken, not
+    copied, and not checked; under cross-check `FinMap` checks it.
+    """
+    m = object.__new__(FinMap)
+    m._set(src, dst, table)
+    if CrossCheck.on:
+        cross_check("a constructed table", m, lambda: FinMap(src, dst, table))
+    return m
 
 
 class MemoInfo(NamedTuple):
@@ -296,14 +352,15 @@ class Record:
 
 @memo()
 def identity(a: FinSet) -> FinMap:
-    return FinMap(a, a, {x: x for x in a})
+    return exact_map(a, a, {x: x for x in a})
 
 
 def compose(g: FinMap, f: FinMap) -> FinMap:
-    """g after f."""
+    """g after f: keyed by f's source atoms, with values in g's target,
+    since f lands in g's source."""
     if f.dst != g.src:
         raise SrcDstMismatch(f"cannot compose: {f.dst!r} != {g.src!r}")
-    return FinMap(f.src, g.dst, {a: g.table[f.table[a]] for a in f.src})
+    return exact_map(f.src, g.dst, {a: g.table[f.table[a]] for a in f.src})
 
 
 @functools.lru_cache(maxsize=1)
@@ -370,8 +427,8 @@ def product(a: FinSet, b: FinSet) -> Product:
     space = FinSet._ordered([(x, y) for x in a for y in b])
     return Product(
         space,
-        FinMap(space, a, {p: p[0] for p in space}),
-        FinMap(space, b, {p: p[1] for p in space}),
+        exact_map(space, a, {p: p[0] for p in space}),
+        exact_map(space, b, {p: p[1] for p in space}),
     )
 
 
@@ -419,13 +476,13 @@ def pullback(f: FinMap, g: FinMap) -> PullbackCert:
     else:
         pairs = [(a, b) for a in f.src for b in over.get(f.table[a], ())]
     apex = FinSet._ordered(pairs)
-    proj1 = FinMap(apex, f.src, {p: p[0] for p in apex})
+    proj1 = exact_map(apex, f.src, {p: p[0] for p in apex})
     # the kernel pair of a mono is its diagonal, where both projections are
     # one map: share the object, so results memoized on it serve both
     if f is g and len(apex) == len(f.src):
         proj2 = proj1
     else:
-        proj2 = FinMap(apex, g.src, {p: p[1] for p in apex})
+        proj2 = exact_map(apex, g.src, {p: p[1] for p in apex})
     return PullbackCert(apex, proj1, proj2, f, g)
 
 

@@ -30,11 +30,14 @@ from .bundle import (
 )
 from .errors import BaseMismatch, EquivarianceFail, TriangleFail
 from .finset import (
+    CrossCheck,
     FinMap,
     FinSet,
     Record,
     bang,
     compose,
+    cross_check,
+    exact_map,
     fibers,
     identity,
     invert,
@@ -153,14 +156,22 @@ def qs_inverse(m: QSMorphism) -> QSMorphism:
 @memo(lambda obj, f: (obj.total, f))
 def restrict(obj: QSObject, f: FinMap) -> QSObject:
     """Restriction along f : Z -> Y, by base change of the bundle; the new
-    alpha is (p, z) ↦ alpha(p)."""
+    alpha is (p, z) ↦ alpha(p).
+
+    That alpha is equivariant by its formula, so `check_qs_object` does not
+    run: h·(p, z) = (h·p, z) goes to alpha(h·p) = h·alpha(p). Under
+    cross-check it re-runs on the result."""
     if f.dst != obj.base:
         raise BaseMismatch(f"{f.dst!r} != {obj.base!r}")
     b = pullback_bundle(obj.bundle, f)
     at = obj.alpha.map.table
-    alpha = FinMap(b.total.space, obj.x_action.space,
-                   {pz: at[pz[0]] for pz in b.total.space})
-    return check_qs_object(b, alpha, obj.x_action)
+    alpha = exact_map(b.total.space, obj.x_action.space,
+                      {pz: at[pz[0]] for pz in b.total.space})
+    out = QSObject(b, EquivariantMap(alpha, b.total, obj.x_action))
+    if CrossCheck.on:
+        cross_check("a restriction", out,
+                    lambda: check_qs_object(b, alpha, obj.x_action))
+    return out
 
 
 def restrict_morphism(m: QSMorphism, f: FinMap) -> QSMorphism:
@@ -173,7 +184,7 @@ def restrict_morphism(m: QSMorphism, f: FinMap) -> QSMorphism:
     src = restrict(m.src, f)
     dst = restrict(m.dst, f)
     mt = m.fn.table
-    t = FinMap(src.total, dst.total, {(p, z): (mt[p], z) for p, z in src.total})
+    t = FinMap(src.total, dst.total, {pz: (mt[pz[0]], pz[1]) for pz in src.total})
     return check_qs_morphism(src, dst, t)
 
 
@@ -194,7 +205,7 @@ def iota_component(obj: QSObject) -> QSMorphism:
     projection of the pullback along the identity."""
     src = restrict(obj, identity(obj.base))
     return _canonical_iso(check_qs_morphism, src, obj, FinMap(
-        src.total, obj.total, {(p, y): p for p, y in src.total}))
+        src.total, obj.total, {py: py[0] for py in src.total}))
 
 
 def epsilon_component(obj: QSObject, f: FinMap, g: FinMap) -> QSMorphism:
@@ -203,8 +214,9 @@ def epsilon_component(obj: QSObject, f: FinMap, g: FinMap) -> QSMorphism:
     if f.dst != obj.base or g.dst != f.src:
         raise BaseMismatch("maps are not composable under the object's base")
     src, dst = restrict(obj, compose(f, g)), restrict(restrict(obj, f), g)
+    gt = g.table
     return _canonical_iso(check_qs_morphism, src, dst, FinMap(
-        src.total, dst.total, {(p, z): ((p, g.table[z]), z) for p, z in src.total}))
+        src.total, dst.total, {pz: ((pz[0], gt[pz[1]]), pz[1]) for pz in src.total}))
 
 
 class CoherenceCell(Record):

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 import finstack.action
 import finstack.topology
 from finstack.action import klein_four, sym, zmod
+from finstack.finset import CrossCheck
 
 settings.register_profile(
     "suite",
@@ -22,6 +23,14 @@ def rng():
     return random.Random(20260814)
 
 
+@pytest.fixture(autouse=True)
+def cross_checked(monkeypatch):
+    """Run every test with cross-checking on, so each construction that
+    skips its certifier in production (base change, restriction, the model
+    actions, the kernel maps) has it re-run, and `desc` runs its oracles."""
+    monkeypatch.setattr(CrossCheck, "on", True)
+
+
 @pytest.fixture
 def oracles_forbidden(monkeypatch):
     """Make the definitional constructions raise: production paths decide
@@ -29,10 +38,11 @@ def oracles_forbidden(monkeypatch):
     and find isos in a fiber by the least matching atom, so they must never
     reach the cover checks, the general pullback action or the G-set
     isomorphism search. The last two are patched in every finstack module
-    that binds them."""
+    that binds them. Cross-checking is off: it is what runs those oracles."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a definitional oracle ran on a production path")
 
+    monkeypatch.setattr(CrossCheck, "on", False)
     monkeypatch.setattr(finstack.topology, "is_effective_epi", forbidden)
     monkeypatch.setattr(finstack.topology, "cech_colimit", forbidden)
     oracles = (finstack.action.pullback_action, finstack.action.gset_isomorphism_over)

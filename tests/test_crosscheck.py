@@ -1,0 +1,370 @@
+"""Cross-checking: base change, restriction, the model actions and the
+kernel maps are built by their formulas without re-running their
+certifiers; with `CrossCheck.on` each re-runs its certifier on what it
+built, so a wrong formula is an internal fault, and `desc --cross-check`
+also runs the deciders' definitional oracles.
+
+A wrong formula is planted by rebinding a module's `exact_map`, through
+which those constructions build their tables, to one that rewrites each
+table first."""
+
+import json
+import sys
+from pathlib import Path
+from random import Random
+
+import pytest
+
+import finstack.action
+import finstack.bundle
+import finstack.cli
+import finstack.finset
+import finstack.stack
+from finstack import (
+    FinMap,
+    FinSet,
+    NotTrivial,
+    check_qs_object,
+    compose,
+    identity,
+    product,
+    pullback,
+    pullback_bundle,
+    regular_action,
+    restrict,
+    restrict_to_datum,
+    sym,
+    trivial_action,
+    trivial_bundle,
+    zmod,
+)
+from finstack.cli import main
+from finstack.finset import CrossCheck, cross_check, exact_map
+from finstack.sample import random_cover, random_qsobject
+
+SITES = Path(__file__).resolve().parent.parent / "sites"
+
+# the classifying stack's demo with the structure space G under its
+# regular action instead of a point, so a restriction's alpha can fail
+# equivariance
+REGULAR_SITE = """\
+set Y = { 0 1 }
+group G {
+  elements { 0 1 }
+  table [
+    [ 0 1 ]
+    [ 1 0 ]
+  ]
+}
+action R { group G space G regular }
+stack S { group G space G action R }
+bundle B { trivial group G base Y }
+map A : B_total -> G = { (0,0) -> 0  (0,1) -> 0  (1,0) -> 1  (1,1) -> 1 }
+qsobject O { stack S bundle B alpha A }
+cover C { target Y points }
+datum D = restrict O over C
+"""
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def plant(monkeypatch, module, rewrite):
+    """A wrong formula in `module`: every table its constructions build
+    passes through rewrite(src, dst, table) before it becomes a map."""
+    real = finstack.finset.exact_map
+    monkeypatch.setattr(module, "exact_map",
+                        lambda src, dst, table: real(src, dst, rewrite(src, dst, table)))
+
+
+def inverse_action(group):
+    """h·(p, z) = (h⁻¹·p, z) in place of (h·p, z): lawful for an abelian
+    group, not for S3."""
+    return lambda src, dst, t: {(h, pz): t[(group.inv_of(h), pz)] for h, pz in t}
+
+
+def frozen_action(src, dst, t):
+    """h·(p, z) = (p, z): an action, but its fibers are not free."""
+    return {(h, pz): pz for h, pz in t}
+
+
+def constant_table(src, dst, t):
+    """Every point to the least target atom."""
+    return dict.fromkeys(t, dst.elements[0])
+
+
+def collapse_nonunit(group):
+    """σ(g) for g other than the unit sends everything to the least atom."""
+    e = group.unit_atom
+    return lambda src, dst, t: {k: v if k[0] == e else dst.elements[0]
+                                for k, v in t.items()}
+
+
+def drop_last(src, dst, t):
+    """The table without its last key."""
+    return dict(list(t.items())[:-1])
+
+
+def regular_object(group, base):
+    """The trivial bundle over base with alpha (h, y) ↦ h into G acting on
+    itself."""
+    b = trivial_bundle(group, base)
+    x = regular_action(group)
+    return check_qs_object(
+        b, FinMap(b.total.space, x.space, {hy: hy[0] for hy in b.total.space}), x)
+
+
+# ------------------------------------------------- planted wrong formulas ---
+
+def base_change(group, base):
+    b = trivial_bundle(group, base)
+    return lambda: pullback_bundle(b, identity(base))
+
+
+def restriction(group, base):
+    obj = regular_object(group, base)
+    return lambda: restrict(obj, identity(base))
+
+
+PLANTED = {
+    # name: (module, rewrite for the group, the construction for (group, base),
+    #        group, what the cross-check raises)
+    "base change by h⁻¹": (finstack.bundle, inverse_action, base_change, sym(3),
+                           "of a base change failed: action associativity fails"),
+    "base change frozen": (finstack.bundle, lambda g: frozen_action, base_change, zmod(2),
+                           "of a base change failed: a constructed projection is not a bundle"),
+    "restriction's alpha constant": (finstack.stack, lambda g: constant_table, restriction,
+                                     zmod(2), "of a restriction failed: equivariance fails"),
+    "trivial action": (finstack.action, collapse_nonunit,
+                       lambda g, base: lambda: trivial_action(g, base), zmod(2),
+                       "of the trivial action failed: action associativity fails"),
+    "trivialized model action": (
+        finstack.action, collapse_nonunit,
+        lambda g, base: lambda: finstack.product_action(g, base), zmod(3),
+        "of the trivialized model action failed: action associativity fails"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_planted_construction_is_an_internal_fault(monkeypatch, name):
+    module, rewrite, construction, group, message = PLANTED[name]
+    build = construction(group, FinSet(("p", "q")))
+    plant(monkeypatch, module, rewrite(group))
+    with pytest.raises(RuntimeError, match="cross-check " + message):
+        build()
+    # the hot path skips that certifier: the wrong value goes through
+    monkeypatch.setattr(CrossCheck, "on", False)
+    build()
+
+
+KERNEL_MAPS = {
+    "identity": lambda f, idb: identity(f.src),
+    "compose": lambda f, idb: compose(idb, f),
+    "product projections": lambda f, idb: product(f.src, f.dst),
+    "pullback projections": lambda f, idb: pullback(f, idb),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
+def test_planted_kernel_map_is_an_internal_fault(monkeypatch, name):
+    a, b = FinSet(("a0", "a1", "a2")), FinSet(("b0", "b1"))
+    f, idb = FinMap(a, b, {x: "b0" for x in a}), FinMap(b, b, {x: x for x in b})
+    plant(monkeypatch, finstack.finset, drop_last)
+    with pytest.raises(RuntimeError, match="cross-check of a constructed table failed: "
+                                           "table keys must be exactly the source atoms"):
+        KERNEL_MAPS[name](f, idb)
+    monkeypatch.setattr(CrossCheck, "on", False)
+    KERNEL_MAPS[name](f, idb)
+
+
+def test_user_maps_are_checked_with_cross_check_off(monkeypatch):
+    # input checks stay on the hot path; exact_map is for built tables
+    monkeypatch.setattr(CrossCheck, "on", False)
+    a = FinSet((0, 1))
+    with pytest.raises(ValueError, match="exactly the source atoms"):
+        FinMap(a, a, {0: 0})
+    with pytest.raises(ValueError, match="not in target"):
+        FinMap(a, a, {0: 0, 1: 2})
+    assert exact_map(a, a, {0: 0}).table == {0: 0}
+
+
+def test_cross_check_counts_and_raises():
+    def boom():
+        raise ValueError("boom")
+
+    ran, agreed = CrossCheck.ran, CrossCheck.agreed
+    cross_check("equal values", 1, lambda: 1)
+    assert (CrossCheck.ran - ran, CrossCheck.agreed - agreed) == (1, 1)
+    with pytest.raises(RuntimeError, match="cross-check of two values disagrees"):
+        cross_check("two values", 1, lambda: 2)
+    with pytest.raises(RuntimeError, match="cross-check of a failure failed: boom"):
+        cross_check("a failure", 1, boom)
+    assert (CrossCheck.ran - ran, CrossCheck.agreed - agreed) == (3, 1)
+
+
+# ------------------------------------------------------ certifier call counts ---
+
+CERTIFIERS = ("check_action", "is_principal_bundle", "check_qs_object",
+              "constructed_bundle")
+
+
+def count_calls(monkeypatch, names):
+    """Wrap each named function at every finstack binding; returns the live
+    call counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        orig = next(vars(m)[name] for n, m in sys.modules.items()
+                    if n.startswith("finstack.") and name in vars(m))
+
+        def wrapper(*args, _name=name, _orig=orig):
+            counts[_name] += 1
+            return _orig(*args)
+
+        for n, module in list(sys.modules.items()):
+            if n.startswith("finstack.") and vars(module).get(name) is orig:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+def datum_inputs(seed):
+    rng = Random(seed)
+    s3 = sym(3)
+    base = FinSet(("p", "q", "r"))
+    obj = random_qsobject(rng, s3, regular_action(s3), base)
+    cover = random_cover(rng, base, max_legs=3, max_extra=2)
+    return obj, cover
+
+
+def test_restrict_to_datum_runs_no_certifier_on_base_changes(monkeypatch):
+    obj, cover = datum_inputs(7)
+    monkeypatch.setattr(CrossCheck, "on", False)
+    counts = count_calls(monkeypatch, CERTIFIERS)
+    datum = restrict_to_datum(obj, cover)
+    assert len(datum.objects) == len(cover.legs)
+    assert counts == dict.fromkeys(CERTIFIERS, 0)
+    # and cross-checking re-runs them on fresh inputs
+    monkeypatch.setattr(CrossCheck, "on", True)
+    restrict_to_datum(*datum_inputs(7))
+    assert all(counts[name] > 0 for name in CERTIFIERS), counts
+
+
+def test_cross_checked_restrictions_are_the_same(monkeypatch):
+    # the same inputs built twice, once each way: equal objects and data
+    on = restrict_to_datum(*datum_inputs(11))
+    monkeypatch.setattr(CrossCheck, "on", False)
+    off = restrict_to_datum(*datum_inputs(11))
+    assert off == on
+    assert [o.total.elements for o in off.objects] == [o.total.elements for o in on.objects]
+
+
+# ------------------------------------------------------------------- desc ---
+
+@pytest.fixture
+def cross_check_by_flag(monkeypatch):
+    """Cross-checking off in the library, so only --cross-check turns it on."""
+    monkeypatch.setattr(CrossCheck, "on", False)
+
+
+PLANTED_IN_DESC = [
+    # module, rewrite, command, site
+    (finstack.bundle, frozen_action, "glue-object", "stack_demo.site"),
+    (finstack.stack, constant_table, "glue-object", None),
+    (finstack.action, collapse_nonunit(zmod(2)), "check-bundle", "bundles.site"),
+    (finstack.finset, drop_last, "check-group", "stack_demo.site"),
+]
+
+
+@pytest.mark.parametrize("module,rewrite,command,site", PLANTED_IN_DESC)
+def test_desc_cross_check_exits_3_on_a_planted_construction(
+        capsys, tmp_path, monkeypatch, cross_check_by_flag, module, rewrite, command, site):
+    if site is None:
+        path = tmp_path / "regular.site"
+        path.write_text(REGULAR_SITE)
+    else:
+        path = SITES / site
+    # the site as written passes
+    code, out, err = run(capsys, command, path, "--cross-check")
+    assert code == 0, err
+    plant(monkeypatch, module, rewrite)
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, command, path, "--cross-check", "--report", report)
+    assert code == 3
+    rep = json.loads(report.read_text())
+    assert rep["error"]["kind"] == "RuntimeError"
+    assert rep["error"]["message"].startswith("cross-check of")
+    assert rep["cross_checks"]["ran"] == rep["cross_checks"]["agreed"] + 1
+    assert CrossCheck.on is False
+
+
+ORACLE_DISAGREES = [
+    ("check-bundle", "bundles.site", "is_locally_trivial", lambda proj, cover: NotTrivial(0)),
+    ("check-cover", "covers_ok.site", "is_canonical_cover", lambda fam: False),
+    ("check-sheaf", "covers_ok.site", "sheaf_condition_by_enumeration",
+     lambda fam, values, bound: False),
+]
+
+
+@pytest.mark.parametrize("command,site,oracle,wrong", ORACLE_DISAGREES)
+def test_desc_oracle_disagreement_exits_3(capsys, tmp_path, monkeypatch, cross_check_by_flag,
+                                          command, site, oracle, wrong):
+    monkeypatch.setattr(finstack.cli, oracle, wrong)
+    code, out, err = run(capsys, command, SITES / site)
+    assert code == 0, err
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, command, SITES / site, "--cross-check", "--report", report)
+    assert code == 3
+    assert out == ""
+    rep = json.loads(report.read_text())
+    assert rep["error"]["kind"] == "RuntimeError"
+    assert "disagrees" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("command,site", [
+    ("check-bundle", "not_bundle.site"),
+    ("check-cover", "covers_bad.site"),
+    ("check-sheaf", "covers_bad.site"),
+    ("glue-object", "cocycle_bad.site"),
+    ("verify-stack", "stack_demo.site"),
+])
+def test_desc_cross_check_keeps_verdicts_and_counts(capsys, tmp_path, cross_check_by_flag,
+                                                    command, site):
+    plain, checked = tmp_path / "plain.json", tmp_path / "checked.json"
+    off = run(capsys, command, SITES / site, "--report", plain)
+    on = run(capsys, command, SITES / site, "--cross-check", "--report", checked)
+    assert on == off
+    plain, checked = json.loads(plain.read_text()), json.loads(checked.read_text())
+    assert "cross_checks" not in plain
+    tally = checked.pop("cross_checks")
+    assert tally["agreed"] == tally["ran"] > 0
+    for rep in (plain, checked):
+        del rep["elapsed_s"]
+    assert checked == plain
+
+
+def test_desc_sheaf_oracle_over_the_bound_is_skipped(capsys, tmp_path, cross_check_by_flag):
+    counts = []
+    for bound in (4096, 1):
+        report = tmp_path / f"report{bound}.json"
+        code, out, err = run(capsys, "check-sheaf", SITES / "covers_ok.site",
+                             "--cross-check", "--bound", bound, "--report", report)
+        assert code == 0, err
+        tally = json.loads(report.read_text())["cross_checks"]
+        assert tally["agreed"] == tally["ran"]
+        counts.append(tally["ran"])
+    assert counts[1] < counts[0]
+
+
+def test_desc_runs_no_oracle_without_cross_check(capsys, monkeypatch, cross_check_by_flag):
+    def forbidden(*args):
+        raise AssertionError("an oracle ran without --cross-check")
+
+    for oracle in ("is_locally_trivial", "is_canonical_cover",
+                   "sheaf_condition_by_enumeration"):
+        monkeypatch.setattr(finstack.cli, oracle, forbidden)
+    for command in ("check-bundle", "check-cover", "check-sheaf"):
+        code, out, err = run(capsys, command, SITES / "stack_demo.site")
+        assert code == 0, err
+

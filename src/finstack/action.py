@@ -31,7 +31,7 @@ from .finset import (
     cross_check,
     exact_map,
     memo,
-    product,
+    product_space,
     pullback,
     terminal,
 )
@@ -69,8 +69,7 @@ def check_group(carrier: FinSet, mul: FinMap) -> FinGroup:
     Raises NotAssociative(a,b,c), NoUnit, or NoInverse(a) at the first
     failed axiom, scanned in that order over the canonical atom order.
     """
-    prod = product(carrier, carrier)
-    if mul.src != prod.space or mul.dst != carrier:
+    if mul.src != product_space(carrier, carrier) or mul.dst != carrier:
         raise ValueError("multiplication must be a map G×G -> G")
     t = mul.table
     for a in carrier:
@@ -109,12 +108,11 @@ def group_from_table(elements, rows) -> FinGroup:
     order = list(elements)
     if len(rows) != len(order) or any(len(r) != len(order) for r in rows):
         raise ValueError("table must be square over the given elements")
-    prod = product(carrier, carrier)
     table = {}
     for i, a in enumerate(order):
         for j, b in enumerate(order):
             table[(a, b)] = rows[i][j]
-    return check_group(carrier, FinMap(prod.space, carrier, table))
+    return check_group(carrier, FinMap(product_space(carrier, carrier), carrier, table))
 
 
 def zmod(n: int) -> FinGroup:
@@ -196,7 +194,7 @@ def _laws_on_generators(group: FinGroup, space: FinSet, act: FinMap) -> bool:
     n = len(space)
     pos = {x: i for i, x in enumerate(space)}
     t = act.table
-    # act.src is product(G, X).space, emitted G-major in canonical order
+    # act.src is product_space(G, X), emitted G-major in canonical order
     flat = [pos[t[k]] for k in act.src]
     index = {g: i for i, g in enumerate(group.carrier)}
     rows = [flat[i * n:(i + 1) * n] for i in range(len(index))]
@@ -224,8 +222,7 @@ def check_action(group: FinGroup, space: FinSet, act: FinMap) -> GAction:
     T×X in canonical order, so the witness is the first one: raises
     AssocFail(g,h,x) or UnitFail(x).
     """
-    prod = product(group.carrier, space)
-    if act.src != prod.space or act.dst != space:
+    if act.src != product_space(group.carrier, space) or act.dst != space:
         raise ValueError("action must be a map G×X -> X")
     if _laws_on_generators(group, space, act):
         return GAction(group, space, act)
@@ -244,10 +241,9 @@ def check_action(group: FinGroup, space: FinSet, act: FinMap) -> GAction:
 
 
 def action_from_function(group: FinGroup, space: FinSet, fn) -> GAction:
-    prod = product(group.carrier, space)
+    src = product_space(group.carrier, space)
     return check_action(
-        group, space,
-        FinMap(prod.space, space, {(g, x): fn(g, x) for (g, x) in prod.space}))
+        group, space, FinMap(src, space, {(g, x): fn(g, x) for (g, x) in src}))
 
 
 def _model_action(group: FinGroup, space: FinSet, act: FinMap, what: str) -> GAction:
@@ -263,7 +259,7 @@ def _model_action(group: FinGroup, space: FinSet, act: FinMap, what: str) -> GAc
 def trivial_action(group: FinGroup, space: FinSet) -> GAction:
     """G acting by g·x = x: every σ(g) is the identity, so both action laws
     hold."""
-    src = product(group.carrier, space).space
+    src = product_space(group.carrier, space)
     return _model_action(group, space, exact_map(src, space, {k: k[1] for k in src}),
                          "the trivial action")
 
@@ -343,7 +339,7 @@ def pullback_action(p: GAction, z: GAction, y: GAction,
         raise ValueError("g must be an equivariant map Z -> Y")
     group = p.group
     cert = pullback(f.map, g.map)
-    src = product(group.carrier, cert.apex).space
+    src = product_space(group.carrier, cert.apex)
     pt, zt, ft, gt = p.act.table, z.act.table, f.map.table, g.map.table
     table = {}
     for k in src:
@@ -361,8 +357,8 @@ def product_action(group: FinGroup, u: FinSet) -> GAction:
     """The trivialized model: G acting on G×U by g·(h, u) = (gh, u), left
     multiplication on the first factor, so the unit law is e·h = h and the
     composition law is associativity."""
-    space = product(group.carrier, u).space
-    src = product(group.carrier, space).space
+    space = product_space(group.carrier, u)
+    src = product_space(group.carrier, space)
     mul = group.mul.table
     return _model_action(group, space, exact_map(
         src, space, {k: (mul[(k[0], k[1][0])], k[1][1]) for k in src}),

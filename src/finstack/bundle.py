@@ -44,6 +44,7 @@ from .finset import (
     fibers,
     morphism_predicates,
     product,
+    product_space,
     pullback,
 )
 from .topology import (
@@ -204,7 +205,7 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
         raise BaseMismatch(f"{f.dst!r} != {b.base!r}")
     cert = pullback(b.proj.map, f)
     at = b.total.act.table
-    src = product(b.group.carrier, cert.apex).space
+    src = product_space(b.group.carrier, cert.apex)
     act = exact_map(src, cert.apex, {k: (at[(h, p)], z) for k in src for h, (p, z) in (k,)})
     total = GAction(b.group, cert.apex, act)
     out = Bundle(b.group, f.src, total,
@@ -336,7 +337,7 @@ def enumerate_bundles(group: FinGroup, base: FinSet,
                 s = structures[choice[position[x]]]
                 table[(g, (h, x))] = (s[(g, h)], x)
         act = check_action(group, prod.space,
-                           FinMap(product(group.carrier, prod.space).space,
+                           FinMap(product_space(group.carrier, prod.space),
                                   prod.space, table))
         out.append(constructed_bundle(act, prod.proj2))
     return out

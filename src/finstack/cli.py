@@ -16,12 +16,13 @@ and bundle checks are deterministic. check-sheaf enumerates nothing, so
 
 --cross-check turns on the library's cross-check switch for the run: every
 construction built by a formula re-runs the certifier it skips, and
-check-bundle, check-cover and check-sheaf also run the definitional oracle
-of their decider (local triviality over the point cover with its
-certificate re-checked, the universal effective epi, the enumeration of
-matching families when it fits in --bound). A disagreement is an internal
-fault, exit 3. The report then counts the re-runs in `cross_checks`.
-Verdicts and output are the same either way.
+check-bundle, check-cover and check-sheaf also run the definitional oracles
+of their deciders (local triviality over the point cover with its
+certificate re-checked; the universal effective epi, and the Čech colimit
+of the generated sieve mapping isomorphically onto the target; the
+enumeration of matching families when it fits in --bound). A disagreement
+is an internal fault, exit 3. The report then counts the re-runs in
+`cross_checks`. Verdicts and output are the same either way.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ from .sample import build_corpus
 from .sitefile import load_site
 from .stack import classifying_fiber_equiv
 from .topology import (
+    GeneratedSieve,
     check_sheaf_condition,
     is_canonical_cover,
+    is_colim_sieve,
     is_jointly_surjective,
     point_cover,
     sheaf_condition_by_enumeration,
@@ -135,6 +138,8 @@ def _cmd_check_cover(site, args):
         if CrossCheck.on:
             cross_check(f"cover {d.name} by universal effective epi", not missed,
                         lambda: is_canonical_cover(fam))
+            cross_check(f"cover {d.name} by the colimit of its sieve", not missed,
+                        lambda: is_colim_sieve(GeneratedSieve(fam)))
         if not missed:
             out.append(_check(d.name, "ok",
                               f"{len(fam.legs)} legs onto {len(fam.target)} atoms"))

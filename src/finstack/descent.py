@@ -11,10 +11,13 @@ each W_j over the same base atom, so the glued object is written chart by
 chart and its comparison isos back to the datum are single overlap isos.
 A glued morphism is fixed point by point by the locals, since the cover is
 jointly surjective. The tests keep the coequalizer builds of both as
-oracles. Every glued object, glued morphism and overlap iso is certified by
-the checking ops it must satisfy; the restrictions they are built on are
-lawful by their formulas (`stack.restrict`), re-certified only under
-cross-check.
+oracles. Every glued object and glued morphism is certified by the
+checking ops it must satisfy, and so is every overlap iso taken from a
+caller (`make_datum`, `pullback_datum`). The restricted datum of an object
+is lawful by its formulas, and so are the restrictions everything is built
+on (`stack.restrict`, `stack.restrict_morphism`): `restrict_to_datum`
+writes its canonical overlap isos and skips `check_qs_morphism`,
+`make_datum` and `check_cocycle`, which re-run only under cross-check.
 """
 
 from __future__ import annotations
@@ -32,14 +35,17 @@ from .errors import (
     OverlapMismatch,
 )
 from .finset import (
+    CrossCheck,
     FinMap,
     FinSet,
     Record,
     Tag,
+    cross_check,
+    exact_map,
     fibers,
     identity,
     morphism_predicates,
-    product,
+    product_space,
     pullback,
 )
 from .stack import (
@@ -50,6 +56,7 @@ from .stack import (
     compose_qs,
     constant_gauge,
     empty_object,
+    formula_morphism,
     qs_isomorphism,
     restrict,
     restrict_morphism,
@@ -175,31 +182,34 @@ def check_cocycle(datum: DescentDatum) -> None:
                             raise CocycleFail(i, j, k, ((a, b), c))
 
 
-def _overlap_isos(cover: CoveringFamily, objects, move) -> dict:
-    """The certified isos ((u, a), (a, b)) -> ((move(i, j, u, a, b), b), (a, b))
-    over the nonempty overlaps, for objects with atoms (u, a) over a."""
-    isos = {}
-    for i, j in overlapping_pairs(cover):
-        cert = overlap(cover, i, j)
-        src = restrict(objects[i], cert.proj1)
-        dst = restrict(objects[j], cert.proj2)
-        table = {((u, a), (a2, b)): ((move(i, j, u, a, b), b), (a2, b))
-                 for ((u, a), (a2, b)) in src.total}
-        isos[(i, j)] = check_qs_morphism(src, dst, FinMap(src.total, dst.total, table))
-    return isos
-
-
 def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
     """Restrict an object over Y to a datum on the cover, with the canonical
-    overlap isos ((p, a), (a, b)) -> ((p, b), (a, b)); the result passes
-    check_cocycle."""
+    overlap isos ((p, a), (a, b)) -> ((p, b), (a, b)).
+
+    A datum by its formulas, so no certifier runs. Each iso is a morphism:
+    (p, b) lies over b because π(p) = f_i(a) = f_j(b), h acts on p alone,
+    (a, b) is kept, and both alphas read alpha(p). It is a bijection, with
+    inverse ((p, b), (a, b)) -> ((p, a), (a, b)). The cocycle holds, since
+    φ_jk∘φ_ij and φ_ik both send (p, a) over a to (p, c) over c. So neither
+    `make_datum` nor `check_cocycle` runs; under cross-check each iso's
+    `check_qs_morphism`, then both, re-run."""
     require_canonical(cover)
     if cover.target != obj.base:
         raise ValueError(f"cover is over {cover.target!r}, object over {obj.base!r}")
     objects = tuple(restrict(obj, f) for f in cover.legs)
-    overlaps = _overlap_isos(cover, objects, lambda i, j, p, a, b: p)
-    datum = make_datum(cover, objects, overlaps)
-    check_cocycle(datum)
+    overlaps = {}
+    for i, j in overlapping_pairs(cover):
+        cert = overlap(cover, i, j)
+        src = restrict(objects[i], cert.proj1)
+        dst = restrict(objects[j], cert.proj2)
+        overlaps[(i, j)] = formula_morphism("an overlap iso", src, dst, exact_map(
+            src.total, dst.total, {w: ((w[0][0], w[1][1]), w[1]) for w in src.total}),
+            check_qs_morphism)
+    datum = DescentDatum(cover, objects, overlaps)
+    if CrossCheck.on:
+        cross_check("a restricted datum", datum,
+                    lambda: make_datum(cover, objects, overlaps))
+        cross_check("a restricted datum's cocycle", None, lambda: check_cocycle(datum))
     return datum
 
 
@@ -330,10 +340,9 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     total = FinSet(points)
     acts = [obj.bundle.total.act.table for obj in datum.objects]
     alphas = [obj.alpha.map.table for obj in datum.objects]
-    gxw = product(group.carrier, total)
+    gxw = product_space(group.carrier, total)
     act = check_action(group, total, FinMap(
-        gxw.space, total, {(g, q): names[q.part][acts[q.part][(g, q.atom)]]
-                           for g, q in gxw.space}))
+        gxw, total, {(g, q): names[q.part][acts[q.part][(g, q.atom)]] for g, q in gxw}))
     pi_w = FinMap(total, cover.target, {q: legs[q.part][pis[q.part][q.atom]] for q in total})
     alpha_w = FinMap(total, x_action.space, {q: alphas[q.part][q.atom] for q in total})
     glued = check_qs_object(constructed_bundle(act, pi_w), alpha_w, x_action)
@@ -376,7 +385,11 @@ def twist_overlap(datum: DescentDatum, i: int, j: int, k) -> DescentDatum:
 def pullback_datum(datum: DescentDatum, t: FinMap) -> DescentDatum:
     """Base change of a whole datum along t : Z -> Y; gluing commutes with
     this up to iso, which the tests exercise. The new isos move w over (a, z)
-    by the old iso at (w, (a, b))."""
+    by the old iso at (w, (a, b)): ((w, (a, z)), ((a, z), (b, z))) ->
+    ((φ_ij(w, (a, b)), (b, z)), ((a, z), (b, z))).
+
+    The old isos are the caller's and may be unlawful, so each new one is
+    certified by `check_qs_morphism` and the datum by `make_datum`."""
     cover = datum.cover
     if t.dst != cover.target:
         raise ValueError(f"{t.dst!r} != {cover.target!r}")
@@ -384,8 +397,15 @@ def pullback_datum(datum: DescentDatum, t: FinMap) -> DescentDatum:
     new_objects = tuple(
         restrict(obj, pullback(f, t).proj1) for obj, f in zip(datum.objects, cover.legs))
     phis = _phis(datum)
-    overlaps = _overlap_isos(new_cover, new_objects,
-                             lambda i, j, w, az, bz: phis[(i, j)][(w, (az[0], bz[0]))])
+    overlaps = {}
+    for i, j in overlapping_pairs(new_cover):
+        cert = overlap(new_cover, i, j)
+        src = restrict(new_objects[i], cert.proj1)
+        dst = restrict(new_objects[j], cert.proj2)
+        phi = phis[(i, j)]
+        table = {((w, az), (az2, bz)): ((phi[(w, (az[0], bz[0]))], bz), (az2, bz))
+                 for ((w, az), (az2, bz)) in src.total}
+        overlaps[(i, j)] = check_qs_morphism(src, dst, FinMap(src.total, dst.total, table))
     return make_datum(new_cover, new_objects, overlaps)
 
 

@@ -28,14 +28,14 @@ computed when it is built and a FinMap's on first use, then cached. Never
 mutate `elements` or `table`.
 
 Derived structures live on their inputs. A function wrapped by `memo` (here
-`identity`, `fibers`, `product`, `pullback`; elsewhere `restrict`,
-`trivial_action`, `product_action`) stores each result in the `_memo` slot
-of the youngest FinSet or FinMap among its arguments, youngest by the
-creation serial `_born`. An entry lives exactly as long as that object and
-keeps the older arguments alive with it. Storing on the youngest means a
-long-lived set such as `terminal()` or a group's carrier never collects
-entries for short-lived data, so a long run holds only what its live data
-can reach. `fn.cache_info()` reports the hits and misses of every call since
+`identity`, `fibers`, `product_space`, `product`, `pullback`; elsewhere
+`restrict`, `trivial_action`, `product_action`) stores each result in the
+`_memo` slot of the youngest FinSet or FinMap among its arguments, youngest
+by the creation serial `_born`. An entry lives exactly as long as that
+object and keeps the older arguments alive with it. Storing on the
+youngest means a long-lived set such as `terminal()` or a group's carrier
+never collects entries for short-lived data, so a long run holds only what
+its live data can reach. `fn.cache_info()` reports the hits and misses of every call since
 import. A hit needs the same youngest object and equal other arguments.
 
 The certified records built on these (`FinGroup`, `GAction`, `Bundle`,
@@ -422,9 +422,17 @@ class Product(NamedTuple):
 
 
 @memo()
+def product_space(a: FinSet, b: FinSet) -> FinSet:
+    """The set of pairs (x, y) of product(a, b), without its projections:
+    what a caller that only walks or indexes the pairs needs."""
+    return FinSet._ordered([(x, y) for x in a for y in b])
+
+
+@memo()
 def product(a: FinSet, b: FinSet) -> Product:
-    """Cartesian product with pair atoms (x, y)."""
-    space = FinSet._ordered([(x, y) for x in a for y in b])
+    """Cartesian product with pair atoms (x, y); its space is
+    product_space(a, b)."""
+    space = product_space(a, b)
     return Product(
         space,
         exact_map(space, a, {p: p[0] for p in space}),

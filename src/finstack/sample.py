@@ -47,7 +47,7 @@ from .finset import (
     compose,
     fiber,
     invert,
-    product,
+    product_space,
 )
 from .stack import (
     QSObject,
@@ -154,7 +154,7 @@ def random_gset(rng: Random, group: FinGroup, max_size: int,
             for c in cosets:
                 table[(g, (k, c))] = (k, _coset(group, group.times(g, c[0]), sub))
     space = FinSet(atoms)
-    act = FinMap(product(group.carrier, space).space, space, table)
+    act = FinMap(product_space(group.carrier, space), space, table)
     return check_action(group, space, act)
 
 
@@ -192,7 +192,7 @@ def random_gset_over(rng: Random, y: GAction, max_size: int,
                 act_table[(g, (k, c))] = (k, _coset(group, group.times(g, c[0]), sub))
     space = FinSet(atoms)
     act = check_action(group, space,
-                       FinMap(product(group.carrier, space).space, space, act_table))
+                       FinMap(product_space(group.carrier, space), space, act_table))
     f = check_equivariant(FinMap(space, y.space, map_table), act, y)
     return act, f
 
@@ -208,9 +208,9 @@ def twist_bundle(rng: Random, b: Bundle):
         perm.update(zip(fib, img))
     h = FinMap(b.total.space, b.total.space, perm)
     hinv = invert(h)
-    prod = product(b.group.carrier, b.total.space)
-    act = FinMap(prod.space, b.total.space,
-                 {(g, q): h.table[b.total(g, hinv.table[q])] for (g, q) in prod.space})
+    src = product_space(b.group.carrier, b.total.space)
+    act = FinMap(src, b.total.space,
+                 {(g, q): h.table[b.total(g, hinv.table[q])] for (g, q) in src})
     total2 = check_action(b.group, b.total.space, act)
     # h permutes within fibers, so the projection is untouched
     if compose(b.proj.map, hinv) != b.proj.map:

@@ -41,6 +41,7 @@ from .finset import (
     Record,
     format_atom,
     product,
+    product_space,
     terminal,
 )
 from .stack import (
@@ -351,8 +352,8 @@ class _Parser:
             self.keyword("table")
             tbl = self.table()
             def build():
-                prod = product(group.carrier, space)
-                return check_action(group, space, FinMap(prod.space, space, tbl))
+                return check_action(group, space, FinMap(
+                    product_space(group.carrier, space), space, tbl))
             value = self._build(name, build)
         self.expect("}")
         self.define("action", name, value, {"group": g_name, "space": s_name})

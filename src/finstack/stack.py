@@ -2,9 +2,13 @@
 equivariant map to X, morphisms are bundle maps compatible with those,
 restriction is by base change, and the pseudofunctor coherence cells are
 computed isos, not assumptions: each component of ι and ε is written by its
-point formula on the pulled-back totals and certified a bijection and a
-morphism in its fiber, and the tests keep the pullbacks' mediated maps as
-their oracles.
+point formula on the pulled-back totals, and the tests keep the pullbacks'
+mediated maps as their oracles.
+
+Restriction, restricted morphisms and the ι and ε components are lawful by
+their formulas, so they are built without their certifiers, by
+`formula_morphism` for the morphisms; each docstring gives the argument,
+and under cross-check the certifier re-runs on what was built.
 """
 
 from __future__ import annotations
@@ -174,18 +178,36 @@ def restrict(obj: QSObject, f: FinMap) -> QSObject:
     return out
 
 
+def formula_morphism(what: str, src: QSObject, dst: QSObject, fn: FinMap,
+                     certify) -> QSMorphism:
+    """The morphism src => dst with map fn, written by a point formula that
+    makes it one: the record `check_qs_morphism` would return, built
+    without running it. Under cross-check `certify(src, dst, fn)` re-runs
+    and must return the same record."""
+    out = QSMorphism(src, dst, BundleMorphism(
+        src.bundle, dst.bundle, EquivariantMap(fn, src.bundle.total, dst.bundle.total)))
+    if CrossCheck.on:
+        cross_check(what, out, lambda: certify(src, dst, fn))
+    return out
+
+
 def restrict_morphism(m: QSMorphism, f: FinMap) -> QSMorphism:
     """Restriction of a morphism along f : Z -> Y, by its point formula
     (p, z) ↦ (m(p), z) on the pulled-back totals. That is the map the
     pullback's universal property mediates from m after the first
-    projection and the second projection; the pair lands in the target's
-    total because m lies over the base, the square that FinMap's target
-    check confirms."""
+    projection and the second projection.
+
+    It is a morphism by its formula, so `check_qs_morphism` does not run:
+    (m(p), z) lies in the target's total because m lies over the base; h
+    acts on (p, z) as on p, so it is equivariant because m is; it keeps z,
+    so it lies over Z; and its alpha is alpha(m(p)) = alpha(p), because m
+    commutes with the alphas. Under cross-check it re-runs."""
     src = restrict(m.src, f)
     dst = restrict(m.dst, f)
     mt = m.fn.table
-    t = FinMap(src.total, dst.total, {pz: (mt[pz[0]], pz[1]) for pz in src.total})
-    return check_qs_morphism(src, dst, t)
+    return formula_morphism("a restricted morphism", src, dst, exact_map(
+        src.total, dst.total, {pz: (mt[pz[0]], pz[1]) for pz in src.total}),
+        check_qs_morphism)
 
 
 def _canonical_iso(check, src, dst, fn: FinMap):
@@ -200,23 +222,40 @@ def _canonical_iso(check, src, dst, fn: FinMap):
         raise RuntimeError(f"a canonical iso fails its check: {err}") from err
 
 
+def _certify_canonical_iso(src: QSObject, dst: QSObject, fn: FinMap) -> QSMorphism:
+    return _canonical_iso(check_qs_morphism, src, dst, fn)
+
+
 def iota_component(obj: QSObject) -> QSMorphism:
     """The canonical iso restrict(obj, id) -> obj, (p, y) ↦ p: the first
-    projection of the pullback along the identity."""
+    projection of the pullback along the identity.
+
+    An iso in the fiber by its formula, so neither its bijectivity nor
+    `check_qs_morphism` is checked: the pullback along the identity pairs
+    each p with y = π(p) alone, so the map is a bijection over the base;
+    h·(p, y) = (h·p, y) and the alpha (p, y) ↦ alpha(p) of the restriction
+    make it equivariant and commute with the alphas. Its table still goes
+    through `FinMap`. Under cross-check `_canonical_iso` re-runs."""
     src = restrict(obj, identity(obj.base))
-    return _canonical_iso(check_qs_morphism, src, obj, FinMap(
-        src.total, obj.total, {py: py[0] for py in src.total}))
+    return formula_morphism("an ι component", src, obj, FinMap(
+        src.total, obj.total, {py: py[0] for py in src.total}), _certify_canonical_iso)
 
 
 def epsilon_component(obj: QSObject, f: FinMap, g: FinMap) -> QSMorphism:
     """The canonical iso restrict(obj, f∘g) -> restrict(restrict(obj, f), g),
-    (p, z) ↦ ((p, g(z)), z)."""
+    (p, z) ↦ ((p, g(z)), z).
+
+    An iso in the fiber by its formula, checked the same way as ι's: π(p)
+    = f(g(z)) puts (p, g(z)) in P ×_Y X and the image in the target's
+    total, ((p, x), z) ↦ (p, z) is its inverse, h acts on p alone on both
+    sides, z is kept, and both alphas read alpha(p)."""
     if f.dst != obj.base or g.dst != f.src:
         raise BaseMismatch("maps are not composable under the object's base")
     src, dst = restrict(obj, compose(f, g)), restrict(restrict(obj, f), g)
     gt = g.table
-    return _canonical_iso(check_qs_morphism, src, dst, FinMap(
-        src.total, dst.total, {pz: ((pz[0], gt[pz[1]]), pz[1]) for pz in src.total}))
+    return formula_morphism("an ε component", src, dst, FinMap(
+        src.total, dst.total, {pz: ((pz[0], gt[pz[1]]), pz[1]) for pz in src.total}),
+        _certify_canonical_iso)
 
 
 class CoherenceCell(Record):

@@ -1,8 +1,9 @@
-"""Cross-checking: base change, restriction, the model actions and the
-kernel maps are built by their formulas without re-running their
-certifiers; with `CrossCheck.on` each re-runs its certifier on what it
-built, so a wrong formula is an internal fault, and `desc --cross-check`
-also runs the deciders' definitional oracles.
+"""Cross-checking: base change, restriction, restriction to a datum,
+restricted morphisms, the ι/ε components, the model actions and the kernel
+maps are built by their formulas without re-running their certifiers; with
+`CrossCheck.on` each re-runs its certifier on what it built, so a wrong
+formula is an internal fault, and `desc --cross-check` also runs the
+deciders' definitional oracles.
 
 A wrong formula is planted by rebinding a module's `exact_map`, through
 which those constructions build their tables, to one that rewrites each
@@ -18,6 +19,7 @@ import pytest
 import finstack.action
 import finstack.bundle
 import finstack.cli
+import finstack.descent
 import finstack.finset
 import finstack.stack
 from finstack import (
@@ -26,12 +28,17 @@ from finstack import (
     NotTrivial,
     check_qs_object,
     compose,
+    epsilon_component,
     identity,
+    iota_component,
+    point_cover,
     product,
     pullback,
     pullback_bundle,
+    qs_identity,
     regular_action,
     restrict,
+    restrict_morphism,
     restrict_to_datum,
     sym,
     trivial_action,
@@ -129,6 +136,22 @@ def restriction(group, base):
     return lambda: restrict(obj, identity(base))
 
 
+def restricted_datum(group, base):
+    obj = regular_object(group, base)
+    cover = point_cover(base)
+    return lambda: restrict_to_datum(obj, cover)
+
+
+def restricted_morphism(group, base):
+    # the restriction it reads is built before the formula is planted, so
+    # only the morphism's own table is rewritten
+    obj = regular_object(group, base)
+    f = identity(base)
+    restrict(obj, f)
+    m = qs_identity(obj)
+    return lambda: restrict_morphism(m, f)
+
+
 PLANTED = {
     # name: (module, rewrite for the group, the construction for (group, base),
     #        group, what the cross-check raises)
@@ -145,6 +168,11 @@ PLANTED = {
         finstack.action, collapse_nonunit,
         lambda g, base: lambda: finstack.product_action(g, base), zmod(3),
         "of the trivialized model action failed: action associativity fails"),
+    "overlap iso constant": (finstack.descent, lambda g: constant_table, restricted_datum,
+                             zmod(2), "of an overlap iso failed: equivariance fails"),
+    "restricted morphism constant": (finstack.stack, lambda g: constant_table,
+                                     restricted_morphism, zmod(2),
+                                     "of a restricted morphism failed: proj triangle fails"),
 }
 
 
@@ -251,6 +279,61 @@ def test_restrict_to_datum_runs_no_certifier_on_base_changes(monkeypatch):
     assert all(counts[name] > 0 for name in CERTIFIERS), counts
 
 
+FORMULA_CERTIFIERS = ("check_qs_morphism", "check_cocycle", "make_datum")
+
+
+def test_restrict_to_datum_runs_no_certifier_on_its_overlap_isos(monkeypatch):
+    obj, cover = datum_inputs(7)
+    monkeypatch.setattr(CrossCheck, "on", False)
+    counts = count_calls(monkeypatch, FORMULA_CERTIFIERS)
+    datum = restrict_to_datum(obj, cover)
+    assert datum.overlaps
+    assert counts == dict.fromkeys(FORMULA_CERTIFIERS, 0)
+    # cross-checking re-runs each iso's certifier, the datum's shape checks
+    # and its cocycle
+    monkeypatch.setattr(CrossCheck, "on", True)
+    restrict_to_datum(*datum_inputs(7))
+    assert all(counts[name] > 0 for name in FORMULA_CERTIFIERS), counts
+
+
+def test_restricted_morphisms_and_coherence_isos_run_no_certifier(monkeypatch):
+    obj, cover = datum_inputs(7)
+    m, f = qs_identity(obj), cover.legs[0]
+    g = identity(f.src)
+
+    def build():
+        restrict_morphism(m, f)
+        iota_component(obj)
+        epsilon_component(obj, f, g)
+
+    build()     # the restrictions they read, built and memoized
+    monkeypatch.setattr(CrossCheck, "on", False)
+    counts = count_calls(monkeypatch, ("check_qs_morphism",))
+    build()
+    assert counts == {"check_qs_morphism": 0}
+    monkeypatch.setattr(CrossCheck, "on", True)
+    build()
+    assert counts["check_qs_morphism"] == 3
+
+
+def test_non_bijective_coherence_iso_passes_with_cross_check_off(monkeypatch):
+    # the bijection check of ι and ε runs only under cross-check
+    obj, cover = datum_inputs(7)
+    f = cover.legs[0]
+    real = finstack.stack.FinMap
+    monkeypatch.setattr(finstack.stack, "FinMap", lambda src, dst, table: real(
+        src, dst, dict.fromkeys(table, dst.elements[0])))
+    with pytest.raises(RuntimeError, match="cross-check of an ι component failed: "
+                                           "a canonical iso is not a bijection"):
+        iota_component(obj)
+    with pytest.raises(RuntimeError, match="cross-check of an ε component failed: "
+                                           "a canonical iso is not a bijection"):
+        epsilon_component(obj, f, identity(f.src))
+    monkeypatch.setattr(CrossCheck, "on", False)
+    assert len(set(iota_component(obj).fn.table.values())) == 1
+    assert len(set(epsilon_component(obj, f, identity(f.src)).fn.table.values())) == 1
+
+
 def test_cross_checked_restrictions_are_the_same(monkeypatch):
     # the same inputs built twice, once each way: equal objects and data
     on = restrict_to_datum(*datum_inputs(11))
@@ -274,6 +357,8 @@ PLANTED_IN_DESC = [
     (finstack.stack, constant_table, "glue-object", None),
     (finstack.action, collapse_nonunit(zmod(2)), "check-bundle", "bundles.site"),
     (finstack.finset, drop_last, "check-group", "stack_demo.site"),
+    (finstack.descent, constant_table, "glue-object", "stack_demo.site"),
+    (finstack.stack, constant_table, "glue-morphisms", "stack_demo.site"),
 ]
 
 
@@ -355,6 +440,35 @@ def test_desc_sheaf_oracle_over_the_bound_is_skipped(capsys, tmp_path, cross_che
         assert tally["agreed"] == tally["ran"]
         counts.append(tally["ran"])
     assert counts[1] < counts[0]
+
+
+def test_desc_check_cover_cross_checks_the_colimit_of_each_sieve(
+        capsys, tmp_path, monkeypatch, cross_check_by_flag):
+    checked = []
+    real = finstack.cli.cross_check
+
+    def recording(what, built, again):
+        checked.append(what)
+        real(what, built, again)
+
+    monkeypatch.setattr(finstack.cli, "cross_check", recording)
+    for site, covers in (("covers_ok.site", ("ByPoints", "Overlapping")),
+                         ("covers_bad.site", ("Gappy",))):
+        report = tmp_path / "report.json"
+        checked.clear()
+        run(capsys, "check-cover", SITES / site, "--cross-check", "--report", report)
+        assert [w for w in checked if "colimit" in w] == [
+            f"cover {name} by the colimit of its sieve" for name in covers]
+        tally = json.loads(report.read_text())["cross_checks"]
+        assert tally["agreed"] == tally["ran"] >= len(checked)
+    # a wrong colimit oracle is an internal fault
+    monkeypatch.setattr(finstack.cli, "is_colim_sieve", lambda sieve: False)
+    code, out, err = run(capsys, "check-cover", SITES / "covers_ok.site", "--cross-check")
+    assert code == 3
+    assert "cross-check of cover ByPoints by the colimit of its sieve disagrees" in err
+    # and without the flag it never runs
+    code, out, err = run(capsys, "check-cover", SITES / "covers_ok.site")
+    assert code == 0, err
 
 
 def test_desc_runs_no_oracle_without_cross_check(capsys, monkeypatch, cross_check_by_flag):

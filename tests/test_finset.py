@@ -33,6 +33,7 @@ from finstack.finset import (
     pair_map,
     product,
     product_map,
+    product_space,
     pullback,
     terminal,
 )
@@ -171,6 +172,17 @@ def test_product_projections_and_pairing():
     v = FinMap(c, b, {"s": "x"})
     w = pair_map(u, v, prod)
     assert compose(prod.proj1, w) == u and compose(prod.proj2, w) == v
+
+
+def test_product_is_built_on_its_space():
+    # callers that read only the pairs take product_space and build no
+    # projections; product shares the same set
+    a, b = FinSet([0, 1]), FinSet(["x", "y"])
+    assert product(a, b).space is product_space(a, b)
+    c, d = FinSet([2]), FinSet(["z", "w"])
+    space = product_space(c, d)
+    assert space.elements == ((2, "w"), (2, "z"))
+    assert product(c, d).space is space
 
 
 def test_pairing_is_unique_exhaustively():

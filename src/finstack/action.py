@@ -22,7 +22,6 @@ from .errors import (
     UnitFail,
 )
 from .finset import (
-    CrossCheck,
     FinMap,
     FinSet,
     Record,
@@ -246,27 +245,21 @@ def action_from_function(group: FinGroup, space: FinSet, fn) -> GAction:
         group, space, FinMap(src, space, {(g, x): fn(g, x) for (g, x) in src}))
 
 
-def _model_action(group: FinGroup, space: FinSet, act: FinMap, what: str) -> GAction:
-    """An action whose table is lawful by its formula, so it skips
-    check_action; under cross-check it is re-run."""
-    out = GAction(group, space, act)
-    if CrossCheck.on:
-        cross_check(what, out, lambda: check_action(group, space, act))
-    return out
-
-
 @memo(lambda group, space: (group.carrier, space))
 def trivial_action(group: FinGroup, space: FinSet) -> GAction:
     """G acting by g·x = x: every σ(g) is the identity, so both action laws
-    hold."""
+    hold, and check_action runs only under cross-check."""
     src = product_space(group.carrier, space)
-    return _model_action(group, space, exact_map(src, space, {k: k[1] for k in src}),
-                         "the trivial action")
+    act = exact_map(src, space, {k: k[1] for k in src})
+    return cross_check("the trivial action", GAction(group, space, act),
+                       check_action, group, space, act)
 
 
 def regular_action(group: FinGroup) -> GAction:
-    """G acting on itself by left multiplication."""
-    return GAction(group, group.carrier, group.mul)
+    """G acting on itself by left multiplication: the laws are the group's
+    associativity and unit, so check_action runs only under cross-check."""
+    return cross_check("the regular action", GAction(group, group.carrier, group.mul),
+                       check_action, group, group.carrier, group.mul)
 
 
 def orbits(a: GAction):
@@ -303,14 +296,15 @@ class EquivariantMap(Record):
 def check_equivariant(f: FinMap, a: GAction, b: GAction) -> EquivariantMap:
     """Certify f(a.act(g,x)) = b.act(g, f(x)) for all g, x.
 
-    a and b must be certified actions (only check_action and regular_action
-    build a GAction). Then the square commutes for g·s once it commutes for
-    g and s, and for the unit, so checking the generators decides it for
-    every g. They are scanned in canonical order, each over x in canonical
-    order, and the first failure is raised as EquivarianceFail(s, x). That
-    is the first witness of the full scan over G×X: every atom before s is
-    the unit, an earlier generator or in the subgroup the earlier
-    generators generate, and all of those pass.
+    a and b must be lawful actions (check_action builds a GAction, and so do
+    the constructions lawful by their formula, through `cross_check`). Then
+    the square commutes for g·s once it commutes for g and s, and for the
+    unit, so checking the generators decides it for every g. They are
+    scanned in canonical order, each over x in canonical order, and the
+    first failure is raised as EquivarianceFail(s, x). That is the first
+    witness of the full scan over G×X: every atom before s is the unit, an
+    earlier generator or in the subgroup the earlier generators generate,
+    and all of those pass.
     """
     if a.group != b.group:
         raise ValueError("actions are for different groups")
@@ -360,9 +354,9 @@ def product_action(group: FinGroup, u: FinSet) -> GAction:
     space = product_space(group.carrier, u)
     src = product_space(group.carrier, space)
     mul = group.mul.table
-    return _model_action(group, space, exact_map(
-        src, space, {k: (mul[(k[0], k[1][0])], k[1][1]) for k in src}),
-        "the trivialized model action")
+    act = exact_map(src, space, {k: (mul[(k[0], k[1][0])], k[1][1]) for k in src})
+    return cross_check("the trivialized model action", GAction(group, space, act),
+                       check_action, group, space, act)
 
 
 def gset_isomorphism_over(a: GAction, b: GAction,

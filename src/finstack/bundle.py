@@ -30,11 +30,9 @@ from .action import (
 from .errors import (
     BaseMismatch,
     BoundExceeded,
-    EquivarianceFail,
     TriangleFail,
 )
 from .finset import (
-    CrossCheck,
     FinMap,
     FinSet,
     Record,
@@ -208,12 +206,11 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     src = product_space(b.group.carrier, cert.apex)
     act = exact_map(src, cert.apex, {k: (at[(h, p)], z) for k in src for h, (p, z) in (k,)})
     total = GAction(b.group, cert.apex, act)
-    out = Bundle(b.group, f.src, total,
-                 EquivariantMap(cert.proj2, total, trivial_action(b.group, f.src)))
-    if CrossCheck.on:
-        cross_check("a base change", out, lambda: constructed_bundle(
-            check_action(b.group, cert.apex, act), cert.proj2))
-    return out
+    return cross_check(
+        "a base change",
+        Bundle(b.group, f.src, total,
+               EquivariantMap(cert.proj2, total, trivial_action(b.group, f.src))),
+        lambda: constructed_bundle(check_action(b.group, cert.apex, act), cert.proj2))
 
 
 class BundleMorphism(Record):
@@ -247,7 +244,9 @@ def check_bundle_morphism(src: Bundle, dst: Bundle, m: FinMap) -> BundleMorphism
 def fiber_map(src: Bundle, dst: Bundle, image: dict) -> FinMap:
     """The map g·p0 ↦ g·image[y] over the common base, p0 the least atom of
     src's fiber over y: the fibers are G-torsors, so it is the one
-    equivariant map with those images. The caller certifies it."""
+    equivariant map with those images. `enumerate_bundle_morphisms` takes
+    it as a morphism, certified only under cross-check; the other callers
+    certify it."""
     sa, da = src.total.act.table, dst.total.act.table
     return FinMap(src.total.space, dst.total.space, {
         sa[(g, fib[0])]: da[(g, image[y])]
@@ -261,8 +260,11 @@ def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
     The fibers are G-torsors, so a morphism over the base is fixed by where
     it sends p0, the least atom of each src fiber: choosing q0 in the dst
     fiber over the same base atom gives the `fiber_map` g·p0 ↦ g·q0: exactly
-    |G|^|base| maps, which the bound counts, each certified by
-    `check_bundle_morphism`, where a failure is an internal fault.
+    |G|^|base| maps, which the bound counts. Each is a morphism by its
+    formula: it lies over the base, since g·q0 lies in the dst fiber over
+    the same atom, and it is equivariant, since h·(g·p0) = (hg)·p0 goes to
+    (hg)·q0. So the record is built without `check_bundle_morphism`, which
+    re-runs under cross-check, where a failure is an internal fault.
 
     The maps come in `topology.all_maps` order, lexicographic in the
     canonical positions of the images of src's atoms. Two choices first
@@ -282,10 +284,10 @@ def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
     out = []
     for choice in itertools.product(*(dst_fibers[y] for y in bases)):
         m = fiber_map(src, dst, dict(zip(bases, choice)))
-        try:
-            out.append(check_bundle_morphism(src, dst, m))
-        except (TriangleFail, EquivarianceFail) as err:
-            raise RuntimeError(f"a constructed bundle morphism fails: {err}") from err
+        out.append(cross_check(
+            "a constructed bundle morphism",
+            BundleMorphism(src, dst, EquivariantMap(m, src.total, dst.total)),
+            check_bundle_morphism, src, dst, m))
     return out
 
 

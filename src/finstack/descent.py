@@ -35,7 +35,6 @@ from .errors import (
     OverlapMismatch,
 )
 from .finset import (
-    CrossCheck,
     FinMap,
     FinSet,
     Record,
@@ -205,11 +204,9 @@ def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
         overlaps[(i, j)] = formula_morphism("an overlap iso", src, dst, exact_map(
             src.total, dst.total, {w: ((w[0][0], w[1][1]), w[1]) for w in src.total}),
             check_qs_morphism)
-    datum = DescentDatum(cover, objects, overlaps)
-    if CrossCheck.on:
-        cross_check("a restricted datum", datum,
-                    lambda: make_datum(cover, objects, overlaps))
-        cross_check("a restricted datum's cocycle", None, lambda: check_cocycle(datum))
+    datum = cross_check("a restricted datum", DescentDatum(cover, objects, overlaps),
+                        make_datum, cover, objects, overlaps)
+    cross_check("a restricted datum's cocycle", None, check_cocycle, datum)
     return datum
 
 

@@ -18,10 +18,12 @@ the projections of `product` and `pullback`, and elsewhere the tables of
 base change, restriction and the model actions) are built by the internal
 `exact_map`, which skips that check.
 
-Skipped checks are not lost. `CrossCheck.on` (off by default, `desc
---cross-check` turns it on) makes each construction that skips a
-certifier re-run it on what it built, through `cross_check`, which raises
-RuntimeError when the two disagree: an internal fault, never a verdict.
+Skipped checks are not lost. Each construction that skips a certifier
+passes what it built and that certifier to `cross_check`, the one reader
+of the switch `CrossCheck.on` (off by default, `desc --cross-check` turns
+it on): off, it returns the value; on, it re-runs the certifier first and
+raises RuntimeError when the two disagree: an internal fault, never a
+verdict.
 
 FinSet and FinMap are read-only after construction: a FinSet's hash is
 computed when it is built and a FinMap's on first use, then cached. Never
@@ -196,9 +198,10 @@ class CrossCheck:
     """The cross-check switch and its tally since import.
 
     Off, a construction whose result is lawful by its formula skips the
-    certifier that would confirm it. On, it re-runs that certifier on the
-    value it built, by `cross_check`; `desc` also runs its definitional
-    oracles beside the deciders. Read `on` at the time of the call.
+    certifier that would confirm it. On, `cross_check` re-runs that
+    certifier on the value it built; `desc` also runs its definitional
+    oracles beside the deciders. `cross_check` reads `on` at the time of
+    each call.
     """
 
     on = False
@@ -206,18 +209,22 @@ class CrossCheck:
     agreed = 0
 
 
-def cross_check(what: str, built, again) -> None:
-    """Re-run a skipped certifier: `again()` must return a value equal to
-    `built`. Raises RuntimeError, an internal fault, when it raises or
-    returns something else."""
+def cross_check(what: str, built, again, *args):
+    """Return `built`, a value lawful by its formula. Only under
+    `CrossCheck.on` is the skipped certifier re-run: `again(*args)` must
+    return a value equal to `built`, else this raises RuntimeError, an
+    internal fault. No construction reads the switch but through here."""
+    if not CrossCheck.on:
+        return built
     CrossCheck.ran += 1
     try:
-        checked = again()
+        checked = again(*args)
     except Exception as err:
         raise RuntimeError(f"cross-check of {what} failed: {err}") from err
     if checked != built:
         raise RuntimeError(f"cross-check of {what} disagrees: {checked!r} != {built!r}")
     CrossCheck.agreed += 1
+    return built
 
 
 def exact_map(src: FinSet, dst: FinSet, table: dict) -> FinMap:
@@ -229,9 +236,7 @@ def exact_map(src: FinSet, dst: FinSet, table: dict) -> FinMap:
     """
     m = object.__new__(FinMap)
     m._set(src, dst, table)
-    if CrossCheck.on:
-        cross_check("a constructed table", m, lambda: FinMap(src, dst, table))
-    return m
+    return cross_check("a constructed table", m, FinMap, src, dst, table)
 
 
 class MemoInfo(NamedTuple):
@@ -469,15 +474,13 @@ class PullbackCert(NamedTuple):
 
 @memo()
 def pullback(f: FinMap, g: FinMap) -> PullbackCert:
-    """A hash join: the fibers of g, each in canonical order, are looked up
-    once per atom of f.src, so the pairs come out in canonical order. When
-    g hits at most one atom y, the apex is f's fiber over y times g.src,
-    read from f's memoized fibers without walking f.src."""
+    """A hash join: the memoized fibers of g, each in canonical order, are
+    looked up once per atom of f.src, so the pairs come out in canonical
+    order. When g hits at most one atom y, the apex is f's fiber over y
+    times g.src, read from f's memoized fibers without walking f.src."""
     if f.dst != g.dst:
         raise CodomainMismatch(f"{f.dst!r} != {g.dst!r}")
-    over = {}
-    for b in g.src:
-        over.setdefault(g.table[b], []).append(b)
+    over = fibers(g)
     if len(over) <= 1:
         pairs = [(a, b) for y, bs in over.items()
                  for a in fibers(f).get(y, ()) for b in bs]

@@ -34,7 +34,6 @@ from .bundle import (
 )
 from .errors import BaseMismatch, EquivarianceFail, TriangleFail
 from .finset import (
-    CrossCheck,
     FinMap,
     FinSet,
     Record,
@@ -171,11 +170,9 @@ def restrict(obj: QSObject, f: FinMap) -> QSObject:
     at = obj.alpha.map.table
     alpha = exact_map(b.total.space, obj.x_action.space,
                       {pz: at[pz[0]] for pz in b.total.space})
-    out = QSObject(b, EquivariantMap(alpha, b.total, obj.x_action))
-    if CrossCheck.on:
-        cross_check("a restriction", out,
-                    lambda: check_qs_object(b, alpha, obj.x_action))
-    return out
+    return cross_check(
+        "a restriction", QSObject(b, EquivariantMap(alpha, b.total, obj.x_action)),
+        check_qs_object, b, alpha, obj.x_action)
 
 
 def formula_morphism(what: str, src: QSObject, dst: QSObject, fn: FinMap,
@@ -184,11 +181,9 @@ def formula_morphism(what: str, src: QSObject, dst: QSObject, fn: FinMap,
     makes it one: the record `check_qs_morphism` would return, built
     without running it. Under cross-check `certify(src, dst, fn)` re-runs
     and must return the same record."""
-    out = QSMorphism(src, dst, BundleMorphism(
-        src.bundle, dst.bundle, EquivariantMap(fn, src.bundle.total, dst.bundle.total)))
-    if CrossCheck.on:
-        cross_check(what, out, lambda: certify(src, dst, fn))
-    return out
+    return cross_check(what, QSMorphism(src, dst, BundleMorphism(
+        src.bundle, dst.bundle, EquivariantMap(fn, src.bundle.total, dst.bundle.total))),
+        certify, src, dst, fn)
 
 
 def restrict_morphism(m: QSMorphism, f: FinMap) -> QSMorphism:

@@ -28,8 +28,8 @@ def cross_checked(monkeypatch):
     """Run every test with cross-checking on, so each construction that
     skips its certifier in production (base change, restriction,
     restriction to a datum, restricted morphisms, the ι/ε components, the
-    model actions, the kernel maps) has it re-run, and `desc` runs its
-    oracles."""
+    model and regular actions, the enumerated bundle morphisms, the kernel
+    maps) has it re-run, and `desc` runs its oracles."""
     monkeypatch.setattr(CrossCheck, "on", True)
 
 

@@ -325,3 +325,32 @@ def test_budget_one_exercises_verify_stack(capsys):
     assert code == 0
     assert "ok (effectiveness" in out
     assert "0/0" not in out
+
+
+@pytest.mark.parametrize("site,before", [
+    ("z2_demo.site", 0),        # the checks pass
+    ("covers_bad.site", 1),     # a check fails
+    ("bad_group.site", 2),      # bad input
+])
+def test_unwritable_report_is_an_error_without_traceback(capsys, tmp_path, site, before):
+    # exit 1 says a check failed, so a report that cannot be written is an
+    # error of the run, exit 2, whatever the checks said
+    command = "check-cover" if site == "covers_bad.site" else "check-group"
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, command, SITES / site, "--report", path)
+    assert code == 2
+    assert "desc: error: cannot write the report:" in err
+    assert "Traceback" not in err
+    assert run(capsys, command, SITES / site)[0] == before
+
+
+def test_unwritable_report_keeps_an_internal_fault_at_3(capsys, tmp_path, monkeypatch):
+    def broken(site, args):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setitem(cli._COMMANDS, "check-group", broken)
+    code, out, err = run(capsys, "check-group", SITES / "z2_demo.site",
+                         "--report", tmp_path / "missing" / "report.json")
+    assert code == 3
+    assert "invariant broken" in err
+    assert "desc: error: cannot write the report:" in err

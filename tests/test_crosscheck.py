@@ -1,6 +1,7 @@
 """Cross-checking: base change, restriction, restriction to a datum,
-restricted morphisms, the ι/ε components, the model actions and the kernel
-maps are built by their formulas without re-running their certifiers; with
+restricted morphisms, the ι/ε components, the model and regular actions,
+the enumerated bundle morphisms and the kernel maps are built by their
+formulas without re-running their certifiers; with
 `CrossCheck.on` each re-runs its certifier on what it built, so a wrong
 formula is an internal fault, and `desc --cross-check` also runs the
 deciders' definitional oracles.
@@ -343,6 +344,44 @@ def test_cross_checked_restrictions_are_the_same(monkeypatch):
     assert [o.total.elements for o in off.objects] == [o.total.elements for o in on.objects]
 
 
+def test_regular_action_runs_check_action_only_under_cross_check(monkeypatch):
+    # left multiplication is lawful by the group's own axioms
+    group = sym(3)
+    counts = count_calls(monkeypatch, ("check_action",))
+    monkeypatch.setattr(CrossCheck, "on", False)
+    off = regular_action(group)
+    assert counts == {"check_action": 0}
+    monkeypatch.setattr(CrossCheck, "on", True)
+    assert regular_action(group) == off
+    assert counts == {"check_action": 1}
+
+
+def test_enumerated_bundle_morphisms_are_certified_only_under_cross_check(monkeypatch):
+    b = trivial_bundle(zmod(3), FinSet(("p", "q")))
+    counts = count_calls(monkeypatch, ("check_bundle_morphism",))
+    monkeypatch.setattr(CrossCheck, "on", False)
+    off = finstack.bundle.enumerate_bundle_morphisms(b, b)
+    assert len(off) == 9
+    assert counts == {"check_bundle_morphism": 0}
+    monkeypatch.setattr(CrossCheck, "on", True)
+    assert finstack.bundle.enumerate_bundle_morphisms(b, b) == off
+    assert counts == {"check_bundle_morphism": 9}
+
+
+def test_planted_fiber_map_is_an_internal_fault(monkeypatch):
+    # over a one-atom base, the map of every point to the least dst atom
+    # lies over the base but is not equivariant
+    b = trivial_bundle(zmod(2), FinSet(("p",)))
+    monkeypatch.setattr(finstack.bundle, "fiber_map", lambda src, dst, image: FinMap(
+        src.total.space, dst.total.space,
+        dict.fromkeys(src.total.space, dst.total.space.elements[0])))
+    with pytest.raises(RuntimeError, match="cross-check of a constructed bundle morphism "
+                                           "failed"):
+        finstack.bundle.enumerate_bundle_morphisms(b, b)
+    monkeypatch.setattr(CrossCheck, "on", False)
+    assert len(finstack.bundle.enumerate_bundle_morphisms(b, b)) == 2
+
+
 # ------------------------------------------------------------------- desc ---
 
 @pytest.fixture
@@ -482,3 +521,22 @@ def test_desc_runs_no_oracle_without_cross_check(capsys, monkeypatch, cross_chec
         code, out, err = run(capsys, command, SITES / "stack_demo.site")
         assert code == 0, err
 
+
+
+@pytest.mark.parametrize("command", ["check-group", "check-action"])
+def test_desc_check_group_and_action_certify_only_at_load(
+        capsys, monkeypatch, cross_check_by_flag, command):
+    # the load built each group and action certified; the command reports it
+    real_load = finstack.cli.load_site
+    counts = []
+
+    def load_then_count(path):
+        site = real_load(path)
+        counts.append(count_calls(monkeypatch, ("check_group", "check_action")))
+        return site
+
+    monkeypatch.setattr(finstack.cli, "load_site", load_then_count)
+    code, out, err = run(capsys, command, SITES / "z2_demo.site")
+    assert code == 0, err
+    assert out.endswith(" ok\n")
+    assert counts == [{"check_group": 0, "check_action": 0}]

@@ -85,6 +85,26 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out.stdout.strip() == "[]"
 
 
+def test_only_the_door_reads_the_cross_check_switch():
+    # constructions hand their skipped certifiers to finset.cross_check,
+    # which alone decides whether to run them; cli.main sets and restores
+    # the switch, and check-sheaf skips its oracle past --bound uncounted
+    readers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope.split('.')[0]}.{node.name}"
+        elif (isinstance(node, ast.Attribute) and node.attr == "on"
+              and isinstance(node.value, ast.Name) and node.value.id == "CrossCheck"):
+            readers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
+    assert readers == {"finset.cross_check", "cli.main", "cli._cmd_check_sheaf"}
+
+
 def _names_read(tree):
     """Every name the module reads. Under `from __future__ import
     annotations` an annotation is still an expression in the tree, so a

@@ -38,6 +38,7 @@ from .finset import (
     Record,
     compose,
     cross_check,
+    deferred_map,
     exact_map,
     fibers,
     morphism_predicates,
@@ -198,19 +199,28 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     acted base; h acts as on P, so both action laws hold; the projection
     keeps z, so it is equivariant onto the trivially acted Z; and the fiber
     over z is b's fiber over f(z), a G-torsor, paired with z. Under
-    cross-check, `check_action` and `constructed_bundle` re-run on it."""
+    cross-check, `check_action` and `constructed_bundle` re-run on it.
+
+    Most base changes are read only through their projection and space, so
+    the |G|·|P ×_Y Z| action table is a `deferred_map`, written the first
+    time something reads it; b's own table is read only then."""
     if f.dst != b.base:
         raise BaseMismatch(f"{f.dst!r} != {b.base!r}")
     cert = pullback(b.proj.map, f)
-    at = b.total.act.table
-    src = product_space(b.group.carrier, cert.apex)
-    act = exact_map(src, cert.apex, {k: (at[(h, p)], z) for k in src for h, (p, z) in (k,)})
-    total = GAction(b.group, cert.apex, act)
+    group, apex, parent = b.group, cert.apex, b.total.act
+
+    def build():
+        at = parent.table
+        src = product_space(group.carrier, apex)
+        return exact_map(src, apex, {k: (at[(h, p)], z) for k in src for h, (p, z) in (k,)})
+
+    act = deferred_map(apex, build)
+    total = GAction(group, apex, act)
     return cross_check(
         "a base change",
-        Bundle(b.group, f.src, total,
-               EquivariantMap(cert.proj2, total, trivial_action(b.group, f.src))),
-        lambda: constructed_bundle(check_action(b.group, cert.apex, act), cert.proj2))
+        Bundle(group, f.src, total,
+               EquivariantMap(cert.proj2, total, trivial_action(group, f.src))),
+        lambda: constructed_bundle(check_action(group, apex, act), cert.proj2))
 
 
 class BundleMorphism(Record):
@@ -248,7 +258,7 @@ def fiber_map(src: Bundle, dst: Bundle, image: dict) -> FinMap:
     it as a morphism, certified only under cross-check; the other callers
     certify it."""
     sa, da = src.total.act.table, dst.total.act.table
-    return FinMap(src.total.space, dst.total.space, {
+    return exact_map(src.total.space, dst.total.space, {
         sa[(g, fib[0])]: da[(g, image[y])]
         for y, fib in fibers(src.proj.map).items() for g in src.group.carrier})
 

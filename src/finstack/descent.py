@@ -11,21 +11,24 @@ each W_j over the same base atom, so the glued object is written chart by
 chart and its comparison isos back to the datum are single overlap isos.
 A glued morphism is fixed point by point by the locals, since the cover is
 jointly surjective. The tests keep the coequalizer builds of both as
-oracles. Every glued object and glued morphism is certified by the
-checking ops it must satisfy, and so is every overlap iso taken from a
-caller (`make_datum`, `pullback_datum`). The restricted datum of an object
-is lawful by its formulas, and so are the restrictions everything is built
-on (`stack.restrict`, `stack.restrict_morphism`): `restrict_to_datum`
-writes its canonical overlap isos and skips `check_qs_morphism`,
-`make_datum` and `check_cocycle`, which re-run only under cross-check.
+oracles. Every glued morphism is certified by the checking ops it must
+satisfy, and so is every overlap iso taken from a caller (`make_datum`,
+`pullback_datum`). A glued object and its comparisons are lawful by their
+formulas once `glue_object` has checked its input and the cocycle, so
+their certifiers re-run only under cross-check. The restricted datum of an
+object is lawful by its formulas, and so are the restrictions everything
+is built on (`stack.restrict`, `stack.restrict_morphism`):
+`restrict_to_datum` writes its canonical overlap isos and skips
+`check_qs_morphism`, `make_datum` and `check_cocycle`, which re-run only
+under cross-check.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .action import FinGroup, GAction, check_action
-from .bundle import constructed_bundle
+from .action import EquivariantMap, FinGroup, GAction, check_action, trivial_action
+from .bundle import Bundle, constructed_bundle
 from .errors import (
     CocycleFail,
     CocycleRequired,
@@ -52,6 +55,7 @@ from .stack import (
     QSObject,
     check_qs_morphism,
     check_qs_object,
+    certify_canonical_iso,
     compose_qs,
     constant_gauge,
     empty_object,
@@ -130,15 +134,22 @@ def make_datum(cover: CoveringFamily, objects, overlaps) -> DescentDatum:
         if i != j or cert.proj1 != cert.proj2:
             raise MissingOverlapIso(i, j)
         overlaps[(i, j)] = _identity_iso(objects, cert, i, j)
+    _check_endpoints(cover, objects, overlaps)
+    for (i, j), iso in overlaps.items():
+        if not morphism_predicates(iso.fn).iso:
+            raise ValueError(f"overlap iso ({i},{j}) is not a bijection")
+    return DescentDatum(cover, objects, overlaps)
+
+
+def _check_endpoints(cover: CoveringFamily, objects, overlaps: dict) -> None:
+    """Each iso (i, j) must run from W_i to W_j restricted to U_i ×_Y U_j;
+    raises ValueError naming the first that does not."""
     for (i, j), iso in overlaps.items():
         cert = overlap(cover, i, j)
         if iso.src != restrict(objects[i], cert.proj1):
             raise ValueError(f"overlap iso ({i},{j}) has the wrong source")
         if iso.dst != restrict(objects[j], cert.proj2):
             raise ValueError(f"overlap iso ({i},{j}) has the wrong target")
-        if not morphism_predicates(iso.fn).iso:
-            raise ValueError(f"overlap iso ({i},{j}) is not a bijection")
-    return DescentDatum(cover, objects, overlaps)
 
 
 def _phis(datum: DescentDatum) -> dict:
@@ -290,11 +301,30 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     atom in W_i's canonical order among the φ_ii(w, (a, b)) for b over y,
     the name the coequalizer of the overlap relation gives it. Action,
     projection and structure map are read through the chart, and
-    ψ_j(Tag(i, r), b) = φ_ij(r, (π_i(r), b)); each is certified.
+    ψ_j(Tag(i, r), b) = φ_ij(r, (π_i(r), b)).
 
-    The group and structure action are the objects'; passing others raises
-    ValueError. The empty cover of the empty base has no objects to read
-    them from, so it needs both passed in.
+    These are lawful by their formulas, so no certifier runs on them. The
+    overlap isos are morphisms between the right restrictions (checked on
+    the input), so each φ_ij is equivariant, lies over U_i ×_Y U_j and
+    keeps alpha; with the cocycle, the class of w meets W_j in exactly the
+    φ_ij(w, (a, b)), one point over each b. So h·Tag(i, r), the name of
+    h·r, is well defined and both action laws hold, as they hold on W_i;
+    the projection reads the chart's base atom, which h keeps, and the
+    fiber over y is W_i's fiber over one a over y, a G-torsor; alpha reads
+    alpha_i(r), equal on the whole class. ψ_j then lies over U_j, is
+    equivariant and keeps alpha because φ_ij does, and it agrees with every
+    overlap iso by the cocycle. A bundle morphism between G-torsor bundles
+    over one base is bijective on each fiber, so each ψ_j is an iso. Under
+    cross-check `check_action`, `constructed_bundle`, `check_qs_object`,
+    each ψ_j's `check_qs_morphism` with its bijection check, and the scan
+    of the ψ_j against the overlap isos re-run.
+
+    The input is checked: the cover is canonical, the objects share the
+    group and structure action, every iso runs between the restrictions of
+    its pair (else ValueError), and the cocycle holds (else
+    CocycleRequired). The group and structure action are the objects';
+    passing others raises ValueError. The empty cover of the empty base has
+    no objects to read them from, so it needs both passed in.
     """
     cover = datum.cover
     require_canonical(cover)
@@ -306,6 +336,7 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
                              "and structure action of the gluing")
     if group is None or x_action is None:
         raise ValueError("gluing over the empty cover needs group and x_action")
+    _check_endpoints(cover, datum.objects, datum.overlaps)
     try:
         check_cocycle(datum)
     except CocycleFail as err:
@@ -338,35 +369,46 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     acts = [obj.bundle.total.act.table for obj in datum.objects]
     alphas = [obj.alpha.map.table for obj in datum.objects]
     gxw = product_space(group.carrier, total)
-    act = check_action(group, total, FinMap(
-        gxw, total, {(g, q): names[q.part][acts[q.part][(g, q.atom)]] for g, q in gxw}))
-    pi_w = FinMap(total, cover.target, {q: legs[q.part][pis[q.part][q.atom]] for q in total})
-    alpha_w = FinMap(total, x_action.space, {q: alphas[q.part][q.atom] for q in total})
-    glued = check_qs_object(constructed_bundle(act, pi_w), alpha_w, x_action)
+    act_map = exact_map(
+        gxw, total, {(g, q): names[q.part][acts[q.part][(g, q.atom)]] for g, q in gxw})
+    act = cross_check("a glued action", GAction(group, total, act_map),
+                      check_action, group, total, act_map)
+    pi_w = exact_map(total, cover.target,
+                     {q: legs[q.part][pis[q.part][q.atom]] for q in total})
+    bundle = cross_check("a glued bundle", Bundle(
+        group, cover.target, act,
+        EquivariantMap(pi_w, act, trivial_action(group, cover.target))),
+        constructed_bundle, act, pi_w)
+    alpha_w = exact_map(total, x_action.space, {q: alphas[q.part][q.atom] for q in total})
+    glued = cross_check("a glued object", QSObject(bundle, EquivariantMap(
+        alpha_w, act, x_action)), check_qs_object, bundle, alpha_w, x_action)
     # comparison isos psi_j : glued|U_j -> W_j, one overlap iso per point
     comparisons = []
-    for j in range(n):
-        fj = cover.legs[j]
-        rcert = pullback(pi_w, fj)
-        table = {(q, b): phis[(q.part, j)][(q.atom, (pis[q.part][q.atom], b))]
-                 for q, b in rcert.apex}
-        psi = check_qs_morphism(
-            restrict(glued, fj), datum.objects[j],
-            FinMap(rcert.apex, datum.objects[j].total, table))
-        if not morphism_predicates(psi.fn).iso:
-            raise RuntimeError(f"comparison over leg {j} is not an iso")
-        comparisons.append(psi)
-    # compatibility of the comparisons against every overlap iso, pointwise
+    for j, fj in enumerate(cover.legs):
+        src, dst = restrict(glued, fj), datum.objects[j]
+        comparisons.append(formula_morphism("a comparison iso", src, dst, exact_map(
+            src.total, dst.total,
+            {(q, b): phis[(q.part, j)][(q.atom, (pis[q.part][q.atom], b))]
+             for q, b in src.total}),
+            certify_canonical_iso))
+    cross_check("the comparisons against the overlap isos", None,
+                _check_comparisons, cover, phis, pi_w, comparisons)
+    return GluingResult(glued, tuple(comparisons))
+
+
+def _check_comparisons(cover: CoveringFamily, phis: dict, pi_w: FinMap,
+                       comparisons: list) -> None:
+    """Each ψ_j agrees with ψ_i followed by φ_ij, pointwise over every
+    stored overlap; raises RuntimeError at the first pair where not."""
     glued_over = fibers(pi_w)
     for i, j in sorted(phis):
-        fi = legs[i]
+        fi = cover.legs[i].table
         for a, b in overlap(cover, i, j).apex:
             for q in glued_over.get(fi[a], ()):
                 via_phi = phis[(i, j)][(comparisons[i].fn.table[(q, a)], (a, b))]
                 if via_phi != comparisons[j].fn.table[(q, b)]:
                     raise RuntimeError(
                         f"comparison isos disagree with overlap iso ({i},{j})")
-    return GluingResult(glued, tuple(comparisons))
 
 
 def twist_overlap(datum: DescentDatum, i: int, j: int, k) -> DescentDatum:

@@ -16,7 +16,9 @@ keys are exactly the source atoms and its values lie in the target, while
 the maps whose tables are exact by their formula (`identity`, `compose`,
 the projections of `product` and `pullback`, and elsewhere the tables of
 base change, restriction and the model actions) are built by the internal
-`exact_map`, which skips that check.
+`exact_map`, which skips that check. A table that only some callers read,
+the action of a base change, is built by `deferred_map` the first time its
+source or table is read.
 
 Skipped checks are not lost. Each construction that skips a certifier
 passes what it built and that certifier to `cross_check`, the one reader
@@ -237,6 +239,34 @@ def exact_map(src: FinSet, dst: FinSet, table: dict) -> FinMap:
     m = object.__new__(FinMap)
     m._set(src, dst, table)
     return cross_check("a constructed table", m, FinMap, src, dst, table)
+
+
+class _DeferredMap(FinMap):
+    """A FinMap whose `src` and `table` slots stay unset until one of them
+    is read: the lookup then falls through to `__getattr__`, which builds
+    the map once, fills both slots and drops the thunk, so every later read
+    is a plain slot read, and `==`, `hash` and `repr` read through it."""
+
+    __slots__ = ("_build",)
+
+    def __getattr__(self, name):
+        if name != "src" and name != "table":
+            raise AttributeError(name)
+        built = self._build()
+        self.src, self.table = built.src, built.table
+        self._build = None
+        return built.src if name == "src" else built.table
+
+
+def deferred_map(dst: FinSet, build) -> FinMap:
+    """A FinMap into `dst` whose source and table come from `build()`, a
+    FinMap into `dst`, the first time either is read; a table nothing reads
+    is never built. Internal to the package's constructions, for tables
+    lawful by their formula that `build` writes through `exact_map`."""
+    m = object.__new__(_DeferredMap)
+    m._build = build
+    m.dst, m._hash, m._born, m._memo = dst, None, next(_serial), None
+    return m
 
 
 class MemoInfo(NamedTuple):

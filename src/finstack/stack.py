@@ -217,7 +217,9 @@ def _canonical_iso(check, src, dst, fn: FinMap):
         raise RuntimeError(f"a canonical iso fails its check: {err}") from err
 
 
-def _certify_canonical_iso(src: QSObject, dst: QSObject, fn: FinMap) -> QSMorphism:
+def certify_canonical_iso(src: QSObject, dst: QSObject, fn: FinMap) -> QSMorphism:
+    """The certifier of an iso in a fiber of [X/G] written by its point
+    formula: `check_qs_morphism` and the bijection check."""
     return _canonical_iso(check_qs_morphism, src, dst, fn)
 
 
@@ -233,7 +235,7 @@ def iota_component(obj: QSObject) -> QSMorphism:
     through `FinMap`. Under cross-check `_canonical_iso` re-runs."""
     src = restrict(obj, identity(obj.base))
     return formula_morphism("an ι component", src, obj, FinMap(
-        src.total, obj.total, {py: py[0] for py in src.total}), _certify_canonical_iso)
+        src.total, obj.total, {py: py[0] for py in src.total}), certify_canonical_iso)
 
 
 def epsilon_component(obj: QSObject, f: FinMap, g: FinMap) -> QSMorphism:
@@ -250,7 +252,7 @@ def epsilon_component(obj: QSObject, f: FinMap, g: FinMap) -> QSMorphism:
     gt = g.table
     return formula_morphism("an ε component", src, dst, FinMap(
         src.total, dst.total, {pz: ((pz[0], gt[pz[1]]), pz[1]) for pz in src.total}),
-        _certify_canonical_iso)
+        certify_canonical_iso)
 
 
 class CoherenceCell(Record):

@@ -27,9 +27,11 @@ def rng():
 def cross_checked(monkeypatch):
     """Run every test with cross-checking on, so each construction that
     skips its certifier in production (base change, restriction,
-    restriction to a datum, restricted morphisms, the ι/ε components, the
-    model and regular actions, the enumerated bundle morphisms, the kernel
-    maps) has it re-run, and `desc` runs its oracles."""
+    restriction to a datum, gluing, restricted morphisms, the ι/ε
+    components, the model and regular actions, the enumerated bundle
+    morphisms, the kernel maps) has it re-run, and `desc` runs its oracles.
+    The re-run reads every deferred base-change table at once, so a test
+    of the path that leaves a table unread turns the switch off itself."""
     monkeypatch.setattr(CrossCheck, "on", True)
 
 

@@ -302,7 +302,7 @@ def test_internal_fault_in_verify_stack_exits_3(capsys, tmp_path, monkeypatch):
     assert "invariant broken" in err
     rep = json.loads(path.read_text())
     assert rep["status"] == "error"
-    assert rep["error"]["kind"] == "AssertionError"
+    assert rep["error"]["kind"] == "RuntimeError"
 
 
 @pytest.mark.parametrize("budget", [0, -1])

@@ -1,14 +1,15 @@
 """Cross-checking: base change, restriction, restriction to a datum,
-restricted morphisms, the ι/ε components, the model and regular actions,
-the enumerated bundle morphisms and the kernel maps are built by their
-formulas without re-running their certifiers; with
+gluing, restricted morphisms, the ι/ε components, the model and regular
+actions, the enumerated bundle morphisms and the kernel maps are built by
+their formulas without re-running their certifiers; with
 `CrossCheck.on` each re-runs its certifier on what it built, so a wrong
 formula is an internal fault, and `desc --cross-check` also runs the
-deciders' definitional oracles.
+deciders' definitional oracles. A base change's action table is deferred:
+with the switch off it is built only when something reads it.
 
 A wrong formula is planted by rebinding a module's `exact_map`, through
-which those constructions build their tables, to one that rewrites each
-table first."""
+which those constructions build their tables (a deferred table too, when
+it is read), to one that rewrites each table first."""
 
 import json
 import sys
@@ -30,6 +31,7 @@ from finstack import (
     check_qs_object,
     compose,
     epsilon_component,
+    glue_object,
     identity,
     iota_component,
     point_cover,
@@ -47,7 +49,7 @@ from finstack import (
     zmod,
 )
 from finstack.cli import main
-from finstack.finset import CrossCheck, cross_check, exact_map
+from finstack.finset import CrossCheck, Tag, cross_check, exact_map, product_space
 from finstack.sample import random_cover, random_qsobject
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
@@ -143,6 +145,25 @@ def restricted_datum(group, base):
     return lambda: restrict_to_datum(obj, cover)
 
 
+def gluing(group, base):
+    datum = restrict_to_datum(regular_object(group, base), point_cover(base))
+    return lambda: glue_object(datum)
+
+
+def into_glued(rewrite):
+    """rewrite, applied only to the table into the glued total, whose atoms
+    are Tag(leg, point): the glued action."""
+    return lambda src, dst, t: (rewrite(src, dst, t)
+                                if isinstance(dst.elements[0], Tag) else t)
+
+
+def on_comparisons(rewrite):
+    """rewrite, applied only to the tables out of a glued total restricted
+    to a leg, whose atoms are (Tag(leg, point), a): the comparisons ψ_j."""
+    return lambda src, dst, t: (rewrite(src, dst, t)
+                                if isinstance(src.elements[0][0], Tag) else t)
+
+
 def restricted_morphism(group, base):
     # the restriction it reads is built before the formula is planted, so
     # only the morphism's own table is rewritten
@@ -174,6 +195,12 @@ PLANTED = {
     "restricted morphism constant": (finstack.stack, lambda g: constant_table,
                                      restricted_morphism, zmod(2),
                                      "of a restricted morphism failed: proj triangle fails"),
+    "glued action collapsed": (finstack.descent, lambda g: into_glued(collapse_nonunit(g)),
+                               gluing, zmod(2),
+                               "of a glued action failed: action associativity fails"),
+    "comparison constant": (finstack.descent, lambda g: on_comparisons(constant_table),
+                            gluing, zmod(2),
+                            "of a comparison iso failed: a canonical iso is not a bijection"),
 }
 
 
@@ -380,6 +407,69 @@ def test_planted_fiber_map_is_an_internal_fault(monkeypatch):
         finstack.bundle.enumerate_bundle_morphisms(b, b)
     monkeypatch.setattr(CrossCheck, "on", False)
     assert len(finstack.bundle.enumerate_bundle_morphisms(b, b)) == 2
+
+
+# --------------------------------------------------- deferred base changes ---
+
+def unbuilt(obj):
+    """Whether obj's action table is still a thunk."""
+    act = obj.bundle.total.act
+    return isinstance(act, finstack.finset._DeferredMap) and act._build is not None
+
+
+def test_restrict_to_datum_builds_no_table_for_its_overlap_objects(monkeypatch):
+    monkeypatch.setattr(CrossCheck, "on", False)
+    datum = restrict_to_datum(*datum_inputs(7))
+    assert datum.overlaps
+    for iso in datum.overlaps.values():
+        assert unbuilt(iso.src) and unbuilt(iso.dst)
+
+
+def test_first_read_builds_the_table_once(monkeypatch):
+    monkeypatch.setattr(CrossCheck, "on", False)
+    b = trivial_bundle(sym(3), FinSet(("p", "q")))
+    builds = []
+    real = finstack.bundle.exact_map
+    monkeypatch.setattr(finstack.bundle, "exact_map",
+                        lambda *args: builds.append(args) or real(*args))
+    act = pullback_bundle(b, identity(b.base)).total.act
+    assert builds == [] and act._build is not None
+    table = act.table
+    assert len(builds) == 1 and act._build is None
+    assert act.table is table and len(act.src) == len(table) == 72
+    hash(act)
+    repr(act)
+    assert len(builds) == 1
+
+
+def eager_base_change(b, f):
+    """The base change's action table written at once by the same formula."""
+    apex = pullback(b.proj.map, f).apex
+    src = product_space(b.group.carrier, apex)
+    at = b.total.act.table
+    return exact_map(src, apex, {(h, (p, z)): (at[(h, p)], z) for h, (p, z) in src})
+
+
+@pytest.mark.parametrize("first_read", ["==", "hash", "repr"])
+def test_deferred_table_reads_like_the_eager_one(monkeypatch, first_read):
+    monkeypatch.setattr(CrossCheck, "on", False)
+    b = trivial_bundle(zmod(2), FinSet(("p", "q")))
+    f = FinMap(FinSet(("u",)), b.base, {"u": "q"})
+    eager = eager_base_change(b, f)
+    total = pullback_bundle(b, f).total
+    act = total.act
+    assert type(act) is not FinMap and act._build is not None
+    if first_read == "==":
+        assert act == eager and eager == act
+    elif first_read == "hash":
+        assert hash(act) == hash(eager)
+    else:
+        assert repr(act) == repr(eager)
+    assert act._build is None
+    assert (act == eager, hash(act), repr(act)) == (True, hash(eager), repr(eager))
+    model = finstack.GAction(total.group, total.space, eager)
+    assert (total == model, model == total) == (True, True)
+    assert (hash(total), repr(total)) == (hash(model), repr(model))
 
 
 # ------------------------------------------------------------------- desc ---

@@ -13,6 +13,7 @@ from finstack import (
     CocycleRequired,
     CoverNotCanonical,
     CoveringFamily,
+    DescentDatum,
     FinMap,
     FinSet,
     MissingOverlapIso,
@@ -51,6 +52,7 @@ from finstack.descent import (
 )
 from finstack.errors import FinstackError
 from finstack.finset import (
+    CrossCheck,
     Tag,
     coequalizer,
     compose,
@@ -417,6 +419,28 @@ def test_glue_rejects_non_canonical_cover():
     assert truncated is not None  # dropping a point leg uncovers its point
     with pytest.raises(CoverNotCanonical):
         glue_object(truncated)
+
+
+def test_glue_refuses_isos_between_the_wrong_restrictions(monkeypatch):
+    # an input check, so it holds on the production path: a directly built
+    # datum with the isos of two off-diagonal pairs swapped is refused before
+    # the cocycle scan, which would index the isos by the wrong points
+    monkeypatch.setattr(CrossCheck, "on", False)
+    s3 = sym(3)
+    base = FinSet(("p", "q"))
+    obj = random_qsobject(Random(3), s3, regular_action(s3), base)
+    cover = CoveringFamily(base, [FinMap(FinSet(("u",)), base, {"u": "p"}),
+                                  FinMap(FinSet(("v", "w")), base, {"v": "p", "w": "q"})])
+    datum = restrict_to_datum(obj, cover)
+    swapped = dict(datum.overlaps)
+    swapped[(0, 1)], swapped[(1, 0)] = datum.overlaps[(1, 0)], datum.overlaps[(0, 1)]
+    with pytest.raises(ValueError, match=r"overlap iso \(0,1\) has the wrong source"):
+        glue_object(DescentDatum(cover, datum.objects, swapped))
+    misdirected = dict(datum.overlaps)
+    misdirected[(0, 1)] = qs_identity(datum.overlaps[(0, 1)].src)
+    with pytest.raises(ValueError, match=r"overlap iso \(0,1\) has the wrong target"):
+        glue_object(DescentDatum(cover, datum.objects, misdirected))
+    assert len(glue_object(datum).glued.total) == len(obj.total)
 
 
 def test_empty_cover_gluing():

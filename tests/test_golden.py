@@ -45,13 +45,26 @@ def test_golden_covers_every_site():
     assert sorted(golden) == sorted(key(c, s) for c in COMMANDS for s in SITES)
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_desc_output_matches_golden(command, tmp_path, monkeypatch):
+def check_golden(command, report_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     monkeypatch.chdir(ROOT)
     for site in SITES:
-        got = run_desc(command, site, tmp_path / "report.json")
+        got = run_desc(command, site, report_path)
         assert got == golden[key(command, site)], key(command, site)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_desc_output_matches_golden(command, tmp_path, monkeypatch):
+    check_golden(command, tmp_path / "report.json", monkeypatch)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_desc_output_matches_golden_on_the_production_path(command, tmp_path, monkeypatch):
+    # cross-checking off, as desc runs without --cross-check: the tables no
+    # certifier reads are never built, and the output is the same
+    from finstack.finset import CrossCheck
+    monkeypatch.setattr(CrossCheck, "on", False)
+    check_golden(command, tmp_path / "report.json", monkeypatch)
 
 
 if __name__ == "__main__":

@@ -245,12 +245,17 @@ def action_from_function(group: FinGroup, space: FinSet, fn) -> GAction:
         group, space, FinMap(src, space, {(g, x): fn(g, x) for (g, x) in src}))
 
 
+def trivial_table(group: FinGroup, space: FinSet) -> FinMap:
+    """The table of g·x = x on product_space(G, X), by its formula."""
+    src = product_space(group.carrier, space)
+    return exact_map(src, space, {k: k[1] for k in src})
+
+
 @memo(lambda group, space: (group.carrier, space))
 def trivial_action(group: FinGroup, space: FinSet) -> GAction:
     """G acting by g·x = x: every σ(g) is the identity, so both action laws
     hold, and check_action runs only under cross-check."""
-    src = product_space(group.carrier, space)
-    act = exact_map(src, space, {k: k[1] for k in src})
+    act = trivial_table(group, space)
     return cross_check("the trivial action", GAction(group, space, act),
                        check_action, group, space, act)
 

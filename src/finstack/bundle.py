@@ -26,6 +26,7 @@ from .action import (
     product_action,
     pullback_action,
     trivial_action,
+    trivial_table,
 )
 from .errors import (
     BaseMismatch,
@@ -202,8 +203,9 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     cross-check, `check_action` and `constructed_bundle` re-run on it.
 
     Most base changes are read only through their projection and space, so
-    the |G|·|P ×_Y Z| action table is a `deferred_map`, written the first
-    time something reads it; b's own table is read only then."""
+    the |G|·|P ×_Y Z| action table and the trivial action on Z are
+    `deferred_map`s, each written the first time something reads it; b's
+    own table is read only then."""
     if f.dst != b.base:
         raise BaseMismatch(f"{f.dst!r} != {b.base!r}")
     cert = pullback(b.proj.map, f)
@@ -216,10 +218,9 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
 
     act = deferred_map(apex, build)
     total = GAction(group, apex, act)
+    base = GAction(group, f.src, deferred_map(f.src, lambda: trivial_table(group, f.src)))
     return cross_check(
-        "a base change",
-        Bundle(group, f.src, total,
-               EquivariantMap(cert.proj2, total, trivial_action(group, f.src))),
+        "a base change", Bundle(group, f.src, total, EquivariantMap(cert.proj2, total, base)),
         lambda: constructed_bundle(check_action(group, apex, act), cert.proj2))
 
 

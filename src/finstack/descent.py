@@ -5,6 +5,13 @@ An empty overlap U_i ×_Y U_j imposes nothing: a datum stores isos only on
 the leg pairs with a nonempty overlap (`overlapping_pairs`), and every pass
 walks those pairs, reading points through indexes by base atom.
 
+The cocycle is decided on one point per fiber. `check_cocycle` first checks
+that each iso runs between the restrictions of its pair; the isos are then
+morphisms, so around a triple overlap both composites are G-maps out of a
+fiber of W_i, a G-torsor, and they agree on all of it once they agree at
+its least atom (`cocycle_on_one_point`). The scan at every point,
+`cocycle_pointwise`, is its oracle, re-run under cross-check.
+
 Gluing builds by point formulas, not through colimits. Once the cocycle
 holds, the overlap isos identify a point of W_i with exactly one point of
 each W_j over the same base atom, so the glued object is written chart by
@@ -162,10 +169,10 @@ def _phis(datum: DescentDatum) -> dict:
             for ij, iso in datum.overlaps.items()}
 
 
-def check_cocycle(datum: DescentDatum) -> None:
-    """For every ordered triple (i,j,k), the two composites around the
-    triple overlap agree pointwise. Raises CocycleFail(i,j,k,point) at the
-    first failure in (i, j, k, a, b, c, w) order.
+def _cocycle_scan(datum: DescentDatum, every_point: bool) -> Optional[tuple]:
+    """The first (i, j, k, ((a, b), c)) in (i, j, k, a, b, c) order where
+    φ_jk∘φ_ij and φ_ik differ on W_i's fiber over a, or None. The fiber is
+    scanned at its least atom alone, or at every point if `every_point`.
 
     A nonempty triple overlap lies over stored pairs (i,j), (j,k), (i,k), so
     the scan takes the stored (i,j) in order and the k whose (j,k), (i,k) are
@@ -178,6 +185,7 @@ def check_cocycle(datum: DescentDatum) -> None:
         partners.setdefault(i, []).append(k)
     legs_over = [fibers(f) for f in cover.legs]
     locals_over = [fibers(obj.bundle.proj.map) for obj in datum.objects]
+    stop = None if every_point else 1
     for i, j in pairs:
         fi = cover.legs[i].table
         apex = overlap(cover, i, j).apex
@@ -186,10 +194,42 @@ def check_cocycle(datum: DescentDatum) -> None:
                 continue
             phi_ij, phi_jk, phi_ik = phis[(i, j)], phis[(j, k)], phis[(i, k)]
             for a, b in apex:
+                ws = locals_over[i].get(a, ())[:stop]
                 for c in legs_over[k].get(fi[a], ()):
-                    for w in locals_over[i].get(a, ()):
+                    for w in ws:
                         if phi_jk[(phi_ij[(w, (a, b))], (b, c))] != phi_ik[(w, (a, c))]:
-                            raise CocycleFail(i, j, k, ((a, b), c))
+                            return (i, j, k, ((a, b), c))
+    return None
+
+
+def cocycle_on_one_point(datum: DescentDatum) -> Optional[tuple]:
+    """The cocycle decider: `_cocycle_scan` at the least atom w of W_i's
+    fiber over a. The isos are morphisms between the right restrictions,
+    so φ_jk∘φ_ij and φ_ik are G-maps out of that fiber, a G-torsor, and
+    they agree on all of it once they agree at w: where both send w to x,
+    both send h·w to h·x. The witness names no w, so it is the pointwise
+    scan's."""
+    return _cocycle_scan(datum, False)
+
+
+def cocycle_pointwise(datum: DescentDatum) -> Optional[tuple]:
+    """The cocycle by definition, at every point of every fiber: the
+    decider's oracle, re-run under cross-check."""
+    return _cocycle_scan(datum, True)
+
+
+def check_cocycle(datum: DescentDatum) -> None:
+    """For every ordered triple (i,j,k), the two composites around the
+    triple overlap agree pointwise. Raises ValueError when an iso does not
+    run between the restrictions of its pair (`_check_endpoints`), else
+    CocycleFail(i,j,k,point) at the first failure in (i, j, k, a, b, c)
+    order, decided by `cocycle_on_one_point`; under cross-check
+    `cocycle_pointwise` re-runs and must name the same witness."""
+    _check_endpoints(datum.cover, datum.objects, datum.overlaps)
+    witness = cross_check("the cocycle on one point per fiber", cocycle_on_one_point(datum),
+                          cocycle_pointwise, datum)
+    if witness is not None:
+        raise CocycleFail(*witness)
 
 
 def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
@@ -336,7 +376,6 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
                              "and structure action of the gluing")
     if group is None or x_action is None:
         raise ValueError("gluing over the empty cover needs group and x_action")
-    _check_endpoints(cover, datum.objects, datum.overlaps)
     try:
         check_cocycle(datum)
     except CocycleFail as err:
@@ -353,6 +392,8 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
             chart.setdefault(y, i)
     # names[i][w]: the glued point of w, for w over an atom charted by leg i;
     # W_i is walked in canonical order, so a class is named by its first atom
+    # and the points come out i-major in the canonical order of Tag(i, w),
+    # already sorted
     names = [{} for _ in range(n)]
     points = []
     for i, obj in enumerate(datum.objects):
@@ -365,7 +406,7 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
             points.append(q)
             for b in legs_over[fi[a]]:
                 names[i][phis[(i, i)][(w, (a, b))]] = q
-    total = FinSet(points)
+    total = cross_check("the glued points", FinSet._ordered(points), FinSet, points)
     acts = [obj.bundle.total.act.table for obj in datum.objects]
     alphas = [obj.alpha.map.table for obj in datum.objects]
     gxw = product_space(group.carrier, total)

@@ -17,8 +17,9 @@ the maps whose tables are exact by their formula (`identity`, `compose`,
 the projections of `product` and `pullback`, and elsewhere the tables of
 base change, restriction and the model actions) are built by the internal
 `exact_map`, which skips that check. A table that only some callers read,
-the action of a base change, is built by `deferred_map` the first time its
-source or table is read.
+such as the action of a base change, its base's trivial action and a
+restriction's alpha, is built by `deferred_map` the first time its source
+or table is read.
 
 Skipped checks are not lost. Each construction that skips a certifier
 passes what it built and that certifier to `cross_check`, the one reader
@@ -39,8 +40,10 @@ by the creation serial `_born`. An entry lives exactly as long as that
 object and keeps the older arguments alive with it. Storing on the
 youngest means a long-lived set such as `terminal()` or a group's carrier
 never collects entries for short-lived data, so a long run holds only what
-its live data can reach. `fn.cache_info()` reports the hits and misses of every call since
-import. A hit needs the same youngest object and equal other arguments.
+its live data can reach. The memo looks its arguments up by identity, never
+by value: a lookup hashes no table, and a hit needs the very arguments of
+the entry, so two equal values built separately do not share results.
+`fn.cache_info()` reports the hits and misses of every call since import.
 
 The certified records built on these (`FinGroup`, `GAction`, `Bundle`,
 `QSObject`, `CoveringFamily`, `DescentDatum`, ...) are `Record` subclasses:
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterable, NamedTuple, Union
 
 from .errors import (
@@ -274,6 +278,21 @@ class MemoInfo(NamedTuple):
     misses: int
 
 
+class _Args(tuple):
+    """A memo key's arguments, hashed and compared by identity: a lookup
+    never hashes or compares a value, so a table nothing else reads is
+    never built for a key. The entry holds the arguments, so their ids
+    stay theirs while it lives."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(tuple(map(id, self)))
+
+    def __eq__(self, other):
+        return len(self) == len(other) and all(map(operator.is_, self, other))
+
+
 _MISSING = object()
 
 
@@ -282,8 +301,10 @@ def memo(holders=None):
 
     The candidates are the arguments themselves, or `holders(*args)` for a
     function whose arguments only hold FinSets and FinMaps. The result is
-    stored under the whole argument tuple in the youngest candidate's
-    `_memo` dict, so it dies with that object. Exceptions are not stored.
+    stored in the youngest candidate's `_memo` dict under the key
+    (wrapper, args), the arguments compared by identity, so it dies with
+    that object. A hit needs the very same arguments: equal values built
+    separately miss. Exceptions are not stored.
     """
     def decorate(fn):
         hits = misses = 0
@@ -295,7 +316,7 @@ def memo(holders=None):
             for x in (args if holders is None else holders(*args)):
                 if owner is None or x._born > owner._born:
                     owner = x
-            key = (wrapper, args)
+            key = (wrapper, _Args(args))
             table = owner._memo
             if table is None:
                 table = owner._memo = {}

@@ -240,10 +240,14 @@ def random_qsobject(rng: Random, group: FinGroup, x_action: GAction,
 
 def relabel_qsobject(rng: Random, obj: QSObject):
     """An isomorphic copy of the object with relabelled total, together with
-    the iso onto it."""
+    the iso onto it. When the relabelling is an automorphism, the copy
+    equals obj, and obj itself is handed through, so the restrictions
+    memoized on it serve the copy too."""
     b2, h = twist_bundle(rng, obj.bundle)
     alpha2 = compose(obj.alpha.map, invert(h))
     obj2 = check_qs_object(b2, alpha2, obj.x_action)
+    if obj2 == obj:
+        obj2 = obj
     return obj2, check_qs_morphism(obj, obj2, h)
 
 

@@ -40,6 +40,7 @@ from .finset import (
     bang,
     compose,
     cross_check,
+    deferred_map,
     exact_map,
     fibers,
     identity,
@@ -163,13 +164,19 @@ def restrict(obj: QSObject, f: FinMap) -> QSObject:
 
     That alpha is equivariant by its formula, so `check_qs_object` does not
     run: h·(p, z) = (h·p, z) goes to alpha(h·p) = h·alpha(p). Under
-    cross-check it re-runs on the result."""
+    cross-check it re-runs on the result. Like the base change's tables,
+    alpha is a `deferred_map`, written (reading obj's alpha) the first
+    time something reads it."""
     if f.dst != obj.base:
         raise BaseMismatch(f"{f.dst!r} != {obj.base!r}")
     b = pullback_bundle(obj.bundle, f)
-    at = obj.alpha.map.table
-    alpha = exact_map(b.total.space, obj.x_action.space,
-                      {pz: at[pz[0]] for pz in b.total.space})
+    space, parent, x = b.total.space, obj.alpha.map, obj.x_action.space
+
+    def build():
+        at = parent.table
+        return exact_map(space, x, {pz: at[pz[0]] for pz in space})
+
+    alpha = deferred_map(x, build)
     return cross_check(
         "a restriction", QSObject(b, EquivariantMap(alpha, b.total, obj.x_action)),
         check_qs_object, b, alpha, obj.x_action)
@@ -333,7 +340,15 @@ def qs_isomorphism(a: QSObject, b: QSObject) -> Optional[FinMap]:
     It is the fiber map sending the least atom p0 of each fiber to a q0
     with alpha_b(q0) = alpha_a(p0). The first such q0 gives the map that the
     search `gset_isomorphism_over` returns first: the fibers are its orbits,
-    and they never collide, so it never backtracks."""
+    and they never collide, so it never backtracks.
+
+    An iso by its formula, so no certifier runs: g·p0 ↦ g·q0 is the one
+    equivariant map with those images, it lies over the base because q0
+    lies over p0's base atom, and it keeps alpha, since alpha_b(g·q0) =
+    g·alpha_b(q0) = g·alpha_a(p0) = alpha_a(g·p0); a bundle morphism
+    between G-torsor bundles over one base is bijective on each fiber.
+    Under cross-check `certify_canonical_iso` re-runs. No q0 with the
+    alpha of p0 means no iso: None is a verdict."""
     if a.base != b.base or a.x_action != b.x_action:
         return None
     aa, ba = a.alpha.map.table, b.alpha.map.table
@@ -343,7 +358,8 @@ def qs_isomorphism(a: QSObject, b: QSObject) -> Optional[FinMap]:
         image[y] = next((q for q in b_fibers[y] if ba[q] == aa[fib[0]]), None)
         if image[y] is None:
             return None
-    return _canonical_iso(check_qs_morphism, a, b, fiber_map(a.bundle, b.bundle, image)).fn
+    return formula_morphism("an iso in a fiber", a, b, fiber_map(a.bundle, b.bundle, image),
+                            certify_canonical_iso).fn
 
 
 class ClassifyingReport(Record):
@@ -358,10 +374,17 @@ class ClassifyingReport(Record):
 
 
 def bundle_isomorphic(a: Bundle, b: Bundle) -> bool:
-    """Always true over one finite base: the fibers are G-torsors, and the
-    fiber map onto the least atoms, built and certified, is an iso."""
+    """Always true over one finite base: the fibers are G-torsors, so the
+    fiber map p0 ↦ q0 onto the least atoms is an iso by its formula, as in
+    `qs_isomorphism` with no alpha to keep. Under cross-check it is built,
+    and certified a bijection and a bundle morphism."""
     if a.group != b.group or a.base != b.base:
         raise ValueError("bundles are for different groups or bases")
+    return cross_check("an iso of bundles", True, _least_fiber_iso, a, b)
+
+
+def _least_fiber_iso(a: Bundle, b: Bundle) -> bool:
+    """Build and certify the fiber map of `bundle_isomorphic`."""
     least = {y: fib[0] for y, fib in fibers(b.proj.map).items()}
     _canonical_iso(check_bundle_morphism, a, b, fiber_map(a, b, least))
     return True

@@ -25,9 +25,11 @@ import finstack.descent
 import finstack.finset
 import finstack.stack
 from finstack import (
+    CocycleFail,
     FinMap,
     FinSet,
     NotTrivial,
+    check_cocycle,
     check_qs_object,
     compose,
     epsilon_component,
@@ -39,6 +41,7 @@ from finstack import (
     pullback,
     pullback_bundle,
     qs_identity,
+    qs_isomorphism,
     regular_action,
     restrict,
     restrict_morphism,
@@ -49,8 +52,17 @@ from finstack import (
     zmod,
 )
 from finstack.cli import main
-from finstack.finset import CrossCheck, Tag, cross_check, exact_map, product_space
-from finstack.sample import random_cover, random_qsobject
+from finstack.finset import (
+    CrossCheck,
+    Tag,
+    bang,
+    cross_check,
+    exact_map,
+    product_space,
+    terminal,
+)
+from finstack.sample import break_cocycle, random_cover, random_qsobject
+from finstack.stack import bundle_isomorphic
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
 
@@ -174,6 +186,16 @@ def restricted_morphism(group, base):
     return lambda: restrict_morphism(m, f)
 
 
+def iso_in_a_fiber(group, base):
+    obj = regular_object(group, base)
+    return lambda: qs_isomorphism(obj, obj)
+
+
+def iso_of_bundles(group, base):
+    b = trivial_bundle(group, base)
+    return lambda: bundle_isomorphic(b, b)
+
+
 PLANTED = {
     # name: (module, rewrite for the group, the construction for (group, base),
     #        group, what the cross-check raises)
@@ -201,6 +223,12 @@ PLANTED = {
     "comparison constant": (finstack.descent, lambda g: on_comparisons(constant_table),
                             gluing, zmod(2),
                             "of a comparison iso failed: a canonical iso is not a bijection"),
+    "iso in a fiber constant": (finstack.bundle, lambda g: constant_table, iso_in_a_fiber,
+                                zmod(2), "of an iso in a fiber failed: "
+                                         "a canonical iso is not a bijection"),
+    "iso of bundles constant": (finstack.bundle, lambda g: constant_table, iso_of_bundles,
+                                zmod(3), "of an iso of bundles failed: "
+                                         "a canonical iso is not a bijection"),
 }
 
 
@@ -214,6 +242,47 @@ def test_planted_construction_is_an_internal_fault(monkeypatch, name):
     # the hot path skips that certifier: the wrong value goes through
     monkeypatch.setattr(CrossCheck, "on", False)
     build()
+
+
+# ------------------------------------------------------------ the cocycle ---
+
+def never_fails(datum):
+    """A planted cocycle decider that passes every datum."""
+    return None
+
+
+def test_planted_cocycle_decider_is_an_internal_fault(monkeypatch):
+    group = zmod(2)
+    b = trivial_bundle(group, FinSet(("p", "q")))
+    obj = check_qs_object(b, bang(b.total.space), trivial_action(group, terminal()))
+    bad = break_cocycle(restrict_to_datum(obj, point_cover(obj.base)), 1)
+    with pytest.raises(CocycleFail):
+        check_cocycle(bad)
+    monkeypatch.setattr(finstack.descent, "cocycle_on_one_point", never_fails)
+    with pytest.raises(RuntimeError, match="cross-check of the cocycle on one point per "
+                                           "fiber disagrees"):
+        check_cocycle(bad)
+    # the hot path trusts the decider: the broken datum passes silently
+    monkeypatch.setattr(CrossCheck, "on", False)
+    check_cocycle(bad)
+
+
+def test_glued_points_out_of_order_are_an_internal_fault(monkeypatch):
+    # glue_object emits its points already in canonical order and skips the
+    # sort; under cross-check the sorted set must equal them
+    build = gluing(zmod(2), FinSet(("p", "q")))
+    real = FinSet._ordered.__func__
+
+    def reversed_tags(cls, elems):
+        tags = isinstance(elems, list) and elems and isinstance(elems[0], Tag)
+        return real(cls, elems[::-1] if tags else elems)
+
+    monkeypatch.setattr(FinSet, "_ordered", classmethod(reversed_tags))
+    with pytest.raises(RuntimeError, match="cross-check of the glued points disagrees"):
+        build()
+    monkeypatch.setattr(CrossCheck, "on", False)
+    total = build().glued.total
+    assert list(total) == sorted(total, key=finstack.finset.atom_key)[::-1]
 
 
 KERNEL_MAPS = {
@@ -425,6 +494,33 @@ def test_restrict_to_datum_builds_no_table_for_its_overlap_objects(monkeypatch):
         assert unbuilt(iso.src) and unbuilt(iso.dst)
 
 
+def test_restrict_to_datum_builds_no_alpha_or_base_action_for_its_overlap_objects(
+        monkeypatch):
+    # a restriction's alpha and its base's trivial action are deferred like
+    # its action table, and looking an object up in the memo reads neither
+    monkeypatch.setattr(CrossCheck, "on", False)
+    datum = restrict_to_datum(*datum_inputs(7))
+    assert datum.overlaps
+    for iso in datum.overlaps.values():
+        for obj in (iso.src, iso.dst):
+            for table in (obj.alpha.map, obj.bundle.proj.dst_action.act):
+                assert isinstance(table, finstack.finset._DeferredMap)
+                assert table._build is not None
+
+
+def test_deferred_alpha_and_base_action_read_like_the_eager_ones(monkeypatch):
+    monkeypatch.setattr(CrossCheck, "on", False)
+    obj = regular_object(zmod(2), FinSet(("p", "q")))
+    f = FinMap(FinSet(("u", "v")), obj.base, {"u": "q", "v": "q"})
+    local = restrict(obj, f)
+    alpha, base_act = local.alpha.map, local.bundle.proj.dst_action.act
+    assert alpha._build is not None and base_act._build is not None
+    assert alpha == FinMap(local.total, obj.x_action.space,
+                           {pz: obj.alpha.map.table[pz[0]] for pz in local.total})
+    assert base_act == trivial_action(obj.bundle.group, f.src).act
+    assert alpha._build is None and base_act._build is None
+
+
 def test_first_read_builds_the_table_once(monkeypatch):
     monkeypatch.setattr(CrossCheck, "on", False)
     b = trivial_bundle(sym(3), FinSet(("p", "q")))
@@ -511,6 +607,20 @@ def test_desc_cross_check_exits_3_on_a_planted_construction(
     assert rep["error"]["message"].startswith("cross-check of")
     assert rep["cross_checks"]["ran"] == rep["cross_checks"]["agreed"] + 1
     assert CrossCheck.on is False
+
+
+def test_desc_cross_check_exits_3_on_a_planted_cocycle_decider(
+        capsys, tmp_path, monkeypatch, cross_check_by_flag):
+    monkeypatch.setattr(finstack.descent, "cocycle_on_one_point", never_fails)
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "glue-object", SITES / "cocycle_bad.site",
+                         "--cross-check", "--report", report)
+    assert code == 3
+    rep = json.loads(report.read_text())
+    assert rep["error"]["kind"] == "RuntimeError"
+    assert rep["error"]["message"].startswith(
+        "cross-check of the cocycle on one point per fiber disagrees")
+    assert rep["cross_checks"]["ran"] == rep["cross_checks"]["agreed"] + 1
 
 
 ORACLE_DISAGREES = [

@@ -286,6 +286,40 @@ def test_sparse_cocycle_matches_dense_oracle(rng):
     assert failing >= 30
 
 
+def gauge_twisted_cases(rng):
+    """Round-trip data with one stored overlap iso followed by a fiber
+    gauge, a translation chosen per base atom, so the cocycle breaks over
+    some fibers and holds over others; and data conjugated leg-wise by such
+    gauges, on which it holds."""
+    for grp in (zmod(3), klein_four(), sym(3)):
+        carrier = grp.carrier.elements
+        for _ in range(6):
+            base = FinSet(range(rng.randint(1, 3)))
+            obj = random_qsobject(rng, grp, point_x(grp), base)
+            for cov in (point_cover(base), random_cover(rng, base, max_legs=4, max_extra=2)):
+                datum = restrict_to_datum(obj, cov)
+                gauges = [fiber_gauge(w, {y: rng.choice(carrier) for y in w.base})
+                          for w in datum.objects]
+                yield conjugate_datum(datum, gauges)
+                ij = rng.choice(sorted(datum.overlaps))
+                phi = datum.overlaps[ij]
+                twisted = dict(datum.overlaps)
+                twisted[ij] = compose_qs(
+                    fiber_gauge(phi.dst, {y: rng.choice(carrier) for y in phi.dst.base}), phi)
+                yield DescentDatum(cov, datum.objects, twisted)
+
+
+def test_one_point_decider_matches_dense_oracle_on_gauge_twisted_data(rng):
+    failing = passing = 0
+    for datum in gauge_twisted_cases(rng):
+        witness = dense_cocycle_witness(datum)
+        assert finstack.descent.cocycle_on_one_point(datum) == witness
+        assert finstack.descent.cocycle_pointwise(datum) == witness
+        failing += witness is not None
+        passing += witness is None
+    assert failing >= 20 and passing >= 30
+
+
 def test_canonical_iso_matches_mediated_oracle(rng):
     for grp in (zmod(2), zmod(3), klein_four()):
         base = FinSet(("p", "q", "r"))
@@ -441,6 +475,26 @@ def test_glue_refuses_isos_between_the_wrong_restrictions(monkeypatch):
     with pytest.raises(ValueError, match=r"overlap iso \(0,1\) has the wrong target"):
         glue_object(DescentDatum(cover, datum.objects, misdirected))
     assert len(glue_object(datum).glued.total) == len(obj.total)
+
+
+def test_check_cocycle_refuses_isos_between_the_wrong_restrictions(monkeypatch):
+    # with cross-checking off, a directly built datum whose isos run between
+    # the wrong restrictions is a ValueError, not a KeyError of the scan,
+    # and the endpoints are checked before the cocycle
+    monkeypatch.setattr(CrossCheck, "on", False)
+    s3 = sym(3)
+    base = FinSet(("p", "q"))
+    obj = random_qsobject(Random(3), s3, point_x(s3), base)
+    cover = CoveringFamily(base, [FinMap(FinSet(("u",)), base, {"u": "p"}),
+                                  FinMap(FinSet(("v", "w")), base, {"v": "p", "w": "q"})])
+    datum = restrict_to_datum(obj, cover)
+    for source in (datum, break_cocycle(datum, 1, rng=Random(0))):
+        swapped = dict(source.overlaps)
+        swapped[(0, 1)], swapped[(1, 0)] = source.overlaps[(1, 0)], source.overlaps[(0, 1)]
+        with pytest.raises(ValueError, match=r"overlap iso \(0,1\) has the wrong source"):
+            check_cocycle(DescentDatum(cover, source.objects, swapped))
+    with pytest.raises(CocycleFail):
+        check_cocycle(break_cocycle(datum, 1, rng=Random(0)))
 
 
 def test_empty_cover_gluing():

@@ -6,7 +6,9 @@ G-torsors; that is what `is_principal_bundle` decides and all a `Bundle`
 stores. Local triviality by definition (a canonical cover and, per leg, an
 equivariant iso from the pulled-back action to the trivialized model G×U_i
 over U_i) is kept as an oracle, `is_locally_trivial` with
-`check_trivialization`, that the tests compare with the decider.
+`check_trivialization`, that the tests compare with the decider. The trivial
+model, the enumerated bundles (streamed) and base changes are bundles by
+their formulas: `constructed_bundle` re-runs on them only under cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .action import (
     EquivariantMap,
@@ -185,10 +187,21 @@ def constructed_bundle(total: GAction, proj: FinMap) -> Bundle:
     return out
 
 
+def _formula_bundle(what: str, act: FinMap, proj: FinMap, base: GAction) -> Bundle:
+    """The bundle with action table `act` and projection `proj` onto the
+    trivially acted `base`, for a caller whose formula makes it one. Under
+    cross-check `check_action` and `constructed_bundle` re-run."""
+    total = GAction(base.group, proj.src, act)
+    return cross_check(
+        what, Bundle(base.group, proj.dst, total, EquivariantMap(proj, total, base)),
+        lambda: constructed_bundle(check_action(base.group, proj.src, act), proj))
+
+
 def trivial_bundle(group: FinGroup, base: FinSet) -> Bundle:
-    """The trivialized model G×X with the second projection."""
-    return constructed_bundle(product_action(group, base),
-                              product(group.carrier, base).proj2)
+    """The trivialized model G×X with the second projection: G acts on each
+    fiber G×{x} by left multiplication, freely and transitively."""
+    return _formula_bundle("the trivialized model bundle", product_action(group, base).act,
+                           product(group.carrier, base).proj2, trivial_action(group, base))
 
 
 def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
@@ -216,12 +229,8 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
         src = product_space(group.carrier, apex)
         return exact_map(src, apex, {k: (at[(h, p)], z) for k in src for h, (p, z) in (k,)})
 
-    act = deferred_map(apex, build)
-    total = GAction(group, apex, act)
     base = GAction(group, f.src, deferred_map(f.src, lambda: trivial_table(group, f.src)))
-    return cross_check(
-        "a base change", Bundle(group, f.src, total, EquivariantMap(cert.proj2, total, base)),
-        lambda: constructed_bundle(check_action(group, apex, act), cert.proj2))
+    return _formula_bundle("a base change", deferred_map(apex, build), cert.proj2, base)
 
 
 class BundleMorphism(Record):
@@ -327,30 +336,28 @@ def torsor_structures(group: FinGroup) -> tuple:
 
 
 def enumerate_bundles(group: FinGroup, base: FinSet,
-                      bound: int = 65536) -> list:
+                      bound: int = 65536) -> Iterator[Bundle]:
     """All principal G-bundles on the canonical total set G×base with the
-    canonical projection, one torsor structure per fiber.
-
-    Up to iso this is every bundle over the base: any balanced projection
-    relabels to the canonical one along a fiber-preserving bijection (the
-    reduction is itself exercised in the tests).
-    """
+    canonical projection, as an iterator that builds each when reached (the
+    bound and the setup run at the call); up to iso, every bundle over the
+    base, since a balanced projection relabels to the canonical one along a
+    fiber-preserving bijection (as the tests exercise). Each is a bundle by
+    its formula g·(h, x) = (s_x(g, h), x), s_x the torsor structure chosen
+    over x: a free transitive action, so both action laws hold fiberwise and
+    each fiber is a G-torsor, and the second projection keeps x, so it is
+    equivariant onto the trivially acted base."""
     count = math.factorial(len(group.carrier) - 1) ** len(base)
     if count > bound:
         raise BoundExceeded("bundle enumeration", count, bound)
     prod = product(group.carrier, base)
     # the one bundle over the empty base uses none of the structures
     structures = torsor_structures(group) if len(base) else ()
-    position = {x: k for k, x in enumerate(base)}
-    out = []
-    for choice in itertools.product(range(len(structures)), repeat=len(base)):
-        table = {}
-        for g in group.carrier:
-            for (h, x) in prod.space:
-                s = structures[choice[position[x]]]
-                table[(g, (h, x))] = (s[(g, h)], x)
-        act = check_action(group, prod.space,
-                           FinMap(product_space(group.carrier, prod.space),
-                                  prod.space, table))
-        out.append(constructed_bundle(act, prod.proj2))
-    return out
+    src = product_space(group.carrier, prod.space)
+
+    def bundle(choice):
+        s = {x: structures[k] for x, k in zip(base, choice)}
+        return _formula_bundle("an enumerated bundle", exact_map(
+            src, prod.space, {k: (s[x][(g, h)], x) for k in src for g, (h, x) in (k,)}),
+            prod.proj2, trivial_action(group, base))
+
+    return map(bundle, itertools.product(range(len(structures)), repeat=len(base)))

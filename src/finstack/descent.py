@@ -383,7 +383,8 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     n = len(cover.legs)
     if n == 0:
         return GluingResult(empty_object(group, x_action), ())
-    phis = _phis(datum)
+    # the isos' tables in place: φ_ij(w, (a, b)) is the image's first entry
+    phis = {ij: iso.fn.table for ij, iso in datum.overlaps.items()}
     legs = [f.table for f in cover.legs]
     pis = [obj.bundle.proj.map.table for obj in datum.objects]
     chart: dict = {}
@@ -405,7 +406,7 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
             q = Tag(i, w)
             points.append(q)
             for b in legs_over[fi[a]]:
-                names[i][phis[(i, i)][(w, (a, b))]] = q
+                names[i][phis[(i, i)][(w, (a, b))][0]] = q
     total = cross_check("the glued points", FinSet._ordered(points), FinSet, points)
     acts = [obj.bundle.total.act.table for obj in datum.objects]
     alphas = [obj.alpha.map.table for obj in datum.objects]
@@ -429,7 +430,7 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
         src, dst = restrict(glued, fj), datum.objects[j]
         comparisons.append(formula_morphism("a comparison iso", src, dst, exact_map(
             src.total, dst.total,
-            {(q, b): phis[(q.part, j)][(q.atom, (pis[q.part][q.atom], b))]
+            {(q, b): phis[(q.part, j)][(q.atom, (pis[q.part][q.atom], b))][0]
              for q, b in src.total}),
             certify_canonical_iso))
     cross_check("the comparisons against the overlap isos", None,
@@ -446,7 +447,7 @@ def _check_comparisons(cover: CoveringFamily, phis: dict, pi_w: FinMap,
         fi = cover.legs[i].table
         for a, b in overlap(cover, i, j).apex:
             for q in glued_over.get(fi[a], ()):
-                via_phi = phis[(i, j)][(comparisons[i].fn.table[(q, a)], (a, b))]
+                via_phi = phis[(i, j)][(comparisons[i].fn.table[(q, a)], (a, b))][0]
                 if via_phi != comparisons[j].fn.table[(q, b)]:
                     raise RuntimeError(
                         f"comparison isos disagree with overlap iso ({i},{j})")

@@ -23,11 +23,10 @@ from .action import (
     check_action,
     check_equivariant,
     group_from_table,
-    product_action,
     regular_action,
     trivial_action,
 )
-from .bundle import NotBundle, is_principal_bundle
+from .bundle import NotBundle, is_principal_bundle, trivial_bundle
 from .descent import restrict_to_datum, twist_overlap
 from .errors import (
     FinstackError,
@@ -40,7 +39,6 @@ from .finset import (
     FinSet,
     Record,
     format_atom,
-    product,
     product_space,
     terminal,
 )
@@ -427,19 +425,16 @@ class _Parser:
     def _materialize_trivial(self, name, group, g_name, base, b_name):
         """Expand `bundle B { trivial group G base Y }` into the product-set,
         action, projection and bundle declarations it abbreviates."""
-        prod = product(group.carrier, base)
+        b = self._build(name, lambda: trivial_bundle(group, base))
         total_name = f"{name}_total"
         act_name = f"{name}_act"
         proj_name = f"{name}_proj"
-        self.define("set", total_name, prod.space)
-        act = self._build(name, lambda: product_action(group, base))
-        self.define("action", act_name, act,
+        self.define("set", total_name, b.total.space)
+        self.define("action", act_name, b.total,
                     {"group": g_name, "space": total_name})
-        self.define("map", proj_name, prod.proj2,
+        self.define("map", proj_name, b.proj.map,
                     {"src": total_name, "dst": b_name})
-        eq = self._build(name, lambda: check_equivariant(
-            prod.proj2, act, trivial_action(group, base)))
-        self.define("bundle", name, BundleCandidate(act, eq),
+        self.define("bundle", name, BundleCandidate(b.total, b.proj),
                     {"action": act_name, "proj": proj_name})
 
     def decl_cover(self):

@@ -304,10 +304,10 @@ def test_torsor_structures_match_dedup_oracle(group):
 
 def test_bundle_enumeration_counts():
     two = FinSet(("p", "q"))
-    assert len(enumerate_bundles(zmod(2), two)) == 1
-    assert len(enumerate_bundles(zmod(3), two)) == 4
-    assert len(enumerate_bundles(zmod(4), FinSet(("p",)))) == 6
-    assert len(enumerate_bundles(zmod(3), FinSet(()))) == 1
+    assert len(list(enumerate_bundles(zmod(2), two))) == 1
+    assert len(list(enumerate_bundles(zmod(3), two))) == 4
+    assert len(list(enumerate_bundles(zmod(4), FinSet(("p",))))) == 6
+    assert len(list(enumerate_bundles(zmod(3), FinSet(())))) == 1
 
 
 def test_bundle_enumeration_order():
@@ -397,7 +397,7 @@ def test_morphism_enumeration_certifies_only_what_it_emits(monkeypatch):
         return certify(src, dst, m)
 
     monkeypatch.setattr(finstack.bundle, "check_bundle_morphism", counting)
-    bundles = enumerate_bundles(zmod(5), terminal())
+    bundles = list(enumerate_bundles(zmod(5), terminal()))
     for a in bundles[:3]:
         for b in bundles[:3]:
             calls.clear()

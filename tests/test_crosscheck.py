@@ -1,7 +1,8 @@
 """Cross-checking: base change, restriction, restriction to a datum,
 gluing, restricted morphisms, the ι/ε components, the model and regular
-actions, the enumerated bundle morphisms and the kernel maps are built by
-their formulas without re-running their certifiers; with
+actions, the trivial model and the enumerated bundles, the enumerated
+bundle morphisms and the kernel maps are built by their formulas without
+re-running their certifiers; with
 `CrossCheck.on` each re-runs its certifier on what it built, so a wrong
 formula is an internal fault, and `desc --cross-check` also runs the
 deciders' definitional oracles. A base change's action table is deferred:
@@ -31,7 +32,9 @@ from finstack import (
     NotTrivial,
     check_cocycle,
     check_qs_object,
+    classifying_fiber_equiv,
     compose,
+    enumerate_bundles,
     epsilon_component,
     glue_object,
     identity,
@@ -196,6 +199,10 @@ def iso_of_bundles(group, base):
     return lambda: bundle_isomorphic(b, b)
 
 
+def enumerated_bundles(group, base):
+    return lambda: list(enumerate_bundles(group, base))
+
+
 PLANTED = {
     # name: (module, rewrite for the group, the construction for (group, base),
     #        group, what the cross-check raises)
@@ -229,6 +236,14 @@ PLANTED = {
     "iso of bundles constant": (finstack.bundle, lambda g: constant_table, iso_of_bundles,
                                 zmod(3), "of an iso of bundles failed: "
                                          "a canonical iso is not a bijection"),
+    "enumerated bundle collapsed": (finstack.bundle, collapse_nonunit, enumerated_bundles,
+                                    zmod(3), "of an enumerated bundle failed: "
+                                             "action associativity fails"),
+    # a lawful action on G×X, but not free: only the bundle's own re-run sees it
+    "trivialized model bundle frozen": (
+        finstack.action, lambda g: frozen_action,
+        lambda g, base: lambda: trivial_bundle(g, base), zmod(2),
+        "of the trivialized model bundle failed: a constructed projection is not a bundle"),
 }
 
 
@@ -462,6 +477,19 @@ def test_enumerated_bundle_morphisms_are_certified_only_under_cross_check(monkey
     monkeypatch.setattr(CrossCheck, "on", True)
     assert finstack.bundle.enumerate_bundle_morphisms(b, b) == off
     assert counts == {"check_bundle_morphism": 9}
+
+
+def test_classify_certifies_no_enumerated_bundle_with_cross_check_off(monkeypatch):
+    # each enumerated bundle and its object are lawful by their formulas
+    names = ("check_action", "constructed_bundle", "check_qs_object")
+    counts = count_calls(monkeypatch, names)
+    monkeypatch.setattr(CrossCheck, "on", False)
+    off = classifying_fiber_equiv(zmod(3), FinSet(("p", "q")))
+    assert off.n_bundles == 4
+    assert counts == dict.fromkeys(names, 0)
+    monkeypatch.setattr(CrossCheck, "on", True)
+    assert classifying_fiber_equiv(zmod(3), FinSet(("p", "q"))) == off
+    assert all(counts[name] >= off.n_bundles for name in names), counts
 
 
 def test_planted_fiber_map_is_an_internal_fault(monkeypatch):

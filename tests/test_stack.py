@@ -2,6 +2,7 @@
 coherence isos, and the classifying-stack comparison."""
 
 import math
+import tracemalloc
 from pathlib import Path
 from random import Random
 
@@ -50,7 +51,7 @@ from finstack import (
 )
 from finstack.descent import glue_morphisms
 from finstack.errors import OverlapMismatch
-from finstack.finset import mediate_pullback, pullback
+from finstack.finset import CrossCheck, mediate_pullback, pullback
 from finstack.stack import bundle_isomorphic
 from finstack.sample import (
     build_corpus,
@@ -616,3 +617,27 @@ def test_classifying_report_point():
     assert rep.iso_classes == 1
     assert rep.aut_trivial == 3
     assert rep.hom_counts_equal
+
+
+def classify_peak(group, size):
+    """The peak bytes traced while classifying over `size` points."""
+    base = FinSet(tuple(f"y{k}" for k in range(size)))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        classifying_fiber_equiv(group, base)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cross_check", [False, True], ids=["off", "on"])
+def test_classify_memory_does_not_grow_with_the_bundle_count(monkeypatch, cross_check):
+    # Z/5 has 24 torsor structures and 5 maps per fiber: 24 bundles over one
+    # point and 576 over two, while each hom-set compared grows only from 5
+    # to 25 maps; classify keeps three bundles, not all of them
+    monkeypatch.setattr(CrossCheck, "on", cross_check)
+    z5 = zmod(5)
+    classify_peak(z5, 1)    # the torsor structures, cached once
+    small, large = classify_peak(z5, 1), classify_peak(z5, 2)
+    assert large < 4 * small, (small, large)

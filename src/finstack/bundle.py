@@ -222,14 +222,15 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     if f.dst != b.base:
         raise BaseMismatch(f"{f.dst!r} != {b.base!r}")
     cert = pullback(b.proj.map, f)
-    group, apex, parent = b.group, cert.apex, b.total.act
+    # the thunks capture f's source, not f: a held base change keeps no map alive
+    group, apex, parent, zs = b.group, cert.apex, b.total.act, f.src
 
     def build():
         at = parent.table
         src = product_space(group.carrier, apex)
         return exact_map(src, apex, {k: (at[(h, p)], z) for k in src for h, (p, z) in (k,)})
 
-    base = GAction(group, f.src, deferred_map(f.src, lambda: trivial_table(group, f.src)))
+    base = GAction(group, zs, deferred_map(zs, lambda: trivial_table(group, zs)))
     return _formula_bundle("a base change", deferred_map(apex, build), cert.proj2, base)
 
 

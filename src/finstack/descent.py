@@ -56,6 +56,7 @@ from .finset import (
     morphism_predicates,
     product_space,
     pullback,
+    slot_dict,
 )
 from .stack import (
     QSMorphism,
@@ -75,8 +76,13 @@ from .topology import CoveringFamily, pullback_family, require_canonical
 
 
 def overlap(cover: CoveringFamily, i: int, j: int):
-    """The canonical pairwise overlap U_i ×_Y U_j with its projections."""
-    return pullback(cover.legs[i], cover.legs[j])
+    """The canonical pairwise overlap U_i ×_Y U_j with its projections,
+    built once per cover and kept on it (`CoveringFamily`)."""
+    kept = slot_dict(cover, "_overlaps")
+    cert = kept.get((i, j))
+    if cert is None:
+        cert = kept[(i, j)] = pullback(cover.legs[i], cover.legs[j])
+    return cert
 
 
 def overlapping_pairs(cover: CoveringFamily) -> list:

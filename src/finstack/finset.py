@@ -32,15 +32,18 @@ FinSet and FinMap are read-only after construction: a FinSet's hash is
 computed when it is built and a FinMap's on first use, then cached. Never
 mutate `elements` or `table`.
 
-Derived structures live on their inputs. A function wrapped by `memo` (here
-`identity`, `fibers`, `product_space`, `product`, `pullback`; elsewhere
-`restrict`, `trivial_action`, `product_action`) stores each result in the
-`_memo` slot of the youngest FinSet or FinMap among its arguments, youngest
-by the creation serial `_born`. An entry lives exactly as long as that
-object and keeps the older arguments alive with it. Storing on the
-youngest means a long-lived set such as `terminal()` or a group's carrier
-never collects entries for short-lived data, so a long run holds only what
-its live data can reach. The memo looks its arguments up by identity, never
+Derived structures are shared while their inputs live. A function wrapped
+by `memo` (here `identity`, `fibers`, `product_space`, `product`,
+`pullback`; elsewhere `restrict`, `trivial_action`, `product_action`)
+stores each result in the `_memo` slot of the youngest FinSet or FinMap
+among its arguments, youngest by the creation serial `_born`, so a
+long-lived set such as `terminal()` or a group's carrier never collects
+entries for short-lived data. An entry keeps nothing alive that could keep
+its owner alive: it holds its arguments by weak references, and holds its
+result strongly only when the result refers to no argument (`fibers`,
+`product_space`), weakly otherwise. So no entry closes a reference cycle,
+and what a caller drops dies by reference counting, without waiting for
+the cyclic collector. The memo looks its arguments up by identity, never
 by value: a lookup hashes no table, and a hit needs the very arguments of
 the entry, so two equal values built separately do not share results.
 `fn.cache_info()` reports the hits and misses of every call since import.
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
+import weakref
 from typing import Iterable, NamedTuple, Union
 
 from .errors import (
@@ -278,33 +281,24 @@ class MemoInfo(NamedTuple):
     misses: int
 
 
-class _Args(tuple):
-    """A memo key's arguments, hashed and compared by identity: a lookup
-    never hashes or compares a value, so a table nothing else reads is
-    never built for a key. The entry holds the arguments, so their ids
-    stay theirs while it lives."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(tuple(map(id, self)))
-
-    def __eq__(self, other):
-        return len(self) == len(other) and all(map(operator.is_, self, other))
-
-
-_MISSING = object()
-
-
-def memo(holders=None):
+def memo(holders=None, keep_result=False):
     """Memoize a function on the youngest FinSet or FinMap it is given.
 
     The candidates are the arguments themselves, or `holders(*args)` for a
-    function whose arguments only hold FinSets and FinMaps. The result is
+    function whose arguments only hold FinSets and FinMaps. The entry is
     stored in the youngest candidate's `_memo` dict under the key
-    (wrapper, args), the arguments compared by identity, so it dies with
-    that object. A hit needs the very same arguments: equal values built
-    separately miss. Exceptions are not stored.
+    (wrapper, id(arg), ...), so it dies with that object. Exceptions are
+    not stored.
+
+    The rule: an entry never keeps alive what can reach its owner, so it
+    closes no reference cycle. It holds each argument by a weak reference,
+    and a hit needs every one to return the very argument, so equal values
+    built separately miss and an id a dead argument left behind never hits.
+    It holds its result by a weak reference too, and a hit needs the result
+    alive, since a result that refers to its arguments would, held
+    strongly, keep them alive from their own table; a result that nobody
+    holds is built again. `keep_result` holds the result strongly, for a
+    function whose result refers to no argument.
     """
     def decorate(fn):
         hits = misses = 0
@@ -316,17 +310,29 @@ def memo(holders=None):
             for x in (args if holders is None else holders(*args)):
                 if owner is None or x._born > owner._born:
                     owner = x
-            key = (wrapper, _Args(args))
+            key = (wrapper, *map(id, args))
             table = owner._memo
             if table is None:
                 table = owner._memo = {}
             else:
-                out = table.get(key, _MISSING)
-                if out is not _MISSING:
-                    hits += 1
-                    return out
+                entry = table.get(key)
+                if entry is not None:
+                    refs, held = entry
+                    out = held if keep_result else held()
+                    # an index rather than zip, as in Record.__init__
+                    i = 0
+                    for ref in refs:
+                        if ref() is not args[i]:
+                            break
+                        i += 1
+                    else:
+                        if out is not None:
+                            hits += 1
+                            return out
             misses += 1
-            out = table[key] = fn(*args)
+            out = fn(*args)
+            table[key] = (tuple(map(weakref.ref, args)),
+                          out if keep_result else weakref.ref(out))
             return out
 
         wrapper.cache_info = lambda: MemoInfo(hits, misses)
@@ -337,6 +343,18 @@ def memo(holders=None):
 
 
 set_field = object.__setattr__   # how a record sets past its frozen __setattr__
+
+
+def slot_dict(record, name: str) -> dict:
+    """The dict a record keeps in its non-field slot `name`, made on first
+    use: for values built from the fields that are not fields themselves,
+    so equality, hash and repr never read them, and a copy starts empty."""
+    try:
+        return getattr(record, name)
+    except AttributeError:
+        kept: dict = {}
+        set_field(record, name, kept)
+        return kept
 
 
 class Record:
@@ -429,7 +447,7 @@ def bang(a: FinSet) -> FinMap:
     return FinMap(a, terminal(), {x: "*" for x in a})
 
 
-@memo()
+@memo(keep_result=True)
 def fibers(f: FinMap) -> dict:
     """The nonempty fibers of f, keyed by image, each a tuple in canonical
     order. Shared by every caller: read it, never mutate it."""
@@ -471,13 +489,15 @@ def invert(f: FinMap) -> FinMap:
 
 # ------------------------------------------------------------------ limits ---
 
-class Product(NamedTuple):
+class Product(Record):
+    """A product with its projections."""
+
     space: FinSet
     proj1: FinMap
     proj2: FinMap
 
 
-@memo()
+@memo(keep_result=True)
 def product_space(a: FinSet, b: FinSet) -> FinSet:
     """The set of pairs (x, y) of product(a, b), without its projections:
     what a caller that only walks or indexes the pairs needs."""
@@ -513,7 +533,7 @@ def product_map(f: FinMap, g: FinMap) -> FinMap:
                   {(x, y): (f.table[x], g.table[y]) for (x, y) in src.space})
 
 
-class PullbackCert(NamedTuple):
+class PullbackCert(Record):
     """Pullback of f and g: apex of pairs (a, b) with f(a) = g(b)."""
 
     apex: FinSet

@@ -3,8 +3,9 @@ corpus builders feeding verify_stack.
 
 Everything here is deterministic given the Random instance passed in, so
 test runs and CLI runs with the same seed see the same corpus. Generated
-objects are always routed through the checking ops; nothing hand-assembled
-escapes uncertified.
+objects are routed through the checking ops, or, when lawful by their
+formula like a relabelled bundle, through `cross_check`, which re-runs those
+ops under cross-check.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .action import (
 )
 from .bundle import (
     Bundle,
-    constructed_bundle,
+    _formula_bundle,
     enumerate_bundle_morphisms,
     enumerate_bundles,
     trivial_bundle,
@@ -45,6 +46,7 @@ from .finset import (
     FinSet,
     atom_key,
     compose,
+    exact_map,
     fiber,
     invert,
     product_space,
@@ -199,7 +201,14 @@ def random_gset_over(rng: Random, y: GAction, max_size: int,
 
 def twist_bundle(rng: Random, b: Bundle):
     """Relabel a bundle by a random fiber-preserving permutation h of its
-    total; returns the certified twist and h, which is an iso onto it."""
+    total; returns the twist and h, which is an iso onto it.
+
+    The twist is a bundle by its formula g·q = h(g·h⁻¹(q)), so no certifier
+    runs: conjugating a lawful action by a bijection keeps both action laws,
+    and h keeps each fiber, so the projection stays equivariant onto the
+    trivially acted base and each fiber stays a G-torsor. That h keeps the
+    fibers is checked. Under cross-check `check_action` and
+    `constructed_bundle` re-run."""
     perm = {}
     for y in b.base:
         fib = fiber(b.proj.map, y)
@@ -208,14 +217,12 @@ def twist_bundle(rng: Random, b: Bundle):
         perm.update(zip(fib, img))
     h = FinMap(b.total.space, b.total.space, perm)
     hinv = invert(h)
-    src = product_space(b.group.carrier, b.total.space)
-    act = FinMap(src, b.total.space,
-                 {(g, q): h.table[b.total(g, hinv.table[q])] for (g, q) in src})
-    total2 = check_action(b.group, b.total.space, act)
-    # h permutes within fibers, so the projection is untouched
     if compose(b.proj.map, hinv) != b.proj.map:
         raise RuntimeError("the relabelling moves atoms across fibers")
-    return constructed_bundle(total2, b.proj.map), h
+    src = product_space(b.group.carrier, b.total.space)
+    at, ht, hit = b.total.act.table, h.table, hinv.table
+    act = exact_map(src, b.total.space, {(g, q): ht[at[(g, hit[q])]] for (g, q) in src})
+    return _formula_bundle("a relabelled bundle", act, b.proj.map, b.proj.dst_action), h
 
 
 def random_bundle(rng: Random, group: FinGroup, base: FinSet) -> Bundle:

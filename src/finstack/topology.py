@@ -42,7 +42,16 @@ class CoveringFamily(Record):
 
     May be empty; over the canonical topology the empty family only covers
     the empty target.
+
+    A cover keeps the pairwise overlaps U_i ×_Y U_j that `descent.overlap`
+    builds on it, by leg pair, in its `_overlaps` slot, so each is built
+    once per cover however often a datum on it reads it. The slot is not a
+    field: equality, hash and repr read the target and legs alone, and a
+    copy starts with no overlaps. Each overlap is the `pullback` of two
+    legs, which refers to the legs and never to the cover.
     """
+
+    __slots__ = ("_overlaps",)
 
     target: FinSet
     legs: tuple

@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 
@@ -23,16 +24,31 @@ def rng():
     return random.Random(20260814)
 
 
+# FINSTACK_TEST_CROSS_CHECK=off runs the suite on the production path,
+# with cross-checking off but for the tests marked `needs_cross_check`
+CROSS_CHECK = os.environ.get("FINSTACK_TEST_CROSS_CHECK", "on") != "off"
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "needs_cross_check: the test plants a fault that only a re-run "
+        "certifier catches, or counts those re-runs, so it runs with cross-checking "
+        "on in both modes of the suite")
+
+
 @pytest.fixture(autouse=True)
-def cross_checked(monkeypatch):
+def cross_checked(request, monkeypatch):
     """Run every test with cross-checking on, so each construction that
     skips its certifier in production (base change, restriction,
     restriction to a datum, gluing, restricted morphisms, the ι/ε
     components, the model and regular actions, the enumerated bundle
     morphisms, the kernel maps) has it re-run, and `desc` runs its oracles.
     The re-run reads every deferred base-change table at once, so a test
-    of the path that leaves a table unread turns the switch off itself."""
-    monkeypatch.setattr(CrossCheck, "on", True)
+    of the path that leaves a table unread turns the switch off itself.
+    With FINSTACK_TEST_CROSS_CHECK=off the switch stays off, the path
+    users run, except in the tests marked `needs_cross_check`."""
+    monkeypatch.setattr(CrossCheck, "on", CROSS_CHECK or request.node.get_closest_marker(
+        "needs_cross_check") is not None)
 
 
 @pytest.fixture

@@ -216,6 +216,7 @@ def test_torsor_fibers_match_definition(rng):
     assert kinds == {"torsor", "not free", "wrong size"}
 
 
+@pytest.mark.needs_cross_check
 def test_base_change_without_torsor_fibers_is_an_internal_fault(monkeypatch):
     # base change keeps the fibers; a decider saying otherwise is a fault,
     # not a verdict
@@ -387,6 +388,7 @@ def test_morphism_enumeration_matches_brute_force(rng):
                         == [m.table for m in brute_morphisms(src, dst)])
 
 
+@pytest.mark.needs_cross_check
 def test_morphism_enumeration_certifies_only_what_it_emits(monkeypatch):
     # Z/5 over a point: 5 maps built and certified, not 5^5 candidates
     calls = []
@@ -405,6 +407,7 @@ def test_morphism_enumeration_certifies_only_what_it_emits(monkeypatch):
             assert len(calls) == 5
 
 
+@pytest.mark.needs_cross_check
 def test_constructed_morphism_failing_its_check_is_an_internal_fault(monkeypatch):
     def broken(m, src, dst):
         raise EquivarianceFail(0, next(iter(src.space)))

@@ -229,6 +229,7 @@ def test_commands_run_no_oracle(capsys, tmp_path, oracles_forbidden,
     assert [(c["name"], c["status"]) for c in rep["checks"]] == verdicts
 
 
+@pytest.mark.needs_cross_check
 def test_glued_non_bundle_exits_3(capsys, tmp_path, monkeypatch):
     # gluing a datum of bundles yields a bundle; a decider saying otherwise
     # is an internal fault, also under python -O
@@ -288,6 +289,7 @@ def test_internal_error_exits_3_with_report(capsys, tmp_path, monkeypatch):
     assert rep["error"]["kind"] == "AssertionError"
 
 
+@pytest.mark.needs_cross_check
 def test_internal_fault_in_verify_stack_exits_3(capsys, tmp_path, monkeypatch):
     # a fault inside gluing is no failed stack condition
     def broken(*args, **kwargs):

@@ -1,8 +1,8 @@
 """Cross-checking: base change, restriction, restriction to a datum,
 gluing, restricted morphisms, the ι/ε components, the model and regular
-actions, the trivial model and the enumerated bundles, the enumerated
-bundle morphisms and the kernel maps are built by their formulas without
-re-running their certifiers; with
+actions, the trivial model, the enumerated and the relabelled bundles, the
+enumerated bundle morphisms and the kernel maps are built by their formulas
+without re-running their certifiers; with
 `CrossCheck.on` each re-runs its certifier on what it built, so a wrong
 formula is an internal fault, and `desc --cross-check` also runs the
 deciders' definitional oracles. A base change's action table is deferred:
@@ -24,6 +24,7 @@ import finstack.bundle
 import finstack.cli
 import finstack.descent
 import finstack.finset
+import finstack.sample
 import finstack.stack
 from finstack import (
     CocycleFail,
@@ -64,7 +65,7 @@ from finstack.finset import (
     product_space,
     terminal,
 )
-from finstack.sample import break_cocycle, random_cover, random_qsobject
+from finstack.sample import break_cocycle, random_cover, random_qsobject, twist_bundle
 from finstack.stack import bundle_isomorphic
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
@@ -181,12 +182,13 @@ def on_comparisons(rewrite):
 
 def restricted_morphism(group, base):
     # the restriction it reads is built before the formula is planted, so
-    # only the morphism's own table is rewritten
+    # only the morphism's own table is rewritten; the memo holds a result
+    # only while someone else does, so the construction holds it
     obj = regular_object(group, base)
     f = identity(base)
-    restrict(obj, f)
+    restricted = restrict(obj, f)
     m = qs_identity(obj)
-    return lambda: restrict_morphism(m, f)
+    return lambda restricted=restricted: restrict_morphism(m, f)
 
 
 def iso_in_a_fiber(group, base):
@@ -239,6 +241,10 @@ PLANTED = {
     "enumerated bundle collapsed": (finstack.bundle, collapse_nonunit, enumerated_bundles,
                                     zmod(3), "of an enumerated bundle failed: "
                                              "action associativity fails"),
+    "relabelled bundle collapsed": (
+        finstack.sample, collapse_nonunit,
+        lambda g, base: lambda: twist_bundle(Random(1), trivial_bundle(g, base)), zmod(3),
+        "of a relabelled bundle failed: action associativity fails"),
     # a lawful action on G×X, but not free: only the bundle's own re-run sees it
     "trivialized model bundle frozen": (
         finstack.action, lambda g: frozen_action,
@@ -247,6 +253,7 @@ PLANTED = {
 }
 
 
+@pytest.mark.needs_cross_check
 @pytest.mark.parametrize("name", sorted(PLANTED))
 def test_planted_construction_is_an_internal_fault(monkeypatch, name):
     module, rewrite, construction, group, message = PLANTED[name]
@@ -266,6 +273,7 @@ def never_fails(datum):
     return None
 
 
+@pytest.mark.needs_cross_check
 def test_planted_cocycle_decider_is_an_internal_fault(monkeypatch):
     group = zmod(2)
     b = trivial_bundle(group, FinSet(("p", "q")))
@@ -282,6 +290,7 @@ def test_planted_cocycle_decider_is_an_internal_fault(monkeypatch):
     check_cocycle(bad)
 
 
+@pytest.mark.needs_cross_check
 def test_glued_points_out_of_order_are_an_internal_fault(monkeypatch):
     # glue_object emits its points already in canonical order and skips the
     # sort; under cross-check the sorted set must equal them
@@ -308,6 +317,7 @@ KERNEL_MAPS = {
 }
 
 
+@pytest.mark.needs_cross_check
 @pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
 def test_planted_kernel_map_is_an_internal_fault(monkeypatch, name):
     a, b = FinSet(("a0", "a1", "a2")), FinSet(("b0", "b1"))
@@ -331,6 +341,7 @@ def test_user_maps_are_checked_with_cross_check_off(monkeypatch):
     assert exact_map(a, a, {0: 0}).table == {0: 0}
 
 
+@pytest.mark.needs_cross_check
 def test_cross_check_counts_and_raises():
     def boom():
         raise ValueError("boom")
@@ -428,6 +439,7 @@ def test_restricted_morphisms_and_coherence_isos_run_no_certifier(monkeypatch):
     assert counts["check_qs_morphism"] == 3
 
 
+@pytest.mark.needs_cross_check
 def test_non_bijective_coherence_iso_passes_with_cross_check_off(monkeypatch):
     # the bijection check of ι and ε runs only under cross-check
     obj, cover = datum_inputs(7)
@@ -492,6 +504,7 @@ def test_classify_certifies_no_enumerated_bundle_with_cross_check_off(monkeypatc
     assert all(counts[name] >= off.n_bundles for name in names), counts
 
 
+@pytest.mark.needs_cross_check
 def test_planted_fiber_map_is_an_internal_fault(monkeypatch):
     # over a one-atom base, the map of every point to the least dst atom
     # lies over the base but is not equivariant

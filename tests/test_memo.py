@@ -49,10 +49,14 @@ def test_memo_entries_die_with_their_inputs():
     del base, leg, obj, prod, cert, local, act
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
-    # the group outlives them and keeps no entry keyed by them
-    for key in group.carrier._memo or {}:
-        assert all(not isinstance(x, (FinSet, FinMap)) or x is group.carrier
-                   or x is terminal() for x in key[1])
+    # the group outlives them and keeps no entry keyed by them: an entry
+    # reads its arguments through its weak references, and one that died
+    # was not the group's
+    for refs, _ in (group.carrier._memo or {}).values():
+        args = [r() for r in refs]
+        assert all(x is not None and (not isinstance(x, (FinSet, FinMap))
+                                      or x is group.carrier or x is terminal())
+                   for x in args)
 
 
 def test_long_lived_sets_hold_no_memo():
@@ -71,10 +75,14 @@ def test_long_lived_sets_hold_no_memo():
     del base, obj, cover, glued
     gc.collect()
     for s in long_lived:
-        derived = [key[0].__name__ for key in (s._memo or {})
-                   if any(isinstance(x, (FinSet, FinMap)) and x._born >= start
+        # an entry's arguments, read through its weak references: every
+        # long-lived argument is still alive, so a dead one was a round
+        # trip's
+        derived = [key[0].__name__ for key, (refs, _) in (s._memo or {}).items()
+                   if any(x is None
+                          or isinstance(x, (FinSet, FinMap)) and x._born >= start
                           or isinstance(x, FinGroup) and x not in groups
-                          for x in key[1])]
+                          for x in (r() for r in refs))]
         assert derived == [], f"{s!r} holds entries of the round trips"
 
 

@@ -1,0 +1,172 @@
+"""The memo closes no reference cycle: a memo entry holds its arguments and
+any result that refers to them by weak references, and a cover keeps its
+own overlaps. So a round trip's structures die by reference counting once
+their last user drops them, without the cyclic collector, while what a
+caller still holds stays shared."""
+
+import gc
+import weakref
+from random import Random
+
+import pytest
+
+from finstack import (
+    CocycleRequired,
+    CoverNotCanonical,
+    FinMap,
+    FinSet,
+    check_cocycle,
+    check_qs_object,
+    glue_morphisms,
+    glue_object,
+    identity,
+    product,
+    pullback,
+    qs_isomorphism,
+    regular_action,
+    restrict,
+    restrict_morphism,
+    restrict_to_datum,
+    sym,
+    trivial_action,
+    trivial_bundle,
+    zmod,
+)
+from finstack.action import product_action
+from finstack.finset import CrossCheck, bang, fibers, product_space, terminal
+from finstack.sample import (
+    break_cocycle,
+    drop_leg,
+    random_cover,
+    random_qsobject,
+    relabel_qsobject,
+)
+from finstack.topology import point_cover
+
+
+@pytest.fixture
+def no_collector():
+    """The cyclic collector off, after one collection: whatever dies in the
+    test dies by reference counting, and a collection at its end counts
+    only the cyclic garbage the test made."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def _round_trip(seed: int) -> int:
+    """One round trip on a random object of the classifying stack [T/S3]
+    over three points: its datum on a random cover glued back, the glued
+    morphism of a relabelling, and two data refused (a twisted overlap iso,
+    and a leg dropped from the point cover). Returns the number refused."""
+    rng = Random(seed)
+    group = sym(3)
+    base = FinSet(("p", "q", "r"))
+    obj = random_qsobject(rng, group, trivial_action(group, terminal()), base)
+    cover = random_cover(rng, base)
+    datum = restrict_to_datum(obj, cover)
+    if qs_isomorphism(glue_object(datum).glued, obj) is None:
+        raise AssertionError("the glued object is not the source")
+    obj2, m = relabel_qsobject(rng, obj)
+    locals_ = [restrict_morphism(m, f) for f in cover.legs]
+    if glue_morphisms(cover, obj, obj2, locals_).fn != m.fn:
+        raise AssertionError("the glued morphism is not the relabelling")
+    refused = 0
+    try:
+        glue_object(break_cocycle(datum, group.carrier.elements[-1], rng))
+    except CocycleRequired:
+        refused += 1
+    try:
+        glue_object(drop_leg(restrict_to_datum(obj, point_cover(base))))
+    except CoverNotCanonical:
+        refused += 1
+    return refused
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("on", [False, True], ids=["production", "cross-checked"])
+def test_a_round_trip_leaves_no_cyclic_garbage(monkeypatch, no_collector, on, seed):
+    monkeypatch.setattr(CrossCheck, "on", on)
+    assert _round_trip(seed) == 2
+    assert gc.collect() == 0
+
+
+def _object(group, base):
+    b = trivial_bundle(group, base)
+    return check_qs_object(b, bang(b.total.space), trivial_action(group, terminal()))
+
+
+def _inputs():
+    group = zmod(2)
+    base = FinSet(("p", "q"))
+    leg = FinMap(FinSet(("u", "v")), base, {"u": "p", "v": "p"})
+    return group, base, leg, _object(group, base)
+
+
+# each memoized function with the arguments it takes, built from _inputs()
+CALLS = {
+    "identity": lambda group, base, leg, obj: (identity, (base,)),
+    "fibers": lambda group, base, leg, obj: (fibers, (leg,)),
+    "product_space": lambda group, base, leg, obj: (product_space, (base, leg.src)),
+    "product": lambda group, base, leg, obj: (product, (base, leg.src)),
+    "pullback": lambda group, base, leg, obj: (pullback, (obj.bundle.proj.map, leg)),
+    "restrict": lambda group, base, leg, obj: (restrict, (obj, leg)),
+    "trivial_action": lambda group, base, leg, obj: (trivial_action, (group, leg.src)),
+    "product_action": lambda group, base, leg, obj: (product_action, (group, leg.src)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_arguments_die_when_their_caller_drops_them(no_collector, name):
+    fn, args = CALLS[name](*_inputs())
+    out = fn(*args)
+    assert fn(*args) is out
+    # the group stays: `generators` keeps it in its bounded lru_cache
+    refs = [weakref.ref(x) for x in args if x is not args[0] or name not in (
+        "trivial_action", "product_action")]
+    if not isinstance(out, dict):
+        refs.append(weakref.ref(out))
+    del args, out
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_a_result_nobody_holds_is_built_again(no_collector):
+    group, base, leg, obj = _inputs()
+    held = restrict(obj, leg)
+    before = restrict.cache_info()
+    assert restrict(obj, leg) is held
+    hit = restrict.cache_info()
+    assert (hit.hits, hit.misses) == (before.hits + 1, before.misses)
+    ref = weakref.ref(held)
+    del held
+    assert ref() is None
+    again = restrict(obj, leg)
+    rebuilt = restrict.cache_info()
+    assert (rebuilt.hits, rebuilt.misses) == (hit.hits, hit.misses + 1)
+    assert restrict(obj, leg) is again
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_cocycle_finds_its_restrictions_and_overlaps(seed):
+    rng = Random(seed)
+    group = zmod(3)
+    base = FinSet(("p", "q", "r"))
+    obj = random_qsobject(rng, group, regular_action(group), base)
+    datum = restrict_to_datum(obj, random_cover(rng, base))
+    before = restrict.cache_info().misses, pullback.cache_info().misses
+    check_cocycle(datum)
+    assert (restrict.cache_info().misses, pullback.cache_info().misses) == before
+
+
+def test_a_held_restriction_keeps_the_source_of_its_map_alone(monkeypatch, no_collector):
+    # off, the restriction's base action stays an unbuilt table, whose thunk
+    # must not hold the map
+    monkeypatch.setattr(CrossCheck, "on", False)
+    group, base, leg, obj = _inputs()
+    held = restrict(obj, leg)
+    ref = weakref.ref(leg)
+    src = leg.src
+    del leg
+    assert ref() is None
+    assert held.base is src

@@ -101,6 +101,7 @@ def test_twist_checks_it_keeps_fibers(rng, monkeypatch):
         twist_bundle(rng, b0)
 
 
+@pytest.mark.needs_cross_check
 def test_twist_checks_its_bundle(rng, monkeypatch):
     b0 = random_bundle(rng, zmod(2), FinSet(("p",)))
     monkeypatch.setattr(finstack.bundle, "is_principal_bundle",

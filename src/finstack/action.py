@@ -4,6 +4,8 @@ A group is a Cayley table certified by check_group; an action is a map
 G×X -> X certified by check_action against both action diagrams. Equivariant
 maps are certified squares. Actions and equivariant maps are certified on a
 generating set of the group, which implies the laws for every element.
+`trivial_action` is the one construction of a trivially acted set, the
+base of every bundle and base change; it is memoized and defers its table.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .finset import (
     atom_key,
     compose,
     cross_check,
+    deferred_map,
     exact_map,
     memo,
     product_space,
@@ -245,17 +248,16 @@ def action_from_function(group: FinGroup, space: FinSet, fn) -> GAction:
         group, space, FinMap(src, space, {(g, x): fn(g, x) for (g, x) in src}))
 
 
-def trivial_table(group: FinGroup, space: FinSet) -> FinMap:
-    """The table of g·x = x on product_space(G, X), by its formula."""
-    src = product_space(group.carrier, space)
-    return exact_map(src, space, {k: k[1] for k in src})
-
-
 @memo(lambda group, space: (group.carrier, space))
 def trivial_action(group: FinGroup, space: FinSet) -> GAction:
     """G acting by g·x = x: every σ(g) is the identity, so both action laws
-    hold, and check_action runs only under cross-check."""
-    act = trivial_table(group, space)
+    hold, and check_action runs only under cross-check. Its table is a
+    `deferred_map`, built when first read."""
+    def build():
+        src = product_space(group.carrier, space)
+        return exact_map(src, space, {k: k[1] for k in src})
+
+    act = deferred_map(space, build)
     return cross_check("the trivial action", GAction(group, space, act),
                        check_action, group, space, act)
 
@@ -351,7 +353,6 @@ def pullback_action(p: GAction, z: GAction, y: GAction,
     return check_action(group, cert.apex, FinMap(src, cert.apex, table))
 
 
-@memo(lambda group, u: (group.carrier, u))
 def product_action(group: FinGroup, u: FinSet) -> GAction:
     """The trivialized model: G acting on G×U by g·(h, u) = (gh, u), left
     multiplication on the first factor, so the unit law is e·h = h and the

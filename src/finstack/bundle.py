@@ -9,6 +9,7 @@ over U_i) is kept as an oracle, `is_locally_trivial` with
 `check_trivialization`, that the tests compare with the decider. The trivial
 model, the enumerated bundles (streamed) and base changes are bundles by
 their formulas: `constructed_bundle` re-runs on them only under cross-check.
+Each of them lies over `trivial_action(G, base)`, the one trivial action.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .action import (
     product_action,
     pullback_action,
     trivial_action,
-    trivial_table,
 )
 from .errors import (
     BaseMismatch,
@@ -216,22 +216,22 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     cross-check, `check_action` and `constructed_bundle` re-run on it.
 
     Most base changes are read only through their projection and space, so
-    the |G|·|P ×_Y Z| action table and the trivial action on Z are
-    `deferred_map`s, each written the first time something reads it; b's
-    own table is read only then."""
+    the |G|·|P ×_Y Z| action table is a `deferred_map`, written the first
+    time something reads it (b's own table is read only then), and Z
+    carries `trivial_action(G, Z)`, whose table is deferred the same way."""
     if f.dst != b.base:
         raise BaseMismatch(f"{f.dst!r} != {b.base!r}")
     cert = pullback(b.proj.map, f)
-    # the thunks capture f's source, not f: a held base change keeps no map alive
-    group, apex, parent, zs = b.group, cert.apex, b.total.act, f.src
+    # the thunk captures the apex and b's table, never f
+    group, apex, parent = b.group, cert.apex, b.total.act
 
     def build():
         at = parent.table
         src = product_space(group.carrier, apex)
         return exact_map(src, apex, {k: (at[(h, p)], z) for k in src for h, (p, z) in (k,)})
 
-    base = GAction(group, zs, deferred_map(zs, lambda: trivial_table(group, zs)))
-    return _formula_bundle("a base change", deferred_map(apex, build), cert.proj2, base)
+    return _formula_bundle("a base change", deferred_map(apex, build), cert.proj2,
+                           trivial_action(group, f.src))
 
 
 class BundleMorphism(Record):

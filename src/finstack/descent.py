@@ -3,7 +3,8 @@ gluing of morphisms and of objects, and the three stack conditions.
 
 An empty overlap U_i ×_Y U_j imposes nothing: a datum stores isos only on
 the leg pairs with a nonempty overlap (`overlapping_pairs`), and every pass
-walks those pairs, reading points through indexes by base atom.
+walks those pairs, reading points through indexes by base atom, and each
+overlap iso's table in place: φ_ij(w, (a, b)) is the image's first entry.
 
 The cocycle is decided on one point per fiber. `check_cocycle` first checks
 that each iso runs between the restrictions of its pair; the isos are then
@@ -165,14 +166,11 @@ def _check_endpoints(cover: CoveringFamily, objects, overlaps: dict) -> None:
             raise ValueError(f"overlap iso ({i},{j}) has the wrong target")
 
 
-def _phis(datum: DescentDatum) -> dict:
-    """The stored isos as point functions (w over a, (a, b)) -> w' over b,
-    by leg pair; raises MissingOverlapIso for a nonempty overlap without."""
+def _require_stored_isos(datum: DescentDatum) -> None:
+    """Raise MissingOverlapIso for a nonempty overlap without a stored iso."""
     for i, j in overlapping_pairs(datum.cover):
         if (i, j) not in datum.overlaps:
             raise MissingOverlapIso(i, j)
-    return {ij: {key: value[0] for key, value in iso.fn.table.items()}
-            for ij, iso in datum.overlaps.items()}
 
 
 def _cocycle_scan(datum: DescentDatum, every_point: bool) -> Optional[tuple]:
@@ -184,8 +182,9 @@ def _cocycle_scan(datum: DescentDatum, every_point: bool) -> Optional[tuple]:
     the scan takes the stored (i,j) in order and the k whose (j,k), (i,k) are
     stored; c comes from leg k's fiber over a's image, w from W_i's over a."""
     cover = datum.cover
-    phis = _phis(datum)
-    pairs = sorted(phis)
+    _require_stored_isos(datum)
+    stored = datum.overlaps
+    pairs = sorted(stored)
     partners: dict = {}
     for i, k in pairs:
         partners.setdefault(i, []).append(k)
@@ -196,14 +195,14 @@ def _cocycle_scan(datum: DescentDatum, every_point: bool) -> Optional[tuple]:
         fi = cover.legs[i].table
         apex = overlap(cover, i, j).apex
         for k in partners[i]:
-            if (j, k) not in phis:
+            if (j, k) not in stored:
                 continue
-            phi_ij, phi_jk, phi_ik = phis[(i, j)], phis[(j, k)], phis[(i, k)]
+            phi_ij, phi_jk, phi_ik = (stored[ij].fn.table for ij in ((i, j), (j, k), (i, k)))
             for a, b in apex:
                 ws = locals_over[i].get(a, ())[:stop]
                 for c in legs_over[k].get(fi[a], ()):
                     for w in ws:
-                        if phi_jk[(phi_ij[(w, (a, b))], (b, c))] != phi_ik[(w, (a, c))]:
+                        if phi_jk[(phi_ij[(w, (a, b))][0], (b, c))][0] != phi_ik[(w, (a, c))][0]:
                             return (i, j, k, ((a, b), c))
     return None
 
@@ -483,14 +482,14 @@ def pullback_datum(datum: DescentDatum, t: FinMap) -> DescentDatum:
     new_cover = pullback_family(cover, t)
     new_objects = tuple(
         restrict(obj, pullback(f, t).proj1) for obj, f in zip(datum.objects, cover.legs))
-    phis = _phis(datum)
+    _require_stored_isos(datum)
     overlaps = {}
     for i, j in overlapping_pairs(new_cover):
         cert = overlap(new_cover, i, j)
         src = restrict(new_objects[i], cert.proj1)
         dst = restrict(new_objects[j], cert.proj2)
-        phi = phis[(i, j)]
-        table = {((w, az), (az2, bz)): ((phi[(w, (az[0], bz[0]))], bz), (az2, bz))
+        phi = datum.overlaps[(i, j)].fn.table
+        table = {((w, az), (az2, bz)): ((phi[(w, (az[0], bz[0]))][0], bz), (az2, bz))
                  for ((w, az), (az2, bz)) in src.total}
         overlaps[(i, j)] = check_qs_morphism(src, dst, FinMap(src.total, dst.total, table))
     return make_datum(new_cover, new_objects, overlaps)

@@ -32,18 +32,17 @@ FinSet and FinMap are read-only after construction: a FinSet's hash is
 computed when it is built and a FinMap's on first use, then cached. Never
 mutate `elements` or `table`.
 
-Derived structures are shared while their inputs live. A function wrapped
-by `memo` (here `identity`, `fibers`, `product_space`, `product`,
-`pullback`; elsewhere `restrict`, `trivial_action`, `product_action`)
-stores each result in the `_memo` slot of the youngest FinSet or FinMap
-among its arguments, youngest by the creation serial `_born`, so a
-long-lived set such as `terminal()` or a group's carrier never collects
-entries for short-lived data. An entry keeps nothing alive that could keep
-its owner alive: it holds its arguments by weak references, and holds its
-result strongly only when the result refers to no argument (`fibers`,
-`product_space`), weakly otherwise. So no entry closes a reference cycle,
-and what a caller drops dies by reference counting, without waiting for
-the cyclic collector. The memo looks its arguments up by identity, never
+Derived structures are shared while their inputs live. A map keeps its
+fibers, which refer to no map, in its `_fibers` slot, as it keeps its hash.
+A function wrapped by `memo` (here `identity`, `product_space`, `product`,
+`pullback`; elsewhere `restrict`, `trivial_action`) stores each result in
+the `_memo` slot of the youngest FinSet or FinMap among its arguments,
+youngest by the creation serial `_born`, so a long-lived set such as
+`terminal()` or a group's carrier never collects entries for short-lived
+data. The one rule: an entry holds its arguments and its result by weak
+references, so it closes no reference cycle, what a caller drops dies by
+reference counting without the cyclic collector, and a result nobody
+holds is built again. The memo looks its arguments up by identity, never
 by value: a lookup hashes no table, and a hit needs the very arguments of
 the entry, so two equal values built separately do not share results.
 `fn.cache_info()` reports the hits and misses of every call since import.
@@ -163,7 +162,7 @@ class FinMap:
     built for it); it is read-only afterwards.
     """
 
-    __slots__ = ("src", "dst", "table", "_hash", "_born", "_memo", "__weakref__")
+    __slots__ = ("src", "dst", "table", "_hash", "_fibers", "_born", "_memo", "__weakref__")
 
     def __init__(self, src: FinSet, dst: FinSet, table):
         table = dict(table)
@@ -178,7 +177,7 @@ class FinMap:
 
     def _set(self, src: FinSet, dst: FinSet, table: dict) -> None:
         self.src, self.dst, self.table = src, dst, table
-        self._hash = None
+        self._hash = self._fibers = None
         self._born = next(_serial)
         self._memo = None
 
@@ -272,7 +271,7 @@ def deferred_map(dst: FinSet, build) -> FinMap:
     lawful by their formula that `build` writes through `exact_map`."""
     m = object.__new__(_DeferredMap)
     m._build = build
-    m.dst, m._hash, m._born, m._memo = dst, None, next(_serial), None
+    m.dst, m._hash, m._fibers, m._born, m._memo = dst, None, None, next(_serial), None
     return m
 
 
@@ -281,7 +280,7 @@ class MemoInfo(NamedTuple):
     misses: int
 
 
-def memo(holders=None, keep_result=False):
+def memo(holders=None):
     """Memoize a function on the youngest FinSet or FinMap it is given.
 
     The candidates are the arguments themselves, or `holders(*args)` for a
@@ -290,15 +289,12 @@ def memo(holders=None, keep_result=False):
     (wrapper, id(arg), ...), so it dies with that object. Exceptions are
     not stored.
 
-    The rule: an entry never keeps alive what can reach its owner, so it
-    closes no reference cycle. It holds each argument by a weak reference,
-    and a hit needs every one to return the very argument, so equal values
-    built separately miss and an id a dead argument left behind never hits.
-    It holds its result by a weak reference too, and a hit needs the result
-    alive, since a result that refers to its arguments would, held
-    strongly, keep them alive from their own table; a result that nobody
-    holds is built again. `keep_result` holds the result strongly, for a
-    function whose result refers to no argument.
+    The rule: an entry holds each argument and its result by a weak
+    reference, so it keeps nothing alive and closes no reference cycle. A
+    hit needs every reference to return the very argument, so equal values
+    built separately miss and an id a dead argument left behind never hits,
+    and it needs the result alive: a result that nobody holds is built
+    again.
     """
     def decorate(fn):
         hits = misses = 0
@@ -318,7 +314,7 @@ def memo(holders=None, keep_result=False):
                 entry = table.get(key)
                 if entry is not None:
                     refs, held = entry
-                    out = held if keep_result else held()
+                    out = held()
                     # an index rather than zip, as in Record.__init__
                     i = 0
                     for ref in refs:
@@ -331,8 +327,7 @@ def memo(holders=None, keep_result=False):
                             return out
             misses += 1
             out = fn(*args)
-            table[key] = (tuple(map(weakref.ref, args)),
-                          out if keep_result else weakref.ref(out))
+            table[key] = (tuple(map(weakref.ref, args)), weakref.ref(out))
             return out
 
         wrapper.cache_info = lambda: MemoInfo(hits, misses)
@@ -447,14 +442,17 @@ def bang(a: FinSet) -> FinMap:
     return FinMap(a, terminal(), {x: "*" for x in a})
 
 
-@memo(keep_result=True)
 def fibers(f: FinMap) -> dict:
     """The nonempty fibers of f, keyed by image, each a tuple in canonical
-    order. Shared by every caller: read it, never mutate it."""
-    out: dict = {}
-    for a in f.src:
-        out.setdefault(f.table[a], []).append(a)
-    return {y: tuple(atoms) for y, atoms in out.items()}
+    order, built once and kept in f's `_fibers` slot. Shared by every
+    caller: read it, never mutate it."""
+    out = f._fibers
+    if out is None:
+        over: dict = {}
+        for a in f.src:
+            over.setdefault(f.table[a], []).append(a)
+        out = f._fibers = {y: tuple(atoms) for y, atoms in over.items()}
+    return out
 
 
 def fiber(f: FinMap, y) -> tuple:
@@ -497,7 +495,7 @@ class Product(Record):
     proj2: FinMap
 
 
-@memo(keep_result=True)
+@memo()
 def product_space(a: FinSet, b: FinSet) -> FinSet:
     """The set of pairs (x, y) of product(a, b), without its projections:
     what a caller that only walks or indexes the pairs needs."""
@@ -545,10 +543,10 @@ class PullbackCert(Record):
 
 @memo()
 def pullback(f: FinMap, g: FinMap) -> PullbackCert:
-    """A hash join: the memoized fibers of g, each in canonical order, are
-    looked up once per atom of f.src, so the pairs come out in canonical
-    order. When g hits at most one atom y, the apex is f's fiber over y
-    times g.src, read from f's memoized fibers without walking f.src."""
+    """A hash join: the fibers of g, each in canonical order, are looked up
+    once per atom of f.src, so the pairs come out in canonical order. When
+    g hits at most one atom y, the apex is f's fiber over y times g.src,
+    read from f's kept fibers without walking f.src."""
     if f.dst != g.dst:
         raise CodomainMismatch(f"{f.dst!r} != {g.dst!r}")
     over = fibers(g)

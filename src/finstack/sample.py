@@ -130,6 +130,23 @@ def _coset(group: FinGroup, a, sub) -> tuple:
     return tuple(sorted((group.times(a, h) for h in sub), key=atom_key))
 
 
+def _coset_orbits(group: FinGroup, subs) -> GAction:
+    """The action on the coset spaces G/H, one orbit k for the k-th subgroup
+    H of `subs`: atoms (k, coset), g·(k, aH) = (k, gaH)."""
+    atoms = []
+    table = {}
+    for k, sub in enumerate(subs):
+        cosets = sorted({_coset(group, a, sub) for a in group.carrier},
+                        key=atom_key)
+        atoms += [(k, c) for c in cosets]
+        for g in group.carrier:
+            for c in cosets:
+                table[(g, (k, c))] = (k, _coset(group, group.times(g, c[0]), sub))
+    space = FinSet(atoms)
+    return check_action(group, space,
+                        FinMap(product_space(group.carrier, space), space, table))
+
+
 def random_gset(rng: Random, group: FinGroup, max_size: int,
                 stop: float = 0.3) -> GAction:
     """A random action assembled from coset orbits of random subgroups;
@@ -145,26 +162,14 @@ def random_gset(rng: Random, group: FinGroup, max_size: int,
         h = rng.choice(options)
         chosen.append(h)
         total += order // len(h)
-    atoms = []
-    table = {}
-    for k, sub in enumerate(chosen):
-        cosets = sorted({_coset(group, a, sub) for a in group.carrier},
-                        key=atom_key)
-        for c in cosets:
-            atoms.append((k, c))
-        for g in group.carrier:
-            for c in cosets:
-                table[(g, (k, c))] = (k, _coset(group, group.times(g, c[0]), sub))
-    space = FinSet(atoms)
-    act = FinMap(product_space(group.carrier, space), space, table)
-    return check_action(group, space, act)
+    return _coset_orbits(group, chosen)
 
 
 def random_gset_over(rng: Random, y: GAction, max_size: int,
                      stop: float = 0.3):
     """A random action with an equivariant map to y: each orbit is a coset
-    space G/H for a subgroup H fixing a chosen point of y, mapping onto that
-    point's orbit. Returns (action, certified map)."""
+    space G/H for a subgroup H fixing a chosen point y0 of y, mapping aH to
+    a·y0 on that point's orbit. Returns (action, certified map)."""
     group = y.group
     subs = subgroups(group)
     order = len(group.carrier)
@@ -180,23 +185,9 @@ def random_gset_over(rng: Random, y: GAction, max_size: int,
         h = rng.choice(options)
         chosen.append((h, y0))
         total += order // len(h)
-    atoms = []
-    act_table = {}
-    map_table = {}
-    for k, (sub, y0) in enumerate(chosen):
-        cosets = sorted({_coset(group, a, sub) for a in group.carrier},
-                        key=atom_key)
-        for c in cosets:
-            atoms.append((k, c))
-            map_table[(k, c)] = y(c[0], y0)
-        for g in group.carrier:
-            for c in cosets:
-                act_table[(g, (k, c))] = (k, _coset(group, group.times(g, c[0]), sub))
-    space = FinSet(atoms)
-    act = check_action(group, space,
-                       FinMap(product_space(group.carrier, space), space, act_table))
-    f = check_equivariant(FinMap(space, y.space, map_table), act, y)
-    return act, f
+    act = _coset_orbits(group, [h for h, _ in chosen])
+    table = {(k, c): y(c[0], chosen[k][1]) for k, c in act.space}
+    return act, check_equivariant(FinMap(act.space, y.space, table), act, y)
 
 
 def twist_bundle(rng: Random, b: Bundle):

@@ -200,6 +200,13 @@ def is_canonical_cover(family: CoveringFamily, sample_budget: int = 8) -> bool:
     return is_universal_effective_epi(family_map(family), sample_budget)
 
 
+def canonical_cover_cost(family: CoveringFamily) -> int:
+    """The base changes `is_canonical_cover` enumerates, along every map into
+    the target from a set of at most 3 atoms: Σ_{k≤3} |Y|^k."""
+    n = len(family.target)
+    return 1 + n + n ** 2 + n ** 3
+
+
 def pullback_family(family: CoveringFamily, t: FinMap) -> CoveringFamily:
     """Base change of a covering family along t, legs in the same order."""
     if t.dst != family.target:

@@ -61,7 +61,9 @@ from finstack.finset import (
     Tag,
     bang,
     cross_check,
+    deferred_map,
     exact_map,
+    fibers,
     product_space,
     terminal,
 )
@@ -579,6 +581,36 @@ def test_first_read_builds_the_table_once(monkeypatch):
     assert len(builds) == 1
 
 
+def test_base_change_carries_the_one_trivial_action(monkeypatch):
+    # its base is the memoized trivial action, cross-checked like every other,
+    # and off, its table is written only when read
+    monkeypatch.setattr(CrossCheck, "on", False)
+    b = trivial_bundle(zmod(3), FinSet(("p", "q")))
+    f = FinMap(FinSet(("u", "v", "w")), b.base, {"u": "q", "v": "q", "w": "p"})
+    base_act = pullback_bundle(b, f).proj.dst_action
+    assert base_act is trivial_action(b.group, f.src)
+    assert base_act.act._build is not None
+    assert base_act.act.table == {(g, z): z for g in b.group.carrier for z in f.src}
+    assert base_act.act._build is None
+
+
+def test_fibers_of_a_deferred_map_build_its_table_once(monkeypatch):
+    monkeypatch.setattr(CrossCheck, "on", False)
+    a, y = FinSet(("a0", "a1", "a2")), FinSet(("y0", "y1"))
+    builds = []
+
+    def build():
+        builds.append(1)
+        return exact_map(a, y, {"a0": "y1", "a1": "y0", "a2": "y1"})
+
+    m = deferred_map(y, build)
+    fibs = fibers(m)
+    assert builds == [1]
+    assert fibs == {"y1": ("a0", "a2"), "y0": ("a1",)}
+    assert fibers(m) is fibs and m.table == {"a0": "y1", "a1": "y0", "a2": "y1"}
+    assert builds == [1]
+
+
 def eager_base_change(b, f):
     """The base change's action table written at once by the same formula."""
     apex = pullback(b.proj.map, f).apex
@@ -720,6 +752,31 @@ def test_desc_sheaf_oracle_over_the_bound_is_skipped(capsys, tmp_path, cross_che
         assert tally["agreed"] == tally["ran"]
         counts.append(tally["ran"])
     assert counts[1] < counts[0]
+
+
+def test_desc_cover_oracle_over_the_bound_is_skipped(capsys, tmp_path, monkeypatch,
+                                                    cross_check_by_flag):
+    # the universal effective epi enumerates Σ_{k≤3} |Y|^k base changes, 40
+    # over three atoms: past --bound it is not run, and not counted
+    runs = []
+    for bound in (40, 39):
+        report = tmp_path / f"report{bound}.json"
+        code, out, err = run(capsys, "check-cover", SITES / "covers_ok.site",
+                             "--cross-check", "--bound", bound, "--report", report)
+        assert code == 0, err
+        tally = json.loads(report.read_text())["cross_checks"]
+        assert tally["agreed"] == tally["ran"] > 0
+        runs.append((out, tally["ran"]))
+    assert runs[1][0] == runs[0][0] and runs[1][1] < runs[0][1]
+
+    def forbidden(fam):
+        raise AssertionError("the cover oracle ran past --bound")
+
+    monkeypatch.setattr(finstack.cli, "is_canonical_cover", forbidden)
+    code, out, err = run(capsys, "check-cover", SITES / "covers_ok.site",
+                         "--cross-check", "--bound", 39)
+    assert code == 0, err
+    assert out == runs[0][0]
 
 
 def test_desc_check_cover_cross_checks_the_colimit_of_each_sieve(

@@ -6,6 +6,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import finstack.descent
 from finstack import (
@@ -46,7 +47,6 @@ from finstack.bundle import constructed_bundle
 from finstack.descent import (
     Distinguish,
     GluingResult,
-    _phis,
     overlap,
     overlapping_pairs,
 )
@@ -528,7 +528,10 @@ def glue_object_by_coequalizer(datum, group=None, x_action=None):
         return GluingResult(empty_object(group, x_action), ())
     group = datum.objects[0].bundle.group
     x_action = datum.objects[0].x_action
-    phis = _phis(datum)
+    # the stored isos as point functions (w over a, (a, b)) -> w' over b;
+    # check_cocycle above refused a datum missing one
+    phis = {ij: {key: value[0] for key, value in iso.fn.table.items()}
+            for ij, iso in datum.overlaps.items()}
     pairs = sorted(phis)
     c1 = coproduct(obj.total for obj in datum.objects)
     rel = coproduct(datum.overlaps[ij].fn.src for ij in pairs).space
@@ -857,3 +860,44 @@ def test_verify_stack_reports_planted_failure(rng):
     assert not report.ok
     assert not report.rejected.ok
     assert report.effectiveness.ok
+
+
+# ---------------------------------------- cross-checking off against on
+
+def stack_run(grp, x, seed, cases, on):
+    """verify_stack on build_corpus at `seed` with the switch set to `on`:
+    each condition's counts and failure messages, the glued tables of every
+    effectiveness datum (or the type of the error gluing raises), and the
+    (ran, agreed) tally of the re-runs."""
+    was, ran, agreed = CrossCheck.on, CrossCheck.ran, CrossCheck.agreed
+    CrossCheck.on = on
+    try:
+        corpus = build_corpus(grp, x, Random(seed), cases=cases)
+        rep = verify_stack(grp, x, corpus)
+        glued = []
+        for datum, _ in corpus.effectiveness:
+            try:
+                glued.append(glued_tables(glue_object(datum, group=grp, x_action=x)))
+            except FinstackError as err:
+                glued.append(type(err))
+    finally:
+        CrossCheck.on = was
+    verdicts = [(c.name, c.attempted, c.passed, [msg for msg, _ in c.failures])
+                for c in (rep.effectiveness, rep.gluing, rep.uniqueness, rep.rejected)]
+    return verdicts, glued, (CrossCheck.ran - ran, CrossCheck.agreed - agreed)
+
+
+@given(grp=st.sampled_from(group_catalog()),
+       x_kind=st.sampled_from(["point", "regular", "random"]),
+       seed=st.integers(0, 2 ** 16), cases=st.integers(1, 3))
+def test_verify_stack_is_the_same_with_cross_checking_off_and_on(grp, x_kind, seed, cases):
+    # the production path leaves tables unbuilt and skips the certifiers; the
+    # cross-checked path re-runs every one of them and must agree everywhere
+    x = {"point": lambda: point_x(grp), "regular": lambda: regular_action(grp),
+         "random": lambda: random_gset(Random(seed), grp, 4)}[x_kind]()
+    off = stack_run(grp, x, seed, cases, False)
+    on = stack_run(grp, x, seed, cases, True)
+    assert off[2] == (0, 0)
+    assert on[:2] == off[:2]
+    ran, agreed = on[2]
+    assert agreed == ran > 0

@@ -50,6 +50,13 @@ def test_equal_but_distinct_arguments_miss(name):
     fn, args = _calls()[name]
     _, twins = _calls()[name]
     assert twins == args and all(t is not a for t, a in zip(twins, args))
+    if name == "fibers":
+        # kept on the map itself, not in a memo: the twin map has its own
+        first = fn(*args)
+        assert fn(*args) is first
+        again = fn(*twins)
+        assert again == first and again is not first
+        return
     before = fn.cache_info()
     first = fn(*args)
     again = fn(*twins)

@@ -187,7 +187,7 @@ def constructed_bundle(total: GAction, proj: FinMap) -> Bundle:
     return out
 
 
-def _formula_bundle(what: str, act: FinMap, proj: FinMap, base: GAction) -> Bundle:
+def formula_bundle(what: str, act: FinMap, proj: FinMap, base: GAction) -> Bundle:
     """The bundle with action table `act` and projection `proj` onto the
     trivially acted `base`, for a caller whose formula makes it one. Under
     cross-check `check_action` and `constructed_bundle` re-run."""
@@ -200,7 +200,7 @@ def _formula_bundle(what: str, act: FinMap, proj: FinMap, base: GAction) -> Bund
 def trivial_bundle(group: FinGroup, base: FinSet) -> Bundle:
     """The trivialized model G×X with the second projection: G acts on each
     fiber G×{x} by left multiplication, freely and transitively."""
-    return _formula_bundle("the trivialized model bundle", product_action(group, base).act,
+    return formula_bundle("the trivialized model bundle", product_action(group, base).act,
                            product(group.carrier, base).proj2, trivial_action(group, base))
 
 
@@ -230,7 +230,7 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
         src = product_space(group.carrier, apex)
         return exact_map(src, apex, {k: (at[(h, p)], z) for k in src for h, (p, z) in (k,)})
 
-    return _formula_bundle("a base change", deferred_map(apex, build), cert.proj2,
+    return formula_bundle("a base change", deferred_map(apex, build), cert.proj2,
                            trivial_action(group, f.src))
 
 
@@ -357,7 +357,7 @@ def enumerate_bundles(group: FinGroup, base: FinSet,
 
     def bundle(choice):
         s = {x: structures[k] for x, k in zip(base, choice)}
-        return _formula_bundle("an enumerated bundle", exact_map(
+        return formula_bundle("an enumerated bundle", exact_map(
             src, prod.space, {k: (s[x][(g, h)], x) for k in src for g, (h, x) in (k,)}),
             prod.proj2, trivial_action(group, base))
 

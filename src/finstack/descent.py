@@ -19,24 +19,22 @@ each W_j over the same base atom, so the glued object is written chart by
 chart and its comparison isos back to the datum are single overlap isos.
 A glued morphism is fixed point by point by the locals, since the cover is
 jointly surjective. The tests keep the coequalizer builds of both as
-oracles. Every glued morphism is certified by the checking ops it must
-satisfy, and so is every overlap iso taken from a caller (`make_datum`,
-`pullback_datum`). A glued object and its comparisons are lawful by their
-formulas once `glue_object` has checked its input and the cocycle, so
-their certifiers re-run only under cross-check. The restricted datum of an
-object is lawful by its formulas, and so are the restrictions everything
-is built on (`stack.restrict`, `stack.restrict_morphism`):
-`restrict_to_datum` writes its canonical overlap isos and skips
-`check_qs_morphism`, `make_datum` and `check_cocycle`, which re-run only
-under cross-check.
+oracles. A glued object, its comparisons and a glued morphism are lawful
+by their formulas once their input is checked (the cocycle, the locals'
+endpoints), and so are the restricted datum of an object and the
+restrictions everything is built on (`stack.restrict`,
+`stack.restrict_morphism`). Each is built by `formula_bundle`,
+`formula_object` or `formula_morphism`; `check_qs_morphism`, `make_datum`
+and `check_cocycle` re-run on them only under cross-check, and on the hot
+path certify only a caller's isos (`make_datum`, `pullback_datum`).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .action import EquivariantMap, FinGroup, GAction, check_action, trivial_action
-from .bundle import Bundle, constructed_bundle
+from .action import FinGroup, GAction, trivial_action
+from .bundle import formula_bundle
 from .errors import (
     CocycleFail,
     CocycleRequired,
@@ -63,12 +61,12 @@ from .stack import (
     QSMorphism,
     QSObject,
     check_qs_morphism,
-    check_qs_object,
     certify_canonical_iso,
     compose_qs,
     constant_gauge,
     empty_object,
     formula_morphism,
+    formula_object,
     qs_isomorphism,
     restrict,
     restrict_morphism,
@@ -97,9 +95,11 @@ def overlapping_pairs(cover: CoveringFamily) -> list:
 
 
 def _identity_iso(objects, cert, i: int, j: int) -> QSMorphism:
-    """The certified identity over an empty overlap or a mono diagonal."""
+    """The identity over an empty overlap or a mono diagonal, where the two
+    restrictions are equal: a morphism by its formula."""
     src = restrict(objects[i], cert.proj1)
-    return check_qs_morphism(src, restrict(objects[j], cert.proj2), identity(src.total))
+    return formula_morphism("an identity overlap iso", src, restrict(objects[j], cert.proj2),
+                            identity(src.total))
 
 
 class DescentDatum(Record):
@@ -258,8 +258,7 @@ def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
         src = restrict(objects[i], cert.proj1)
         dst = restrict(objects[j], cert.proj2)
         overlaps[(i, j)] = formula_morphism("an overlap iso", src, dst, exact_map(
-            src.total, dst.total, {w: ((w[0][0], w[1][1]), w[1]) for w in src.total}),
-            check_qs_morphism)
+            src.total, dst.total, {w: ((w[0][0], w[1][1]), w[1]) for w in src.total}))
     datum = cross_check("a restricted datum", DescentDatum(cover, objects, overlaps),
                         make_datum, cover, objects, overlaps)
     cross_check("a restricted datum's cocycle", None, check_cocycle, datum)
@@ -272,7 +271,9 @@ def glue_morphisms(cover: CoveringFamily, x: QSObject, y: QSObject,
     one, by its point formula: p over y goes where every local sends (p, a)
     for a over y. The overlap scan compares the locals and fills the table,
     and reaches every p, since the cover is jointly surjective and each leg
-    i is paired with itself."""
+    i is paired with itself. η is a morphism, as each local (p, a) ↦ (q, a)
+    is, so `check_qs_morphism` re-runs only under cross-check; that η
+    restricts back to each local is checked."""
     require_canonical(cover)
     if x.base != cover.target or y.base != cover.target:
         raise ValueError("objects do not live over the cover's target")
@@ -294,7 +295,7 @@ def glue_morphisms(cover: CoveringFamily, x: QSObject, y: QSObject,
                 if qi != qj:
                     raise OverlapMismatch(i, j, (p, (a, b)))
                 table[p] = qi
-    eta = check_qs_morphism(x, y, FinMap(x.total, y.total, table))
+    eta = formula_morphism("a glued morphism", x, y, exact_map(x.total, y.total, table))
     for i in range(len(cover.legs)):
         if restrict_morphism(eta, cover.legs[i]).fn != locals_[i].fn:
             raise RuntimeError(f"glued morphism does not restrict to local {i}")
@@ -416,19 +417,13 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     acts = [obj.bundle.total.act.table for obj in datum.objects]
     alphas = [obj.alpha.map.table for obj in datum.objects]
     gxw = product_space(group.carrier, total)
-    act_map = exact_map(
+    act = exact_map(
         gxw, total, {(g, q): names[q.part][acts[q.part][(g, q.atom)]] for g, q in gxw})
-    act = cross_check("a glued action", GAction(group, total, act_map),
-                      check_action, group, total, act_map)
     pi_w = exact_map(total, cover.target,
                      {q: legs[q.part][pis[q.part][q.atom]] for q in total})
-    bundle = cross_check("a glued bundle", Bundle(
-        group, cover.target, act,
-        EquivariantMap(pi_w, act, trivial_action(group, cover.target))),
-        constructed_bundle, act, pi_w)
-    alpha_w = exact_map(total, x_action.space, {q: alphas[q.part][q.atom] for q in total})
-    glued = cross_check("a glued object", QSObject(bundle, EquivariantMap(
-        alpha_w, act, x_action)), check_qs_object, bundle, alpha_w, x_action)
+    bundle = formula_bundle("a glued bundle", act, pi_w, trivial_action(group, cover.target))
+    glued = formula_object("a glued object", bundle, exact_map(
+        total, x_action.space, {q: alphas[q.part][q.atom] for q in total}), x_action)
     # comparison isos psi_j : glued|U_j -> W_j, one overlap iso per point
     comparisons = []
     for j, fj in enumerate(cover.legs):

@@ -3,9 +3,10 @@ corpus builders feeding verify_stack.
 
 Everything here is deterministic given the Random instance passed in, so
 test runs and CLI runs with the same seed see the same corpus. Generated
-objects are routed through the checking ops, or, when lawful by their
-formula like a relabelled bundle, through `cross_check`, which re-runs those
-ops under cross-check.
+bundles, objects, relabelling isos and conjugated data are lawful by their
+formulas, so they are built by `formula_bundle`, `formula_object`,
+`formula_morphism` and `cross_check`, which re-run their certifiers only
+under cross-check.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .action import (
 )
 from .bundle import (
     Bundle,
-    _formula_bundle,
     enumerate_bundle_morphisms,
     enumerate_bundles,
+    formula_bundle,
     trivial_bundle,
 )
 from .descent import (
@@ -46,6 +47,7 @@ from .finset import (
     FinSet,
     atom_key,
     compose,
+    cross_check,
     exact_map,
     fiber,
     invert,
@@ -54,11 +56,12 @@ from .finset import (
 from .stack import (
     QSObject,
     check_qs_morphism,
-    check_qs_object,
     compose_qs,
     constant_gauge,
     empty_object,
     fiber_gauge,  # noqa: F401 - re-exported with the other generators
+    formula_morphism,
+    formula_object,
     qs_identity,
     qs_inverse,
     restrict_morphism,
@@ -213,7 +216,7 @@ def twist_bundle(rng: Random, b: Bundle):
     src = product_space(b.group.carrier, b.total.space)
     at, ht, hit = b.total.act.table, h.table, hinv.table
     act = exact_map(src, b.total.space, {(g, q): ht[at[(g, hit[q])]] for (g, q) in src})
-    return _formula_bundle("a relabelled bundle", act, b.proj.map, b.proj.dst_action), h
+    return formula_bundle("a relabelled bundle", act, b.proj.map, b.proj.dst_action), h
 
 
 def random_bundle(rng: Random, group: FinGroup, base: FinSet) -> Bundle:
@@ -223,7 +226,8 @@ def random_bundle(rng: Random, group: FinGroup, base: FinSet) -> Bundle:
 def random_qsobject(rng: Random, group: FinGroup, x_action: GAction,
                     base: FinSet) -> QSObject:
     """A random object over the base: a twisted trivial bundle with an alpha
-    chosen freely on one point per orbit and extended equivariantly."""
+    g·p0 ↦ g·x0 for x0 chosen freely at one point p0 per orbit, equivariant
+    by its formula, since the orbits are the fibers, G-torsors."""
     if len(x_action.space) == 0 and len(base) > 0:
         raise ValueError("no structure map into an empty space")
     b = random_bundle(rng, group, base)
@@ -232,27 +236,30 @@ def random_qsobject(rng: Random, group: FinGroup, x_action: GAction,
         x0 = rng.choice(x_action.space.elements)
         for g in group.carrier:
             table[b.total(g, orb[0])] = x_action(g, x0)
-    alpha = FinMap(b.total.space, x_action.space, table)
-    return check_qs_object(b, alpha, x_action)
+    return formula_object("a generated object", b,
+                          exact_map(b.total.space, x_action.space, table), x_action)
 
 
 def relabel_qsobject(rng: Random, obj: QSObject):
     """An isomorphic copy of the object with relabelled total, together with
     the iso onto it. When the relabelling is an automorphism, the copy
     equals obj, and obj itself is handed through, so the restrictions
-    memoized on it serve the copy too."""
+    memoized on it serve the copy too. Both are lawful by their formulas:
+    the copy's alpha is alpha∘h⁻¹, equivariant since h is, and h keeps
+    fibers, is equivariant onto the twist and carries alpha to alpha∘h⁻¹."""
     b2, h = twist_bundle(rng, obj.bundle)
-    alpha2 = compose(obj.alpha.map, invert(h))
-    obj2 = check_qs_object(b2, alpha2, obj.x_action)
+    obj2 = formula_object("a relabelled object", b2, compose(obj.alpha.map, invert(h)),
+                          obj.x_action)
     if obj2 == obj:
         obj2 = obj
-    return obj2, check_qs_morphism(obj, obj2, h)
+    return obj2, formula_morphism("a relabelling iso", obj, obj2, h)
 
 
 def conjugate_datum(datum: DescentDatum, leg_isos) -> DescentDatum:
     """Transport a datum along one iso per leg; the overlap isos are
-    conjugated accordingly, so cocycle validity and the glued iso class are
-    preserved."""
+    conjugated accordingly, λ_j∘φ_ij∘λ_i⁻¹ on the same pairs, so cocycle
+    validity and the glued iso class are preserved, and the datum is one by
+    its formula: `make_datum` re-runs only under cross-check."""
     leg_isos = list(leg_isos)
     cover = datum.cover
     n = len(cover.legs)
@@ -268,7 +275,8 @@ def conjugate_datum(datum: DescentDatum, leg_isos) -> DescentDatum:
         lam_i = restrict_morphism(leg_isos[i], cert.proj1)
         lam_j = restrict_morphism(leg_isos[j], cert.proj2)
         new_overlaps[(i, j)] = compose_qs(lam_j, compose_qs(phi, qs_inverse(lam_i)))
-    return make_datum(cover, new_objects, new_overlaps)
+    return cross_check("a conjugated datum", DescentDatum(cover, new_objects, new_overlaps),
+                       make_datum, cover, new_objects, new_overlaps)
 
 
 def break_cocycle(datum: DescentDatum, k, rng: Optional[Random] = None) -> DescentDatum:
@@ -388,7 +396,7 @@ def exhaustive_corpus(group: FinGroup, x_action: GAction,
         objs = []
         for b in enumerate_bundles(group, base, bound=bound):
             for alpha in equivariant_maps(b.total, x_action, bound=bound):
-                objs.append(QSObject(b, alpha))
+                objs.append(formula_object("an enumerated object", b, alpha.map, x_action))
         for o in objs:
             datum = restrict_to_datum(o, cover)
             corpus.effectiveness.append((datum, o))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from typing import NamedTuple, Optional
 
 from .errors import BoundExceeded, CoverNotCanonical, TargetMismatch
@@ -284,24 +285,27 @@ def check_sheaf_condition(family: CoveringFamily, a: FinSet) -> bool:
     return len(a) == 1
 
 
+def sheaf_enumeration_cost(family: CoveringFamily, a: FinSet) -> int:
+    """The maps `sheaf_condition_by_enumeration` builds, within a factor of
+    two: the |a|^Σ|U_i| candidate families or the |a|^|Y| candidate
+    gluings, whichever are more."""
+    n = len(a)
+    return max(n ** sum(len(f.src) for f in family.legs), n ** len(family.target))
+
+
 def sheaf_condition_by_enumeration(family: CoveringFamily, a: FinSet,
                                    bound: int) -> bool:
-    """The sheaf condition by definition: enumerate all candidate families
-    (|a|^Σ|U_i| of them, guarded by `bound`) and count the gluings of each
-    matching one. An oracle for check_sheaf_condition."""
+    """The sheaf condition by definition: every matching candidate family
+    has exactly one gluing, counted among all maps on the target by the
+    family they restrict to; `bound` guards `sheaf_enumeration_cost`. An
+    oracle for check_sheaf_condition."""
     legs = family.legs
-    total = sum(len(f.src) for f in legs)
-    cost = len(a) ** total if len(a) > 0 else (0 if total else 1)
+    cost = sheaf_enumeration_cost(family, a)
     if cost > bound:
         raise BoundExceeded("matching-family enumeration", cost, bound)
     certs = _overlap_certs(family)
-    for maps in itertools.product(*[list(all_maps(f.src, a)) for f in legs]):
-        if not _is_matching(family, certs, maps):
-            continue
-        gluings = [
-            s for s in all_maps(family.target, a)
-            if all(compose(s, legs[i]) == maps[i] for i in range(len(legs)))
-        ]
-        if len(gluings) != 1:
-            return False
-    return True
+    gluings = Counter(tuple(compose(s, f) for f in legs)
+                      for s in all_maps(family.target, a))
+    return all(gluings[maps] == 1
+               for maps in itertools.product(*[list(all_maps(f.src, a)) for f in legs])
+               if _is_matching(family, certs, maps))

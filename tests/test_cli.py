@@ -291,11 +291,12 @@ def test_internal_error_exits_3_with_report(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.needs_cross_check
 def test_internal_fault_in_verify_stack_exits_3(capsys, tmp_path, monkeypatch):
-    # a fault inside gluing is no failed stack condition
+    # a fault inside a re-run certifier (here of every bundle built by its
+    # formula, the glued ones included) is no failed stack condition
     def broken(*args, **kwargs):
         raise AssertionError("invariant broken")
 
-    monkeypatch.setattr(finstack.descent, "check_action", broken)
+    monkeypatch.setattr(finstack.bundle, "check_action", broken)
     path = tmp_path / "report.json"
     code, out, err = run(capsys, "verify-stack", SITES / "stack_demo.site",
                          "--report", path)

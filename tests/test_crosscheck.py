@@ -14,6 +14,7 @@ it is read), to one that rewrites each table first."""
 
 import json
 import sys
+import time
 from pathlib import Path
 from random import Random
 
@@ -27,7 +28,9 @@ import finstack.finset
 import finstack.sample
 import finstack.stack
 from finstack import (
+    BoundExceeded,
     CocycleFail,
+    CoveringFamily,
     FinMap,
     FinSet,
     NotTrivial,
@@ -35,8 +38,10 @@ from finstack import (
     check_qs_object,
     classifying_fiber_equiv,
     compose,
+    compose_qs,
     enumerate_bundles,
     epsilon_component,
+    glue_morphisms,
     glue_object,
     identity,
     iota_component,
@@ -45,6 +50,7 @@ from finstack import (
     pullback,
     pullback_bundle,
     qs_identity,
+    qs_inverse,
     qs_isomorphism,
     regular_action,
     restrict,
@@ -67,8 +73,16 @@ from finstack.finset import (
     product_space,
     terminal,
 )
-from finstack.sample import break_cocycle, random_cover, random_qsobject, twist_bundle
+from finstack.sample import (
+    break_cocycle,
+    build_corpus,
+    random_cover,
+    random_qsobject,
+    relabel_qsobject,
+    twist_bundle,
+)
 from finstack.stack import bundle_isomorphic
+from finstack.topology import sheaf_condition_by_enumeration
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
 
@@ -230,7 +244,7 @@ PLANTED = {
                                      "of a restricted morphism failed: proj triangle fails"),
     "glued action collapsed": (finstack.descent, lambda g: into_glued(collapse_nonunit(g)),
                                gluing, zmod(2),
-                               "of a glued action failed: action associativity fails"),
+                               "of a glued bundle failed: action associativity fails"),
     "comparison constant": (finstack.descent, lambda g: on_comparisons(constant_table),
                             gluing, zmod(2),
                             "of a comparison iso failed: a canonical iso is not a bijection"),
@@ -446,9 +460,10 @@ def test_non_bijective_coherence_iso_passes_with_cross_check_off(monkeypatch):
     # the bijection check of ι and ε runs only under cross-check
     obj, cover = datum_inputs(7)
     f = cover.legs[0]
-    real = finstack.stack.FinMap
-    monkeypatch.setattr(finstack.stack, "FinMap", lambda src, dst, table: real(
-        src, dst, dict.fromkeys(table, dst.elements[0])))
+    real = finstack.stack.formula_morphism
+    monkeypatch.setattr(finstack.stack, "formula_morphism", lambda what, src, dst, fn, certify:
+                        real(what, src, dst, FinMap(fn.src, fn.dst, dict.fromkeys(
+                            fn.table, fn.dst.elements[0])), certify))
     with pytest.raises(RuntimeError, match="cross-check of an ι component failed: "
                                            "a canonical iso is not a bijection"):
         iota_component(obj)
@@ -504,6 +519,46 @@ def test_classify_certifies_no_enumerated_bundle_with_cross_check_off(monkeypatc
     monkeypatch.setattr(CrossCheck, "on", True)
     assert classifying_fiber_equiv(zmod(3), FinSet(("p", "q"))) == off
     assert all(counts[name] >= off.n_bundles for name in names), counts
+
+
+def fiber_inputs():
+    """An object, a relabelled copy with the iso onto it, and a cover."""
+    obj, cover = datum_inputs(7)
+    obj2, m = relabel_qsobject(Random(3), obj)
+    return obj, obj2, m, cover
+
+
+FORMULA_BUILT = {
+    "qs_identity": lambda obj, obj2, m, cover: qs_identity(obj2),
+    "compose_qs": lambda obj, obj2, m, cover: compose_qs(qs_identity(obj2), m),
+    "qs_inverse": lambda obj, obj2, m, cover: qs_inverse(m),
+    "glue_morphisms": lambda obj, obj2, m, cover: glue_morphisms(
+        cover, obj, obj2, [restrict_morphism(m, f) for f in cover.legs]),
+    "classifying_fiber_equiv": lambda *inputs: classifying_fiber_equiv(
+        zmod(3), FinSet(("p", "q"))),
+    # a structure space of more than one point: no gauge, whose k is the
+    # caller's, enters the corpus
+    "build_corpus": lambda *inputs: build_corpus(
+        sym(3), regular_action(sym(3)), Random(5), cases=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMULA_BUILT))
+def test_formula_built_objects_and_morphisms_run_no_certifier(monkeypatch, name):
+    # identities, composites, inverses, glued morphisms, the objects and
+    # hom sets of [T/G] and the generated corpus are lawful by their formulas
+    names = ("check_qs_morphism", "check_qs_object")
+    inputs = fiber_inputs()
+    counts = count_calls(monkeypatch, names)
+    monkeypatch.setattr(CrossCheck, "on", False)
+    FORMULA_BUILT[name](*inputs)
+    assert counts == dict.fromkeys(names, 0)
+    # cross-checking re-runs the certifiers, and each agrees
+    monkeypatch.setattr(CrossCheck, "on", True)
+    ran, agreed = CrossCheck.ran, CrossCheck.agreed
+    FORMULA_BUILT[name](*inputs)
+    assert sum(counts.values()) > 0
+    assert CrossCheck.agreed - agreed == CrossCheck.ran - ran > 0
 
 
 @pytest.mark.needs_cross_check
@@ -806,6 +861,47 @@ def test_desc_check_cover_cross_checks_the_colimit_of_each_sieve(
     # and without the flag it never runs
     code, out, err = run(capsys, "check-cover", SITES / "covers_ok.site")
     assert code == 0, err
+
+
+def test_sheaf_oracle_bound_counts_the_gluings():
+    # one 1-atom leg over 5 atoms, values in those 5: 5 candidate families,
+    # but 5^5 candidate gluings
+    y = FinSet(tuple(range(5)))
+    fam = CoveringFamily(y, [FinMap(terminal(), y, {"*": 0})])
+    with pytest.raises(BoundExceeded) as exc:
+        sheaf_condition_by_enumeration(fam, y, 100)
+    assert exc.value.size == 3125
+    assert sheaf_condition_by_enumeration(fam, y, 3125) is False
+
+
+def test_desc_check_sheaf_skips_an_oracle_past_bound(capsys, tmp_path, monkeypatch,
+                                                     cross_check_by_flag):
+    # one 1-atom leg over 8 atoms, values in those 8: 8 candidate families,
+    # but 8^8 candidate gluings, past the default bound; the oracle is skipped
+    # uncounted there and runs for the one-atom values U
+    path = tmp_path / "gap.site"
+    path.write_text("set Y = { 0 1 2 3 4 5 6 7 }\nset U = { u }\n"
+                    "map f : U -> Y = { u -> 0 }\ncover C { target Y legs [ f ] }\n")
+    real = finstack.cli.sheaf_condition_by_enumeration
+    values = []
+
+    def oracle(fam, a, bound):
+        values.append(len(a))
+        if len(a) > 1:
+            raise AssertionError("the oracle ran past --bound")
+        return real(fam, a, bound)
+
+    monkeypatch.setattr(finstack.cli, "sheaf_condition_by_enumeration", oracle)
+    report = tmp_path / "report.json"
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "check-sheaf", path, "--cross-check", "--report", report)
+    assert time.monotonic() - t0 < 30
+    assert code == 1, err
+    assert values == [1]
+    rep = json.loads(report.read_text())
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == [("C/Y", "fail"),
+                                                               ("C/U", "ok")]
+    assert rep["cross_checks"]["agreed"] == rep["cross_checks"]["ran"] > 0
 
 
 def test_desc_runs_no_oracle_without_cross_check(capsys, monkeypatch, cross_check_by_flag):

@@ -87,8 +87,9 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 def test_only_the_door_reads_the_cross_check_switch():
     # constructions hand their skipped certifiers to finset.cross_check,
-    # which alone decides whether to run them; cli.main sets and restores
-    # the switch, and check-sheaf skips its oracle past --bound uncounted
+    # which alone decides whether to run them, and cli.main sets and
+    # restores the switch; check-sheaf skips its oracle past --bound by its
+    # cost, as check-cover does
     readers = set()
 
     def visit(node, scope):
@@ -102,7 +103,7 @@ def test_only_the_door_reads_the_cross_check_switch():
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
-    assert readers == {"finset.cross_check", "cli.main", "cli._cmd_check_sheaf"}
+    assert readers == {"finset.cross_check", "cli.main"}
 
 
 def _names_read(tree):
@@ -135,3 +136,37 @@ def test_no_unused_imports(module):
             if not any("# noqa: F401" in line for line in marked):
                 unused.append(f"{name} (line {node.lineno})")
     assert unused == [], f"{path.name} imports and never reads {unused}"
+
+
+def test_each_record_has_one_certifier_and_one_formula_builder():
+    # a bundle, an object or a morphism of [X/G] is built either by its
+    # certifier, on a caller's tables, or by its formula builder, which
+    # re-runs that certifier under cross-check; no other code assembles one
+    builders = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope.split('.')[0]}.{node.name}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("Bundle", "QSObject", "QSMorphism")):
+            builders.add((node.func.id, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
+    assert builders == {
+        ("Bundle", "bundle.is_principal_bundle"), ("Bundle", "bundle.formula_bundle"),
+        ("QSObject", "stack.check_qs_object"), ("QSObject", "stack.formula_object"),
+        ("QSMorphism", "stack.check_qs_morphism"), ("QSMorphism", "stack.formula_morphism"),
+    }
+
+
+def test_no_module_imports_a_private_name():
+    # what one module builds for another is public, under its own name
+    private = sorted(f"{path.stem}: {alias.name}"
+                     for path in SRC.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.ImportFrom) and node.level > 0
+                     for alias in node.names if alias.name.startswith("_"))
+    assert private == []

@@ -414,9 +414,10 @@ def test_non_bijective_comparison_raises(monkeypatch):
     # a comparison whose table sends every point to one target atom reaches
     # the certification of iota and of epsilon
     obj, f, g, _ = coherence_setup()
-    real = finstack.stack.FinMap
-    monkeypatch.setattr(finstack.stack, "FinMap", lambda src, dst, table: real(
-        src, dst, dict.fromkeys(table, dst.elements[0])))
+    real = finstack.stack.formula_morphism
+    monkeypatch.setattr(finstack.stack, "formula_morphism", lambda what, src, dst, fn, certify:
+                        real(what, src, dst, FinMap(fn.src, fn.dst, dict.fromkeys(
+                            fn.table, fn.dst.elements[0])), certify))
     with pytest.raises(RuntimeError, match="not a bijection"):
         iota_component(obj)
     with pytest.raises(RuntimeError, match="not a bijection"):

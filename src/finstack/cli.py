@@ -16,9 +16,11 @@ certified by check_group or check_action at load, or is the trivial or
 regular action, lawful by its formula; neither certifier runs again.
 
 --seed and --budget drive only verify-stack's generated corpus; the same
-seed reproduces the same run. A budget below 1 is bad input (exit 2). Cover
-and bundle checks are deterministic. check-cover and check-sheaf enumerate
-nothing; --bound guards only their oracles under --cross-check.
+seed reproduces the same run. A budget below 1 is bad input (exit 2), and so
+is a bound below 1: no enumeration has fewer than one item, so such a bound
+guards nothing. Cover and bundle checks are deterministic. check-cover and
+check-sheaf enumerate nothing; --bound guards only their oracles under
+--cross-check.
 
 --cross-check turns on the library's cross-check switch for the run: every
 construction built by a formula re-runs the certifier it skips, and
@@ -30,8 +32,8 @@ onto the target; the |a|^Σ|U_i| candidate families against the |a|^|Y|
 maps on the target). An oracle whose enumeration would pass --bound, by
 `canonical_cover_cost` or `sheaf_enumeration_cost`, is skipped, uncounted.
 A disagreement is an internal fault, exit 3, and so is a failed re-run,
-such as classify's hom-set check. The report then counts the re-runs in
-`cross_checks`. Verdicts and output are the same either way.
+such as classify's objects and hom sets of [T/G]. The report then counts
+the re-runs in `cross_checks`. Verdicts and output are the same either way.
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ def _locally_trivial(proj) -> bool:
 def _cmd_check_bundle(site, args):
     out = []
     for d in site.by_kind("bundle"):
-        r = is_principal_bundle(d.value.proj)
+        r = is_principal_bundle(d.value)
         cross_check(f"bundle {d.name} by local triviality", isinstance(r, Bundle),
-                    _locally_trivial, d.value.proj)
+                    _locally_trivial, d.value)
         if isinstance(r, Bundle):
             out.append(_check(d.name, "ok",
                               f"{len(r.base)} fibers of size {len(r.group.carrier)}"))
@@ -356,6 +358,8 @@ def _run(args) -> int:
         return finish_error(UnknownCommand(args.command))
     if args.budget < 1:
         return finish_error(ValueError(f"--budget must be at least 1, got {args.budget}"))
+    if args.bound < 1:
+        return finish_error(ValueError(f"--bound must be at least 1, got {args.bound}"))
     try:
         site = load_site(args.site)
     except (OSError, UnicodeDecodeError, FinstackError) as err:

@@ -5,7 +5,8 @@ Loading resolves references in declaration order and pushes every value
 through the checking ops it must satisfy; a declaration that fails aborts
 the load with ValidationError. Declarations whose status is the question a
 command answers (bundle candidates, covers, gluing problems) are checked for
-shape only, never for the property itself.
+shape only, never for the property itself: a bundle declaration's value is
+its projection, certified equivariant; its `src_action` is the total.
 
 Sugar forms (trivial bundles, point covers) materialize their auxiliary
 declarations under generated names, so printing a loaded site and parsing it
@@ -51,22 +52,6 @@ from .stack import (
     restrict,
 )
 from .topology import CoveringFamily, point_cover
-
-
-class BundleCandidate(Record):
-    """A declared would-be bundle: an action with an equivariant map down to
-    a trivially acted base. Whether it is principal is check-bundle's call."""
-
-    total: GAction
-    proj: EquivariantMap
-
-    @property
-    def group(self) -> FinGroup:
-        return self.total.group
-
-    @property
-    def base(self) -> FinSet:
-        return self.proj.map.dst
 
 
 class GluingCase(Record):
@@ -416,9 +401,8 @@ class _Parser:
         self.expect("}")
         def build():
             base = pd.value.dst
-            eq = check_equivariant(pd.value, ad.value,
-                                   trivial_action(ad.value.group, base))
-            return BundleCandidate(ad.value, eq)
+            return check_equivariant(pd.value, ad.value,
+                                     trivial_action(ad.value.group, base))
         value = self._build(name, build)
         self.define("bundle", name, value, {"action": a_name, "proj": p_name})
 
@@ -434,7 +418,7 @@ class _Parser:
                     {"group": g_name, "space": total_name})
         self.define("map", proj_name, b.proj.map,
                     {"src": total_name, "dst": b_name})
-        self.define("bundle", name, BundleCandidate(b.total, b.proj),
+        self.define("bundle", name, b.proj,
                     {"action": act_name, "proj": proj_name})
 
     def decl_cover(self):
@@ -481,7 +465,8 @@ class _Parser:
         bd, b_name = self.ref(("bundle",))
         self.keyword("alpha")
         stack: QuotientStack = sd.value
-        cand: BundleCandidate = bd.value
+        proj: EquivariantMap = bd.value
+        total = proj.src_action.space
         if self.at("bang"):
             self.pos += 1
             alpha_ref = "bang"
@@ -489,16 +474,15 @@ class _Parser:
                 raise ValidationError(
                     name, ValueError("alpha bang needs a one-point space"))
             pt = stack.space.elements[0]
-            alpha = FinMap(cand.total.space, stack.space,
-                           {p: pt for p in cand.total.space})
+            alpha = FinMap(total, stack.space, {p: pt for p in total})
         else:
             md, alpha_ref = self.ref(("map",))
             alpha = md.value
         self.expect("}")
         def build():
-            if cand.group != stack.group:
+            if proj.src_action.group != stack.group:
                 raise ValueError("bundle and stack use different groups")
-            b = is_principal_bundle(cand.proj)
+            b = is_principal_bundle(proj)
             if isinstance(b, NotBundle):
                 raise ValueError(
                     f"not a bundle: fiber over {format_atom(b.base_atom)} {b.reason}")

@@ -322,6 +322,22 @@ def test_budget_below_one_is_bad_input(capsys, tmp_path, budget):
     assert rep["checks"] == []
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_bound_below_one_is_bad_input(capsys, tmp_path, bound):
+    # no enumeration has fewer than one item, so such a bound guards
+    # nothing, and the cover oracle it would skip is not skipped silently
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "check-cover", SITES / "covers_ok.site",
+                         "--bound", bound, "--cross-check", "--report", path)
+    assert code == 2
+    assert out == ""
+    assert "--bound must be at least 1" in err
+    rep = json.loads(path.read_text())
+    assert rep["status"] == "error"
+    assert rep["bound"] == bound
+    assert rep["checks"] == []
+
+
 def test_budget_one_exercises_verify_stack(capsys):
     code, out, _ = run(capsys, "verify-stack", SITES / "stack_demo.site",
                        "--budget", 1)

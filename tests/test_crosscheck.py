@@ -81,7 +81,7 @@ from finstack.sample import (
     relabel_qsobject,
     twist_bundle,
 )
-from finstack.stack import bundle_isomorphic
+from finstack.stack import bundle_isomorphic, formula_morphism
 from finstack.topology import sheaf_condition_by_enumeration
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
@@ -386,9 +386,9 @@ def count_calls(monkeypatch, names):
         orig = next(vars(m)[name] for n, m in sys.modules.items()
                     if n.startswith("finstack.") and name in vars(m))
 
-        def wrapper(*args, _name=name, _orig=orig):
+        def wrapper(*args, _name=name, _orig=orig, **kwargs):
             counts[_name] += 1
-            return _orig(*args)
+            return _orig(*args, **kwargs)
 
         for n, module in list(sys.modules.items()):
             if n.startswith("finstack.") and vars(module).get(name) is orig:
@@ -521,6 +521,43 @@ def test_classify_certifies_no_enumerated_bundle_with_cross_check_off(monkeypatc
     assert all(counts[name] >= off.n_bundles for name in names), counts
 
 
+def test_classify_builds_no_object_of_the_classifying_stack_with_cross_check_off(
+        monkeypatch):
+    # Bun_G(Y) answers classify; [T/G]'s objects (built by no function but
+    # these two, see test_source) and its hom sets are its oracle's
+    names = ("check_qs_object", "formula_object", "enumerate_bundle_morphisms")
+    counts = count_calls(monkeypatch, names)
+    monkeypatch.setattr(CrossCheck, "on", False)
+    off = classifying_fiber_equiv(zmod(3), FinSet(("p", "q")))
+    assert counts == {"check_qs_object": 0, "formula_object": 0,
+                      "enumerate_bundle_morphisms": 1}
+    monkeypatch.setattr(CrossCheck, "on", True)
+    ran, agreed = CrossCheck.ran, CrossCheck.agreed
+    assert classifying_fiber_equiv(zmod(3), FinSet(("p", "q"))) == off
+    # each of the 4 objects certified, and the 3 x 3 hom sets enumerated
+    assert counts == {"check_qs_object": 4, "formula_object": 0,
+                      "enumerate_bundle_morphisms": 1 + 1 + 9}
+    assert CrossCheck.agreed - agreed == CrossCheck.ran - ran > 0
+
+
+def test_formula_morphism_builds_one_record(monkeypatch):
+    # a morphism of [X/G] is its map: its endpoints fix its bundles and totals
+    obj, obj2, m, cover = fiber_inputs()
+    built = []
+    init = finstack.finset.Record.__init__
+
+    def counting(self, *values):
+        built.append(type(self).__name__)
+        init(self, *values)
+
+    monkeypatch.setattr(CrossCheck, "on", False)
+    monkeypatch.setattr(finstack.finset.Record, "__init__", counting)
+    out = formula_morphism("a relabelling", obj, obj2, m.fn)
+    monkeypatch.undo()
+    assert built == ["QSMorphism"]
+    assert out == m and out.fn is m.fn
+
+
 def fiber_inputs():
     """An object, a relabelled copy with the iso onto it, and a cover."""
     obj, cover = datum_inputs(7)
@@ -540,6 +577,10 @@ FORMULA_BUILT = {
     # caller's, enters the corpus
     "build_corpus": lambda *inputs: build_corpus(
         sym(3), regular_action(sym(3)), Random(5), cases=3),
+    # a one-point structure space: the gauges and broken cocycles enter, and
+    # each gauge is a morphism by its formula once its k keeps the alphas
+    "build_corpus over the point": lambda *inputs: build_corpus(
+        sym(3), trivial_action(sym(3), terminal()), Random(5), cases=3),
 }
 
 

@@ -18,7 +18,7 @@ from finstack.bundle import (
 )
 from finstack.descent import ConditionReport, Corpus, restrict_to_datum
 from finstack.finset import FinSet, bang, identity, terminal
-from finstack.sitefile import BundleCandidate, ClassifyTask, GluingCase
+from finstack.sitefile import ClassifyTask, GluingCase
 from finstack.stack import (
     check_qs_object,
     classifying_fiber_equiv,
@@ -52,7 +52,6 @@ def _records() -> dict:
         "CoveringFamily": cover,
         "GeneratedSieve": GeneratedSieve(cover),
         "DescentDatum": restrict_to_datum(obj, cover),
-        "BundleCandidate": BundleCandidate(bundle.total, bundle.proj),
         "GluingCase": GluingCase(cover, obj, obj, ()),
         "ClassifyTask": ClassifyTask(group, base),
     }
@@ -150,13 +149,9 @@ REPRS = {
         "CoherenceCell(kind='iota', components=(QSMorphism(QSObject(|2| over {p}) => "
         "QSObject(|2| over {p})),), naturality_squares=0)"),
     "ClassifyingReport": (
-        "ClassifyingReport(n_bundles=1, n_objects=1, iso_classes=1, aut_trivial=2, "
-        "hom_pairs_checked=1, hom_counts_equal=True)"),
+        "ClassifyingReport(n_bundles=1, iso_classes=1, aut_trivial=2)"),
     "GeneratedSieve": (
         "GeneratedSieve(family=CoveringFamily(target={p}, legs=(FinMap(*->p : {*} -> {p}),)))"),
-    "BundleCandidate": (
-        "BundleCandidate(total=GAction(FinGroup({0 1}) on {(0,p) (1,p)}), "
-        "proj=EquivariantMap({(0,p) (1,p)} -> {p}))"),
     "GluingCase": (
         "GluingCase(cover=CoveringFamily(target={p}, legs=(FinMap(*->p : {*} -> {p}),)), "
         "src=QSObject(|2| over {p}), dst=QSObject(|2| over {p}), locals_=())"),

@@ -9,6 +9,7 @@ import pytest
 from finstack import (
     CocycleFail,
     EquivarianceFail,
+    EquivariantMap,
     FinMap,
     FinSet,
     NoInverse,
@@ -23,7 +24,6 @@ from finstack import (
     zmod,
 )
 from finstack.sitefile import (
-    BundleCandidate,
     ClassifyTask,
     GluingCase,
     _tokenize,
@@ -192,7 +192,7 @@ def test_trivial_bundle_sugar_materializes():
     bundle_decls = site.by_kind("bundle")
     assert bundle_decls
     b = bundle_decls[0]
-    assert isinstance(b.value, BundleCandidate)
+    assert isinstance(b.value, EquivariantMap)
     assert {f"{b.name}_total", f"{b.name}_act", f"{b.name}_proj"} <= names
 
 

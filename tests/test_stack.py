@@ -7,6 +7,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import finstack.stack
 from finstack import (
@@ -51,7 +52,8 @@ from finstack import (
 )
 from finstack.descent import glue_morphisms
 from finstack.errors import OverlapMismatch
-from finstack.finset import CrossCheck, mediate_pullback, pullback
+from finstack.bundle import fiber_map
+from finstack.finset import CrossCheck, fibers, mediate_pullback, pullback
 from finstack.stack import bundle_isomorphic
 from finstack.sample import (
     build_corpus,
@@ -139,6 +141,35 @@ def test_gauge_must_preserve_alpha():
     obj = check_qs_object(b, alpha, x)
     with pytest.raises(TriangleFail):
         constant_gauge(obj, 1)
+
+
+def gauge_by_its_certifier(obj, k_by_base):
+    """The fiber map onto k·w0 that `fiber_gauge` builds, with the alpha
+    triangle checked at every point by `check_qs_morphism`."""
+    image = {y: obj.bundle.total(k_by_base[y], fib[0])
+             for y, fib in fibers(obj.bundle.proj.map).items()}
+    return check_qs_morphism(obj, obj, fiber_map(obj.bundle, obj.bundle, image))
+
+
+def gauge_outcome(build, obj, k_by_base):
+    try:
+        return build(obj, k_by_base)
+    except TriangleFail as err:
+        return err.payload()
+
+
+@given(grp=st.sampled_from([zmod(2), zmod(4), sym(3), klein_four()]),
+       x_kind=st.sampled_from(["regular", "random"]),
+       size=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+def test_fiber_gauge_fails_where_its_certifier_fails(grp, x_kind, size, seed):
+    # one point per fiber decides the alpha triangle: a failing gauge names
+    # the certifier's witness, and a lawful one is the certifier's morphism
+    rng = Random(seed)
+    x = regular_action(grp) if x_kind == "regular" else random_gset(rng, grp, 6)
+    obj = random_qsobject(rng, grp, x, FinSet(range(size)))
+    ks = {y: rng.choice(grp.carrier.elements) for y in obj.base}
+    assert (gauge_outcome(fiber_gauge, obj, ks)
+            == gauge_outcome(gauge_by_its_certifier, obj, ks))
 
 
 def test_morphism_triangle_over_base():
@@ -598,19 +629,16 @@ def test_bundle_isomorphic_matches_search(rng):
 
 def test_classifying_report_z2():
     rep = classifying_fiber_equiv(zmod(2), FinSet(("p", "q")))
-    assert rep.n_bundles == rep.n_objects == 1
+    assert rep.n_bundles == 1
     assert rep.iso_classes == 1
     assert rep.aut_trivial == 4
-    assert rep.hom_counts_equal
 
 
 def test_classifying_report_z3():
     rep = classifying_fiber_equiv(zmod(3), FinSet(("p", "q")))
-    assert rep.n_bundles == rep.n_objects == 4
+    assert rep.n_bundles == 4
     assert rep.iso_classes == 1
     assert rep.aut_trivial == 9
-    assert rep.hom_pairs_checked == 9
-    assert rep.hom_counts_equal
 
 
 def test_classifying_report_point():
@@ -618,7 +646,6 @@ def test_classifying_report_point():
     assert rep.n_bundles == 2
     assert rep.iso_classes == 1
     assert rep.aut_trivial == 3
-    assert rep.hom_counts_equal
 
 
 def classify_peak(group, size):

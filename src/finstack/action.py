@@ -289,10 +289,6 @@ class EquivariantMap(Record):
     src_action: GAction
     dst_action: GAction
 
-    @property
-    def fn(self) -> FinMap:
-        return self.map
-
     def __call__(self, x):
         return self.map.table[x]
 
@@ -369,8 +365,8 @@ def gset_isomorphism_over(a: GAction, b: GAction,
                           pa: FinMap, pb: FinMap) -> Optional[FinMap]:
     """Search for an equivariant bijection h with pb ∘ h = pa, backtracking
     over orbit representatives in canonical order; None when none exists.
-    No production path calls it: it is the reference of the isos in a fiber
-    and the local-triviality oracles' search.
+    No production path calls it: it is the reference of the isos in a fiber,
+    the local-triviality oracles' search and classify's class count.
     """
     if a.group != b.group:
         raise ValueError("actions are for different groups")
@@ -419,7 +415,9 @@ def gset_isomorphism_over(a: GAction, b: GAction,
             images.difference_update(local.values())
         return False
 
-    if not search(0):
+    found = search(0)
+    del search      # its closure holds itself: a cycle keeping a and b alive
+    if not found:
         return None
     h = FinMap(a.space, b.space, assignment)
     # sound by construction, but verify anyway: the caller gets a certificate

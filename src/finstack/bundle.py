@@ -10,6 +10,9 @@ over U_i) is kept as an oracle, `is_locally_trivial` with
 model, the enumerated bundles (streamed) and base changes are bundles by
 their formulas: `constructed_bundle` re-runs on them only under cross-check.
 Each of them lies over `trivial_action(G, base)`, the one trivial action.
+
+`bundle_count` and `bundle_morphism_count` count the bundles and the
+morphisms in closed form; only oracles and tests enumerate them.
 """
 
 from __future__ import annotations
@@ -274,6 +277,15 @@ def fiber_map(src: Bundle, dst: Bundle, image: dict) -> FinMap:
         for y, fib in fibers(src.proj.map).items() for g in src.group.carrier})
 
 
+def bundle_morphism_count(group: FinGroup, base: FinSet, bound: int) -> int:
+    """|G|^|base|, the morphisms between two bundles over the base, one per
+    image of each fiber's least atom; raises BoundExceeded past the bound."""
+    count = len(group.carrier) ** len(base)
+    if count > bound:
+        raise BoundExceeded("bundle-morphism enumeration", count, bound)
+    return count
+
+
 def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
                                bound: int = 65536) -> list:
     """All bundle morphisms src => dst, built from one image per fiber.
@@ -297,9 +309,7 @@ def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
         raise ValueError("bundles are for different groups")
     if src.base != dst.base:
         raise BaseMismatch(f"{src.base!r} != {dst.base!r}")
-    count = len(src.group.carrier) ** len(src.base)
-    if count > bound:
-        raise BoundExceeded("bundle-morphism enumeration", count, bound)
+    bundle_morphism_count(src.group, src.base, bound)
     bases = list(fibers(src.proj.map))
     dst_fibers = fibers(dst.proj.map)
     out = []
@@ -310,6 +320,15 @@ def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
             BundleMorphism(src, dst, EquivariantMap(m, src.total, dst.total)),
             check_bundle_morphism, src, dst, m))
     return out
+
+
+def bundle_count(group: FinGroup, base: FinSet, bound: int) -> int:
+    """((|G|-1)!)^|base|, the bundles on the canonical total set, one torsor
+    structure per base atom; raises BoundExceeded past the bound."""
+    count = math.factorial(len(group.carrier) - 1) ** len(base)
+    if count > bound:
+        raise BoundExceeded("bundle enumeration", count, bound)
+    return count
 
 
 @functools.lru_cache(maxsize=256)
@@ -347,9 +366,7 @@ def enumerate_bundles(group: FinGroup, base: FinSet,
     over x: a free transitive action, so both action laws hold fiberwise and
     each fiber is a G-torsor, and the second projection keeps x, so it is
     equivariant onto the trivially acted base."""
-    count = math.factorial(len(group.carrier) - 1) ** len(base)
-    if count > bound:
-        raise BoundExceeded("bundle enumeration", count, bound)
+    bundle_count(group, base, bound)
     prod = product(group.carrier, base)
     # the one bundle over the empty base uses none of the structures
     structures = torsor_structures(group) if len(base) else ()

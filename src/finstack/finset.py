@@ -90,7 +90,9 @@ def atom_key(a):
         return (0, a)
     if isinstance(a, str):
         return (1, a)
-    return (2, tuple(atom_key(x) for x in a))
+    # from a list, so the tuple is built at its size: one grown from a
+    # generator is resized, and on release fills CPython's tuple free list
+    return (2, tuple([atom_key(x) for x in a]))
 
 
 def format_atom(a) -> str:

@@ -10,6 +10,9 @@ formula, so `formula_object` or `formula_morphism` builds it and re-runs
 its certifier only under cross-check; each docstring gives the argument.
 `check_qs_object` and `check_qs_morphism` certify a caller's tables, and
 `fiber_gauge` its caller's k, at one point per fiber.
+
+`classifying_fiber_equiv` counts [T/G](Y) ≃ Bun_G(Y) by closed forms, with
+`classify_by_enumeration` as its oracle.
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ from .action import (
     FinGroup,
     GAction,
     check_equivariant,
+    gset_isomorphism_over,
     trivial_action,
 )
 from .bundle import (
     Bundle,
+    bundle_count,
+    bundle_morphism_count,
     check_bundle_morphism,
     enumerate_bundle_morphisms,
     enumerate_bundles,
@@ -220,19 +226,13 @@ def restrict_morphism(m: QSMorphism, f: FinMap) -> QSMorphism:
         src.total, dst.total, {pz: (mt[pz[0]], pz[1]) for pz in src.total}))
 
 
-def _canonical_iso(check, src, dst, fn: FinMap):
-    """Certify a canonical iso given by its point formula: a bijection of
-    the totals, and a morphism by `check`. It runs only under cross-check,
-    where a failure is an internal fault."""
-    if not morphism_predicates(fn).iso:
-        raise RuntimeError("a canonical iso is not a bijection")
-    return check(src, dst, fn)
-
-
 def certify_canonical_iso(src: QSObject, dst: QSObject, fn: FinMap) -> QSMorphism:
     """The certifier of an iso in a fiber of [X/G] written by its point
-    formula: `check_qs_morphism` and the bijection check."""
-    return _canonical_iso(check_qs_morphism, src, dst, fn)
+    formula: a bijection of the totals, and `check_qs_morphism`. It runs
+    only under cross-check, where a failure is an internal fault."""
+    if not morphism_predicates(fn).iso:
+        raise RuntimeError("a canonical iso is not a bijection")
+    return check_qs_morphism(src, dst, fn)
 
 
 def iota_component(obj: QSObject) -> QSMorphism:
@@ -244,7 +244,7 @@ def iota_component(obj: QSObject) -> QSMorphism:
     each p with y = π(p) alone, so the map is a bijection over the base;
     h·(p, y) = (h·p, y) and the alpha (p, y) ↦ alpha(p) of the restriction
     make it equivariant and commute with the alphas. Under cross-check
-    `_canonical_iso` re-runs."""
+    `certify_canonical_iso` re-runs."""
     src = restrict(obj, identity(obj.base))
     return formula_morphism("an ι component", src, obj, exact_map(
         src.total, obj.total, {py: py[0] for py in src.total}), certify_canonical_iso)
@@ -376,51 +376,39 @@ class ClassifyingReport(Record):
     aut_trivial: int
 
 
-def bundle_isomorphic(a: Bundle, b: Bundle) -> bool:
-    """Always true over one finite base: the fibers are G-torsors, so the
-    fiber map p0 ↦ q0 onto the least atoms is an iso by its formula, as in
-    `qs_isomorphism` with no alpha to keep. Under cross-check it is built,
-    and certified a bijection and a bundle morphism."""
-    if a.group != b.group or a.base != b.base:
-        raise ValueError("bundles are for different groups or bases")
-    return cross_check("an iso of bundles", True, _least_fiber_iso, a, b)
-
-
-def _least_fiber_iso(a: Bundle, b: Bundle) -> bool:
-    """Build and certify the fiber map of `bundle_isomorphic`."""
-    least = {y: fib[0] for y, fib in fibers(b.proj.map).items()}
-    _canonical_iso(check_bundle_morphism, a, b, fiber_map(a, b, least))
-    return True
-
-
 def classifying_fiber_equiv(group: FinGroup, base: FinSet,
                             bound: int = 65536) -> ClassifyingReport:
-    """Count Bun_G(base) within the bound, its iso classes (keeping only
-    their representatives) and the automorphisms of the trivial bundle.
-    [T/G](base) ≃ Bun_G(base) by construction (alpha to the point is forced
-    and kept), so `_classifying_side` builds [T/G] only under cross-check."""
-    reps = []
-    for n, b in enumerate(enumerate_bundles(group, base, bound=bound), 1):
-        if not any(bundle_isomorphic(b, r) for r in reps):
-            reps.append(b)
-    triv = trivial_bundle(group, base)
-    aut = len(enumerate_bundle_morphisms(triv, triv, bound=bound))
-    cross_check("the objects and hom sets of [T/G]", n, _classifying_side, group, base, bound)
-    return ClassifyingReport(n, len(reps), aut)
+    """Bun_G(base) ≃ [T/G](base) counted by its closed forms, the bound
+    guarding each in turn: the bundles on the canonical total set, one iso
+    class, since a bundle over a finite set is trivial (the fiber map onto
+    any atom of each G-torsor fiber is an iso), and the automorphisms of the
+    trivial bundle, one right translation per fiber. Nothing is built:
+    `classify_by_enumeration` is the oracle, run only under cross-check."""
+    report = ClassifyingReport(bundle_count(group, base, bound), 1,
+                               bundle_morphism_count(group, base, bound))
+    return cross_check("Bun_G and [T/G] by enumeration", report,
+                       classify_by_enumeration, group, base, bound)
 
 
-def _classifying_side(group: FinGroup, base: FinSet, bound: int) -> int:
-    """The objects of [T/G](base), each certified with its map to the
-    point, and the hom sets among the first three, each bundle morphism
-    certified: `classifying_fiber_equiv`'s oracle. Returns the count."""
+def classify_by_enumeration(group: FinGroup, base: FinSet, bound: int) -> ClassifyingReport:
+    """`classifying_fiber_equiv` by definition: every bundle, certified as
+    an object of [T/G] with its map to the point, and the hom sets among
+    the first three, each morphism certified; the classes by the search
+    `gset_isomorphism_over` against one representative each, and the
+    distinct automorphisms of the trivial bundle."""
     x_act = trivial_action(group, terminal())
-    firsts = []
+    reps, firsts = [], []
     for n, b in enumerate(enumerate_bundles(group, base, bound=bound), 1):
         obj = check_qs_object(b, bang(b.total.space), x_act)
         if len(firsts) < 3:
             firsts.append(obj)
+        if all(gset_isomorphism_over(b.total, r.total, b.proj.map, r.proj.map) is None
+               for r in reps):
+            reps.append(b)
     for src in firsts:
         for dst in firsts:
             for bm in enumerate_bundle_morphisms(src.bundle, dst.bundle, bound=bound):
                 check_qs_morphism(src, dst, bm.fn)
-    return n
+    triv = trivial_bundle(group, base)
+    auts = {bm.fn for bm in enumerate_bundle_morphisms(triv, triv, bound=bound)}
+    return ClassifyingReport(n, len(reps), len(auts))

@@ -183,13 +183,31 @@ def classify_site(order, base):
             "classify K { group G base Y }\n")
 
 
-def test_bound_reaches_classify_morphism_enumeration(capsys, tmp_path):
-    # Z/2 over 7 points: 1 bundle fits in 100, the 2^7 = 128 morphisms do not
-    site = tmp_path / "z2.site"
-    site.write_text(classify_site(2, range(7)))
-    code, out, err = run(capsys, "classify", site, "--bound", 100)
-    assert code == 2
-    assert "bundle-morphism enumeration" in err
+CLASSIFY_REFUSALS = [
+    # order, base size, --bound, the error's message and payload; Z/2 over
+    # 7 points has 1 bundle, within 100, but 2^7 = 128 automorphisms
+    (4, 6, 5, "bundle enumeration: size 46656 exceeds bound 5",
+     {"what": "bundle enumeration", "size": 46656, "bound": 5}),
+    (2, 7, 100, "bundle-morphism enumeration: size 128 exceeds bound 100",
+     {"what": "bundle-morphism enumeration", "size": 128, "bound": 100}),
+]
+
+
+@pytest.mark.parametrize("order,size,bound,message,payload", CLASSIFY_REFUSALS,
+                         ids=["bundles", "automorphisms"])
+@pytest.mark.parametrize("flags", [(), ("--cross-check",)], ids=["plain", "cross-checked"])
+def test_classify_refusals_are_pinned(capsys, tmp_path, order, size, bound, message,
+                                      payload, flags):
+    # the bundle count is refused first, then the automorphism count
+    site = tmp_path / "k.site"
+    site.write_text(classify_site(order, range(size)))
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "classify", site, "--bound", bound, "--report", report,
+                         *flags)
+    assert (code, out, err) == (2, "", f"desc: error: {message}\n")
+    rep = json.loads(report.read_text())
+    assert (rep["status"], rep["checks"]) == ("error", [])
+    assert rep["error"] == {"kind": "BoundExceeded", "message": message, "payload": payload}
 
 
 def test_classify_z3_over_three_points_fits_the_bound(capsys, tmp_path):

@@ -29,6 +29,7 @@ import finstack.sample
 import finstack.stack
 from finstack import (
     BoundExceeded,
+    ClassifyingReport,
     CocycleFail,
     CoveringFamily,
     FinMap,
@@ -45,6 +46,7 @@ from finstack import (
     glue_object,
     identity,
     iota_component,
+    klein_four,
     point_cover,
     product,
     pullback,
@@ -81,7 +83,7 @@ from finstack.sample import (
     relabel_qsobject,
     twist_bundle,
 )
-from finstack.stack import bundle_isomorphic, formula_morphism
+from finstack.stack import classify_by_enumeration, formula_morphism
 from finstack.topology import sheaf_condition_by_enumeration
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
@@ -212,11 +214,6 @@ def iso_in_a_fiber(group, base):
     return lambda: qs_isomorphism(obj, obj)
 
 
-def iso_of_bundles(group, base):
-    b = trivial_bundle(group, base)
-    return lambda: bundle_isomorphic(b, b)
-
-
 def enumerated_bundles(group, base):
     return lambda: list(enumerate_bundles(group, base))
 
@@ -250,9 +247,6 @@ PLANTED = {
                             "of a comparison iso failed: a canonical iso is not a bijection"),
     "iso in a fiber constant": (finstack.bundle, lambda g: constant_table, iso_in_a_fiber,
                                 zmod(2), "of an iso in a fiber failed: "
-                                         "a canonical iso is not a bijection"),
-    "iso of bundles constant": (finstack.bundle, lambda g: constant_table, iso_of_bundles,
-                                zmod(3), "of an iso of bundles failed: "
                                          "a canonical iso is not a bijection"),
     "enumerated bundle collapsed": (finstack.bundle, collapse_nonunit, enumerated_bundles,
                                     zmod(3), "of an enumerated bundle failed: "
@@ -523,21 +517,53 @@ def test_classify_certifies_no_enumerated_bundle_with_cross_check_off(monkeypatc
 
 def test_classify_builds_no_object_of_the_classifying_stack_with_cross_check_off(
         monkeypatch):
-    # Bun_G(Y) answers classify; [T/G]'s objects (built by no function but
-    # these two, see test_source) and its hom sets are its oracle's
-    names = ("check_qs_object", "formula_object", "enumerate_bundle_morphisms")
+    # the closed forms answer classify; the bundles, [T/G]'s objects (built
+    # by no function but check_qs_object and formula_object, see
+    # test_source) and its hom sets are its oracle's
+    names = ("enumerate_bundles", "torsor_structures", "enumerate_bundle_morphisms",
+             "formula_bundle", "check_qs_object", "formula_object")
     counts = count_calls(monkeypatch, names)
     monkeypatch.setattr(CrossCheck, "on", False)
     off = classifying_fiber_equiv(zmod(3), FinSet(("p", "q")))
-    assert counts == {"check_qs_object": 0, "formula_object": 0,
-                      "enumerate_bundle_morphisms": 1}
+    assert off == ClassifyingReport(4, 1, 9)
+    assert counts == dict.fromkeys(names, 0)
     monkeypatch.setattr(CrossCheck, "on", True)
     ran, agreed = CrossCheck.ran, CrossCheck.agreed
     assert classifying_fiber_equiv(zmod(3), FinSet(("p", "q"))) == off
-    # each of the 4 objects certified, and the 3 x 3 hom sets enumerated
-    assert counts == {"check_qs_object": 4, "formula_object": 0,
-                      "enumerate_bundle_morphisms": 1 + 1 + 9}
+    # each of the 4 bundles built and certified as an object, the 3 x 3 hom
+    # sets enumerated, and the trivial bundle and its automorphisms
+    assert counts == {"enumerate_bundles": 1, "torsor_structures": 1,
+                      "enumerate_bundle_morphisms": 9 + 1, "formula_bundle": 4 + 1,
+                      "check_qs_object": 4, "formula_object": 0}
     assert CrossCheck.agreed - agreed == CrossCheck.ran - ran > 0
+
+
+CLASSIFIED_GROUPS = {"Z/1": zmod(1), "Z/2": zmod(2), "Z/3": zmod(3), "Z/4": zmod(4),
+                     "Z/5": zmod(5), "V4": klein_four(), "S3": sym(3)}
+
+
+@pytest.mark.needs_cross_check
+@pytest.mark.parametrize("name", sorted(CLASSIFIED_GROUPS))
+def test_classify_closed_forms_match_the_enumeration(name):
+    # within desc's default bound the closed forms equal the oracle's counts;
+    # past it both refuse alike
+    group, bound = CLASSIFIED_GROUPS[name], 4096
+    counted = 0
+    for size in range(4):
+        base = FinSet(tuple(f"y{k}" for k in range(size)))
+        try:
+            oracle = classify_by_enumeration(group, base, bound)
+        except BoundExceeded as err:
+            with pytest.raises(BoundExceeded) as refused:
+                classifying_fiber_equiv(group, base, bound=bound)
+            assert refused.value.payload() == err.payload()
+            continue
+        assert oracle.iso_classes == 1
+        ran, agreed = CrossCheck.ran, CrossCheck.agreed
+        assert classifying_fiber_equiv(group, base, bound=bound) == oracle
+        assert CrossCheck.agreed - agreed == CrossCheck.ran - ran > 0
+        counted += 1
+    assert counted >= 2
 
 
 def test_formula_morphism_builds_one_record(monkeypatch):
@@ -776,6 +802,28 @@ def test_desc_cross_check_exits_3_on_a_planted_construction(
     assert rep["error"]["message"].startswith("cross-check of")
     assert rep["cross_checks"]["ran"] == rep["cross_checks"]["agreed"] + 1
     assert CrossCheck.on is False
+
+
+@pytest.mark.needs_cross_check
+def test_desc_cross_check_exits_3_on_a_planted_classify_closed_form(
+        capsys, tmp_path, monkeypatch, cross_check_by_flag):
+    # one automorphism too many; the oracle counts the enumerated ones
+    real = finstack.stack.bundle_morphism_count
+    monkeypatch.setattr(finstack.stack, "bundle_morphism_count",
+                        lambda group, base, bound: real(group, base, bound) + 1)
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "classify", SITES / "stack_demo.site",
+                         "--cross-check", "--report", report)
+    assert code == 3
+    rep = json.loads(report.read_text())
+    assert rep["error"]["kind"] == "RuntimeError"
+    assert rep["error"]["message"].startswith(
+        "cross-check of Bun_G and [T/G] by enumeration disagrees")
+    assert rep["cross_checks"]["ran"] == rep["cross_checks"]["agreed"] + 1
+    # the production path reads the closed form alone: the wrong value goes through
+    code, out, err = run(capsys, "classify", SITES / "stack_demo.site")
+    assert code == 0, err
+    assert "(1 bundles, 1 classes, 5 automorphisms of the trivial one)" in out
 
 
 def test_desc_cross_check_exits_3_on_a_planted_cocycle_decider(

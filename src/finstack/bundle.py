@@ -12,7 +12,9 @@ their formulas: `constructed_bundle` re-runs on them only under cross-check.
 Each of them lies over `trivial_action(G, base)`, the one trivial action.
 
 `bundle_count` and `bundle_morphism_count` count the bundles and the
-morphisms in closed form; only oracles and tests enumerate them.
+morphisms in closed form, with no bound: only oracles and tests enumerate
+them, and `enumerate_bundles` and `enumerate_bundle_morphisms` refuse, by
+BoundExceeded, a count past their own `bound`.
 """
 
 from __future__ import annotations
@@ -238,15 +240,12 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
 
 
 class BundleMorphism(Record):
-    """A certified map of bundles over a common base."""
+    """A certified map fn of bundles over a common base; src and dst fix
+    its totals and their actions."""
 
     src: Bundle
     dst: Bundle
-    map: EquivariantMap
-
-    @property
-    def fn(self) -> FinMap:
-        return self.map.map
+    fn: FinMap
 
     def __repr__(self):
         return f"BundleMorphism({self.src!r} => {self.dst!r})"
@@ -261,8 +260,8 @@ def check_bundle_morphism(src: Bundle, dst: Bundle, m: FinMap) -> BundleMorphism
     for p in src.total.space:
         if dst.proj.map.table[m.table[p]] != src.proj.map.table[p]:
             raise TriangleFail(p, "proj")
-    eq = check_equivariant(m, src.total, dst.total)
-    return BundleMorphism(src, dst, eq)
+    check_equivariant(m, src.total, dst.total)
+    return BundleMorphism(src, dst, m)
 
 
 def fiber_map(src: Bundle, dst: Bundle, image: dict) -> FinMap:
@@ -277,13 +276,10 @@ def fiber_map(src: Bundle, dst: Bundle, image: dict) -> FinMap:
         for y, fib in fibers(src.proj.map).items() for g in src.group.carrier})
 
 
-def bundle_morphism_count(group: FinGroup, base: FinSet, bound: int) -> int:
+def bundle_morphism_count(group: FinGroup, base: FinSet) -> int:
     """|G|^|base|, the morphisms between two bundles over the base, one per
-    image of each fiber's least atom; raises BoundExceeded past the bound."""
-    count = len(group.carrier) ** len(base)
-    if count > bound:
-        raise BoundExceeded("bundle-morphism enumeration", count, bound)
-    return count
+    image of each fiber's least atom."""
+    return len(group.carrier) ** len(base)
 
 
 def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
@@ -309,26 +305,23 @@ def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
         raise ValueError("bundles are for different groups")
     if src.base != dst.base:
         raise BaseMismatch(f"{src.base!r} != {dst.base!r}")
-    bundle_morphism_count(src.group, src.base, bound)
+    count = bundle_morphism_count(src.group, src.base)
+    if count > bound:
+        raise BoundExceeded("bundle-morphism enumeration", count, bound)
     bases = list(fibers(src.proj.map))
     dst_fibers = fibers(dst.proj.map)
     out = []
     for choice in itertools.product(*(dst_fibers[y] for y in bases)):
         m = fiber_map(src, dst, dict(zip(bases, choice)))
-        out.append(cross_check(
-            "a constructed bundle morphism",
-            BundleMorphism(src, dst, EquivariantMap(m, src.total, dst.total)),
-            check_bundle_morphism, src, dst, m))
+        out.append(cross_check("a constructed bundle morphism", BundleMorphism(src, dst, m),
+                               check_bundle_morphism, src, dst, m))
     return out
 
 
-def bundle_count(group: FinGroup, base: FinSet, bound: int) -> int:
+def bundle_count(group: FinGroup, base: FinSet) -> int:
     """((|G|-1)!)^|base|, the bundles on the canonical total set, one torsor
-    structure per base atom; raises BoundExceeded past the bound."""
-    count = math.factorial(len(group.carrier) - 1) ** len(base)
-    if count > bound:
-        raise BoundExceeded("bundle enumeration", count, bound)
-    return count
+    structure per base atom."""
+    return math.factorial(len(group.carrier) - 1) ** len(base)
 
 
 @functools.lru_cache(maxsize=256)
@@ -366,7 +359,9 @@ def enumerate_bundles(group: FinGroup, base: FinSet,
     over x: a free transitive action, so both action laws hold fiberwise and
     each fiber is a G-torsor, and the second projection keeps x, so it is
     equivariant onto the trivially acted base."""
-    bundle_count(group, base, bound)
+    count = bundle_count(group, base)
+    if count > bound:
+        raise BoundExceeded("bundle enumeration", count, bound)
     prod = product(group.carrier, base)
     # the one bundle over the empty base uses none of the structures
     structures = torsor_structures(group) if len(base) else ()

@@ -4,11 +4,11 @@ Every command sweeps the declarations it applies to, prints one line per
 check and exits 0 when all pass, 1 when some verified check failed (the
 failure carries a witness), and 2 when the input itself is bad: syntax
 errors, unresolved references, declarations failing their load-time checks,
-or enumerations over the size bound. Exit 3 means an internal error: an
-unexpected exception inside finstack, which is no verdict on the input. Its
-traceback goes to stderr and the report carries the exception type as
-`error.kind`. A --report path that cannot be written is an error too: exit
-2, or 3 when the run already faulted.
+or an option out of range. Exit 3 means an internal error: an unexpected
+exception inside finstack, which is no verdict on the input. Its traceback
+goes to stderr and the report carries the exception type as `error.kind`.
+A --report path that cannot be written is an error too: exit 2, or 3 when
+the run already faulted.
 
 check-group and check-action report what the site load built: a group or
 action failing its laws is rejected there (exit 2), so each one listed was
@@ -18,21 +18,24 @@ regular action, lawful by its formula; neither certifier runs again.
 --seed and --budget drive only verify-stack's generated corpus; the same
 seed reproduces the same run. A budget below 1 is bad input (exit 2), and so
 is a bound below 1: no enumeration has fewer than one item, so such a bound
-guards nothing. Cover and bundle checks are deterministic. check-cover and
-check-sheaf enumerate nothing; --bound guards only their oracles under
+guards nothing. Cover and bundle checks are deterministic. No command
+enumerates on its production path, so --bound never refuses a verdict: it
+guards only the oracles of check-cover, check-sheaf and classify under
 --cross-check.
 
 --cross-check turns on the library's cross-check switch for the run: every
 construction built by a formula re-runs the certifier it skips, and
-check-bundle, check-cover and check-sheaf also run the definitional oracles
-of their deciders (local triviality over the point cover with its
-certificate re-checked; the universal effective epi on Σ_{k≤3} |Y|^k base
-changes and the Čech colimit of the generated sieve mapping isomorphically
-onto the target; the |a|^Σ|U_i| candidate families against the |a|^|Y|
-maps on the target). An oracle whose enumeration would pass --bound, by
-`canonical_cover_cost` or `sheaf_enumeration_cost`, is skipped, uncounted.
-A disagreement is an internal fault, exit 3, and so is a failed re-run,
-such as classify's objects and hom sets of [T/G]. The report then counts
+check-bundle, check-cover, check-sheaf and classify also run the
+definitional oracles of their deciders (local triviality over the point
+cover with its certificate re-checked; the universal effective epi on
+Σ_{k≤3} |Y|^k base changes and the Čech colimit of the generated sieve
+mapping isomorphically onto the target; the |a|^Σ|U_i| candidate families
+against the |a|^|Y| maps on the target; every bundle over the base, each
+certified as an object of [T/G], with the hom sets among the first three
+and the automorphisms of the trivial one). An oracle whose enumeration
+would pass --bound, by `canonical_cover_cost`, `sheaf_enumeration_cost` or
+`classify_enumeration_cost`, is skipped, uncounted. A disagreement is an
+internal fault, exit 3, and so is a failed re-run. The report then counts
 the re-runs in `cross_checks`. Verdicts and output are the same either way.
 """
 
@@ -53,7 +56,6 @@ from .bundle import (
 )
 from .descent import glue_morphisms, glue_object, verify_stack
 from .errors import (
-    BoundExceeded,
     CocycleRequired,
     CoverNotCanonical,
     FinstackError,
@@ -63,7 +65,11 @@ from .errors import (
 from .finset import CrossCheck, cross_check, format_atom
 from .sample import build_corpus
 from .sitefile import load_site
-from .stack import classifying_fiber_equiv
+from .stack import (
+    classify_by_enumeration,
+    classify_enumeration_cost,
+    classifying_fiber_equiv,
+)
 from .topology import (
     GeneratedSieve,
     canonical_cover_cost,
@@ -240,7 +246,10 @@ def _cmd_classify(site, args):
     out = []
     for d in site.by_kind("classify"):
         task = d.value
-        rep = classifying_fiber_equiv(task.group, task.base, bound=args.bound)
+        rep = classifying_fiber_equiv(task.group, task.base)
+        if classify_enumeration_cost(task.group, task.base) <= args.bound:
+            cross_check(f"classify {d.name} by enumeration", rep,
+                        classify_by_enumeration, task.group, task.base, args.bound)
         out.append(_check(d.name, "ok", f"{rep.n_bundles} bundles, {rep.iso_classes} classes, "
                                         f"{rep.aut_trivial} automorphisms of the trivial one"))
     return out
@@ -290,8 +299,9 @@ def main(argv=None) -> int:
                         help="size of verify-stack's generated corpus, "
                              "at least 1")
     parser.add_argument("--bound", type=int, default=4096,
-                        help="enumeration size guard; for bundle "
-                             "morphisms it counts the |G|^|base| maps built")
+                        help="size guard of the definitional oracles under "
+                             "--cross-check: one whose enumeration would "
+                             "pass it is skipped; no verdict is refused")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write a JSON report here")
     parser.add_argument("--cross-check", action="store_true",
@@ -369,8 +379,6 @@ def _run(args) -> int:
 
     try:
         checks = _COMMANDS[args.command](site, args)
-    except BoundExceeded as err:
-        return finish_error(err)
     except Exception as err:
         return internal_error(err)
 

@@ -146,14 +146,24 @@ classify K { group G base Y }
 
 
 def test_bound_is_enforced(capsys, tmp_path):
+    # --bound guards classify's oracle, never its verdict: Z/4 over one
+    # point has 6 bundles and 4 automorphisms, so --bound 6 runs the oracle
+    # under --cross-check, --bound 5 skips it uncounted, and both print the
+    # closed forms
     site = tmp_path / "z4.site"
     site.write_text(Z4_CLASSIFY)
     code, out, err = run(capsys, "classify", site, "--bound", 5)
-    assert code == 2
-    assert "bound" in err
-    code2, out2, _ = run(capsys, "classify", site)
-    assert code2 == 0
-    assert "6 bundles, 1 classes" in out2
+    assert (code, err) == (0, "")
+    assert "(6 bundles, 1 classes, 4 automorphisms of the trivial one)" in out
+    ran = []
+    for bound in (6, 5):
+        report = tmp_path / f"report{bound}.json"
+        assert run(capsys, "classify", site, "--bound", bound, "--cross-check",
+                   "--report", report) == (code, out, err)
+        tally = json.loads(report.read_text())["cross_checks"]
+        assert tally["agreed"] == tally["ran"]
+        ran.append(tally["ran"])
+    assert ran[1] < ran[0]
 
 
 def test_seed_reproduces_verify_stack(capsys):
@@ -184,30 +194,35 @@ def classify_site(order, base):
 
 
 CLASSIFY_REFUSALS = [
-    # order, base size, --bound, the error's message and payload; Z/2 over
-    # 7 points has 1 bundle, within 100, but 2^7 = 128 automorphisms
-    (4, 6, 5, "bundle enumeration: size 46656 exceeds bound 5",
-     {"what": "bundle enumeration", "size": 46656, "bound": 5}),
-    (2, 7, 100, "bundle-morphism enumeration: size 128 exceeds bound 100",
-     {"what": "bundle-morphism enumeration", "size": 128, "bound": 100}),
+    # order, base size, --bound, the detail: runs that --bound once refused,
+    # the bundles (46,656) past the bound, or, for Z/2 over 7 points, one
+    # bundle within it but 2^7 = 128 automorphisms past it
+    (4, 6, 5, "46656 bundles, 1 classes, 4096 automorphisms of the trivial one"),
+    (2, 7, 100, "1 bundles, 1 classes, 128 automorphisms of the trivial one"),
 ]
 
 
-@pytest.mark.parametrize("order,size,bound,message,payload", CLASSIFY_REFUSALS,
+@pytest.mark.parametrize("order,size,bound,detail", CLASSIFY_REFUSALS,
                          ids=["bundles", "automorphisms"])
 @pytest.mark.parametrize("flags", [(), ("--cross-check",)], ids=["plain", "cross-checked"])
-def test_classify_refusals_are_pinned(capsys, tmp_path, order, size, bound, message,
-                                      payload, flags):
-    # the bundle count is refused first, then the automorphism count
+def test_classify_refusals_are_pinned(capsys, tmp_path, monkeypatch, order, size, bound,
+                                      detail, flags):
+    # the closed forms answer past --bound, which only skips the oracle
+    def forbidden(*args):
+        raise AssertionError("classify's oracle ran past --bound")
+
+    monkeypatch.setattr(cli, "classify_by_enumeration", forbidden)
     site = tmp_path / "k.site"
     site.write_text(classify_site(order, range(size)))
     report = tmp_path / "report.json"
     code, out, err = run(capsys, "classify", site, "--bound", bound, "--report", report,
                          *flags)
-    assert (code, out, err) == (2, "", f"desc: error: {message}\n")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["classify K ".ljust(44, ".") + f" ok ({detail})", "1/1 ok"]
     rep = json.loads(report.read_text())
-    assert (rep["status"], rep["checks"]) == ("error", [])
-    assert rep["error"] == {"kind": "BoundExceeded", "message": message, "payload": payload}
+    assert (rep["status"], [c["detail"] for c in rep["checks"]]) == ("ok", [detail])
+    if flags:
+        assert rep["cross_checks"]["agreed"] == rep["cross_checks"]["ran"]
 
 
 def test_classify_z3_over_three_points_fits_the_bound(capsys, tmp_path):

@@ -14,7 +14,10 @@ it is read), to one that rewrites each table first."""
 
 import json
 import sys
+import tempfile
 import time
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 from random import Random
 
@@ -29,7 +32,6 @@ import finstack.sample
 import finstack.stack
 from finstack import (
     BoundExceeded,
-    ClassifyingReport,
     CocycleFail,
     CoveringFamily,
     FinMap,
@@ -83,7 +85,11 @@ from finstack.sample import (
     relabel_qsobject,
     twist_bundle,
 )
-from finstack.stack import classify_by_enumeration, formula_morphism
+from finstack.stack import (
+    classify_by_enumeration,
+    classify_enumeration_cost,
+    formula_morphism,
+)
 from finstack.topology import sheaf_condition_by_enumeration
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
@@ -502,40 +508,59 @@ def test_enumerated_bundle_morphisms_are_certified_only_under_cross_check(monkey
     assert counts == {"check_bundle_morphism": 9}
 
 
-def test_classify_certifies_no_enumerated_bundle_with_cross_check_off(monkeypatch):
-    # each enumerated bundle and its object are lawful by their formulas
+# Z/3 over two points: 4 bundles and 9 maps per hom set
+Z3_CLASSIFY_SITE = """\
+set Y = { p q }
+group G {
+  elements { 0 1 2 }
+  table [
+    [ 0 1 2 ]
+    [ 1 2 0 ]
+    [ 2 0 1 ]
+  ]
+}
+classify K { group G base Y }
+"""
+
+
+def test_classify_certifies_no_enumerated_bundle_with_cross_check_off(
+        capsys, tmp_path, monkeypatch, cross_check_by_flag):
+    # each enumerated bundle and its object are lawful by their formulas;
+    # only --cross-check runs the oracle that enumerates them
+    site = tmp_path / "z3.site"
+    site.write_text(Z3_CLASSIFY_SITE)
     names = ("check_action", "constructed_bundle", "check_qs_object")
     counts = count_calls(monkeypatch, names)
-    monkeypatch.setattr(CrossCheck, "on", False)
-    off = classifying_fiber_equiv(zmod(3), FinSet(("p", "q")))
-    assert off.n_bundles == 4
+    off = run(capsys, "classify", site)
+    assert off[0] == 0 and "(4 bundles, 1 classes, 9 automorphisms" in off[1]
     assert counts == dict.fromkeys(names, 0)
-    monkeypatch.setattr(CrossCheck, "on", True)
-    assert classifying_fiber_equiv(zmod(3), FinSet(("p", "q"))) == off
-    assert all(counts[name] >= off.n_bundles for name in names), counts
+    assert run(capsys, "classify", site, "--cross-check") == off
+    assert all(counts[name] >= 4 for name in names), counts
 
 
 def test_classify_builds_no_object_of_the_classifying_stack_with_cross_check_off(
-        monkeypatch):
+        capsys, tmp_path, monkeypatch, cross_check_by_flag):
     # the closed forms answer classify; the bundles, [T/G]'s objects (built
     # by no function but check_qs_object and formula_object, see
-    # test_source) and its hom sets are its oracle's
+    # test_source) and its hom sets are its oracle's, which desc runs only
+    # under --cross-check
+    site = tmp_path / "z3.site"
+    site.write_text(Z3_CLASSIFY_SITE)
     names = ("enumerate_bundles", "torsor_structures", "enumerate_bundle_morphisms",
              "formula_bundle", "check_qs_object", "formula_object")
     counts = count_calls(monkeypatch, names)
-    monkeypatch.setattr(CrossCheck, "on", False)
-    off = classifying_fiber_equiv(zmod(3), FinSet(("p", "q")))
-    assert off == ClassifyingReport(4, 1, 9)
+    off = run(capsys, "classify", site)
+    assert off[0] == 0 and "(4 bundles, 1 classes, 9 automorphisms" in off[1]
     assert counts == dict.fromkeys(names, 0)
-    monkeypatch.setattr(CrossCheck, "on", True)
-    ran, agreed = CrossCheck.ran, CrossCheck.agreed
-    assert classifying_fiber_equiv(zmod(3), FinSet(("p", "q"))) == off
+    report = tmp_path / "report.json"
+    assert run(capsys, "classify", site, "--cross-check", "--report", report) == off
     # each of the 4 bundles built and certified as an object, the 3 x 3 hom
     # sets enumerated, and the trivial bundle and its automorphisms
     assert counts == {"enumerate_bundles": 1, "torsor_structures": 1,
                       "enumerate_bundle_morphisms": 9 + 1, "formula_bundle": 4 + 1,
                       "check_qs_object": 4, "formula_object": 0}
-    assert CrossCheck.agreed - agreed == CrossCheck.ran - ran > 0
+    tally = json.loads(report.read_text())["cross_checks"]
+    assert tally["agreed"] == tally["ran"] > 0
 
 
 CLASSIFIED_GROUPS = {"Z/1": zmod(1), "Z/2": zmod(2), "Z/3": zmod(3), "Z/4": zmod(4),
@@ -545,23 +570,20 @@ CLASSIFIED_GROUPS = {"Z/1": zmod(1), "Z/2": zmod(2), "Z/3": zmod(3), "Z/4": zmod
 @pytest.mark.needs_cross_check
 @pytest.mark.parametrize("name", sorted(CLASSIFIED_GROUPS))
 def test_classify_closed_forms_match_the_enumeration(name):
-    # within desc's default bound the closed forms equal the oracle's counts;
-    # past it both refuse alike
+    # within desc's default bound the closed forms equal the oracle's
+    # counts; past it the oracle refuses, and the closed forms still answer
     group, bound = CLASSIFIED_GROUPS[name], 4096
     counted = 0
     for size in range(4):
         base = FinSet(tuple(f"y{k}" for k in range(size)))
-        try:
-            oracle = classify_by_enumeration(group, base, bound)
-        except BoundExceeded as err:
+        closed = classifying_fiber_equiv(group, base)
+        if classify_enumeration_cost(group, base) > bound:
             with pytest.raises(BoundExceeded) as refused:
-                classifying_fiber_equiv(group, base, bound=bound)
-            assert refused.value.payload() == err.payload()
+                classify_by_enumeration(group, base, bound)
+            assert refused.value.size > bound
             continue
-        assert oracle.iso_classes == 1
-        ran, agreed = CrossCheck.ran, CrossCheck.agreed
-        assert classifying_fiber_equiv(group, base, bound=bound) == oracle
-        assert CrossCheck.agreed - agreed == CrossCheck.ran - ran > 0
+        assert classify_by_enumeration(group, base, bound) == closed
+        assert closed.iso_classes == 1
         counted += 1
     assert counted >= 2
 
@@ -591,14 +613,23 @@ def fiber_inputs():
     return obj, obj2, m, cover
 
 
+def desc_classify(text):
+    """`desc classify` on a site given as text; it must pass."""
+    with tempfile.TemporaryDirectory() as tmp:
+        site = Path(tmp) / "k.site"
+        site.write_text(text)
+        with redirect_stdout(StringIO()):
+            assert main(["classify", str(site)]) == 0
+
+
 FORMULA_BUILT = {
     "qs_identity": lambda obj, obj2, m, cover: qs_identity(obj2),
     "compose_qs": lambda obj, obj2, m, cover: compose_qs(qs_identity(obj2), m),
     "qs_inverse": lambda obj, obj2, m, cover: qs_inverse(m),
     "glue_morphisms": lambda obj, obj2, m, cover: glue_morphisms(
         cover, obj, obj2, [restrict_morphism(m, f) for f in cover.legs]),
-    "classifying_fiber_equiv": lambda *inputs: classifying_fiber_equiv(
-        zmod(3), FinSet(("p", "q"))),
+    # as desc runs it: the closed forms, and the oracle under cross-check
+    "classifying_fiber_equiv": lambda *inputs: desc_classify(Z3_CLASSIFY_SITE),
     # a structure space of more than one point: no gauge, whose k is the
     # caller's, enters the corpus
     "build_corpus": lambda *inputs: build_corpus(
@@ -810,7 +841,7 @@ def test_desc_cross_check_exits_3_on_a_planted_classify_closed_form(
     # one automorphism too many; the oracle counts the enumerated ones
     real = finstack.stack.bundle_morphism_count
     monkeypatch.setattr(finstack.stack, "bundle_morphism_count",
-                        lambda group, base, bound: real(group, base, bound) + 1)
+                        lambda group, base: real(group, base) + 1)
     report = tmp_path / "report.json"
     code, out, err = run(capsys, "classify", SITES / "stack_demo.site",
                          "--cross-check", "--report", report)
@@ -818,7 +849,7 @@ def test_desc_cross_check_exits_3_on_a_planted_classify_closed_form(
     rep = json.loads(report.read_text())
     assert rep["error"]["kind"] == "RuntimeError"
     assert rep["error"]["message"].startswith(
-        "cross-check of Bun_G and [T/G] by enumeration disagrees")
+        "cross-check of classify K by enumeration disagrees")
     assert rep["cross_checks"]["ran"] == rep["cross_checks"]["agreed"] + 1
     # the production path reads the closed form alone: the wrong value goes through
     code, out, err = run(capsys, "classify", SITES / "stack_demo.site")

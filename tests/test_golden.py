@@ -24,12 +24,12 @@ COMMANDS = ["check-group", "check-action", "check-bundle", "check-cover",
 SITES = sorted(p.name for p in (ROOT / "sites").glob("*.site"))
 
 
-def run_desc(command, site, report_path):
+def run_desc(command, site, report_path, *flags):
     """Run desc in-process from the repo root, site given as sites/<name>."""
     from finstack.cli import main
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([command, f"sites/{site}", "--report", str(report_path)])
+        code = main([command, f"sites/{site}", "--report", str(report_path), *flags])
     report = json.loads(Path(report_path).read_text(encoding="utf-8"))
     del report["elapsed_s"]
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
@@ -65,6 +65,21 @@ def test_desc_output_matches_golden_on_the_production_path(command, tmp_path, mo
     from finstack.finset import CrossCheck
     monkeypatch.setattr(CrossCheck, "on", False)
     check_golden(command, tmp_path / "report.json", monkeypatch)
+
+
+@pytest.mark.parametrize("flags", [(), ("--cross-check",)], ids=["plain", "cross-checked"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_bound_changes_no_verdict(command, flags, tmp_path, monkeypatch):
+    # --bound only skips a definitional oracle under --cross-check, so a
+    # bound of 1, which skips every one, prints what the default prints
+    from finstack.finset import CrossCheck
+    monkeypatch.setattr(CrossCheck, "on", False)
+    monkeypatch.chdir(ROOT)
+    for site in SITES:
+        default, one = (run_desc(command, site, tmp_path / "report.json", *flags, *bound)
+                        for bound in ((), ("--bound", "1")))
+        assert (one["exit"], one["stdout"]) == (default["exit"], default["stdout"]), \
+            key(command, site)
 
 
 if __name__ == "__main__":

@@ -88,8 +88,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 def test_only_the_door_reads_the_cross_check_switch():
     # constructions hand their skipped certifiers to finset.cross_check,
     # which alone decides whether to run them, and cli.main sets and
-    # restores the switch; check-sheaf skips its oracle past --bound by its
-    # cost, as check-cover does
+    # restores the switch; check-cover, check-sheaf and classify skip an
+    # oracle past --bound by its cost
     readers = set()
 
     def visit(node, scope):
@@ -139,16 +139,17 @@ def test_no_unused_imports(module):
 
 
 def test_each_record_has_one_certifier_and_one_formula_builder():
-    # a bundle, an object or a morphism of [X/G] is built either by its
-    # certifier, on a caller's tables, or by its formula builder, which
-    # re-runs that certifier under cross-check; no other code assembles one
+    # a bundle, a bundle morphism, an object or a morphism of [X/G] is
+    # built either by its certifier, on a caller's tables, or by its
+    # formula builder, which re-runs that certifier under cross-check; no
+    # other code assembles one
     builders = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope.split('.')[0]}.{node.name}"
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id in ("Bundle", "QSObject", "QSMorphism")):
+              and node.func.id in ("Bundle", "BundleMorphism", "QSObject", "QSMorphism")):
             builders.add((node.func.id, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -157,6 +158,8 @@ def test_each_record_has_one_certifier_and_one_formula_builder():
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
     assert builders == {
         ("Bundle", "bundle.is_principal_bundle"), ("Bundle", "bundle.formula_bundle"),
+        ("BundleMorphism", "bundle.check_bundle_morphism"),
+        ("BundleMorphism", "bundle.enumerate_bundle_morphisms"),
         ("QSObject", "stack.check_qs_object"), ("QSObject", "stack.formula_object"),
         ("QSMorphism", "stack.check_qs_morphism"), ("QSMorphism", "stack.formula_morphism"),
     }

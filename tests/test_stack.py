@@ -1,6 +1,8 @@
 """Quotient-stack fibers: objects, morphisms, restriction, the canonical
 coherence isos, and the classifying-stack comparison."""
 
+import functools
+import gc
 import math
 import tracemalloc
 from pathlib import Path
@@ -68,6 +70,7 @@ from finstack.sample import (
     relabel_qsobject,
 )
 from finstack.sitefile import load_site
+from finstack.stack import classify_by_enumeration
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
 
@@ -645,13 +648,16 @@ def test_classifying_report_point():
     assert rep.aut_trivial == 3
 
 
-def classify_peak(group, size):
-    """The peak bytes traced while classifying over `size` points."""
+def classify_peak(classify, group, size):
+    """The peak bytes traced while `classify` counts over `size` points."""
     base = FinSet(tuple(f"y{k}" for k in range(size)))
     tracemalloc.start()
+    # a collection empties CPython's free lists, whose blocks tracemalloc
+    # counts as allocated, so both sizes start from the same state
+    gc.collect()
     tracemalloc.reset_peak()
     try:
-        classifying_fiber_equiv(group, base)
+        classify(group, base)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -661,10 +667,13 @@ def classify_peak(group, size):
 def test_classify_memory_does_not_grow_with_the_bundle_count(monkeypatch, cross_check):
     # Z/5 has 24 torsor structures and 5 maps per fiber: 24 bundles over one
     # point and 576 over two. Off, classify reads closed forms and builds
-    # none; on, its oracle streams them and keeps three objects and one
-    # class representative, while each hom-set grows only from 5 to 25 maps
+    # none; on, its oracle, the one path that enumerates, streams them with
+    # every certifier re-run and keeps three objects and one class
+    # representative, while each hom-set grows only from 5 to 25 maps
     monkeypatch.setattr(CrossCheck, "on", cross_check)
+    classify = (functools.partial(classify_by_enumeration, bound=65536) if cross_check
+                else classifying_fiber_equiv)
     z5 = zmod(5)
-    classify_peak(z5, 1)    # the torsor structures, cached once
-    small, large = classify_peak(z5, 1), classify_peak(z5, 2)
+    classify_peak(classify, z5, 1)    # the torsor structures, cached once
+    small, large = classify_peak(classify, z5, 1), classify_peak(classify, z5, 2)
     assert large < 4 * small, (small, large)

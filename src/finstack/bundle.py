@@ -53,6 +53,7 @@ from .finset import (
     product,
     product_space,
     pullback,
+    pullback_along,
 )
 from .topology import (
     CoveringFamily,
@@ -220,22 +221,25 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     over z is b's fiber over f(z), a G-torsor, paired with z. Under
     cross-check, `check_action` and `constructed_bundle` re-run on it.
 
+    The space and projection come from `pullback_along`, the pullback's
+    join without its memo and without the first projection, which nothing
+    here reads: `restrict`'s memo already answers a repeated base change.
     Most base changes are read only through their projection and space, so
     the |G|·|P ×_Y Z| action table is a `deferred_map`, written the first
     time something reads it (b's own table is read only then), and Z
     carries `trivial_action(G, Z)`, whose table is deferred the same way."""
     if f.dst != b.base:
         raise BaseMismatch(f"{f.dst!r} != {b.base!r}")
-    cert = pullback(b.proj.map, f)
+    proj = pullback_along(b.proj.map, f)
     # the thunk captures the apex and b's table, never f
-    group, apex, parent = b.group, cert.apex, b.total.act
+    group, apex, parent = b.group, proj.src, b.total.act
 
     def build():
         at = parent.table
         src = product_space(group.carrier, apex)
         return exact_map(src, apex, {k: (at[(h, p)], z) for k in src for h, (p, z) in (k,)})
 
-    return formula_bundle("a base change", deferred_map(apex, build), cert.proj2,
+    return formula_bundle("a base change", deferred_map(apex, build), proj,
                            trivial_action(group, f.src))
 
 

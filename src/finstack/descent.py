@@ -180,11 +180,13 @@ def _cocycle_scan(datum: DescentDatum, every_point: bool) -> Optional[tuple]:
 
     A nonempty triple overlap lies over stored pairs (i,j), (j,k), (i,k), so
     the scan takes the stored (i,j) in order and the k whose (j,k), (i,k) are
-    stored; c comes from leg k's fiber over a's image, w from W_i's over a."""
+    stored; c comes from leg k's fiber over a's image, w from W_i's over a.
+    What does not depend on k is read once per pair: the partners k, and per
+    point (a, b) of the overlap the image y of a and each w with φ_ij(w, (a, b))."""
     cover = datum.cover
     _require_stored_isos(datum)
-    stored = datum.overlaps
-    pairs = sorted(stored)
+    phis = {ij: iso.fn.table for ij, iso in datum.overlaps.items()}
+    pairs = sorted(phis)
     partners: dict = {}
     for i, k in pairs:
         partners.setdefault(i, []).append(k)
@@ -192,17 +194,18 @@ def _cocycle_scan(datum: DescentDatum, every_point: bool) -> Optional[tuple]:
     locals_over = [fibers(obj.bundle.proj.map) for obj in datum.objects]
     stop = None if every_point else 1
     for i, j in pairs:
-        fi = cover.legs[i].table
-        apex = overlap(cover, i, j).apex
-        for k in partners[i]:
-            if (j, k) not in stored:
-                continue
-            phi_ij, phi_jk, phi_ik = (stored[ij].fn.table for ij in ((i, j), (j, k), (i, k)))
-            for a, b in apex:
-                ws = locals_over[i].get(a, ())[:stop]
-                for c in legs_over[k].get(fi[a], ()):
-                    for w in ws:
-                        if phi_jk[(phi_ij[(w, (a, b))][0], (b, c))][0] != phi_ik[(w, (a, c))][0]:
+        ks = [k for k in partners[i] if (j, k) in phis]
+        if not ks:
+            continue
+        fi, over_i, phi_ij = cover.legs[i].table, locals_over[i], phis[(i, j)]
+        rows = [(a, b, fi[a], [(w, phi_ij[(w, ab)][0]) for w in over_i.get(a, ())[:stop]])
+                for ab in overlap(cover, i, j).apex for a, b in (ab,)]
+        for k in ks:
+            phi_jk, phi_ik, over_k = phis[(j, k)], phis[(i, k)], legs_over[k]
+            for a, b, y, ws in rows:
+                for c in over_k.get(y, ()):
+                    for w, x in ws:
+                        if phi_jk[(x, (b, c))][0] != phi_ik[(w, (a, c))][0]:
                             return (i, j, k, ((a, b), c))
     return None
 

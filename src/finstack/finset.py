@@ -16,10 +16,13 @@ keys are exactly the source atoms and its values lie in the target, while
 the maps whose tables are exact by their formula (`identity`, `compose`,
 the projections of `product` and `pullback`, and elsewhere the tables of
 base change, restriction and the model actions) are built by the internal
-`exact_map`, which skips that check. A table that only some callers read,
-such as the action of a base change, its base's trivial action and a
-restriction's alpha, is built by `deferred_map` the first time its source
-or table is read.
+`exact_map`, which skips that check. The pullback's hash join is one
+kernel, `pullback_along`, unmemoized and returning the second projection
+alone: base change calls it directly, and `pullback` wraps it with the
+first projection into a memoized `PullbackCert`. A table that only some
+callers read, such as the action of a base change, its base's trivial
+action and a restriction's alpha, is built by `deferred_map` the first
+time its source or table is read.
 
 Skipped checks are not lost. Each construction that skips a certifier
 passes what it built and that certifier to `cross_check`, the one reader
@@ -39,12 +42,14 @@ A function wrapped by `memo` (here `identity`, `product_space`, `product`,
 the `_memo` slot of the youngest FinSet or FinMap among its arguments,
 youngest by the creation serial `_born`, so a long-lived set such as
 `terminal()` or a group's carrier never collects entries for short-lived
-data. The one rule: an entry holds its arguments and its result by weak
-references, so it closes no reference cycle, what a caller drops dies by
-reference counting without the cyclic collector, and a result nobody
-holds is built again. The memo looks its arguments up by identity, never
-by value: a lookup hashes no table, and a hit needs the very arguments of
-the entry, so two equal values built separately do not share results.
+data. Such a function takes one or two positional arguments, and `memo`
+picks the wrapper for that arity when it decorates it. The one rule: an
+entry holds its arguments and its result by weak references, so it closes
+no reference cycle, what a caller drops dies by reference counting without
+the cyclic collector, and a result nobody holds is built again. The memo
+looks its arguments up by identity, never by value: a lookup hashes no
+table, and a hit needs the very arguments of the entry, so two equal
+values built separately do not share results.
 `fn.cache_info()` reports the hits and misses of every call since import.
 
 The certified records built on these (`FinGroup`, `GAction`, `Bundle`,
@@ -277,19 +282,26 @@ def deferred_map(dst: FinSet, build) -> FinMap:
     return m
 
 
+# the code flags of a function that takes *args or **kwargs
+_CO_VARARGS, _CO_VARKEYWORDS = 0x04, 0x08
+
+
 class MemoInfo(NamedTuple):
     hits: int
     misses: int
 
 
 def memo(holders=None):
-    """Memoize a function on the youngest FinSet or FinMap it is given.
+    """Memoize a function of one or two FinSets or FinMaps on the youngest.
 
-    The candidates are the arguments themselves, or `holders(*args)` for a
-    function whose arguments only hold FinSets and FinMaps. The entry is
-    stored in the youngest candidate's `_memo` dict under the key
-    (wrapper, id(arg), ...), so it dies with that object. Exceptions are
-    not stored.
+    The candidates are the arguments themselves, or, for a function of two
+    arguments that only hold FinSets and FinMaps, the two that
+    `holders(a, b)` returns. The entry is stored in the youngest
+    candidate's `_memo` dict under the key (wrapper, id(a)[, id(b)]), so it
+    dies with that object. Exceptions are not stored. The wrapper is chosen
+    at decoration, one per arity; a function of another shape, or `holders`
+    on a function of one argument, raises TypeError, since it could not be
+    keyed by its arguments.
 
     The rule: an entry holds each argument and its result by a weak
     reference, so it keeps nothing alive and closes no reference cycle. A
@@ -299,38 +311,62 @@ def memo(holders=None):
     again.
     """
     def decorate(fn):
+        code = fn.__code__
+        arity = code.co_argcount
+        if (arity not in (1, 2) or code.co_kwonlyargcount
+                or code.co_flags & (_CO_VARARGS | _CO_VARKEYWORDS)):
+            raise TypeError(f"memo keys one or two positional arguments, "
+                            f"not the signature of {fn.__qualname__}")
+        if arity == 1 and holders is not None:
+            raise TypeError(f"memo takes no holders for {fn.__qualname__} of one argument")
         hits = misses = 0
+        ref = weakref.ref
 
-        @functools.wraps(fn)
-        def wrapper(*args):
-            nonlocal hits, misses
-            owner = None
-            for x in (args if holders is None else holders(*args)):
-                if owner is None or x._born > owner._born:
-                    owner = x
-            key = (wrapper, *map(id, args))
-            table = owner._memo
-            if table is None:
-                table = owner._memo = {}
-            else:
-                entry = table.get(key)
-                if entry is not None:
-                    refs, held = entry
-                    out = held()
-                    # an index rather than zip, as in Record.__init__
-                    i = 0
-                    for ref in refs:
-                        if ref() is not args[i]:
-                            break
-                        i += 1
-                    else:
+        if arity == 1:
+            @functools.wraps(fn)
+            def wrapper(a):
+                nonlocal hits, misses
+                key = (wrapper, id(a))
+                table = a._memo
+                if table is None:
+                    table = a._memo = {}
+                else:
+                    entry = table.get(key)
+                    # stored on a itself, so the entry's argument is a
+                    if entry is not None:
+                        out = entry[1]()
                         if out is not None:
                             hits += 1
                             return out
-            misses += 1
-            out = fn(*args)
-            table[key] = (tuple(map(weakref.ref, args)), weakref.ref(out))
-            return out
+                misses += 1
+                out = fn(a)
+                table[key] = ((ref(a),), ref(out))
+                return out
+        else:
+            @functools.wraps(fn)
+            def wrapper(a, b):
+                nonlocal hits, misses
+                if holders is None:
+                    owner = b if b._born > a._born else a
+                else:
+                    ha, hb = holders(a, b)
+                    owner = hb if hb._born > ha._born else ha
+                key = (wrapper, id(a), id(b))
+                table = owner._memo
+                if table is None:
+                    table = owner._memo = {}
+                else:
+                    entry = table.get(key)
+                    if entry is not None:
+                        (ra, rb), held = entry
+                        out = held()
+                        if out is not None and ra() is a and rb() is b:
+                            hits += 1
+                            return out
+                misses += 1
+                out = fn(a, b)
+                table[key] = ((ref(a), ref(b)), ref(out))
+                return out
 
         wrapper.cache_info = lambda: MemoInfo(hits, misses)
         wrapper.memoized_on_youngest = True
@@ -543,12 +579,13 @@ class PullbackCert(Record):
     g: FinMap
 
 
-@memo()
-def pullback(f: FinMap, g: FinMap) -> PullbackCert:
-    """A hash join: the fibers of g, each in canonical order, are looked up
-    once per atom of f.src, so the pairs come out in canonical order. When
-    g hits at most one atom y, the apex is f's fiber over y times g.src,
-    read from f's kept fibers without walking f.src."""
+def pullback_along(f: FinMap, g: FinMap) -> FinMap:
+    """f pulled back along g: the second projection P ×_Y Z -> Z of the
+    pullback of f and g, by a hash join, unmemoized. The fibers of g, each
+    in canonical order, are looked up once per atom of f.src, so the pairs
+    come out in canonical order. When g hits at most one atom y, the apex is
+    f's fiber over y times g.src, read from f's kept fibers without walking
+    f.src. The apex is the projection's source."""
     if f.dst != g.dst:
         raise CodomainMismatch(f"{f.dst!r} != {g.dst!r}")
     over = fibers(g)
@@ -558,13 +595,20 @@ def pullback(f: FinMap, g: FinMap) -> PullbackCert:
     else:
         pairs = [(a, b) for a in f.src for b in over.get(f.table[a], ())]
     apex = FinSet._ordered(pairs)
-    proj1 = exact_map(apex, f.src, {p: p[0] for p in apex})
+    return exact_map(apex, g.src, {p: p[1] for p in apex})
+
+
+@memo()
+def pullback(f: FinMap, g: FinMap) -> PullbackCert:
+    """The pullback of f and g: `pullback_along` with the first projection."""
+    proj2 = pullback_along(f, g)
+    apex = proj2.src
     # the kernel pair of a mono is its diagonal, where both projections are
     # one map: share the object, so results memoized on it serve both
     if f is g and len(apex) == len(f.src):
-        proj2 = proj1
+        proj1 = proj2
     else:
-        proj2 = exact_map(apex, g.src, {p: p[1] for p in apex})
+        proj1 = exact_map(apex, f.src, {p: p[0] for p in apex})
     return PullbackCert(apex, proj1, proj2, f, g)
 
 

@@ -6,6 +6,7 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import finstack.bundle
 from finstack import (
@@ -45,6 +46,7 @@ from finstack import (
     pullback_action,
     pullback_bundle,
     pullback_family,
+    restrict,
     restrict_to_datum,
     sym,
     terminal,
@@ -508,6 +510,30 @@ def test_pullback_bundle_is_what_the_decider_returns(rng):
             z = FinSet(tuple(f"z{k}" for k in range(rng.randint(0, 3))))
             pb = pullback_bundle(b, random_map(rng, z, base))
             assert is_principal_bundle(pb.proj) == pb
+
+
+@given(grp=st.sampled_from([zmod(2), zmod(3), zmod(4), klein_four(), sym(3)]),
+       seed=st.integers(0, 2 ** 16), n_base=st.integers(0, 4), n_src=st.integers(0, 4))
+def test_base_change_joins_like_the_pullback(grp, seed, n_base, n_src):
+    # base change runs the pullback's join without its memo: the projection
+    # has the pullback's second projection, atom for atom in canonical order,
+    # and neither a base change nor a restriction adds a pullback entry
+    rng = Random(seed)
+    base = FinSet(f"y{k}" for k in range(n_base))
+    z = FinSet(f"z{k}" for k in range(n_src if n_base else 0))
+    f = random_map(rng, z, base)
+    obj = random_qsobject(rng, grp, trivial_action(grp, terminal()), base)
+    b = obj.bundle
+    before = pullback.cache_info()
+    proj = pullback_bundle(b, f).proj.map
+    local = restrict(obj, f)
+    assert pullback.cache_info() == before
+    cert = pullback(b.proj.map, f)
+    assert proj.src.elements == cert.proj2.src.elements == local.total.elements
+    assert proj.table == cert.proj2.table and proj.dst is f.src
+    # the join's definition, sorted: what both must emit
+    pairs = [(p, x) for p in b.total.space for x in z if b.proj.map(p) == f(x)]
+    assert proj.src.elements == tuple(sorted(pairs, key=atom_key))
 
 
 def pullback_bundle_by_pullback_action(b, f):

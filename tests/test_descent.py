@@ -49,6 +49,7 @@ from finstack.descent import (
     GluingResult,
     overlap,
     overlapping_pairs,
+    twist_overlap,
 )
 from finstack.errors import FinstackError
 from finstack.finset import (
@@ -318,6 +319,76 @@ def test_one_point_decider_matches_dense_oracle_on_gauge_twisted_data(rng):
         failing += witness is not None
         passing += witness is None
     assert failing >= 20 and passing >= 30
+
+
+def unhoisted_cocycle_scan(datum, every_point):
+    """The cocycle scan as it read before its loop invariants were hoisted:
+    each iso's table, the partners k and the row of each point (a, b) are
+    read again for every k. The oracle of the hoisted scan: the same order
+    (i, j, k, a, b, c), so the same first witness."""
+    cover = datum.cover
+    stored = datum.overlaps
+    pairs = sorted(stored)
+    partners = {}
+    for i, k in pairs:
+        partners.setdefault(i, []).append(k)
+    legs_over = [fibers(f) for f in cover.legs]
+    locals_over = [fibers(obj.bundle.proj.map) for obj in datum.objects]
+    stop = None if every_point else 1
+    for i, j in pairs:
+        fi = cover.legs[i].table
+        apex = overlap(cover, i, j).apex
+        for k in partners[i]:
+            if (j, k) not in stored:
+                continue
+            phi_ij, phi_jk, phi_ik = (stored[ij].fn.table for ij in ((i, j), (j, k), (i, k)))
+            for a, b in apex:
+                ws = locals_over[i].get(a, ())[:stop]
+                for c in legs_over[k].get(fi[a], ()):
+                    for w in ws:
+                        if phi_jk[(phi_ij[(w, (a, b))][0], (b, c))][0] != phi_ik[(w, (a, c))][0]:
+                            return (i, j, k, ((a, b), c))
+    return None
+
+
+def twisted_cases(rng):
+    """Restricted data on random covers of three or more legs, each also
+    with one or two stored overlap isos twisted: by a constant translation
+    (`twist_overlap`, `break_cocycle`) or by a fiber gauge that moves only
+    some base atoms, so the first failure lies at varied (k, a, b, c)."""
+    for grp in (zmod(2), zmod(3), klein_four(), sym(3)):
+        carrier = grp.carrier.elements
+        nonunit = [g for g in carrier if g != grp.unit_atom]
+        for _ in range(8):
+            base = FinSet(range(rng.randint(1, 3)))
+            obj = random_qsobject(rng, grp, point_x(grp), base)
+            cover = random_cover(rng, base, max_legs=4, max_extra=2)
+            while len(cover.legs) < 3:
+                cover = random_cover(rng, base, max_legs=4, max_extra=2)
+            datum = restrict_to_datum(obj, cover)
+            yield datum
+            yield break_cocycle(datum, rng.choice(nonunit), rng=rng)
+            twisted = datum
+            for _ in range(2):
+                i, j = rng.choice(sorted(datum.overlaps))
+                twisted = twist_overlap(twisted, i, j, rng.choice(nonunit))
+                yield twisted
+            ij = rng.choice(sorted(datum.overlaps))
+            phi = datum.overlaps[ij]
+            gauged = dict(datum.overlaps)
+            gauged[ij] = compose_qs(
+                fiber_gauge(phi.dst, {y: rng.choice(carrier) for y in phi.dst.base}), phi)
+            yield DescentDatum(cover, datum.objects, gauged)
+
+
+def test_hoisted_cocycle_scan_names_the_unhoisted_witness(rng):
+    failing = 0
+    for datum in twisted_cases(rng):
+        one, every = (unhoisted_cocycle_scan(datum, p) for p in (False, True))
+        assert finstack.descent.cocycle_on_one_point(datum) == one
+        assert finstack.descent.cocycle_pointwise(datum) == every
+        failing += one is not None
+    assert failing >= 60
 
 
 def test_canonical_iso_matches_mediated_oracle(rng):

@@ -17,7 +17,7 @@ from finstack.action import (
 )
 from finstack.bundle import check_bundle_morphism, trivial_bundle
 from finstack.descent import glue_object, restrict_to_datum
-from finstack.finset import FinMap, FinSet, bang, identity, product, pullback, terminal
+from finstack.finset import FinMap, FinSet, bang, identity, memo, product, pullback, terminal
 from finstack.sample import random_cover, random_finset, random_qsobject
 from finstack.stack import (
     check_qs_object,
@@ -86,15 +86,16 @@ def test_long_lived_sets_hold_no_memo():
         assert derived == [], f"{s!r} holds entries of the round trips"
 
 
-@pytest.mark.parametrize("fn", [pullback, product, restrict],
-                         ids=["finset.pullback", "finset.product", "stack.restrict"])
+@pytest.mark.parametrize("fn", [identity, pullback, product, restrict],
+                         ids=["finset.identity", "finset.pullback", "finset.product",
+                              "stack.restrict"])
 def test_cache_info_counts_hits_and_misses(fn):
     group = zmod(2)
     base = FinSet(("p", "q"))
     leg = FinMap(FinSet(("u",)), base, {"u": "q"})
     obj = _object(group, base)
-    args = {pullback: (obj.bundle.proj.map, leg), product: (base, leg.src),
-            restrict: (obj, leg)}[fn]
+    args = {identity: (leg.src,), pullback: (obj.bundle.proj.map, leg),
+            product: (base, leg.src), restrict: (obj, leg)}[fn]
     before = fn.cache_info()
     first = fn(*args)
     mid = fn.cache_info()
@@ -102,6 +103,26 @@ def test_cache_info_counts_hits_and_misses(fn):
     assert fn(*args) is first
     after = fn.cache_info()
     assert (after.hits, after.misses) == (mid.hits + 1, mid.misses)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda: None, lambda a, b, c: None, lambda *args: None, lambda a, *rest: None,
+    lambda a, *, b: None, lambda a, **kw: None,
+], ids=["no argument", "three arguments", "only *args", "*args", "keyword-only",
+        "**kwargs"])
+def test_memo_refuses_a_function_it_cannot_key(fn):
+    # the key holds the id of one or two positional arguments; any other
+    # signature would be keyed by part of its arguments
+    with pytest.raises(TypeError, match="one or two positional arguments"):
+        memo()(fn)
+
+
+def test_memo_refuses_holders_for_one_argument():
+    # one argument is its own holder, and the entry must be stored on it
+    with pytest.raises(TypeError, match="no holders"):
+        memo(lambda a: (a, a))(lambda a: a)
+    assert memo()(lambda a: a).memoized_on_youngest
+    assert memo(lambda a, b: (b, a))(lambda a, b: a).memoized_on_youngest
 
 
 def _certified_instances() -> dict:

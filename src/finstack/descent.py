@@ -16,7 +16,8 @@ its least atom (`cocycle_on_one_point`). The scan at every point,
 Gluing builds by point formulas, not through colimits. Once the cocycle
 holds, the overlap isos identify a point of W_i with exactly one point of
 each W_j over the same base atom, so the glued object is written chart by
-chart and its comparison isos back to the datum are single overlap isos.
+chart and its comparison isos back to the datum are single overlap isos,
+built when first read.
 A glued morphism is fixed point by point by the locals, since the cover is
 jointly surjective. The tests keep the coequalizer builds of both as
 oracles. A glued object, its comparisons and a glued morphism are lawful
@@ -31,6 +32,7 @@ path certify only a caller's isos (`make_datum`, `pullback_datum`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple, Optional
 
 from .action import FinGroup, GAction, trivial_action
@@ -52,10 +54,10 @@ from .finset import (
     exact_map,
     fibers,
     identity,
+    kept_slot,
     morphism_predicates,
     product_space,
     pullback,
-    slot_dict,
 )
 from .stack import (
     QSMorphism,
@@ -77,7 +79,7 @@ from .topology import CoveringFamily, pullback_family, require_canonical
 def overlap(cover: CoveringFamily, i: int, j: int):
     """The canonical pairwise overlap U_i ×_Y U_j with its projections,
     built once per cover and kept on it (`CoveringFamily`)."""
-    kept = slot_dict(cover, "_overlaps")
+    kept = kept_slot(cover, "_overlaps", dict)
     cert = kept.get((i, j))
     if cert is None:
         cert = kept[(i, j)] = pullback(cover.legs[i], cover.legs[j])
@@ -86,7 +88,13 @@ def overlap(cover: CoveringFamily, i: int, j: int):
 
 def overlapping_pairs(cover: CoveringFamily) -> list:
     """The sorted leg pairs (i, j) whose overlap U_i ×_Y U_j is nonempty,
-    found by indexing the legs by the base atoms they hit."""
+    found once per cover and kept on it (`CoveringFamily`): read the list,
+    never mutate it."""
+    return kept_slot(cover, "_pairs", _overlapping_pairs, cover)
+
+
+def _overlapping_pairs(cover: CoveringFamily) -> list:
+    """The pairs, found by indexing the legs by the base atoms they hit."""
     legs_at: dict = {}
     for i, f in enumerate(cover.legs):
         for y in set(f.table.values()):
@@ -335,10 +343,53 @@ def check_uniqueness(cover: CoveringFamily, m1: QSMorphism,
 
 
 class GluingResult(NamedTuple):
-    """The glued object and the verified comparison isos onto the datum."""
+    """The glued object and its comparison isos ψ_j onto the datum's
+    objects, one per leg, as a `DeferredComparisons` (a tuple over the
+    empty cover)."""
 
     glued: QSObject
-    comparisons: tuple
+    comparisons: Sequence
+
+
+class DeferredComparisons(Sequence):
+    """The comparison isos of a gluing: their number, one per leg, is known
+    at once, and the isos are built by `_comparison_isos` on the first
+    index or iteration, once. Until then the sequence holds that function's
+    arguments, which refer to the glued object and the datum and never to
+    the sequence, so it closes no reference cycle; the first read drops
+    them. `==`, `hash` and `repr` read through it, as a tuple's."""
+
+    __slots__ = ("_n", "_args", "_isos")
+
+    def __init__(self, n: int, *args):
+        self._n, self._args, self._isos = n, args, None
+
+    def _built(self) -> tuple:
+        isos = self._isos
+        if isos is None:
+            isos = self._isos = _comparison_isos(*self._args)
+            self._args = None
+        return isos
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, DeferredComparisons):
+            other = other._built()
+        return self._built() == other
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
 
 
 def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
@@ -367,6 +418,13 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     cross-check `check_action`, `constructed_bundle`, `check_qs_object`,
     each ψ_j's `check_qs_morphism` with its bijection check, and the scan
     of the ψ_j against the overlap isos re-run.
+
+    The comparisons come back as `DeferredComparisons`: their number is
+    known at once, and the restrictions glued|U_j and the ψ_j tables are
+    built on the first index or iteration, once, so a caller that reads
+    only the glued object or the number of legs builds none of them. Under
+    cross-check the scan reads them all, so they are built and certified
+    at once.
 
     The input is checked: the cover is canonical, the objects share the
     group and structure action, every iso runs between the restrictions of
@@ -427,31 +485,40 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     bundle = formula_bundle("a glued bundle", act, pi_w, trivial_action(group, cover.target))
     glued = formula_object("a glued object", bundle, exact_map(
         total, x_action.space, {q: alphas[q.part][q.atom] for q in total}), x_action)
-    # comparison isos psi_j : glued|U_j -> W_j, one overlap iso per point
+    comparisons = DeferredComparisons(n, cover.legs, datum.objects, glued, phis, pis)
+    cross_check("the comparisons against the overlap isos", None,
+                _check_comparisons, cover, phis, pi_w, comparisons)
+    return GluingResult(glued, comparisons)
+
+
+def _comparison_isos(legs: tuple, objects: tuple, glued: QSObject, phis: dict,
+                     pis: list) -> tuple:
+    """The comparison isos ψ_j : glued|U_j -> W_j, one overlap iso per
+    point: ψ_j(Tag(i, r), b) = φ_ij(r, (π_i(r), b))."""
     comparisons = []
-    for j, fj in enumerate(cover.legs):
-        src, dst = restrict(glued, fj), datum.objects[j]
+    for j, fj in enumerate(legs):
+        src, dst = restrict(glued, fj), objects[j]
         comparisons.append(formula_morphism("a comparison iso", src, dst, exact_map(
             src.total, dst.total,
             {(q, b): phis[(q.part, j)][(q.atom, (pis[q.part][q.atom], b))][0]
              for q, b in src.total}),
             certify_canonical_iso))
-    cross_check("the comparisons against the overlap isos", None,
-                _check_comparisons, cover, phis, pi_w, comparisons)
-    return GluingResult(glued, tuple(comparisons))
+    return tuple(comparisons)
 
 
 def _check_comparisons(cover: CoveringFamily, phis: dict, pi_w: FinMap,
-                       comparisons: list) -> None:
+                       comparisons: Sequence) -> None:
     """Each ψ_j agrees with ψ_i followed by φ_ij, pointwise over every
-    stored overlap; raises RuntimeError at the first pair where not."""
+    stored overlap; raises RuntimeError at the first pair where not. Every
+    ψ_j is read first, so a deferred one is built, and certified under
+    cross-check, whether or not a stored overlap reaches it."""
+    psis = [psi.fn.table for psi in comparisons]
     glued_over = fibers(pi_w)
     for i, j in sorted(phis):
         fi = cover.legs[i].table
         for a, b in overlap(cover, i, j).apex:
             for q in glued_over.get(fi[a], ()):
-                via_phi = phis[(i, j)][(comparisons[i].fn.table[(q, a)], (a, b))][0]
-                if via_phi != comparisons[j].fn.table[(q, b)]:
+                if phis[(i, j)][(psis[i][(q, a)], (a, b))][0] != psis[j][(q, b)]:
                     raise RuntimeError(
                         f"comparison isos disagree with overlap iso ({i},{j})")
 

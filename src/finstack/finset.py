@@ -10,8 +10,12 @@ The public `FinSet(...)` sorts its atoms by `atom_key`. The derived sets
 (products, pullbacks, coproducts, coequalizer quotients) are canonical by
 construction: the kernels emit their atoms already in `atom_key` order and
 build the set with the internal `FinSet._ordered`, which skips the sort but
-still rejects duplicates. Each kernel runs in time linear in its inputs and
-output. In the same way the public `FinMap(...)` checks that its table's
+still rejects duplicates by the frozenset that then serves as the set's
+membership index. A pullback's apex is built another way: `pullback_along`
+writes its projection table first, keyed by the pairs in canonical order,
+and `FinSet._keyed` takes the apex from that table's keys, which are
+distinct, so no duplicate scan runs and the keys view is the index. Each
+kernel runs in time linear in its inputs and output. In the same way the public `FinMap(...)` checks that its table's
 keys are exactly the source atoms and its values lie in the target, while
 the maps whose tables are exact by their formula (`identity`, `compose`,
 the projections of `product` and `pullback`, and elsewhere the tables of
@@ -31,9 +35,9 @@ it on): off, it returns the value; on, it re-runs the certifier first and
 raises RuntimeError when the two disagree: an internal fault, never a
 verdict.
 
-FinSet and FinMap are read-only after construction: a FinSet's hash is
-computed when it is built and a FinMap's on first use, then cached. Never
-mutate `elements` or `table`.
+FinSet and FinMap are read-only after construction: each computes its hash
+on first use, then caches it, and a FinSet is equal to itself without a
+walk of its atoms. Never mutate `elements` or `table`.
 
 Derived structures are shared while their inputs live. A map keeps its
 fibers, which refer to no map, in its `_fibers` slot, as it keeps its hash.
@@ -112,7 +116,12 @@ _serial = itertools.count()
 
 
 class FinSet:
-    """An explicit finite set of atoms, kept in canonical sorted order."""
+    """An explicit finite set of atoms, kept in canonical sorted order.
+
+    `elements` is the tuple of atoms; `_index`, a frozenset of them or the
+    keys view of the table they were taken from (`_keyed`), answers `in`.
+    The hash, that of `elements`, is computed on first use and kept.
+    """
 
     __slots__ = ("elements", "_index", "_hash", "_born", "_memo", "__weakref__")
 
@@ -129,6 +138,20 @@ class FinSet:
         s._set(tuple(elems))
         return s
 
+    @classmethod
+    def _keyed(cls, table: dict) -> FinSet:
+        """The FinSet of a table's keys, which the caller inserted in
+        canonical order. Keys are distinct, so there is no duplicate to
+        scan for, and the keys view is the membership index.
+
+        Internal to this module's kernels: the order is trusted, not checked.
+        """
+        s = object.__new__(cls)
+        keys = table.keys()
+        s.elements, s._index = tuple(keys), keys
+        s._hash, s._born, s._memo = None, next(_serial), None
+        return s
+
     def _set(self, elems: tuple) -> None:
         index = frozenset(elems)
         if len(index) != len(elems):
@@ -139,7 +162,7 @@ class FinSet:
                 seen.add(a)
         self.elements = elems
         self._index = index
-        self._hash = hash(elems)
+        self._hash = None
         self._born = next(_serial)
         self._memo = None
 
@@ -153,9 +176,12 @@ class FinSet:
         return len(self.elements)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FinSet) and self.elements == other.elements
+        return self is other or (isinstance(other, FinSet)
+                                 and self.elements == other.elements)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.elements)
         return self._hash
 
     def __repr__(self) -> str:
@@ -173,9 +199,11 @@ class FinMap:
 
     def __init__(self, src: FinSet, dst: FinSet, table):
         table = dict(table)
-        if len(table) != len(src) or not src._index.issuperset(table):
+        # an index is a frozenset or a keys view: both compare as sets with
+        # a keys view, and answer `in`
+        if len(table) != len(src) or not table.keys() <= src._index:
             raise ValueError("table keys must be exactly the source atoms")
-        if not dst._index.issuperset(table.values()):
+        if not all(map(dst._index.__contains__, table.values())):
             for a, v in table.items():
                 if v not in dst:
                     raise ValueError(
@@ -378,16 +406,18 @@ def memo(holders=None):
 set_field = object.__setattr__   # how a record sets past its frozen __setattr__
 
 
-def slot_dict(record, name: str) -> dict:
-    """The dict a record keeps in its non-field slot `name`, made on first
-    use: for values built from the fields that are not fields themselves,
-    so equality, hash and repr never read them, and a copy starts empty."""
+def kept_slot(record, name: str, build, *args):
+    """The value a record keeps in its non-field slot `name`, made by
+    `build(*args)` on first use: for values built from the fields that are
+    not fields themselves, so equality, hash and repr never read them, and
+    a copy starts without it. Shared by every caller: only the function
+    that keeps it there adds to it."""
     try:
         return getattr(record, name)
     except AttributeError:
-        kept: dict = {}
-        set_field(record, name, kept)
-        return kept
+        value = build(*args)
+        set_field(record, name, value)
+        return value
 
 
 class Record:
@@ -585,17 +615,16 @@ def pullback_along(f: FinMap, g: FinMap) -> FinMap:
     in canonical order, are looked up once per atom of f.src, so the pairs
     come out in canonical order. When g hits at most one atom y, the apex is
     f's fiber over y times g.src, read from f's kept fibers without walking
-    f.src. The apex is the projection's source."""
+    f.src. The apex is the projection's source, the keys of its table."""
     if f.dst != g.dst:
         raise CodomainMismatch(f"{f.dst!r} != {g.dst!r}")
     over = fibers(g)
     if len(over) <= 1:
-        pairs = [(a, b) for y, bs in over.items()
-                 for a in fibers(f).get(y, ()) for b in bs]
+        table = {(a, b): b for y, bs in over.items()
+                 for a in fibers(f).get(y, ()) for b in bs}
     else:
-        pairs = [(a, b) for a in f.src for b in over.get(f.table[a], ())]
-    apex = FinSet._ordered(pairs)
-    return exact_map(apex, g.src, {p: p[1] for p in apex})
+        table = {(a, b): b for a in f.src for b in over.get(f.table[a], ())}
+    return exact_map(FinSet._keyed(table), g.src, table)
 
 
 @memo()

@@ -31,6 +31,7 @@ from .finset import (
     coproduct,
     copair,
     fiber,
+    kept_slot,
     mediate_coequalizer,
     morphism_predicates,
     pullback,
@@ -44,15 +45,18 @@ class CoveringFamily(Record):
     May be empty; over the canonical topology the empty family only covers
     the empty target.
 
-    A cover keeps the pairwise overlaps U_i ×_Y U_j that `descent.overlap`
-    builds on it, by leg pair, in its `_overlaps` slot, so each is built
-    once per cover however often a datum on it reads it. The slot is not a
-    field: equality, hash and repr read the target and legs alone, and a
-    copy starts with no overlaps. Each overlap is the `pullback` of two
-    legs, which refers to the legs and never to the cover.
+    A cover keeps what is found from its legs once: the target atoms no leg
+    hits (`uncovered`) in its `_uncovered` slot, the leg pairs with a
+    nonempty overlap (`descent.overlapping_pairs`) in `_pairs`, and the
+    pairwise overlaps U_i ×_Y U_j that `descent.overlap` builds, by leg
+    pair, in `_overlaps`, so each is found once per cover however often a
+    datum on it reads it. The slots are not fields: equality, hash and repr
+    read the target and legs alone, and a copy starts with none of them.
+    Each holds atoms, leg indexes or the `pullback` of two legs, which
+    refers to the legs and never to the cover.
     """
 
-    __slots__ = ("_overlaps",)
+    __slots__ = ("_uncovered", "_pairs", "_overlaps")
 
     target: FinSet
     legs: tuple
@@ -175,7 +179,12 @@ def family_map(family: CoveringFamily) -> FinMap:
 
 
 def uncovered(family: CoveringFamily) -> list:
-    """The target atoms no leg hits, in canonical order."""
+    """The target atoms no leg hits, in canonical order, found once and
+    kept on the family: read the list, never mutate it."""
+    return kept_slot(family, "_uncovered", _uncovered, family)
+
+
+def _uncovered(family: CoveringFamily) -> list:
     hit = set()
     for f in family.legs:
         hit.update(f.table.values())

@@ -1,6 +1,7 @@
 """Descent along canonical covers: data, cocycles, gluing of objects and
 morphisms, uniqueness, and the stack verdict over generated corpora."""
 
+import gc
 import itertools
 from pathlib import Path
 from random import Random
@@ -687,6 +688,49 @@ def glue_both(datum, **kwargs):
         except FinstackError as err:
             out.append(type(err))
     return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gluing_defers_its_comparisons(monkeypatch, seed):
+    # off, a gluing restricts its glued object to no leg until the
+    # comparisons are read; the first read builds them all, once
+    monkeypatch.setattr(CrossCheck, "on", False)
+    restricted, builds = [], []
+    real_restrict, real_build = finstack.descent.restrict, finstack.descent._comparison_isos
+
+    def restrict_recorded(obj, f):
+        restricted.append(obj)
+        return real_restrict(obj, f)
+
+    def build_counted(*args):
+        builds.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(finstack.descent, "restrict", restrict_recorded)
+    monkeypatch.setattr(finstack.descent, "_comparison_isos", build_counted)
+    rng = Random(seed)
+    grp = sym(3)
+    obj = random_qsobject(rng, grp, regular_action(grp), FinSet(("p", "q", "r")))
+    cover = random_cover(rng, obj.base, max_legs=3, max_extra=2)
+    datum = restrict_to_datum(obj, cover)
+    result = glue_object(datum)
+
+    def on_glued():
+        return sum(x is result.glued for x in restricted)
+
+    assert len(result.comparisons) == len(cover.legs)
+    assert (on_glued(), len(builds)) == (0, 0)
+    first = list(result.comparisons)
+    assert (on_glued(), len(builds)) == (len(cover.legs), 1)
+    # what built them is dropped: the sequence refers to its isos alone
+    held = [x for x in gc.get_referents(result.comparisons)
+            if isinstance(x, (tuple, list, dict))]
+    assert held == [tuple(first)]
+    assert all(result.comparisons[j] is psi for j, psi in enumerate(first))
+    assert list(result.comparisons) == first and result.comparisons == tuple(first)
+    assert (on_glued(), len(builds)) == (len(cover.legs), 1)
+    tables, oracle = glue_both(datum)
+    assert tables == oracle
 
 
 def corpus_data():

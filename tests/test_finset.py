@@ -13,6 +13,7 @@ from finstack.errors import (
     SrcMismatch,
 )
 from finstack.finset import (
+    CrossCheck,
     FinMap,
     FinSet,
     Tag,
@@ -35,6 +36,7 @@ from finstack.finset import (
     product_map,
     product_space,
     pullback,
+    pullback_along,
     terminal,
 )
 
@@ -539,3 +541,36 @@ def test_ordered_rejects_duplicates_like_finset(atoms):
     with pytest.raises(ValueError) as ordered:
         FinSet._ordered(doubled)
     assert str(ordered.value) == str(public.value)
+
+
+@given(st.data())
+def test_pullback_apex_is_the_set_of_its_table_keys(data):
+    # the apex is indexed by its projection table: with the switch off
+    # nothing re-checks it (the autouse fixture restores the switch), so it
+    # must already be the set FinSet builds, in order, membership and hash
+    CrossCheck.on = False
+    y = data.draw(mixed_sets(min_size=1, max_size=3))
+    f = draw_map(data, data.draw(mixed_sets()), y)
+    g = draw_map(data, data.draw(mixed_sets()), y)
+    probes = [(a, b) for a in f.src for b in g.src] + data.draw(st.lists(mixed_atoms, min_size=1))
+    for apex in (pullback_along(f, g).src, pullback(f, g).apex):
+        public = FinSet(list(apex))
+        assert apex.elements == public.elements and apex == public
+        assert hash(apex) == hash(FinSet(apex.elements))
+        atoms = frozenset(apex.elements)
+        assert all((a in apex) == (a in atoms) for a in probes)
+        dst = data.draw(mixed_sets(min_size=1, max_size=3))
+        keys = data.draw(st.lists(st.sampled_from(probes) | mixed_atoms, unique=True,
+                                  max_size=6) | st.just(list(apex.elements)))
+        values = st.sampled_from(dst.elements) | mixed_atoms
+        for src, target, table in (
+                (apex, dst, {k: data.draw(values) for k in keys}),
+                (dst, apex, {k: data.draw(st.sampled_from(probes) | mixed_atoms)
+                             for k in dst})):
+            expected = old_finmap_error(src, target, table)
+            if expected is None:
+                assert FinMap(src, target, table).table == table
+            else:
+                with pytest.raises(ValueError) as err:
+                    FinMap(src, target, table)
+                assert str(err.value) == expected

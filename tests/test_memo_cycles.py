@@ -1,15 +1,18 @@
 """The memo closes no reference cycle: a memo entry holds its arguments and
-its result by weak references, and a cover keeps its own overlaps. So a
-round trip's structures die by reference counting once their last user
-drops them, without the cyclic collector, while what a caller still holds
-stays shared."""
+its result by weak references, a cover keeps its own overlaps, and a
+gluing's deferred comparisons hold only what builds them. So a round trip's
+structures die by reference counting once their last user drops them,
+without the cyclic collector, while what a caller still holds stays
+shared."""
 
+import copy
 import gc
 import weakref
 from random import Random
 
 import pytest
 
+import finstack.topology
 from finstack import (
     CocycleRequired,
     CoverNotCanonical,
@@ -33,6 +36,7 @@ from finstack import (
     zmod,
 )
 from finstack.action import product_action
+from finstack.descent import overlap, overlapping_pairs
 from finstack.finset import CrossCheck, bang, fibers, product_space, terminal
 from finstack.sample import (
     break_cocycle,
@@ -41,7 +45,7 @@ from finstack.sample import (
     random_qsobject,
     relabel_qsobject,
 )
-from finstack.topology import point_cover
+from finstack.topology import CoveringFamily, point_cover, require_canonical, uncovered
 
 
 @pytest.fixture
@@ -180,3 +184,54 @@ def test_a_held_restriction_keeps_the_source_of_its_map_alone(monkeypatch, no_co
     del leg
     assert ref() is None
     assert held.base is src
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_dropped_gluing_leaves_no_cyclic_garbage(monkeypatch, no_collector, seed, read):
+    # off, the comparisons stay unbuilt unless read; either way dropping the
+    # result and the datum frees them by reference counting
+    monkeypatch.setattr(CrossCheck, "on", False)
+    rng = Random(seed)
+    group = sym(3)
+    base = FinSet(("p", "q", "r"))
+    obj = random_qsobject(rng, group, trivial_action(group, terminal()), base)
+    datum = restrict_to_datum(obj, random_cover(rng, base))
+    result = glue_object(datum)
+    assert len(result.comparisons) == len(datum.cover.legs)
+    if read:
+        assert [psi.dst for psi in result.comparisons] == list(datum.objects)
+    refs = [weakref.ref(datum.objects[0]), weakref.ref(result.glued)]
+    del datum, result
+    assert [r() for r in refs] == [None, None]
+    assert gc.collect() == 0
+
+
+def test_a_cover_keeps_its_pairs_and_gaps_outside_its_fields(monkeypatch, no_collector):
+    walks = []
+    real = finstack.topology._uncovered
+    monkeypatch.setattr(finstack.topology, "_uncovered",
+                        lambda family: walks.append(family) or real(family))
+    base = FinSet(("p", "q", "r"))
+    legs = [FinMap(FinSet(("u", "v")), base, {"u": "p", "v": "q"}),
+            FinMap(FinSet(("w",)), base, {"w": "q"})]
+    cover = CoveringFamily(base, legs)
+    pairs, missed = overlapping_pairs(cover), uncovered(cover)
+    assert (pairs, missed) == ([(0, 0), (0, 1), (1, 0), (1, 1)], ["r"])
+    assert overlapping_pairs(cover) is pairs and uncovered(cover) is missed
+    for _ in range(3):
+        with pytest.raises(CoverNotCanonical):
+            require_canonical(cover)
+    assert len(walks) == 1
+    overlap(cover, 0, 1)
+    # equality, hash and repr read the fields alone; a copy starts empty
+    twin = CoveringFamily(base, legs)
+    assert twin == cover and hash(twin) == hash(cover) and repr(twin) == repr(cover)
+    clone = copy.copy(cover)
+    assert clone == cover
+    assert not any(hasattr(clone, name) for name in ("_uncovered", "_pairs", "_overlaps"))
+    assert overlapping_pairs(clone) == pairs and overlapping_pairs(clone) is not pairs
+    # what a cover keeps refers to its legs, never to the cover
+    ref = weakref.ref(cover)
+    del cover, walks[:]
+    assert ref() is None

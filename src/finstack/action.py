@@ -3,14 +3,14 @@
 A group is a Cayley table certified by check_group; an action is a map
 G×X -> X certified by check_action against both action diagrams. Equivariant
 maps are certified squares. Actions and equivariant maps are certified on a
-generating set of the group, which implies the laws for every element.
-`trivial_action` is the one construction of a trivially acted set, the
-base of every bundle and base change; it is memoized and defers its table.
+generating set of the group, kept on the group, which implies the laws for
+every element. `trivial_action` is the one construction of a trivially
+acted set, the base of every bundle and base change; it is memoized on the
+younger of its two inputs and defers its table.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Optional
 
@@ -32,6 +32,7 @@ from .finset import (
     cross_check,
     deferred_map,
     exact_map,
+    kept_slot,
     memo,
     product_space,
     pullback,
@@ -44,7 +45,14 @@ class FinGroup(Record):
 
     Only check_group constructs these, so holding a FinGroup is holding a
     certificate that the axioms were verified.
+
+    A group keeps the values derived from it alone, its `generators` and
+    its `bundle.torsor_structures`, in slots outside its fields, each built
+    on first use: equality, hash and repr never read them, a copy starts
+    without them, and an equal group built separately builds its own.
     """
+
+    __slots__ = ("_generators", "_torsors")
 
     carrier: FinSet
     mul: FinMap
@@ -150,15 +158,18 @@ def subgroups(g: FinGroup):
     return found
 
 
-@functools.lru_cache(maxsize=256)
 def generators(g: FinGroup) -> tuple:
     """A generating set, picked greedily in canonical order: an atom is taken
     when it is not in the subgroup generated by the earlier picks.
 
     So every atom before a pick is the unit, an earlier pick, or in the
     subgroup the earlier picks generate. (1,) for Z/n, two atoms for V4
-    and S3.
+    and S3. Found once and kept on the group.
     """
+    return kept_slot(g, "_generators", _generators, g)
+
+
+def _generators(g: FinGroup) -> tuple:
     picks = []
     span = {g.unit_atom}
     for a in g.carrier:

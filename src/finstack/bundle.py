@@ -10,6 +10,8 @@ over U_i) is kept as an oracle, `is_locally_trivial` with
 model, the enumerated bundles (streamed) and base changes are bundles by
 their formulas: `constructed_bundle` re-runs on them only under cross-check.
 Each of them lies over `trivial_action(G, base)`, the one trivial action.
+The torsor structures the enumeration draws from are found once per group
+and kept on it.
 
 `bundle_count` and `bundle_morphism_count` count the bundles and the
 morphisms in closed form, with no bound: only oracles and tests enumerate
@@ -19,7 +21,6 @@ BoundExceeded, a count past their own `bound`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Iterator, NamedTuple, Optional, Union
@@ -49,6 +50,7 @@ from .finset import (
     deferred_map,
     exact_map,
     fibers,
+    kept_slot,
     morphism_predicates,
     product,
     product_space,
@@ -328,16 +330,20 @@ def bundle_count(group: FinGroup, base: FinSet) -> int:
     return math.factorial(len(group.carrier) - 1) ** len(base)
 
 
-@functools.lru_cache(maxsize=256)
 def torsor_structures(group: FinGroup) -> tuple:
     """The distinct free transitive actions of G on its own carrier,
-    as act tables; there are (|G|-1)! of them.
+    as act tables; there are (|G|-1)! of them. Found once and kept on the
+    group: read the tables, never mutate them.
 
     A bijection b of the carrier gives the torsor g·h = b(g·b⁻¹(h)), and two
     give the same one exactly when they differ by a right translation. So
     the b that fix the least atom are one per structure, and in the
     lexicographic order of all permutations they are the first appearances.
     """
+    return kept_slot(group, "_torsors", _torsor_structures, group)
+
+
+def _torsor_structures(group: FinGroup) -> tuple:
     atoms = list(group.carrier)
     tables = []
     for rest in itertools.permutations(atoms[1:]):

@@ -39,22 +39,25 @@ FinSet and FinMap are read-only after construction: each computes its hash
 on first use, then caches it, and a FinSet is equal to itself without a
 walk of its atoms. Never mutate `elements` or `table`.
 
-Derived structures are shared while their inputs live. A map keeps its
-fibers, which refer to no map, in its `_fibers` slot, as it keeps its hash.
-A function wrapped by `memo` (here `identity`, `product_space`, `product`,
-`pullback`; elsewhere `restrict`, `trivial_action`) stores each result in
-the `_memo` slot of the youngest FinSet or FinMap among its arguments,
-youngest by the creation serial `_born`, so a long-lived set such as
-`terminal()` or a group's carrier never collects entries for short-lived
-data. Such a function takes one or two positional arguments, and `memo`
-picks the wrapper for that arity when it decorates it. The one rule: an
-entry holds its arguments and its result by weak references, so it closes
-no reference cycle, what a caller drops dies by reference counting without
+Derived structures live on what they derive from, in one of two ways. A
+value derived from one object is kept in a slot on that object: a map
+keeps its fibers, which refer to no map, in its `_fibers` slot, as it keeps
+its hash, and a record keeps such values in slots outside its fields by
+`kept_slot` (a cover its overlaps and gaps, a group its generators and
+torsor structures). A value built from two inputs is kept by `memo` (here
+`product_space`, `product`, `pullback`; elsewhere `restrict`,
+`trivial_action`), which stores each result in the `_memo` slot of the
+younger FinSet or FinMap of the two, younger by the creation serial
+`_born`, so a long-lived set such as `terminal()` or a group's carrier
+never collects entries for short-lived data. The one rule: an entry holds
+its arguments and its result by weak references, so it closes no
+reference cycle, what a caller drops dies by reference counting without
 the cyclic collector, and a result nobody holds is built again. The memo
 looks its arguments up by identity, never by value: a lookup hashes no
 table, and a hit needs the very arguments of the entry, so two equal
 values built separately do not share results.
 `fn.cache_info()` reports the hits and misses of every call since import.
+The one global cache is `terminal()`'s, which holds a constant.
 
 The certified records built on these (`FinGroup`, `GAction`, `Bundle`,
 `QSObject`, `CoveringFamily`, `DescentDatum`, ...) are `Record` subclasses:
@@ -320,16 +323,15 @@ class MemoInfo(NamedTuple):
 
 
 def memo(holders=None):
-    """Memoize a function of one or two FinSets or FinMaps on the youngest.
+    """Memoize a function of two FinSets or FinMaps on the younger.
 
-    The candidates are the arguments themselves, or, for a function of two
-    arguments that only hold FinSets and FinMaps, the two that
-    `holders(a, b)` returns. The entry is stored in the youngest
-    candidate's `_memo` dict under the key (wrapper, id(a)[, id(b)]), so it
-    dies with that object. Exceptions are not stored. The wrapper is chosen
-    at decoration, one per arity; a function of another shape, or `holders`
-    on a function of one argument, raises TypeError, since it could not be
-    keyed by its arguments.
+    The candidates are the arguments themselves, or, for arguments that only
+    hold FinSets and FinMaps, the two that `holders(a, b)` returns. The
+    entry is stored in the younger candidate's `_memo` dict under the key
+    (wrapper, id(a), id(b)), so it dies with that object. Exceptions are not
+    stored. A function of another shape raises TypeError at decoration,
+    since it could not be keyed by its arguments: a value derived from one
+    object is kept on that object instead, as `fibers` and `kept_slot` do.
 
     The rule: an entry holds each argument and its result by a weak
     reference, so it keeps nothing alive and closes no reference cycle. A
@@ -340,61 +342,37 @@ def memo(holders=None):
     """
     def decorate(fn):
         code = fn.__code__
-        arity = code.co_argcount
-        if (arity not in (1, 2) or code.co_kwonlyargcount
+        if (code.co_argcount != 2 or code.co_kwonlyargcount
                 or code.co_flags & (_CO_VARARGS | _CO_VARKEYWORDS)):
-            raise TypeError(f"memo keys one or two positional arguments, "
+            raise TypeError(f"memo keys two positional arguments, "
                             f"not the signature of {fn.__qualname__}")
-        if arity == 1 and holders is not None:
-            raise TypeError(f"memo takes no holders for {fn.__qualname__} of one argument")
         hits = misses = 0
         ref = weakref.ref
 
-        if arity == 1:
-            @functools.wraps(fn)
-            def wrapper(a):
-                nonlocal hits, misses
-                key = (wrapper, id(a))
-                table = a._memo
-                if table is None:
-                    table = a._memo = {}
-                else:
-                    entry = table.get(key)
-                    # stored on a itself, so the entry's argument is a
-                    if entry is not None:
-                        out = entry[1]()
-                        if out is not None:
-                            hits += 1
-                            return out
-                misses += 1
-                out = fn(a)
-                table[key] = ((ref(a),), ref(out))
-                return out
-        else:
-            @functools.wraps(fn)
-            def wrapper(a, b):
-                nonlocal hits, misses
-                if holders is None:
-                    owner = b if b._born > a._born else a
-                else:
-                    ha, hb = holders(a, b)
-                    owner = hb if hb._born > ha._born else ha
-                key = (wrapper, id(a), id(b))
-                table = owner._memo
-                if table is None:
-                    table = owner._memo = {}
-                else:
-                    entry = table.get(key)
-                    if entry is not None:
-                        (ra, rb), held = entry
-                        out = held()
-                        if out is not None and ra() is a and rb() is b:
-                            hits += 1
-                            return out
-                misses += 1
-                out = fn(a, b)
-                table[key] = ((ref(a), ref(b)), ref(out))
-                return out
+        @functools.wraps(fn)
+        def wrapper(a, b):
+            nonlocal hits, misses
+            if holders is None:
+                owner = b if b._born > a._born else a
+            else:
+                ha, hb = holders(a, b)
+                owner = hb if hb._born > ha._born else ha
+            key = (wrapper, id(a), id(b))
+            table = owner._memo
+            if table is None:
+                table = owner._memo = {}
+            else:
+                entry = table.get(key)
+                if entry is not None:
+                    (ra, rb), held = entry
+                    out = held()
+                    if out is not None and ra() is a and rb() is b:
+                        hits += 1
+                        return out
+            misses += 1
+            out = fn(a, b)
+            table[key] = ((ref(a), ref(b)), ref(out))
+            return out
 
         wrapper.cache_info = lambda: MemoInfo(hits, misses)
         wrapper.memoized_on_youngest = True
@@ -487,7 +465,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-@memo()
 def identity(a: FinSet) -> FinMap:
     return exact_map(a, a, {x: x for x in a})
 
@@ -503,6 +480,11 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
 @functools.lru_cache(maxsize=1)
 def terminal() -> FinSet:
     return FinSet(("*",))
+
+
+# built at import, the oldest set: never the younger argument that a memo
+# entry is stored on, it keeps no entry for an argument that dies first
+terminal()
 
 
 def bang(a: FinSet) -> FinMap:

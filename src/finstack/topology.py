@@ -35,6 +35,7 @@ from .finset import (
     mediate_coequalizer,
     morphism_predicates,
     pullback,
+    pullback_along,
     terminal,
 )
 
@@ -143,31 +144,25 @@ def small_sets(max_size: int):
     return [FinSet(range(n)) for n in range(max_size + 1)]
 
 
-def base_change(f: FinMap, t: FinMap) -> FinMap:
-    """The pullback of f along t, as a map into t's source."""
-    return pullback(f, t).proj2
-
-
-def is_universal_effective_epi(f: FinMap, sample_budget: int = 20,
-                               seed: int = 0) -> bool:
-    """Effective epi, stably under base change.
-
-    Deterministic sample: all maps from sets of size <= 3 into the target,
-    plus sample_budget random maps from larger sets (seeded).
+def is_universal_effective_epi(f: FinMap, sample_budget: int = 20) -> bool:
+    """Effective epi, stably under base change: f pulled back along t
+    (`pullback_along`) is effective epi for every map t in a deterministic
+    sample, all maps from sets of size <= 3 into the target, plus
+    sample_budget random maps from larger sets, drawn by `Random(0)`.
     """
     if not is_effective_epi(f):
         return False
     for z in small_sets(3):
         for t in all_maps(z, f.dst):
-            if not is_effective_epi(base_change(f, t)):
+            if not is_effective_epi(pullback_along(f, t)):
                 return False
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(sample_budget):
         if len(f.dst) == 0:
             break
         z = FinSet(range(rng.randint(4, 6)))
         t = FinMap(z, f.dst, {a: rng.choice(f.dst.elements) for a in z})
-        if not is_effective_epi(base_change(f, t)):
+        if not is_effective_epi(pullback_along(f, t)):
             return False
     return True
 
@@ -221,7 +216,7 @@ def pullback_family(family: CoveringFamily, t: FinMap) -> CoveringFamily:
     """Base change of a covering family along t, legs in the same order."""
     if t.dst != family.target:
         raise TargetMismatch(f"{t.dst!r} != {family.target!r}")
-    return CoveringFamily(t.src, [base_change(f, t) for f in family.legs])
+    return CoveringFamily(t.src, [pullback_along(f, t) for f in family.legs])
 
 
 class CechColimit(NamedTuple):

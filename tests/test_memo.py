@@ -17,7 +17,17 @@ from finstack.action import (
 )
 from finstack.bundle import check_bundle_morphism, trivial_bundle
 from finstack.descent import glue_object, restrict_to_datum
-from finstack.finset import FinMap, FinSet, bang, identity, memo, product, pullback, terminal
+from finstack.finset import (
+    FinMap,
+    FinSet,
+    bang,
+    identity,
+    memo,
+    product,
+    product_space,
+    pullback,
+    terminal,
+)
 from finstack.sample import random_cover, random_finset, random_qsobject
 from finstack.stack import (
     check_qs_object,
@@ -86,15 +96,15 @@ def test_long_lived_sets_hold_no_memo():
         assert derived == [], f"{s!r} holds entries of the round trips"
 
 
-@pytest.mark.parametrize("fn", [identity, pullback, product, restrict],
-                         ids=["finset.identity", "finset.pullback", "finset.product",
+@pytest.mark.parametrize("fn", [product_space, pullback, product, restrict],
+                         ids=["finset.product_space", "finset.pullback", "finset.product",
                               "stack.restrict"])
 def test_cache_info_counts_hits_and_misses(fn):
     group = zmod(2)
     base = FinSet(("p", "q"))
     leg = FinMap(FinSet(("u",)), base, {"u": "q"})
     obj = _object(group, base)
-    args = {identity: (leg.src,), pullback: (obj.bundle.proj.map, leg),
+    args = {product_space: (base, leg.src), pullback: (obj.bundle.proj.map, leg),
             product: (base, leg.src), restrict: (obj, leg)}[fn]
     before = fn.cache_info()
     first = fn(*args)
@@ -106,22 +116,19 @@ def test_cache_info_counts_hits_and_misses(fn):
 
 
 @pytest.mark.parametrize("fn", [
-    lambda: None, lambda a, b, c: None, lambda *args: None, lambda a, *rest: None,
-    lambda a, *, b: None, lambda a, **kw: None,
-], ids=["no argument", "three arguments", "only *args", "*args", "keyword-only",
-        "**kwargs"])
+    lambda: None, lambda a: None, lambda a, b, c: None, lambda *args: None,
+    lambda a, *rest: None, lambda a, *, b: None, lambda a, **kw: None,
+], ids=["no argument", "one argument", "three arguments", "only *args", "*args",
+        "keyword-only", "**kwargs"])
 def test_memo_refuses_a_function_it_cannot_key(fn):
-    # the key holds the id of one or two positional arguments; any other
-    # signature would be keyed by part of its arguments
-    with pytest.raises(TypeError, match="one or two positional arguments"):
+    # the key holds the ids of two positional arguments; any other signature
+    # would be keyed by part of its arguments, and a value derived from one
+    # object is kept on that object
+    with pytest.raises(TypeError, match="two positional arguments"):
         memo()(fn)
-
-
-def test_memo_refuses_holders_for_one_argument():
-    # one argument is its own holder, and the entry must be stored on it
-    with pytest.raises(TypeError, match="no holders"):
-        memo(lambda a: (a, a))(lambda a: a)
-    assert memo()(lambda a: a).memoized_on_youngest
+    with pytest.raises(TypeError, match="two positional arguments"):
+        memo(lambda a, b: (b, a))(fn)
+    assert memo()(lambda a, b: a).memoized_on_youngest
     assert memo(lambda a, b: (b, a))(lambda a, b: a).memoized_on_youngest
 
 

@@ -12,6 +12,8 @@ from random import Random
 
 import pytest
 
+import finstack.action
+import finstack.bundle
 import finstack.topology
 from finstack import (
     CocycleRequired,
@@ -22,7 +24,6 @@ from finstack import (
     check_qs_object,
     glue_morphisms,
     glue_object,
-    identity,
     product,
     pullback,
     qs_isomorphism,
@@ -35,7 +36,8 @@ from finstack import (
     trivial_bundle,
     zmod,
 )
-from finstack.action import product_action
+from finstack.action import generators, product_action
+from finstack.bundle import torsor_structures
 from finstack.descent import overlap, overlapping_pairs
 from finstack.finset import CrossCheck, bang, fibers, product_space, terminal
 from finstack.sample import (
@@ -110,7 +112,6 @@ def _inputs():
 
 # each memoized function with the arguments it takes, built from _inputs()
 CALLS = {
-    "identity": lambda group, base, leg, obj: (identity, (base,)),
     "fibers": lambda group, base, leg, obj: (fibers, (leg,)),
     "product_space": lambda group, base, leg, obj: (product_space, (base, leg.src)),
     "product": lambda group, base, leg, obj: (product, (base, leg.src)),
@@ -125,8 +126,7 @@ def test_arguments_die_when_their_caller_drops_them(no_collector, name):
     fn, args = CALLS[name](*_inputs())
     out = fn(*args)
     assert fn(*args) is out
-    # the group stays: `generators` keeps it in its bounded lru_cache
-    refs = [weakref.ref(x) for x in args if x is not args[0] or name != "trivial_action"]
+    refs = [weakref.ref(x) for x in args]
     if not isinstance(out, dict):
         refs.append(weakref.ref(out))
     del args, out
@@ -235,3 +235,32 @@ def test_a_cover_keeps_its_pairs_and_gaps_outside_its_fields(monkeypatch, no_col
     ref = weakref.ref(cover)
     del cover, walks[:]
     assert ref() is None
+
+
+def test_a_group_keeps_its_generators_and_torsors_outside_its_fields(monkeypatch, no_collector):
+    built = []
+    for module, name in ((finstack.action, "_generators"),
+                         (finstack.bundle, "_torsor_structures")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda group, _real=real: built.append(group) or _real(group))
+    group = zmod(3)
+    gens, torsors = generators(group), torsor_structures(group)
+    assert (gens, len(torsors)) == ((1,), 2)
+    assert generators(group) is gens and torsor_structures(group) is torsors
+    assert len(built) == 2
+    # equality, hash and repr read the fields alone; an equal group built
+    # separately builds its own, and a copy starts with neither
+    twin = zmod(3)
+    assert twin == group and hash(twin) == hash(group) and repr(twin) == repr(group)
+    assert generators(twin) == gens and generators(twin) is not gens
+    assert torsor_structures(twin) == torsors and torsor_structures(twin) is not torsors
+    assert len(built) == 4
+    clone = copy.copy(group)
+    assert clone == group and hash(clone) == hash(group)
+    assert not any(hasattr(clone, name) for name in ("_generators", "_torsors"))
+    # what a group keeps refers to its atoms, never to the group
+    ref = weakref.ref(group)
+    del group, clone, built[:]
+    assert ref() is None
+    assert gc.collect() == 0

@@ -6,7 +6,7 @@ import pytest
 
 from finstack.action import trivial_action, zmod
 from finstack.bundle import trivial_bundle
-from finstack.finset import CrossCheck, FinMap, FinSet, Record, bang, fibers, pullback, terminal
+from finstack.finset import FinMap, FinSet, Record, bang, fibers, pullback, terminal
 from finstack.stack import check_qs_object, restrict
 
 
@@ -31,9 +31,8 @@ def _calls():
 
 @pytest.mark.parametrize("name", ["pullback", "fibers", "restrict", "trivial_action"])
 def test_memoized_call_never_hashes_its_arguments(monkeypatch, name):
-    # the certifiers that cross-checking re-runs hash groups in their own
-    # caches; the memo lookup is what is pinned here
-    monkeypatch.setattr(CrossCheck, "on", False)
+    # neither the memo lookup nor the certifiers that cross-checking re-runs
+    # hash an argument: a group keeps its generators on itself
     fn, args = _calls()[name]
     hashed = []
     for cls in (FinSet, FinMap, Record):

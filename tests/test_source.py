@@ -48,21 +48,23 @@ def test_only_finset_imports_set_field():
 
 
 def test_caches_are_bounded():
-    # long runs keep bounded memory: every lru_cache in the library has a
-    # finite maxsize, and the finset memo keeps an entry only as long as the
-    # youngest argument it is stored on
+    # long runs keep bounded memory: the one lru_cache in the library holds
+    # the constant terminal set, a value derived from one object is kept on
+    # that object, and the finset memo keys only functions of two arguments,
+    # keeping an entry only as long as the younger one it is stored on
     import importlib
-    unbounded = []
+    cached, memoized = [], []
     for path in sorted(SRC.glob("*.py")):
         module = importlib.import_module(f"finstack.{path.stem}")
         for name, obj in vars(module).items():
             info = getattr(obj, "cache_info", None)
             if callable(info) and getattr(obj, "__module__", None) == module.__name__:
                 if getattr(obj, "memoized_on_youngest", False):
-                    continue
-                if info().maxsize is None:
-                    unbounded.append(f"{path.stem}.{name}")
-    assert unbounded == []
+                    memoized.append(obj.__wrapped__.__code__.co_argcount)
+                else:
+                    cached.append((f"{path.stem}.{name}", info().maxsize))
+    assert cached == [("finset.terminal", 1)]
+    assert memoized and set(memoized) == {2}
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))

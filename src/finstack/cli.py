@@ -15,13 +15,14 @@ action failing its laws is rejected there (exit 2), so each one listed was
 certified by check_group or check_action at load, or is the trivial or
 regular action, lawful by its formula; neither certifier runs again.
 
---seed and --budget drive only verify-stack's generated corpus; the same
-seed reproduces the same run. A budget below 1 is bad input (exit 2), and so
-is a bound below 1: no enumeration has fewer than one item, so such a bound
-guards nothing. Cover and bundle checks are deterministic. No command
-enumerates on its production path, so --bound never refuses a verdict: it
-guards only the oracles of check-cover, check-sheaf and classify under
---cross-check.
+--seed and --budget drive only verify-stack's generated corpus, whose cases
+are checked one at a time as they are drawn, so memory does not grow with
+the budget; the same seed reproduces the same run. A budget below 1 is bad
+input (exit 2), and so is a bound below 1: no enumeration has fewer than
+one item, so such a bound guards nothing. Cover and bundle checks are
+deterministic. No command enumerates on its production path, so --bound
+never refuses a verdict: it guards only the oracles of check-cover,
+check-sheaf and classify under --cross-check.
 
 --cross-check turns on the library's cross-check switch for the run: every
 construction built by a formula re-runs the certifier it skips, and
@@ -223,9 +224,9 @@ def _cmd_verify_stack(site, args):
     out = []
     for d in site.by_kind("stack"):
         stack = d.value
-        corpus = build_corpus(stack.group, stack.x_action,
-                              Random(args.seed), cases=args.budget)
-        rep = verify_stack(stack.group, stack.x_action, corpus)
+        rep = verify_stack(stack.group, stack.x_action,
+                           build_corpus(stack.group, stack.x_action,
+                                        Random(args.seed), cases=args.budget))
         detail = (f"effectiveness {rep.effectiveness.passed}/{rep.effectiveness.attempted}, "
                   f"gluing {rep.gluing.passed}/{rep.gluing.attempted}, "
                   f"uniqueness {rep.uniqueness.passed}/{rep.uniqueness.attempted}, "
@@ -235,7 +236,7 @@ def _cmd_verify_stack(site, args):
         else:
             first = []
             for cond in (rep.effectiveness, rep.gluing, rep.uniqueness, rep.rejected):
-                first += [f"{cond.name}: {msg}" for msg, _ in cond.failures[:2]]
+                first += [f"{cond.name}: {msg}" for msg in cond.failures[:2]]
             out.append(_check(d.name, "fail", detail,
                               error="StackConditionFail",
                               witness={"failures": first}))

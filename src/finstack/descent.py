@@ -562,22 +562,12 @@ def pullback_datum(datum: DescentDatum, t: FinMap) -> DescentDatum:
 
 # ------------------------------------------------------------ verify-stack ---
 
-class Corpus:
-    """Test cases for the three stack conditions."""
-
-    def __init__(self):
-        self.effectiveness = []      # (datum, expected QSObject or None)
-        self.morphism_gluings = []   # (cover, x, y, locals, expected or None)
-        self.uniqueness_pairs = []   # (cover, m1, m2)
-        self.invalid_data = []       # data expected to be rejected
-
-
 class ConditionReport:
     def __init__(self, name: str):
         self.name = name
         self.attempted = 0
         self.passed = 0
-        self.failures = []
+        self.failures = []  # one message per failed case
 
     @property
     def ok(self) -> bool:
@@ -585,12 +575,11 @@ class ConditionReport:
 
 
 class StackReport:
-    def __init__(self, effectiveness: ConditionReport, gluing: ConditionReport,
-                 uniqueness: ConditionReport, rejected: ConditionReport):
-        self.effectiveness = effectiveness
-        self.gluing = gluing
-        self.uniqueness = uniqueness
-        self.rejected = rejected
+    def __init__(self):
+        self.effectiveness = ConditionReport("effectiveness")
+        self.gluing = ConditionReport("gluing of morphisms")
+        self.uniqueness = ConditionReport("uniqueness of gluings")
+        self.rejected = ConditionReport("rejection of invalid data")
 
     @property
     def ok(self) -> bool:
@@ -598,53 +587,58 @@ class StackReport:
                    (self.effectiveness, self.gluing, self.uniqueness, self.rejected))
 
 
-def verify_stack(group: FinGroup, x_action: GAction, corpus: Corpus) -> StackReport:
-    """Run the three stack conditions over the corpus and report.
+def verify_stack(group: FinGroup, x_action: GAction, cases) -> StackReport:
+    """Run the three stack conditions over (condition, case) pairs, as
+    `sample.build_corpus` yields them, and report. Each case is checked as
+    it arrives and then dropped, and a failure keeps its message alone, so
+    memory does not grow with the number of cases.
 
     Effectiveness: every datum glues, and round-trip data glue back to the
     object they came from, up to iso in the fiber. Gluing: compatible local
     morphisms glue to a global one restricting back to them. Uniqueness:
-    globals agreeing on a canonical cover are equal.
+    globals agreeing on a canonical cover are equal. Rejected: an invalid
+    datum is refused for its cocycle or its cover.
 
-    A FinstackError from gluing counts as a failed case. Any other exception
-    is an internal fault, no verdict on the stack, and propagates.
+    A FinstackError from effectiveness or gluing counts as a failed case.
+    Any other exception is an internal fault, no verdict on the stack, and
+    propagates.
     """
-    eff = ConditionReport("effectiveness")
-    for datum, expected in corpus.effectiveness:
-        eff.attempted += 1
+    report = StackReport()
+    for condition, case in cases:
+        cond = getattr(report, condition)
+        cond.attempted += 1
+        failure = _case_failure(group, x_action, condition, case)
+        if failure is None:
+            cond.passed += 1
+        else:
+            cond.failures.append(failure)
+    return report
+
+
+def _case_failure(group, x_action, condition, case) -> Optional[str]:
+    """Why the case fails its condition, or None when it passes."""
+    if condition == "uniqueness":
+        cover, m1, m2 = case
+        if (check_uniqueness(cover, m1, m2) is None) != (m1.fn == m2.fn):
+            return "uniqueness verdict inconsistent"
+        return None
+    if condition == "rejected":
         try:
+            glue_object(case, group=group, x_action=x_action)
+        except (CocycleRequired, CoverNotCanonical):
+            return None
+        return "invalid datum was not rejected"
+    try:
+        if condition == "effectiveness":
+            datum, expected = case
             result = glue_object(datum, group=group, x_action=x_action)
             if expected is not None and qs_isomorphism(result.glued, expected) is None:
-                eff.failures.append(("not isomorphic to the source object", datum))
-                continue
-            eff.passed += 1
-        except FinstackError as err:
-            eff.failures.append((repr(err), datum))
-    glue = ConditionReport("gluing of morphisms")
-    for cover, x, y, locals_, expected in corpus.morphism_gluings:
-        glue.attempted += 1
-        try:
+                return "not isomorphic to the source object"
+        else:
+            cover, x, y, locals_, expected = case
             eta = glue_morphisms(cover, x, y, locals_)
             if expected is not None and eta.fn != expected.fn:
-                glue.failures.append(("glued morphism differs from expected", cover))
-                continue
-            glue.passed += 1
-        except FinstackError as err:
-            glue.failures.append((repr(err), cover))
-    uniq = ConditionReport("uniqueness of gluings")
-    for cover, m1, m2 in corpus.uniqueness_pairs:
-        uniq.attempted += 1
-        witness = check_uniqueness(cover, m1, m2)
-        if (witness is None) == (m1.fn == m2.fn):
-            uniq.passed += 1
-        else:
-            uniq.failures.append(("uniqueness verdict inconsistent", cover))
-    rej = ConditionReport("rejection of invalid data")
-    for datum in corpus.invalid_data:
-        rej.attempted += 1
-        try:
-            glue_object(datum, group=group, x_action=x_action)
-            rej.failures.append(("invalid datum was not rejected", datum))
-        except (CocycleRequired, CoverNotCanonical):
-            rej.passed += 1
-    return StackReport(eff, glue, uniq, rej)
+                return "glued morphism differs from expected"
+    except FinstackError as err:
+        return repr(err)
+    return None

@@ -1,5 +1,5 @@
 """Seeded generators for groups, covers, bundles and stack objects, plus the
-corpus builders feeding verify_stack.
+corpus builders feeding verify_stack, which yield its cases one at a time.
 
 Everything here is deterministic given the Random instance passed in, so
 test runs and CLI runs with the same seed see the same corpus. Generated
@@ -34,7 +34,6 @@ from .bundle import (
     trivial_bundle,
 )
 from .descent import (
-    Corpus,
     DescentDatum,
     make_datum,
     overlap,
@@ -334,60 +333,65 @@ def enumerate_qs_morphisms(a: QSObject, b: QSObject, bound: int = 65536):
 
 
 def build_corpus(group: FinGroup, x_action: GAction, rng: Random,
-                 cases: int = 8, max_base: int = 3) -> Corpus:
-    """A random verification corpus for [X/G].
+                 cases: int = 8, max_base: int = 3):
+    """A random verification corpus for [X/G], yielded as (condition, case)
+    pairs, the condition naming a `StackReport` field, one case at a time.
 
-    Each case contributes a round-trip datum, a leg-wise conjugated datum,
-    a morphism gluing problem from a relabelled copy, and uniqueness pairs.
-    When the structure space is a single point, gauge twists add distinct
-    morphisms, cocycle violations and truncated covers as negative cases.
+    The empty-base round trip comes first. Each random case then contributes
+    a round-trip datum, a leg-wise conjugated datum, a morphism gluing
+    problem from a relabelled copy, and uniqueness pairs. When the structure
+    space is a single point, gauge twists add distinct morphisms, cocycle
+    violations and truncated covers as negative cases. A case's structures
+    die once the next case starts. Over an empty structure space [∅/G] has
+    the empty object alone, so only its round trip is yielded.
     """
-    if len(x_action.space) == 0:
-        raise ValueError("corpus needs a nonempty structure space")
-    singleton_x = len(x_action.space) == 1
-    corpus = Corpus()
     eobj = empty_object(group, x_action)
-    corpus.effectiveness.append((restrict_to_datum(eobj, point_cover(eobj.base)), eobj))
-    for _ in range(cases):
-        base = FinSet(range(rng.randint(1, max_base)))
-        obj = random_qsobject(rng, group, x_action, base)
-        cover = point_cover(base) if rng.random() < 0.5 else random_cover(rng, base)
-        datum = restrict_to_datum(obj, cover)
-        corpus.effectiveness.append((datum, obj))
-        leg_isos = []
-        for i in range(len(cover.legs)):
-            w = datum.objects[i]
-            if rng.random() < 0.5 and len(w.total):
-                leg_isos.append(relabel_qsobject(rng, w)[1])
-            else:
-                leg_isos.append(qs_identity(w))
-        corpus.effectiveness.append((conjugate_datum(datum, leg_isos), obj))
-        obj2, m = relabel_qsobject(rng, obj)
-        locals_ = tuple(restrict_morphism(m, f) for f in cover.legs)
-        corpus.morphism_gluings.append((cover, obj, obj2, locals_, m))
-        corpus.uniqueness_pairs.append((cover, m, m))
-        if singleton_x:
-            k = rng.choice(group.carrier.elements)
-            m2 = compose_qs(constant_gauge(obj2, k), m)
-            locals2 = tuple(restrict_morphism(m2, f) for f in cover.legs)
-            corpus.morphism_gluings.append((cover, obj, obj2, locals2, m2))
-            if m2.fn != m.fn:
-                corpus.uniqueness_pairs.append((cover, m, m2))
-            nonunit = [g for g in group.carrier if g != group.unit_atom]
-            if nonunit:
-                corpus.invalid_data.append(
-                    break_cocycle(datum, rng.choice(nonunit), rng=rng))
-        bad = drop_leg(datum)
-        if bad is not None:
-            corpus.invalid_data.append(bad)
-    return corpus
+    yield "effectiveness", (restrict_to_datum(eobj, point_cover(eobj.base)), eobj)
+    if len(x_action.space):
+        for _ in range(cases):
+            yield from _random_case(group, x_action, rng, max_base)
+
+
+def _random_case(group: FinGroup, x_action: GAction, rng: Random, max_base: int):
+    """The pairs of one random case of `build_corpus`; its locals die when it returns."""
+    base = FinSet(range(rng.randint(1, max_base)))
+    obj = random_qsobject(rng, group, x_action, base)
+    cover = point_cover(base) if rng.random() < 0.5 else random_cover(rng, base)
+    datum = restrict_to_datum(obj, cover)
+    yield "effectiveness", (datum, obj)
+    leg_isos = []
+    for i in range(len(cover.legs)):
+        w = datum.objects[i]
+        if rng.random() < 0.5 and len(w.total):
+            leg_isos.append(relabel_qsobject(rng, w)[1])
+        else:
+            leg_isos.append(qs_identity(w))
+    yield "effectiveness", (conjugate_datum(datum, leg_isos), obj)
+    obj2, m = relabel_qsobject(rng, obj)
+    locals_ = tuple(restrict_morphism(m, f) for f in cover.legs)
+    yield "gluing", (cover, obj, obj2, locals_, m)
+    yield "uniqueness", (cover, m, m)
+    if len(x_action.space) == 1:
+        k = rng.choice(group.carrier.elements)
+        m2 = compose_qs(constant_gauge(obj2, k), m)
+        locals2 = tuple(restrict_morphism(m2, f) for f in cover.legs)
+        yield "gluing", (cover, obj, obj2, locals2, m2)
+        if m2.fn != m.fn:
+            yield "uniqueness", (cover, m, m2)
+        nonunit = [g for g in group.carrier if g != group.unit_atom]
+        if nonunit:
+            yield "rejected", break_cocycle(datum, rng.choice(nonunit), rng=rng)
+    bad = drop_leg(datum)
+    if bad is not None:
+        yield "rejected", bad
 
 
 def exhaustive_corpus(group: FinGroup, x_action: GAction,
-                      max_base: int = 2, bound: int = 4096) -> Corpus:
+                      max_base: int = 2, bound: int = 4096):
     """Every object, morphism and point-cover datum over bases of size up to
-    max_base, paired into gluing and uniqueness cases exhaustively."""
-    corpus = Corpus()
+    max_base, paired into gluing and uniqueness cases exhaustively, yielded
+    as `build_corpus` yields its cases. A base's objects are enumerated
+    before its first case, so only one base's are alive at a time."""
     nonunit = [g for g in group.carrier if g != group.unit_atom]
     singleton_x = len(x_action.space) == 1
     for size in range(max_base + 1):
@@ -399,14 +403,13 @@ def exhaustive_corpus(group: FinGroup, x_action: GAction,
                 objs.append(formula_object("an enumerated object", b, alpha.map, x_action))
         for o in objs:
             datum = restrict_to_datum(o, cover)
-            corpus.effectiveness.append((datum, o))
+            yield "effectiveness", (datum, o)
             if size and nonunit and singleton_x:
-                corpus.invalid_data.append(break_cocycle(datum, nonunit[0]))
+                yield "rejected", break_cocycle(datum, nonunit[0])
         for a, b2 in itertools.product(objs, objs):
             ms = enumerate_qs_morphisms(a, b2, bound=bound)
             for m in ms:
                 locals_ = tuple(restrict_morphism(m, f) for f in cover.legs)
-                corpus.morphism_gluings.append((cover, a, b2, locals_, m))
+                yield "gluing", (cover, a, b2, locals_, m)
             for m1, m2 in itertools.product(ms, ms):
-                corpus.uniqueness_pairs.append((cover, m1, m2))
-    return corpus
+                yield "uniqueness", (cover, m1, m2)

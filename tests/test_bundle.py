@@ -562,7 +562,7 @@ def base_change_cases(rng, grp):
         if math.factorial(len(grp.carrier) - 1) ** size <= 4:
             bundles += enumerate_bundles(grp, base)
     corpus = build_corpus(grp, random_gset(rng, grp, 6), rng, cases=2)
-    bundles += [obj.bundle for _, obj in corpus.effectiveness]
+    bundles += [case[1].bundle for tag, case in corpus if tag == "effectiveness"]
     for b in bundles:
         for size in range(4 if len(b.base) else 1):
             z = FinSet(tuple(f"z{k}" for k in range(size)))

@@ -307,6 +307,25 @@ def test_glue_object_over_the_empty_cover(capsys, tmp_path):
     assert "total of 0 atoms over 0 with 0 leg comparisons" in out
 
 
+EMPTY_SPACE_STACK_SITE = """\
+set E = { }
+group G { elements { 0 1 } table [ [ 0 1 ] [ 1 0 ] ] }
+action A { group G space E trivial }
+stack S { group G space E action A }
+"""
+
+
+@pytest.mark.parametrize("cross", [[], ["--cross-check"]], ids=["plain", "cross-checked"])
+def test_verify_stack_over_the_empty_space(capsys, tmp_path, cross):
+    # [∅/G] has the empty object over the empty base and no object over any
+    # other base, so only the empty round trip is checked: a verdict, not a fault
+    site = tmp_path / "empty_space.site"
+    site.write_text(EMPTY_SPACE_STACK_SITE)
+    code, out, err = run(capsys, "verify-stack", site, *cross)
+    assert (code, err) == (0, "")
+    assert "ok (effectiveness 1/1, gluing 0/0, uniqueness 0/0, rejected 0/0)" in out
+
+
 def test_internal_error_exits_3_with_report(capsys, tmp_path, monkeypatch):
     def broken(site, args):
         raise AssertionError("invariant broken")

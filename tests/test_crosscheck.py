@@ -632,12 +632,12 @@ FORMULA_BUILT = {
     "classifying_fiber_equiv": lambda *inputs: desc_classify(Z3_CLASSIFY_SITE),
     # a structure space of more than one point: no gauge, whose k is the
     # caller's, enters the corpus
-    "build_corpus": lambda *inputs: build_corpus(
-        sym(3), regular_action(sym(3)), Random(5), cases=3),
+    "build_corpus": lambda *inputs: list(build_corpus(
+        sym(3), regular_action(sym(3)), Random(5), cases=3)),
     # a one-point structure space: the gauges and broken cocycles enter, and
     # each gauge is a morphism by its formula once its k keeps the alphas
-    "build_corpus over the point": lambda *inputs: build_corpus(
-        sym(3), trivial_action(sym(3), terminal()), Random(5), cases=3),
+    "build_corpus over the point": lambda *inputs: list(build_corpus(
+        sym(3), trivial_action(sym(3), terminal()), Random(5), cases=3)),
 }
 
 

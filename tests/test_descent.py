@@ -741,11 +741,13 @@ def corpus_data():
         rng = Random(70 + seed)
         for grp in group_catalog():
             for x in (point_x(grp), regular_action(grp), random_gset(rng, grp, 4)):
-                corpus = build_corpus(grp, x, rng, cases=3)
-                for datum, _ in corpus.effectiveness:
-                    yield datum, grp, x
-                for datum in corpus.invalid_data:
-                    yield datum, grp, x
+                corpus = list(build_corpus(grp, x, rng, cases=3))
+                for tag, case in corpus:
+                    if tag == "effectiveness":
+                        yield case[0], grp, x
+                for tag, case in corpus:
+                    if tag == "rejected":
+                        yield case, grp, x
 
 
 def test_glued_object_matches_coequalizer_oracle():
@@ -851,7 +853,8 @@ def corpus_gluings():
     rng = Random(61)
     for grp in group_catalog():
         for x in (point_x(grp), regular_action(grp)):
-            yield from build_corpus(grp, x, rng, cases=3).morphism_gluings
+            yield from [case for tag, case in build_corpus(grp, x, rng, cases=3)
+                        if tag == "gluing"]
 
 
 def test_glued_morphism_matches_coequalizer_oracle():
@@ -969,8 +972,8 @@ def test_verify_stack_reports_planted_failure(rng):
     x = point_x(z2)
     obj = trivial_object(z2, FinSet(("p", "q")))
     datum = restrict_to_datum(obj, point_cover(obj.base))
-    corpus = exhaustive_corpus(z2, x, max_base=1)
-    corpus.invalid_data.append(datum)  # a valid datum planted as invalid
+    # a valid datum planted as invalid
+    corpus = itertools.chain(exhaustive_corpus(z2, x, max_base=1), [("rejected", datum)])
     report = verify_stack(z2, x, corpus)
     assert not report.ok
     assert not report.rejected.ok
@@ -987,17 +990,17 @@ def stack_run(grp, x, seed, cases, on):
     was, ran, agreed = CrossCheck.on, CrossCheck.ran, CrossCheck.agreed
     CrossCheck.on = on
     try:
-        corpus = build_corpus(grp, x, Random(seed), cases=cases)
+        corpus = list(build_corpus(grp, x, Random(seed), cases=cases))
         rep = verify_stack(grp, x, corpus)
         glued = []
-        for datum, _ in corpus.effectiveness:
+        for datum, _ in [case for tag, case in corpus if tag == "effectiveness"]:
             try:
                 glued.append(glued_tables(glue_object(datum, group=grp, x_action=x)))
             except FinstackError as err:
                 glued.append(type(err))
     finally:
         CrossCheck.on = was
-    verdicts = [(c.name, c.attempted, c.passed, [msg for msg, _ in c.failures])
+    verdicts = [(c.name, c.attempted, c.passed, c.failures)
                 for c in (rep.effectiveness, rep.gluing, rep.uniqueness, rep.rejected)]
     return verdicts, glued, (CrossCheck.ran - ran, CrossCheck.agreed - agreed)
 

@@ -34,6 +34,7 @@ from finstack import (
     sym,
     trivial_action,
     trivial_bundle,
+    verify_stack,
     zmod,
 )
 from finstack.action import generators, product_action
@@ -42,6 +43,7 @@ from finstack.descent import overlap, overlapping_pairs
 from finstack.finset import CrossCheck, bang, fibers, product_space, terminal
 from finstack.sample import (
     break_cocycle,
+    build_corpus,
     drop_leg,
     random_cover,
     random_qsobject,
@@ -263,4 +265,60 @@ def test_a_group_keeps_its_generators_and_torsors_outside_its_fields(monkeypatch
     ref = weakref.ref(group)
     del group, clone, built[:]
     assert ref() is None
+    assert gc.collect() == 0
+
+
+def _next_case(cases, ref):
+    """Draw until the first pair of the case after the one whose source
+    object `ref` names, and return a weak reference to the new source. The
+    pairs drawn die with this call's locals."""
+    for tag, case in cases:
+        if tag == "effectiveness" and case[1] is not ref():
+            return weakref.ref(case[1])
+    raise AssertionError("the corpus ended early")
+
+
+@pytest.mark.parametrize("x_kind", ["point", "regular"])
+def test_a_case_dies_when_the_next_one_starts(no_collector, x_kind):
+    # build_corpus draws each case in its own call, so once the first pair
+    # of case k+1 is drawn nothing keeps case k's source object alive
+    group = sym(3)
+    x = trivial_action(group, terminal()) if x_kind == "point" else regular_action(group)
+    cases = build_corpus(group, x, Random(4), cases=5)
+    next(cases)  # the empty-base round trip
+    tag, case = next(cases)
+    ref = weakref.ref(case[1])
+    del tag, case
+    for _ in range(4):
+        after = _next_case(cases, ref)
+        assert ref() is None
+        ref = after
+
+
+def _watched(cases, dead):
+    """The stream, noting, when the pair after a case's first is asked for,
+    whether the previous case's source object is dead. The empty-base round
+    trip's source is the empty object, which the stream keeps, so it is not
+    watched."""
+    ref = None
+    for tag, case in cases:
+        first = (tag == "effectiveness" and len(case[1].base) > 0
+                 and (ref is None or case[1] is not ref()))
+        if first:
+            before, ref = ref, weakref.ref(case[1])
+        yield tag, case
+        if first and before is not None:
+            dead.append(before() is None)
+
+
+@pytest.mark.parametrize("x_kind", ["point", "regular"])
+def test_verify_stack_keeps_no_case_it_has_checked(no_collector, x_kind):
+    # when verify_stack asks for the pair after case k+1's first, it holds
+    # that pair alone: case k is dead
+    group = sym(3)
+    x = trivial_action(group, terminal()) if x_kind == "point" else regular_action(group)
+    dead = []
+    report = verify_stack(group, x, _watched(build_corpus(group, x, Random(4), cases=5), dead))
+    assert report.ok
+    assert dead == [True] * 4
     assert gc.collect() == 0

@@ -16,7 +16,7 @@ from finstack.bundle import (
     is_locally_trivial,
     trivial_bundle,
 )
-from finstack.descent import ConditionReport, Corpus, restrict_to_datum
+from finstack.descent import ConditionReport, restrict_to_datum
 from finstack.finset import FinSet, bang, identity, terminal
 from finstack.sitefile import ClassifyTask, GluingCase
 from finstack.stack import (
@@ -172,11 +172,6 @@ def test_repr_is_the_dataclass_string(name):
 
 
 def test_mutable_defaults_are_fresh_per_instance():
-    a, b = Corpus(), Corpus()
-    for field in ("effectiveness", "morphism_gluings", "uniqueness_pairs", "invalid_data"):
-        assert getattr(a, field) == [] and getattr(a, field) is not getattr(b, field)
-    a.effectiveness.append(1)
-    assert b.effectiveness == []
     r, s = ConditionReport("gluing"), ConditionReport("gluing")
     assert (r.name, r.attempted, r.passed, r.failures) == ("gluing", 0, 0, [])
     r.failures.append("x")

@@ -1,5 +1,6 @@
 """Generator determinism and the shapes of generated corpora."""
 
+from collections import Counter
 from random import Random
 
 import pytest
@@ -39,11 +40,13 @@ from finstack.sample import (
 def test_same_seed_same_corpus():
     z2 = zmod(2)
     x = trivial_action(z2, terminal())
-    c1 = build_corpus(z2, x, Random(99), cases=3)
-    c2 = build_corpus(z2, x, Random(99), cases=3)
-    assert [d for d, _ in c1.effectiveness] == [d for d, _ in c2.effectiveness]
-    assert len(c1.uniqueness_pairs) == len(c2.uniqueness_pairs)
-    assert len(c1.invalid_data) == len(c2.invalid_data)
+    c1 = list(build_corpus(z2, x, Random(99), cases=3))
+    c2 = list(build_corpus(z2, x, Random(99), cases=3))
+    assert ([case[0] for tag, case in c1 if tag == "effectiveness"]
+            == [case[0] for tag, case in c2 if tag == "effectiveness"])
+    assert (sum(tag == "uniqueness" for tag, _ in c1)
+            == sum(tag == "uniqueness" for tag, _ in c2))
+    assert sum(tag == "rejected" for tag, _ in c1) == sum(tag == "rejected" for tag, _ in c2)
 
 
 def test_same_seed_same_gset():
@@ -142,18 +145,18 @@ def test_group_catalog_is_certified():
 def test_exhaustive_corpus_counts():
     z2 = zmod(2)
     x = trivial_action(z2, terminal())
-    c = exhaustive_corpus(z2, x, max_base=1)
+    c = list(exhaustive_corpus(z2, x, max_base=1))
     # bases {} and {0}: one object each, point covers
-    assert len(c.effectiveness) == 2
-    assert len(c.invalid_data) >= 1
-    assert all(len(pair) == 3 for pair in c.uniqueness_pairs)
+    assert sum(tag == "effectiveness" for tag, _ in c) == 2
+    assert sum(tag == "rejected" for tag, _ in c) >= 1
+    assert all(len(pair) == 3 for tag, pair in c if tag == "uniqueness")
 
 
 def test_build_corpus_has_all_conditions(rng):
     z3 = zmod(3)
     x = trivial_action(z3, terminal())
-    c = build_corpus(z3, x, rng, cases=5)
-    assert len(c.effectiveness) >= 6  # empty base plus one per case
-    assert len(c.morphism_gluings) >= 5
-    assert len(c.uniqueness_pairs) >= 5
-    assert len(c.invalid_data) >= 1
+    counts = Counter(tag for tag, _ in build_corpus(z3, x, rng, cases=5))
+    assert counts["effectiveness"] >= 6  # empty base plus one per case
+    assert counts["gluing"] >= 5
+    assert counts["uniqueness"] >= 5
+    assert counts["rejected"] >= 1

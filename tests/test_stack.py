@@ -265,8 +265,9 @@ def test_restricted_morphism_matches_mediated_oracle():
     cases = 0
     for grp in group_catalog():
         for x in (point_x(grp), regular_action(grp)):
-            corpus = build_corpus(grp, x, rng, cases=3)
-            for cover, _, _, _, m in corpus.morphism_gluings:
+            gluings = [case for tag, case in build_corpus(grp, x, rng, cases=3)
+                       if tag == "gluing"]
+            for cover, _, _, _, m in gluings:
                 maps = list(cover.legs)
                 maps += [random_map(rng, FinSet(range(rng.randint(0, 3))), m.src.base)
                          for _ in range(2)]
@@ -362,7 +363,9 @@ def test_coherence_components_match_mediated_oracles():
     cases = 0
     for grp in group_catalog():
         for x in (point_x(grp), regular_action(grp)):
-            for _, obj in build_corpus(grp, x, rng, cases=3).effectiveness:
+            sources = [case[1] for tag, case in build_corpus(grp, x, rng, cases=3)
+                       if tag == "effectiveness"]
+            for obj in sources:
                 assert iota_component(obj).fn.table == mediated_iota(obj)
                 for _ in range(2):
                     f = random_map_into(rng, obj.base)
@@ -555,8 +558,8 @@ def structure_spaces(rng, group):
 def fiber_objects(rng, group, x):
     """Objects over bases of 0 to 3 atoms: the corpus's, random ones, and
     the empty object."""
-    corpus = build_corpus(group, x, rng, cases=3)
-    objects = [obj for _, obj in corpus.effectiveness]
+    objects = [case[1] for tag, case in build_corpus(group, x, rng, cases=3)
+               if tag == "effectiveness"]
     objects += [random_qsobject(rng, group, x, FinSet(range(size)))
                 for size in range(1, 4)]
     return objects + [empty_object(group, x)]

@@ -204,7 +204,7 @@ def _cmd_glue_object(site, args):
     for d in site.by_kind("datum"):
         # a datum over the empty cover has no local to name its group and
         # structure space, so they come from the object it restricts
-        obj = site[d.refs["obj"]].value
+        obj = site[d.refs["restrict"]].value
         try:
             r = glue_object(d.value, group=obj.bundle.group, x_action=obj.x_action)
             out.append(_check(

@@ -141,8 +141,7 @@ def make_datum(cover: CoveringFamily, objects, overlaps) -> DescentDatum:
     gap raises MissingOverlapIso. Isos over empty overlaps are kept. Every
     object must have the first one's group and structure action."""
     objects = tuple(objects)
-    if len(objects) != len(cover.legs):
-        raise ValueError("need exactly one object per leg")
+    _one_object_per_leg(cover, objects)
     for i, (obj, leg) in enumerate(zip(objects, cover.legs)):
         if obj.base != leg.src:
             raise ValueError(f"object {i} lives over {obj.base!r}, leg wants {leg.src!r}")
@@ -161,6 +160,11 @@ def make_datum(cover: CoveringFamily, objects, overlaps) -> DescentDatum:
         if not morphism_predicates(iso.fn).iso:
             raise ValueError(f"overlap iso ({i},{j}) is not a bijection")
     return DescentDatum(cover, objects, overlaps)
+
+
+def _one_object_per_leg(cover: CoveringFamily, objects) -> None:
+    if len(objects) != len(cover.legs):
+        raise ValueError("need exactly one object per leg")
 
 
 def _check_endpoints(cover: CoveringFamily, objects, overlaps: dict) -> None:
@@ -236,11 +240,13 @@ def cocycle_pointwise(datum: DescentDatum) -> Optional[tuple]:
 
 def check_cocycle(datum: DescentDatum) -> None:
     """For every ordered triple (i,j,k), the two composites around the
-    triple overlap agree pointwise. Raises ValueError when an iso does not
-    run between the restrictions of its pair (`_check_endpoints`), else
+    triple overlap agree pointwise. Raises ValueError when the datum has
+    not one object per leg or an iso does not run between the restrictions
+    of its pair (`_check_endpoints`), else
     CocycleFail(i,j,k,point) at the first failure in (i, j, k, a, b, c)
     order, decided by `cocycle_on_one_point`; under cross-check
     `cocycle_pointwise` re-runs and must name the same witness."""
+    _one_object_per_leg(datum.cover, datum.objects)
     _check_endpoints(datum.cover, datum.objects, datum.overlaps)
     witness = cross_check("the cocycle on one point per fiber", cocycle_on_one_point(datum),
                           cocycle_pointwise, datum)

@@ -8,9 +8,12 @@ command answers (bundle candidates, covers, gluing problems) are checked for
 shape only, never for the property itself: a bundle declaration's value is
 its projection, certified equivariant; its `src_action` is the total.
 
-Sugar forms (trivial bundles, point covers) materialize their auxiliary
-declarations under generated names, so printing a loaded site and parsing it
-back yields the same declarations.
+A declaration's refs are the names it read, keyed by the keyword that
+introduced them (a map's sets by `src` and `dst`) in the order read; the
+printer writes each declaration from its value and its refs. Sugar forms
+(trivial bundles, point covers) materialize their auxiliary declarations
+under generated names, so printing a loaded site and parsing it back yields
+the same declarations.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import re
 from .action import (
     EquivariantMap,
     FinGroup,
-    GAction,
     check_action,
     check_equivariant,
     group_from_table,
@@ -144,6 +146,7 @@ class _Parser:
         self.toks, self.ints = _tokenize(text)
         self.pos = 0
         self.name_at = 0  # token index of the current declaration's name
+        self.refs: dict = {}  # the names the current declaration has read
         self.decls: list = []
         self.env: dict = {}
 
@@ -157,11 +160,18 @@ class _Parser:
         shown = self.ints.get(t, t) if t else None  # EOF shows as None
         return self.error(f"expected {wanted}, got {shown!r}", at)
 
-    def expect(self, symbol: str) -> None:
-        """Consume punctuation or "->" (named 'ARROW' in messages)."""
-        if self.toks[self.pos] != symbol:
-            raise self.unexpected(repr("ARROW" if symbol == "->" else symbol), self.pos)
+    def expect(self, tok: str) -> None:
+        """Consume a keyword, punctuation or "->" (named 'ARROW' in messages)."""
+        if self.toks[self.pos] != tok:
+            raise self.unexpected(repr("ARROW" if tok == "->" else tok), self.pos)
         self.pos += 1
+
+    def accept(self, tok: str) -> bool:
+        """Consume `tok` if it comes next."""
+        if self.toks[self.pos] != tok:
+            return False
+        self.pos += 1
+        return True
 
     def ident(self) -> str:
         t = self.toks[self.pos]
@@ -177,13 +187,13 @@ class _Parser:
         self.pos += 1
         return v
 
-    def keyword(self, word: str) -> None:
-        if self.toks[self.pos] != word:
-            raise self.unexpected(repr(word), self.pos)
-        self.pos += 1
-
-    def at(self, word: str) -> bool:
-        return self.toks[self.pos] == word
+    def items(self, open_: str, close: str, item) -> list:
+        """`open_ item ... close`, each item read by `item()`."""
+        self.expect(open_)
+        out = []
+        while not self.accept(close):
+            out.append(item())
+        return out
 
     # atoms and tables
 
@@ -203,57 +213,58 @@ class _Parser:
             raise self.unexpected("an atom", self.pos - 1)
         return t
 
-    def atom_list(self):
-        self.expect("{")
-        toks = self.toks
-        out = []
-        while toks[self.pos] != "}":
-            out.append(self.atom())
-        self.pos += 1
-        return out
-
     def table(self):
         """{ atom -> atom ... } as a raw dict, duplicate keys rejected."""
         start = self.pos
         self.expect("{")
-        toks = self.toks
         out = {}
-        while toks[self.pos] != "}":
+        while not self.accept("}"):
             k = self.atom()
             self.expect("->")
             v = self.atom()
             if k in out:
                 raise self.error(f"duplicate entry for {format_atom(k)}", start)
             out[k] = v
-        self.pos += 1
         return out
 
     # symbol table
 
-    def define(self, kind: str, name: str, value, refs=None) -> Decl:
+    def define(self, kind: str, name: str, value, refs=None) -> None:
+        """Declare `name`, its refs the names read so far unless given."""
         if name in self.env:
             raise self.error(f"name {name!r} is already declared", self.name_at)
-        d = Decl(kind, name, value, refs or {})
+        d = Decl(kind, name, value, self.refs if refs is None else refs)
         self.env[name] = d
         self.decls.append(d)
-        return d
 
-    def ref(self, kinds):
+    def ref(self, kinds, key=None) -> Decl:
+        """A NAME declared as one of `kinds`, kept in refs[key] if given."""
         at = self.pos
         name = self.ident()
         d = self.env.get(name)
         if d is None or d.kind not in kinds:
             raise UnresolvedReference(name, *_where(self.text, at))
-        return d, name
+        if key:
+            self.refs[key] = name
+        return d
 
-    def set_ref(self) -> tuple:
-        """A set-position reference: T, a set name, or a group's carrier."""
-        if self.at("T") and "T" not in self.env:
-            self.pos += 1
-            return terminal(), "T"
-        d, name = self.ref(("set", "group"))
-        space = d.value.carrier if d.kind == "group" else d.value
-        return space, name
+    def field(self, word: str, kinds):
+        """`word NAME`: the value NAME declares, its name kept in refs[word]."""
+        self.expect(word)
+        return self.ref(kinds, word).value
+
+    def set_ref(self, key: str) -> FinSet:
+        """A name in set position, kept in refs[key]: T, a set, or a group's
+        carrier."""
+        if "T" not in self.env and self.accept("T"):
+            self.refs[key] = "T"
+            return terminal()
+        d = self.ref(("set", "group"), key)
+        return d.value.carrier if d.kind == "group" else d.value
+
+    def set_field(self, word: str) -> FinSet:
+        self.expect(word)
+        return self.set_ref(word)
 
     # declarations
 
@@ -268,7 +279,8 @@ class _Parser:
                 raise self.error(f"unknown declaration {t!r}", self.pos)
             self.pos += 1
             self.name_at = self.pos
-            handler()
+            self.refs = {}
+            handler(self.ident())
         return SiteFile(self.decls)
 
     def _build(self, name, builder):
@@ -277,207 +289,145 @@ class _Parser:
         except (FinstackError, ValueError, KeyError) as err:
             raise ValidationError(name, err) from err
 
-    def decl_set(self):
-        name = self.ident()
+    def decl_set(self, name):
         self.expect("=")
-        atoms = self.atom_list()
+        atoms = self.items("{", "}", self.atom)
         self.define("set", name, self._build(name, lambda: FinSet(atoms)))
 
-    def decl_map(self):
-        name = self.ident()
+    def decl_map(self, name):
         self.expect(":")
-        src, src_name = self.set_ref()
+        src = self.set_ref("src")
         self.expect("->")
-        dst, dst_name = self.set_ref()
+        dst = self.set_ref("dst")
         self.expect("=")
         tbl = self.table()
-        value = self._build(name, lambda: FinMap(src, dst, tbl))
-        self.define("map", name, value, {"src": src_name, "dst": dst_name})
+        self.define("map", name, self._build(name, lambda: FinMap(src, dst, tbl)))
 
-    def decl_group(self):
-        name = self.ident()
+    def decl_group(self, name):
         self.expect("{")
-        self.keyword("elements")
-        elements = self.atom_list()
-        self.keyword("table")
-        self.expect("[")
-        rows = []
-        while self.toks[self.pos] != "]":
-            self.expect("[")
-            row = []
-            while self.toks[self.pos] != "]":
-                row.append(self.atom())
-            self.expect("]")
-            rows.append(row)
-        self.expect("]")
+        self.expect("elements")
+        elements = self.items("{", "}", self.atom)
+        self.expect("table")
+        rows = self.items("[", "]", lambda: self.items("[", "]", self.atom))
         self.expect("}")
         value = self._build(name, lambda: group_from_table(elements, rows))
         self.define("group", name, value)
 
-    def decl_action(self):
-        name = self.ident()
+    def decl_action(self, name):
         self.expect("{")
-        self.keyword("group")
-        gd, g_name = self.ref(("group",))
-        group = gd.value
-        self.keyword("space")
-        space, s_name = self.set_ref()
-        if self.at("trivial"):
-            self.pos += 1
+        group = self.field("group", ("group",))
+        space = self.set_field("space")
+        if self.accept("trivial"):
             value = self._build(name, lambda: trivial_action(group, space))
-        elif self.at("regular"):
-            self.pos += 1
+        elif self.accept("regular"):
             if space != group.carrier:
                 raise ValidationError(
                     name, ValueError("regular needs the group itself as the space"))
             value = regular_action(group)
         else:
-            self.keyword("table")
+            self.expect("table")
             tbl = self.table()
             def build():
                 return check_action(group, space, FinMap(
                     product_space(group.carrier, space), space, tbl))
             value = self._build(name, build)
         self.expect("}")
-        self.define("action", name, value, {"group": g_name, "space": s_name})
+        self.define("action", name, value)
 
-    def decl_equivariant(self):
-        name = self.ident()
+    def decl_equivariant(self, name):
         self.expect("{")
-        self.keyword("src")
-        sd, s_name = self.ref(("action",))
-        self.keyword("dst")
-        dd, d_name = self.ref(("action",))
-        self.keyword("table")
+        src = self.field("src", ("action",))
+        dst = self.field("dst", ("action",))
+        self.expect("table")
         tbl = self.table()
         self.expect("}")
         def build():
-            fm = FinMap(sd.value.space, dd.value.space, tbl)
-            return check_equivariant(fm, sd.value, dd.value)
-        value = self._build(name, build)
-        self.define("equivariant", name, value, {"src": s_name, "dst": d_name})
+            return check_equivariant(FinMap(src.space, dst.space, tbl), src, dst)
+        self.define("equivariant", name, self._build(name, build))
 
-    def decl_stack(self):
-        name = self.ident()
+    def decl_stack(self, name):
         self.expect("{")
-        self.keyword("group")
-        gd, g_name = self.ref(("group",))
-        if self.at("classifying"):
-            self.pos += 1
+        group = self.field("group", ("group",))
+        if self.accept("classifying"):
+            self.refs["classifying"] = True
             self.expect("}")
-            value = self._build(name, lambda: classifying_stack(gd.value))
-            self.define("stack", name, value,
-                        {"group": g_name, "classifying": True})
+            self.define("stack", name, self._build(name, lambda: classifying_stack(group)))
             return
-        self.keyword("space")
-        space, s_name = self.set_ref()
-        self.keyword("action")
-        ad, a_name = self.ref(("action",))
+        space = self.set_field("space")
+        act = self.field("action", ("action",))
         self.expect("}")
-        act = ad.value
-        if act.group != gd.value or act.space != space:
+        if act.group != group or act.space != space:
             raise ValidationError(
                 name, ValueError("the action does not match the group and space"))
-        self.define("stack", name, QuotientStack(gd.value, act),
-                    {"group": g_name, "classifying": False,
-                     "space": s_name, "action": a_name})
+        self.define("stack", name, QuotientStack(group, act))
 
-    def decl_bundle(self):
-        name = self.ident()
+    def decl_bundle(self, name):
         self.expect("{")
-        if self.at("trivial"):
-            self.pos += 1
-            self.keyword("group")
-            gd, g_name = self.ref(("group",))
-            self.keyword("base")
-            base, b_name = self.set_ref()
+        if self.accept("trivial"):
+            group = self.field("group", ("group",))
+            base = self.set_field("base")
             self.expect("}")
-            self._materialize_trivial(name, gd.value, g_name, base, b_name)
+            self._materialize_trivial(name, group, base)
             return
-        self.keyword("action")
-        ad, a_name = self.ref(("action",))
-        self.keyword("proj")
-        pd, p_name = self.ref(("map",))
+        act = self.field("action", ("action",))
+        proj = self.field("proj", ("map",))
         self.expect("}")
         def build():
-            base = pd.value.dst
-            return check_equivariant(pd.value, ad.value,
-                                     trivial_action(ad.value.group, base))
-        value = self._build(name, build)
-        self.define("bundle", name, value, {"action": a_name, "proj": p_name})
+            return check_equivariant(proj, act, trivial_action(act.group, proj.dst))
+        self.define("bundle", name, self._build(name, build))
 
-    def _materialize_trivial(self, name, group, g_name, base, b_name):
+    def _materialize_trivial(self, name, group, base):
         """Expand `bundle B { trivial group G base Y }` into the product-set,
         action, projection and bundle declarations it abbreviates."""
         b = self._build(name, lambda: trivial_bundle(group, base))
         total_name = f"{name}_total"
         act_name = f"{name}_act"
         proj_name = f"{name}_proj"
-        self.define("set", total_name, b.total.space)
+        self.define("set", total_name, b.total.space, {})
         self.define("action", act_name, b.total,
-                    {"group": g_name, "space": total_name})
+                    {"group": self.refs["group"], "space": total_name})
         self.define("map", proj_name, b.proj.map,
-                    {"src": total_name, "dst": b_name})
+                    {"src": total_name, "dst": self.refs["base"]})
         self.define("bundle", name, b.proj,
                     {"action": act_name, "proj": proj_name})
 
-    def decl_cover(self):
-        name = self.ident()
+    def decl_cover(self, name):
         self.expect("{")
-        self.keyword("target")
-        target, target_name = self.set_ref()
-        if self.at("points"):
-            self.pos += 1
+        target = self.set_field("target")
+        if self.accept("points"):
             self.expect("}")
             if "T" in self.env and self.env["T"].value != terminal():
                 raise self.error(
                     "points sugar needs the name T to stay the one-point set",
                     self.name_at)
             fam = point_cover(target)
-            leg_names = []
-            for k, leg in enumerate(fam.legs):
-                nm = f"{name}_pt{k}"
-                self.define("map", nm, leg, {"src": "T", "dst": target_name})
-                leg_names.append(nm)
-            self.define("cover", name, fam,
-                        {"target": target_name, "legs": leg_names})
-            return
-        self.keyword("legs")
-        self.expect("[")
-        leg_names = []
-        legs = []
-        while self.toks[self.pos] != "]":
-            d, nm = self.ref(("map",))
-            leg_names.append(nm)
-            legs.append(d.value)
-        self.expect("]")
-        self.expect("}")
-        value = self._build(name, lambda: CoveringFamily(target, legs))
-        self.define("cover", name, value,
-                    {"target": target_name, "legs": leg_names})
+            legs = [f"{name}_pt{k}" for k in range(len(fam.legs))]
+            for nm, leg in zip(legs, fam.legs):
+                self.define("map", nm, leg, {"src": "T", "dst": self.refs["target"]})
+        else:
+            self.expect("legs")
+            maps = self.items("[", "]", lambda: self.ref(("map",)))
+            self.expect("}")
+            legs = [d.name for d in maps]
+            fam = self._build(name, lambda: CoveringFamily(target, [d.value for d in maps]))
+        self.refs["legs"] = legs
+        self.define("cover", name, fam)
 
-    def decl_qsobject(self):
-        name = self.ident()
+    def decl_qsobject(self, name):
         self.expect("{")
-        self.keyword("stack")
-        sd, s_name = self.ref(("stack",))
-        self.keyword("bundle")
-        bd, b_name = self.ref(("bundle",))
-        self.keyword("alpha")
-        stack: QuotientStack = sd.value
-        proj: EquivariantMap = bd.value
+        stack: QuotientStack = self.field("stack", ("stack",))
+        proj: EquivariantMap = self.field("bundle", ("bundle",))
         total = proj.src_action.space
-        if self.at("bang"):
-            self.pos += 1
-            alpha_ref = "bang"
+        self.expect("alpha")
+        if self.accept("bang"):
+            self.refs["alpha"] = "bang"
             if len(stack.space) != 1:
                 raise ValidationError(
                     name, ValueError("alpha bang needs a one-point space"))
             pt = stack.space.elements[0]
             alpha = FinMap(total, stack.space, {p: pt for p in total})
         else:
-            md, alpha_ref = self.ref(("map",))
-            alpha = md.value
+            alpha = self.ref(("map",), "alpha").value
         self.expect("}")
         def build():
             if proj.src_action.group != stack.group:
@@ -487,83 +437,59 @@ class _Parser:
                 raise ValueError(
                     f"not a bundle: fiber over {format_atom(b.base_atom)} {b.reason}")
             return check_qs_object(b, alpha, stack.x_action)
-        value = self._build(name, build)
-        self.define("qsobject", name, value,
-                    {"stack": s_name, "bundle": b_name, "alpha": alpha_ref})
+        self.define("qsobject", name, self._build(name, build))
 
-    def decl_datum(self):
-        name = self.ident()
+    def decl_datum(self, name):
         self.expect("=")
-        self.keyword("restrict")
-        od, o_name = self.ref(("qsobject",))
-        self.keyword("over")
-        cd, c_name = self.ref(("cover",))
+        obj = self.field("restrict", ("qsobject",))
+        cover = self.field("over", ("cover",))
         twist = None
-        if self.at("twist"):
-            self.pos += 1
+        if self.accept("twist"):
             self.expect("(")
             i = self.integer()
             self.expect(",")
             j = self.integer()
             self.expect(")")
-            self.keyword("by")
-            k = self.atom()
-            twist = (i, j, k)
+            self.expect("by")
+            twist = self.refs["twist"] = (i, j, self.atom())
         def build():
-            datum = restrict_to_datum(od.value, cd.value)
+            datum = restrict_to_datum(obj, cover)
             if twist is None:
                 return datum
             i, j, k = twist
-            if not (0 <= i < len(cd.value.legs) and 0 <= j < len(cd.value.legs)):
+            if not (0 <= i < len(cover.legs) and 0 <= j < len(cover.legs)):
                 raise ValueError("twist indexes a missing leg")
-            if k not in od.value.bundle.group.carrier:
+            if k not in obj.bundle.group.carrier:
                 raise ValueError(f"{format_atom(k)} is not a group element")
             return twist_overlap(datum, i, j, k)
-        value = self._build(name, build)
-        self.define("datum", name, value,
-                    {"obj": o_name, "cover": c_name, "twist": twist})
+        self.define("datum", name, self._build(name, build))
 
-    def decl_gluing(self):
-        name = self.ident()
+    def decl_gluing(self, name):
         self.expect("{")
-        self.keyword("cover")
-        cd, c_name = self.ref(("cover",))
-        self.keyword("src")
-        xd, x_name = self.ref(("qsobject",))
-        self.keyword("dst")
-        yd, y_name = self.ref(("qsobject",))
-        self.keyword("locals")
-        self.expect("[")
-        tables = []
-        while self.toks[self.pos] != "]":
-            tables.append(self.table())
-        self.expect("]")
+        cover: CoveringFamily = self.field("cover", ("cover",))
+        x = self.field("src", ("qsobject",))
+        y = self.field("dst", ("qsobject",))
+        self.expect("locals")
+        tables = self.items("[", "]", self.table)
         self.expect("}")
-        cover: CoveringFamily = cd.value
         def build():
             if len(tables) != len(cover.legs):
                 raise ValueError("need exactly one local table per leg")
             locals_ = []
             for leg, tbl in zip(cover.legs, tables):
-                src = restrict(xd.value, leg)
-                dst = restrict(yd.value, leg)
+                src = restrict(x, leg)
+                dst = restrict(y, leg)
                 locals_.append(check_qs_morphism(
                     src, dst, FinMap(src.total, dst.total, tbl)))
-            return GluingCase(cover, xd.value, yd.value, tuple(locals_))
-        value = self._build(name, build)
-        self.define("gluing", name, value,
-                    {"cover": c_name, "src": x_name, "dst": y_name})
+            return GluingCase(cover, x, y, tuple(locals_))
+        self.define("gluing", name, self._build(name, build))
 
-    def decl_classify(self):
-        name = self.ident()
+    def decl_classify(self, name):
         self.expect("{")
-        self.keyword("group")
-        gd, g_name = self.ref(("group",))
-        self.keyword("base")
-        base, b_name = self.set_ref()
+        group = self.field("group", ("group",))
+        base = self.set_field("base")
         self.expect("}")
-        self.define("classify", name, ClassifyTask(gd.value, base),
-                    {"group": g_name, "base": b_name})
+        self.define("classify", name, ClassifyTask(group, base))
 
 
 def parse_site(text: str) -> SiteFile:
@@ -577,11 +503,10 @@ def load_site(path) -> SiteFile:
 
 # ------------------------------------------------------------------ printer
 
-def _fmt_entries(table: dict, key_order) -> list:
-    return [f"{format_atom(k)} -> {format_atom(table[k])}" for k in key_order]
-
-
-def _block_table(entries, indent: str) -> str:
+def _block_table(fn: FinMap, indent: str) -> str:
+    """A map's table in its source's order: up to 4 entries on one line,
+    else one a line."""
+    entries = [f"{format_atom(k)} -> {format_atom(fn.table[k])}" for k in fn.src.elements]
     if len(entries) <= 4:
         inner = "  ".join(entries)
         return "{ " + inner + " }" if entries else "{ }"
@@ -589,15 +514,30 @@ def _block_table(entries, indent: str) -> str:
     return "{\n" + body + "\n" + indent + "}"
 
 
+# the declarations printed on one line, as `kind NAME { word ref ... }`
+_ONE_LINE = frozenset(("stack", "bundle", "cover", "qsobject", "classify"))
+
+
+def _field(word: str, ref) -> str:
+    """A ref as the field that read it: a flag is its word alone, a list of
+    names is bracketed."""
+    if ref is True:
+        return word
+    if isinstance(ref, list):
+        return f"{word} [ {' '.join(ref)} ]"
+    return f"{word} {ref}"
+
+
 def _render(d: Decl) -> str:
     r = d.refs
+    if d.kind in _ONE_LINE:
+        return f"{d.kind} {d.name} {{ {' '.join(_field(w, v) for w, v in r.items())} }}"
+    fields = "".join(f"  {_field(w, v)}\n" for w, v in r.items())
     if d.kind == "set":
         atoms = " ".join(format_atom(a) for a in d.value)
         return f"set {d.name} = {{ {atoms} }}" if len(d.value) else f"set {d.name} = {{ }}"
     if d.kind == "map":
-        entries = _fmt_entries(d.value.table, d.value.src.elements)
-        return (f"map {d.name} : {r['src']} -> {r['dst']} = "
-                + _block_table(entries, ""))
+        return f"map {d.name} : {r['src']} -> {r['dst']} = " + _block_table(d.value, "")
     if d.kind == "group":
         g: FinGroup = d.value
         elems = " ".join(format_atom(a) for a in g.carrier)
@@ -607,45 +547,18 @@ def _render(d: Decl) -> str:
             rows.append(f"    [ {row} ]")
         return (f"group {d.name} {{\n  elements {{ {elems} }}\n  table [\n"
                 + "\n".join(rows) + "\n  ]\n}")
-    if d.kind == "action":
-        a: GAction = d.value
-        entries = _fmt_entries(a.act.table, a.act.src.elements)
-        return (f"action {d.name} {{\n  group {r['group']}\n  space {r['space']}\n"
-                f"  table " + _block_table(entries, "  ") + "\n}")
-    if d.kind == "equivariant":
-        m: EquivariantMap = d.value
-        entries = _fmt_entries(m.map.table, m.map.src.elements)
-        return (f"equivariant {d.name} {{\n  src {r['src']}\n  dst {r['dst']}\n"
-                f"  table " + _block_table(entries, "  ") + "\n}")
-    if d.kind == "stack":
-        if r.get("classifying"):
-            return f"stack {d.name} {{ group {r['group']} classifying }}"
-        return (f"stack {d.name} {{ group {r['group']} space {r['space']} "
-                f"action {r['action']} }}")
-    if d.kind == "bundle":
-        return f"bundle {d.name} {{ action {r['action']} proj {r['proj']} }}"
-    if d.kind == "cover":
-        legs = " ".join(r["legs"])
-        return f"cover {d.name} {{ target {r['target']} legs [ {legs} ] }}"
-    if d.kind == "qsobject":
-        return (f"qsobject {d.name} {{ stack {r['stack']} bundle {r['bundle']} "
-                f"alpha {r['alpha']} }}")
+    if d.kind in ("action", "equivariant"):
+        fn = d.value.act if d.kind == "action" else d.value.map
+        return f"{d.kind} {d.name} {{\n{fields}  table {_block_table(fn, '  ')}\n}}"
     if d.kind == "datum":
-        base = f"datum {d.name} = restrict {r['obj']} over {r['cover']}"
-        if r.get("twist") is not None:
+        line = f"datum {d.name} = restrict {r['restrict']} over {r['over']}"
+        if "twist" in r:
             i, j, k = r["twist"]
-            return base + f" twist ({i} , {j}) by {format_atom(k)}"
-        return base
+            line += f" twist ({i} , {j}) by {format_atom(k)}"
+        return line
     if d.kind == "gluing":
-        case: GluingCase = d.value
-        blocks = []
-        for loc in case.locals_:
-            entries = _fmt_entries(loc.fn.table, loc.fn.src.elements)
-            blocks.append("    " + _block_table(entries, "    "))
-        return (f"gluing {d.name} {{\n  cover {r['cover']}\n  src {r['src']}\n"
-                f"  dst {r['dst']}\n  locals [\n" + "\n".join(blocks) + "\n  ]\n}")
-    if d.kind == "classify":
-        return f"classify {d.name} {{ group {r['group']} base {r['base']} }}"
+        blocks = ["    " + _block_table(loc.fn, "    ") for loc in d.value.locals_]
+        return f"gluing {d.name} {{\n{fields}  locals [\n" + "\n".join(blocks) + "\n  ]\n}"
     raise ValueError(f"no renderer for kind {d.kind!r}")
 
 

@@ -569,6 +569,29 @@ def test_check_cocycle_refuses_isos_between_the_wrong_restrictions(monkeypatch):
         check_cocycle(break_cocycle(datum, 1, rng=Random(0)))
 
 
+def miscounted_data():
+    """Z/2 over {0 1} restricted to the cover [id_Y, ∅ -> Y], built directly
+    with object 0 alone (and its isos), and with object 0 once more."""
+    obj = trivial_object(zmod(2), FinSet((0, 1)))
+    base = obj.base
+    cover = CoveringFamily(base, [identity(base), FinMap(FinSet(()), base, {})])
+    datum = restrict_to_datum(obj, cover)
+    assert list(datum.overlaps) == [(0, 0)]
+    short = DescentDatum(cover, datum.objects[:1], datum.overlaps)
+    long = DescentDatum(cover, datum.objects + datum.objects[:1], datum.overlaps)
+    return {"short": short, "long": long}
+
+
+@pytest.mark.parametrize("check", [glue_object, check_cocycle])
+@pytest.mark.parametrize("kind", ["short", "long"])
+def test_a_datum_needs_one_object_per_leg(check, kind):
+    # before reading an object: the short datum once glued 4 atoms with 2
+    # comparisons that raised IndexError when read, the long one raised
+    # IndexError inside glue_object, and check_cocycle passed both
+    with pytest.raises(ValueError, match="need exactly one object per leg"):
+        check(miscounted_data()[kind])
+
+
 def test_empty_cover_gluing():
     z2 = zmod(2)
     empty_base = FinSet(())

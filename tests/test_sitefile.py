@@ -1,7 +1,9 @@
 """The site-file language: tokenizing, declarations, sugar, validation at
 load, and the canonical printer's round trip."""
 
+import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,8 @@ from finstack import (
     terminal,
     zmod,
 )
+import finstack.sitefile
+from finstack.cli import main
 from finstack.sitefile import (
     ClassifyTask,
     GluingCase,
@@ -241,6 +245,45 @@ def test_round_trip_all_fixtures(name):
     again = parse_site(printed)
     assert shape(again) == shape(site)
     assert format_site(again) == printed  # idempotent
+
+
+COMMANDS = ["check-group", "check-action", "check-bundle", "check-cover",
+            "check-sheaf", "glue-morphisms", "glue-object", "verify-stack",
+            "classify"]
+
+
+@pytest.mark.parametrize("name", GOOD)
+def test_printed_site_gives_the_same_verdicts(name, tmp_path, capsys):
+    printed = tmp_path / name
+    printed.write_text(format_site(load_site(SITES / name)), encoding="utf-8")
+    for command in COMMANDS:
+        runs = []
+        for path in (SITES / name, printed):
+            code = main([command, str(path)])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1], command
+
+
+# ------------------------------------------------------------- grammar
+
+def test_grammar_names_exactly_the_parsers_keywords():
+    # the quoted terminals of docs/site-grammar.ebnf outside its comments
+    # against the strings the parser consumes and its decl_ names; only the
+    # lexical extras differ: "*" and "_" are read as atom and IDENT
+    # characters, and T is a name the parser knows
+    ebnf = (SITES.parent / "docs" / "site-grammar.ebnf").read_text(encoding="utf-8")
+    terminals = set(re.findall(r'"([^"]*)"', re.sub(r"\(\*.*?\*\)", "", ebnf, flags=re.S)))
+    source = Path(finstack.sitefile.__file__).read_text(encoding="utf-8")
+    parser = next(node for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ClassDef) and node.name == "_Parser")
+    read = {fn.name[len("decl_"):] for fn in parser.body
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("decl_")}
+    for call in ast.walk(parser):
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("expect", "accept", "field", "set_field", "items")):
+            read |= {arg.value for arg in call.args
+                     if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+    assert terminals ^ read == {"*", "_", "T"}
 
 
 # ------------------------------------------------------------- reader

@@ -8,7 +8,8 @@ or an option out of range. Exit 3 means an internal error: an unexpected
 exception inside finstack, which is no verdict on the input. Its traceback
 goes to stderr and the report carries the exception type as `error.kind`.
 A --report path that cannot be written is an error too: exit 2, or 3 when
-the run already faulted.
+the run already faulted. Each command yields its checks, and one writer
+turns the run's checks or its error into both the report and the output.
 
 check-group and check-action report what the site load built: a group or
 action failing its laws is rejected there (exit 2), so each one listed was
@@ -102,15 +103,23 @@ def _check(name, status, detail="", error=None, witness=None):
             "error": error, "witness": _json_safe(witness)}
 
 
+def _failed(name, err):
+    """The failed check a witness error stands for; a datum rejected for
+    its cocycle is witnessed by the cocycle's failure."""
+    if isinstance(err, CocycleRequired):
+        err = err.cause
+    return _check(name, "fail", str(err), error=err.kind(), witness=err.payload())
+
+
 def _cmd_check_group(site, args):
-    return [_check(d.name, "ok", f"order {len(d.value.carrier)}")
-            for d in site.by_kind("group")]
+    for d in site.by_kind("group"):
+        yield _check(d.name, "ok", f"order {len(d.value.carrier)}")
 
 
 def _cmd_check_action(site, args):
-    return [_check(d.name, "ok",
-                   f"group of order {len(d.value.group.carrier)} on {len(d.value.space)} atoms")
-            for d in site.by_kind("action")]
+    for d in site.by_kind("action"):
+        yield _check(d.name, "ok", f"group of order {len(d.value.group.carrier)} "
+                                   f"on {len(d.value.space)} atoms")
 
 
 def _locally_trivial(proj) -> bool:
@@ -124,24 +133,19 @@ def _locally_trivial(proj) -> bool:
 
 
 def _cmd_check_bundle(site, args):
-    out = []
     for d in site.by_kind("bundle"):
         r = is_principal_bundle(d.value)
         cross_check(f"bundle {d.name} by local triviality", isinstance(r, Bundle),
                     _locally_trivial, d.value)
         if isinstance(r, Bundle):
-            out.append(_check(d.name, "ok",
-                              f"{len(r.base)} fibers of size {len(r.group.carrier)}"))
+            yield _check(d.name, "ok", f"{len(r.base)} fibers of size {len(r.group.carrier)}")
         else:
-            out.append(_check(d.name, "fail",
-                              f"fiber over {format_atom(r.base_atom)} {r.reason}",
-                              error="NotBundle",
-                              witness={"base_atom": r.base_atom, "reason": r.reason}))
-    return out
+            yield _check(d.name, "fail", f"fiber over {format_atom(r.base_atom)} {r.reason}",
+                         error="NotBundle",
+                         witness={"base_atom": r.base_atom, "reason": r.reason})
 
 
 def _cmd_check_cover(site, args):
-    out = []
     for d in site.by_kind("cover"):
         fam = d.value
         missed = uncovered(fam)
@@ -151,22 +155,17 @@ def _cmd_check_cover(site, args):
         cross_check(f"cover {d.name} by the colimit of its sieve", not missed,
                     lambda: is_colim_sieve(GeneratedSieve(fam)))
         if not missed:
-            out.append(_check(d.name, "ok",
-                              f"{len(fam.legs)} legs onto {len(fam.target)} atoms"))
+            yield _check(d.name, "ok", f"{len(fam.legs)} legs onto {len(fam.target)} atoms")
         else:
-            out.append(_check(d.name, "fail",
-                              "not jointly surjective, misses "
-                              + " ".join(format_atom(a) for a in missed),
-                              error="CoverNotCanonical",
-                              witness={"uncovered": missed}))
-    return out
+            yield _check(d.name, "fail",
+                         "not jointly surjective, misses "
+                         + " ".join(format_atom(a) for a in missed),
+                         error="CoverNotCanonical", witness={"uncovered": missed})
 
 
 def _cmd_check_sheaf(site, args):
-    out = []
-    covers = site.by_kind("cover")
     sets = site.by_kind("set")
-    for cd in covers:
+    for cd in site.by_kind("cover"):
         for sd in sets:
             name = f"{cd.name}/{sd.name}"
             ok = check_sheaf_condition(cd.value, sd.value)
@@ -174,86 +173,66 @@ def _cmd_check_sheaf(site, args):
                 cross_check(f"sheaf {name} by enumeration", ok,
                             sheaf_condition_by_enumeration, cd.value, sd.value, args.bound)
             if ok:
-                out.append(_check(name, "ok", f"values in {len(sd.value)} atoms"))
+                yield _check(name, "ok", f"values in {len(sd.value)} atoms")
             else:
-                canonical = is_jointly_surjective(cd.value)
-                out.append(_check(
-                    name, "fail",
-                    "matching families do not glue uniquely",
-                    error="SheafConditionFail",
-                    witness={"cover": cd.name, "values": sd.name,
-                             "cover_is_canonical": canonical}))
-    return out
+                yield _check(name, "fail", "matching families do not glue uniquely",
+                             error="SheafConditionFail",
+                             witness={"cover": cd.name, "values": sd.name,
+                                      "cover_is_canonical": is_jointly_surjective(cd.value)})
 
 
 def _cmd_glue_morphisms(site, args):
-    out = []
     for d in site.by_kind("gluing"):
         case = d.value
         try:
             eta = glue_morphisms(case.cover, case.src, case.dst, case.locals_)
-            out.append(_check(d.name, "ok", f"glued on {len(eta.fn.src)} atoms"))
         except (OverlapMismatch, CoverNotCanonical) as err:
-            out.append(_check(d.name, "fail", str(err),
-                              error=err.kind(), witness=err.payload()))
-    return out
+            yield _failed(d.name, err)
+        else:
+            yield _check(d.name, "ok", f"glued on {len(eta.fn.src)} atoms")
 
 
 def _cmd_glue_object(site, args):
-    out = []
     for d in site.by_kind("datum"):
         # a datum over the empty cover has no local to name its group and
         # structure space, so they come from the object it restricts
         obj = site[d.refs["restrict"]].value
         try:
             r = glue_object(d.value, group=obj.bundle.group, x_action=obj.x_action)
-            out.append(_check(
-                d.name, "ok",
-                f"total of {len(r.glued.total)} atoms over "
-                f"{len(r.glued.base)} with {len(r.comparisons)} leg comparisons"))
-        except CocycleRequired as err:
-            out.append(_check(d.name, "fail", str(err.cause),
-                              error=err.cause.kind(), witness=err.cause.payload()))
-        except CoverNotCanonical as err:
-            out.append(_check(d.name, "fail", str(err),
-                              error=err.kind(), witness=err.payload()))
-    return out
+        except (CocycleRequired, CoverNotCanonical) as err:
+            yield _failed(d.name, err)
+        else:
+            yield _check(d.name, "ok",
+                         f"total of {len(r.glued.total)} atoms over "
+                         f"{len(r.glued.base)} with {len(r.comparisons)} leg comparisons")
 
 
 def _cmd_verify_stack(site, args):
-    out = []
     for d in site.by_kind("stack"):
         stack = d.value
         rep = verify_stack(stack.group, stack.x_action,
                            build_corpus(stack.group, stack.x_action,
                                         Random(args.seed), cases=args.budget))
-        detail = (f"effectiveness {rep.effectiveness.passed}/{rep.effectiveness.attempted}, "
-                  f"gluing {rep.gluing.passed}/{rep.gluing.attempted}, "
-                  f"uniqueness {rep.uniqueness.passed}/{rep.uniqueness.attempted}, "
-                  f"rejected {rep.rejected.passed}/{rep.rejected.attempted}")
+        detail = ", ".join(f"{key} {cond.passed}/{cond.attempted}"
+                           for key, cond in rep.conditions.items())
         if rep.ok:
-            out.append(_check(d.name, "ok", detail))
+            yield _check(d.name, "ok", detail)
         else:
-            first = []
-            for cond in (rep.effectiveness, rep.gluing, rep.uniqueness, rep.rejected):
-                first += [f"{cond.name}: {msg}" for msg in cond.failures[:2]]
-            out.append(_check(d.name, "fail", detail,
-                              error="StackConditionFail",
-                              witness={"failures": first}))
-    return out
+            yield _check(d.name, "fail", detail, error="StackConditionFail",
+                         witness={"failures": [f"{cond.name}: {msg}"
+                                               for cond in rep.conditions.values()
+                                               for msg in cond.failures]})
 
 
 def _cmd_classify(site, args):
-    out = []
     for d in site.by_kind("classify"):
         task = d.value
         rep = classifying_fiber_equiv(task.group, task.base)
         if classify_enumeration_cost(task.group, task.base) <= args.bound:
             cross_check(f"classify {d.name} by enumeration", rep,
                         classify_by_enumeration, task.group, task.base, args.bound)
-        out.append(_check(d.name, "ok", f"{rep.n_bundles} bundles, {rep.iso_classes} classes, "
-                                        f"{rep.aut_trivial} automorphisms of the trivial one"))
-    return out
+        yield _check(d.name, "ok", f"{rep.n_bundles} bundles, {rep.iso_classes} classes, "
+                                   f"{rep.aut_trivial} automorphisms of the trivial one")
 
 
 _COMMANDS = {
@@ -267,24 +246,6 @@ _COMMANDS = {
     "verify-stack": _cmd_verify_stack,
     "classify": _cmd_classify,
 }
-
-
-def _write_report(path, report):
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-
-
-def _print_checks(command, checks, stream):
-    for c in checks:
-        head = f"{command} {c['name']} "
-        status = "ok" if c["status"] == "ok" else "FAIL"
-        line = head.ljust(44, ".") + f" {status}"
-        if c["detail"]:
-            line += f" ({c['detail']})"
-        print(line, file=stream)
 
 
 def main(argv=None) -> int:
@@ -310,17 +271,18 @@ def main(argv=None) -> int:
                              "and the deciders' definitional oracles; a "
                              "disagreement exits 3")
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
+    ran, agreed = CrossCheck.ran, CrossCheck.agreed
     was_on = CrossCheck.on
     CrossCheck.on = was_on or args.cross_check
     try:
-        return _run(args)
+        code, checks, error = _run(args)
     finally:
         CrossCheck.on = was_on
 
-
-def _run(args) -> int:
-    t0 = time.time()
-    ran, agreed = CrossCheck.ran, CrossCheck.agreed
+    if error is not None:
+        print(f"desc: error: {error}", file=sys.stderr)
+    passed = sum(1 for c in checks if c["status"] == "ok")
     report = {
         "schema": "desc-report/1",
         "command": args.command,
@@ -328,73 +290,60 @@ def _run(args) -> int:
         "seed": args.seed,
         "budget": args.budget,
         "bound": args.bound,
-        "status": "error",
-        "checks": [],
-        "summary": {"total": 0, "passed": 0, "failed": 0},
-        "elapsed_s": 0.0,
+        "status": "error" if error is not None else "ok" if code == 0 else "fail",
+        "checks": checks,
+        "summary": {"total": len(checks), "passed": passed, "failed": len(checks) - passed},
+        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
-
-    def write_report(code) -> int:
-        """Write the report; the exit code, 2 for an unwritable path unless
-        the run already faulted."""
-        if args.cross_check:
-            report["cross_checks"] = {"ran": CrossCheck.ran - ran,
-                                      "agreed": CrossCheck.agreed - agreed}
-        report["elapsed_s"] = round(time.time() - t0, 3)
+    if error is not None:
+        finstack_error = isinstance(error, FinstackError)
+        report["error"] = {
+            "kind": error.kind() if finstack_error else type(error).__name__,
+            "message": str(error),
+            "payload": _json_safe(error.payload() if finstack_error else {})}
+    if args.cross_check:
+        report["cross_checks"] = {"ran": CrossCheck.ran - ran,
+                                  "agreed": CrossCheck.agreed - agreed}
+    if args.report is not None:
         try:
-            _write_report(args.report, report)
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
         except OSError as err:
             print(f"desc: error: cannot write the report: {err}", file=sys.stderr)
-            return max(code, 2)
-        return code
+            code = max(code, 2)
+    if error is None:
+        for c in checks:
+            status = "ok" if c["status"] == "ok" else "FAIL"
+            detail = f" ({c['detail']})" if c["detail"] else ""
+            print(f"{args.command} {c['name']} ".ljust(44, ".") + f" {status}{detail}")
+        if not checks:
+            print(f"{args.command}: nothing to check")
+        print(f"{passed}/{len(checks)} ok")
+    return code
 
-    def finish_error(err, code=2) -> int:
-        kind = err.kind() if isinstance(err, FinstackError) else type(err).__name__
-        payload = err.payload() if isinstance(err, FinstackError) else {}
-        report["status"] = "error"
-        report["error"] = {"kind": kind, "message": str(err),
-                           "payload": _json_safe(payload)}
-        print(f"desc: error: {err}", file=sys.stderr)
-        return write_report(code)
 
-    def internal_error(err) -> int:
+def _run(args):
+    """The exit code, the checks and the error, or None, of the run."""
+    if args.command not in _COMMANDS:
+        return 2, [], UnknownCommand(args.command)
+    for flag, value in (("budget", args.budget), ("bound", args.bound)):
+        if value < 1:
+            return 2, [], ValueError(f"--{flag} must be at least 1, got {value}")
+    try:
+        try:
+            site = load_site(args.site)
+        except (OSError, UnicodeDecodeError, FinstackError) as err:
+            return 2, [], err
+        checks = list(_COMMANDS[args.command](site, args))
+    except Exception as err:
         # a fault inside finstack is no verdict on the input: keep it apart
         # from exit 1 (check failed) and exit 2 (bad input). traceback is
         # imported here because it costs about 3 ms of start-up otherwise.
         import traceback
         traceback.print_exc()
-        return finish_error(err, code=3)
-
-    if args.command not in _COMMANDS:
-        return finish_error(UnknownCommand(args.command))
-    if args.budget < 1:
-        return finish_error(ValueError(f"--budget must be at least 1, got {args.budget}"))
-    if args.bound < 1:
-        return finish_error(ValueError(f"--bound must be at least 1, got {args.bound}"))
-    try:
-        site = load_site(args.site)
-    except (OSError, UnicodeDecodeError, FinstackError) as err:
-        return finish_error(err)
-    except Exception as err:
-        return internal_error(err)
-
-    try:
-        checks = _COMMANDS[args.command](site, args)
-    except Exception as err:
-        return internal_error(err)
-
-    passed = sum(1 for c in checks if c["status"] == "ok")
-    failed = len(checks) - passed
-    report["checks"] = checks
-    report["summary"] = {"total": len(checks), "passed": passed, "failed": failed}
-    report["status"] = "ok" if failed == 0 else "fail"
-    code = write_report(0 if failed == 0 else 1)
-
-    _print_checks(args.command, checks, sys.stdout)
-    if not checks:
-        print(f"{args.command}: nothing to check")
-    print(f"{passed}/{len(checks)} ok")
-    return code
+        return 3, [], err
+    return (0 if all(c["status"] == "ok" for c in checks) else 1), checks, None
 
 
 if __name__ == "__main__":

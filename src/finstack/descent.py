@@ -573,7 +573,7 @@ class ConditionReport:
         self.name = name
         self.attempted = 0
         self.passed = 0
-        self.failures = []  # one message per failed case
+        self.failures = []  # the first two failure messages
 
     @property
     def ok(self) -> bool:
@@ -582,22 +582,28 @@ class ConditionReport:
 
 class StackReport:
     def __init__(self):
+        # every attribute is a condition, keyed by the name the corpus
+        # yields, in report order
         self.effectiveness = ConditionReport("effectiveness")
         self.gluing = ConditionReport("gluing of morphisms")
         self.uniqueness = ConditionReport("uniqueness of gluings")
         self.rejected = ConditionReport("rejection of invalid data")
 
     @property
+    def conditions(self) -> dict:
+        return dict(vars(self))
+
+    @property
     def ok(self) -> bool:
-        return all(r.ok for r in
-                   (self.effectiveness, self.gluing, self.uniqueness, self.rejected))
+        return all(r.ok for r in self.conditions.values())
 
 
 def verify_stack(group: FinGroup, x_action: GAction, cases) -> StackReport:
     """Run the three stack conditions over (condition, case) pairs, as
     `sample.build_corpus` yields them, and report. Each case is checked as
-    it arrives and then dropped, and a failure keeps its message alone, so
-    memory does not grow with the number of cases.
+    it arrives and then dropped, and a condition keeps the messages of its
+    first two failures alone, so memory does not grow with the number of
+    cases.
 
     Effectiveness: every datum glues, and round-trip data glue back to the
     object they came from, up to iso in the fiber. Gluing: compatible local
@@ -616,7 +622,7 @@ def verify_stack(group: FinGroup, x_action: GAction, cases) -> StackReport:
         failure = _case_failure(group, x_action, condition, case)
         if failure is None:
             cond.passed += 1
-        else:
+        elif len(cond.failures) < 2:
             cond.failures.append(failure)
     return report
 

@@ -9,6 +9,7 @@ import finstack.bundle
 import finstack.descent
 from finstack import NotBundle, cli
 from finstack.cli import main
+from finstack.sample import build_corpus
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
 
@@ -425,3 +426,82 @@ def test_unwritable_report_keeps_an_internal_fault_at_3(capsys, tmp_path, monkey
     assert code == 3
     assert "invariant broken" in err
     assert "desc: error: cannot write the report:" in err
+
+
+def test_elapsed_time_ignores_wall_clock_steps(capsys, tmp_path, monkeypatch):
+    # the wall clock steps back 10 s once the run has started; the elapsed
+    # time of the report reads a clock that never steps
+    calls = []
+
+    def stepping():
+        calls.append(None)
+        return real() - (10 if len(calls) > 1 else 0)
+
+    real = cli.time.time
+    monkeypatch.setattr(cli.time, "time", stepping)
+    path = tmp_path / "report.json"
+    code, *_ = run(capsys, "verify-stack", SITES / "stack_demo.site", "--report", path)
+    assert code == 0
+    assert 0 <= json.loads(path.read_text())["elapsed_s"] < 60
+
+
+def planted_corpus(group, x_action, rng, cases):
+    """build_corpus's pairs, then three failures planted in each of two
+    conditions: a valid datum filed as rejected, and a round-trip datum
+    paired with the empty object, which nothing glued over a nonempty
+    base is isomorphic to."""
+    corpus = list(build_corpus(group, x_action, rng, cases=cases))
+    data = [case for condition, case in corpus if condition == "effectiveness"]
+    yield from corpus
+    for datum, _ in data[1:4]:
+        yield "rejected", datum
+        yield "effectiveness", (datum, data[0][1])
+
+
+def test_failing_stack_conditions_through_desc(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_corpus", planted_corpus)
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify-stack", SITES / "stack_demo.site",
+                         "--budget", 2, "--report", path)
+    assert (code, err) == (1, "")
+    detail = "effectiveness 5/8, gluing 4/4, uniqueness 3/3, rejected 4/7"
+    assert out.splitlines() == ["verify-stack BG ".ljust(44, ".") + f" FAIL ({detail})",
+                                "0/1 ok"]
+    rep = json.loads(path.read_text())
+    (check,) = rep["checks"]
+    assert (rep["status"], check["detail"], check["error"]) == (
+        "fail", detail, "StackConditionFail")
+    assert check["witness"] == {"failures": (
+        ["effectiveness: not isomorphic to the source object"] * 2
+        + ["rejection of invalid data: invalid datum was not rejected"] * 2)}
+
+
+REPORT_KEYS = ["schema", "command", "site", "seed", "budget", "bound", "status",
+               "checks", "summary", "elapsed_s"]
+
+
+@pytest.mark.parametrize("command,site,flags,code,extra", [
+    ("check-group", "z2_demo.site", [], 0, []),
+    ("check-cover", "covers_bad.site", [], 1, []),
+    ("check-group", "bad_group.site", [], 2, ["error"]),
+    ("check-group", "z2_demo.site", ["broken"], 3, ["error"]),
+    ("check-cover", "covers_ok.site", ["--cross-check"], 0, ["cross_checks"]),
+    ("check-group", "bad_group.site", ["--cross-check"], 2, ["error", "cross_checks"]),
+], ids=["ok", "fail", "bad-input", "fault", "cross-checked", "cross-checked-bad-input"])
+def test_report_keys_keep_their_order(capsys, tmp_path, monkeypatch, command, site, flags,
+                                      code, extra):
+    # the parsed golden reports compare with sorted keys, so the order a
+    # reader of the file sees is pinned here, on every exit path
+    if "broken" in flags:
+        def broken(site, args):
+            raise AssertionError("invariant broken")
+
+        monkeypatch.setitem(cli._COMMANDS, command, broken)
+        flags = []
+    path = tmp_path / "report.json"
+    assert run(capsys, command, SITES / site, "--report", path, *flags)[0] == code
+    rep = json.loads(path.read_text())
+    assert list(rep) == REPORT_KEYS + extra
+    assert all(list(c) == ["name", "status", "detail", "error", "witness"]
+               for c in rep["checks"])
+    assert rep["checks"] or code >= 2

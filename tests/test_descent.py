@@ -1003,6 +1003,19 @@ def test_verify_stack_reports_planted_failure(rng):
     assert report.effectiveness.ok
 
 
+def test_verify_stack_keeps_two_failure_messages_per_condition():
+    # a systematic fault fails every case: the count covers them all, while
+    # the condition keeps only the two messages the report prints, so a
+    # long failing run does not grow with its cases
+    z2 = zmod(2)
+    x = point_x(z2)
+    obj = trivial_object(z2, FinSet(("p", "q")))
+    datum = restrict_to_datum(obj, point_cover(obj.base))
+    report = verify_stack(z2, x, itertools.repeat(("rejected", datum), 200))
+    assert report.rejected.attempted - report.rejected.passed == 200
+    assert report.rejected.failures == ["invalid datum was not rejected"] * 2
+
+
 # ---------------------------------------- cross-checking off against on
 
 def stack_run(grp, x, seed, cases, on):

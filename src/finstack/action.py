@@ -144,20 +144,6 @@ def sym(n: int) -> FinGroup:
     return group_from_table(list(range(len(perms))), rows)
 
 
-def subgroups(g: FinGroup):
-    """All subgroups as tuples of atoms; exhaustive, fine for |G| <= 8."""
-    atoms = list(g.carrier)
-    e = g.unit_atom
-    rest = [a for a in atoms if a != e]
-    found = []
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            sub = {e, *extra}
-            if all(g.times(a, b) in sub for a in sub for b in sub):
-                found.append(tuple(sorted(sub, key=atom_key)))
-    return found
-
-
 def generators(g: FinGroup) -> tuple:
     """A generating set, picked greedily in canonical order: an atom is taken
     when it is not in the subgroup generated by the earlier picks.
@@ -251,12 +237,6 @@ def check_action(group: FinGroup, space: FinSet, act: FinMap) -> GAction:
         if t[(e, x)] != x:
             raise UnitFail(x)
     return GAction(group, space, act)
-
-
-def action_from_function(group: FinGroup, space: FinSet, fn) -> GAction:
-    src = product_space(group.carrier, space)
-    return check_action(
-        group, space, FinMap(src, space, {(g, x): fn(g, x) for (g, x) in src}))
 
 
 @memo(lambda group, space: (group.carrier, space))

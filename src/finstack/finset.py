@@ -81,9 +81,7 @@ from .errors import (
     DanglingArrow,
     NotCoequalized,
     ShapeMismatch,
-    SquareNotCommuting,
     SrcDstMismatch,
-    SrcMismatch,
 )
 
 Atom = Union[int, str, tuple]
@@ -564,15 +562,6 @@ def product(a: FinSet, b: FinSet) -> Product:
     )
 
 
-def pair_map(u: FinMap, v: FinMap, prod: Product | None = None) -> FinMap:
-    """The mediating map <u, v> into product(u.dst, v.dst)."""
-    if u.src != v.src:
-        raise SrcMismatch(f"{u.src!r} != {v.src!r}")
-    if prod is None:
-        prod = product(u.dst, v.dst)
-    return FinMap(u.src, prod.space, {s: (u.table[s], v.table[s]) for s in u.src})
-
-
 def product_map(f: FinMap, g: FinMap) -> FinMap:
     """f × g between canonical product sets."""
     src = product(f.src, g.src)
@@ -621,19 +610,6 @@ def pullback(f: FinMap, g: FinMap) -> PullbackCert:
     else:
         proj1 = exact_map(apex, f.src, {p: p[0] for p in apex})
     return PullbackCert(apex, proj1, proj2, f, g)
-
-
-def mediate_pullback(cert: PullbackCert, u: FinMap, v: FinMap) -> FinMap:
-    """The unique t with proj1 ∘ t = u and proj2 ∘ t = v."""
-    if u.src != v.src:
-        raise SrcMismatch(f"{u.src!r} != {v.src!r}")
-    if u.dst != cert.f.src or v.dst != cert.g.src:
-        raise SrcDstMismatch("mediating legs do not land in the pullback feet")
-    for s in u.src:
-        left, right = cert.f.table[u.table[s]], cert.g.table[v.table[s]]
-        if left != right:
-            raise SquareNotCommuting(s, left, right)
-    return FinMap(u.src, cert.apex, {s: (u.table[s], v.table[s]) for s in u.src})
 
 
 # ---------------------------------------------------------------- colimits ---

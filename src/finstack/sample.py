@@ -1,5 +1,7 @@
-"""Seeded generators for groups, covers, bundles and stack objects, plus the
-corpus builders feeding verify_stack, which yield its cases one at a time.
+"""The corpora of verify_stack, which yield its cases one at a time:
+`build_corpus`, seeded random cases with their covers, bundles, objects,
+relabellings and planted faults, and `exhaustive_corpus`, every object,
+morphism and point-cover datum over small bases.
 
 Everything here is deterministic given the Random instance passed in, so
 test runs and CLI runs with the same seed see the same corpus. Generated
@@ -18,13 +20,8 @@ from typing import Optional
 from .action import (
     FinGroup,
     GAction,
-    check_action,
     check_equivariant,
-    klein_four,
     orbits,
-    subgroups,
-    sym,
-    zmod,
 )
 from .bundle import (
     Bundle,
@@ -44,7 +41,6 @@ from .errors import BoundExceeded, EquivarianceFail, TriangleFail
 from .finset import (
     FinMap,
     FinSet,
-    atom_key,
     compose,
     cross_check,
     exact_map,
@@ -58,7 +54,6 @@ from .stack import (
     compose_qs,
     constant_gauge,
     empty_object,
-    fiber_gauge,  # noqa: F401 - re-exported with the other generators
     formula_morphism,
     formula_object,
     qs_identity,
@@ -71,39 +66,6 @@ from .topology import (
     is_jointly_surjective,
     point_cover,
 )
-
-
-def group_catalog(max_order: int = 6):
-    """The stock groups used across tests: cyclic up to 6, Klein four, S3."""
-    cat = [zmod(1), zmod(2), zmod(3), zmod(4), klein_four(), zmod(5), zmod(6), sym(3)]
-    return [g for g in cat if len(g.carrier) <= max_order]
-
-
-def random_finset(rng: Random, max_size: int, min_size: int = 0,
-                  prefix: Optional[str] = None) -> FinSet:
-    n = rng.randint(min_size, max_size)
-    if prefix is None:
-        return FinSet(range(n))
-    return FinSet(f"{prefix}{i}" for i in range(n))
-
-
-def random_map(rng: Random, src: FinSet, dst: FinSet) -> FinMap:
-    if len(dst) == 0 and len(src) > 0:
-        raise ValueError("no maps into the empty set from a nonempty one")
-    return FinMap(src, dst, {a: rng.choice(dst.elements) for a in src})
-
-
-def random_surjection(rng: Random, src: FinSet, dst: FinSet) -> FinMap:
-    if len(src) < len(dst):
-        raise ValueError("source too small to surject")
-    if len(dst) == 0 and len(src) > 0:
-        raise ValueError("no maps into the empty set from a nonempty one")
-    picks = rng.sample(src.elements, len(dst))
-    table = dict(zip(picks, dst.elements))
-    for a in src:
-        if a not in table:
-            table[a] = rng.choice(dst.elements)
-    return FinMap(src, dst, table)
 
 
 def random_cover(rng: Random, target: FinSet, max_legs: int = 3,
@@ -126,70 +88,6 @@ def random_cover(rng: Random, target: FinSet, max_legs: int = 3,
     if surjective and not is_jointly_surjective(fam):
         raise RuntimeError("a family built to cover misses a target atom")
     return fam
-
-
-def _coset(group: FinGroup, a, sub) -> tuple:
-    return tuple(sorted((group.times(a, h) for h in sub), key=atom_key))
-
-
-def _coset_orbits(group: FinGroup, subs) -> GAction:
-    """The action on the coset spaces G/H, one orbit k for the k-th subgroup
-    H of `subs`: atoms (k, coset), g·(k, aH) = (k, gaH)."""
-    atoms = []
-    table = {}
-    for k, sub in enumerate(subs):
-        cosets = sorted({_coset(group, a, sub) for a in group.carrier},
-                        key=atom_key)
-        atoms += [(k, c) for c in cosets]
-        for g in group.carrier:
-            for c in cosets:
-                table[(g, (k, c))] = (k, _coset(group, group.times(g, c[0]), sub))
-    space = FinSet(atoms)
-    return check_action(group, space,
-                        FinMap(product_space(group.carrier, space), space, table))
-
-
-def random_gset(rng: Random, group: FinGroup, max_size: int,
-                stop: float = 0.3) -> GAction:
-    """A random action assembled from coset orbits of random subgroups;
-    atoms are (orbit index, coset) pairs."""
-    subs = subgroups(group)
-    order = len(group.carrier)
-    chosen = []
-    total = 0
-    while total < max_size:
-        options = [h for h in subs if order // len(h) <= max_size - total]
-        if not options or (chosen and rng.random() < stop):
-            break
-        h = rng.choice(options)
-        chosen.append(h)
-        total += order // len(h)
-    return _coset_orbits(group, chosen)
-
-
-def random_gset_over(rng: Random, y: GAction, max_size: int,
-                     stop: float = 0.3):
-    """A random action with an equivariant map to y: each orbit is a coset
-    space G/H for a subgroup H fixing a chosen point y0 of y, mapping aH to
-    a·y0 on that point's orbit. Returns (action, certified map)."""
-    group = y.group
-    subs = subgroups(group)
-    order = len(group.carrier)
-    chosen = []
-    total = 0
-    while total < max_size and len(y.space):
-        y0 = rng.choice(y.space.elements)
-        stab = frozenset(h for h in group.carrier if y(h, y0) == y0)
-        options = [h for h in subs
-                   if set(h) <= stab and order // len(h) <= max_size - total]
-        if not options or (chosen and rng.random() < stop):
-            break
-        h = rng.choice(options)
-        chosen.append((h, y0))
-        total += order // len(h)
-    act = _coset_orbits(group, [h for h, _ in chosen])
-    table = {(k, c): y(c[0], chosen[k][1]) for k, c in act.space}
-    return act, check_equivariant(FinMap(act.space, y.space, table), act, y)
 
 
 def twist_bundle(rng: Random, b: Bundle):

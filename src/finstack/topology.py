@@ -1,9 +1,9 @@
 """The canonical topology on finite sets: covering families, generated
 sieves, effective epimorphisms, colim sieves, and the sheaf condition.
 
-Sieves are kept intensionally as their generating family; membership is
-decided by factorization through a generator, which for finite sets reduces
-to an image-containment test that also produces the witness.
+Sieves are kept intensionally as their generating family, which is all
+the colim-sieve oracle reads; the tests decide membership by factorization
+through a generator (`tests/support.py`).
 
 A family covers exactly when it is jointly surjective, and that is how
 finstack decides it (`is_jointly_surjective`, `require_canonical`). The
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import BoundExceeded, CoverNotCanonical, TargetMismatch
 from .finset import (
@@ -30,7 +30,6 @@ from .finset import (
     compose,
     coproduct,
     copair,
-    fiber,
     kept_slot,
     mediate_coequalizer,
     morphism_predicates,
@@ -88,32 +87,6 @@ class GeneratedSieve(Record):
     @property
     def target(self):
         return self.family.target
-
-
-class SieveWitness(NamedTuple):
-    """Factorization g = leg ∘ via exhibiting sieve membership."""
-
-    leg_index: int
-    via: FinMap
-
-
-def sieve_member(s: GeneratedSieve, g: FinMap) -> Optional[SieveWitness]:
-    """Decide membership of g in the sieve; returns the witness or None.
-
-    g factors through leg f iff im(g) ⊆ im(f); the factorization picks the
-    least preimage of each value, so the witness is canonical.
-    """
-    if g.dst != s.target:
-        raise TargetMismatch(f"{g.dst!r} is not the sieve target {s.target!r}")
-    for i, f in enumerate(s.family.legs):
-        image = set(f.table.values())
-        if all(v in image for v in g.table.values()):
-            via = FinMap(g.src, f.src,
-                         {a: fiber(f, g.table[a])[0] for a in g.src})
-            if compose(f, via) != g:
-                raise RuntimeError(f"the witness through leg {i} does not factor g")
-            return SieveWitness(i, via)
-    return None
 
 
 def is_effective_epi(f: FinMap) -> bool:

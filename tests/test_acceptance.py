@@ -51,17 +51,15 @@ from finstack.cli import main as cli_main
 from finstack.descent import overlap
 from finstack.sample import (
     build_corpus,
-    constant_gauge,
     exhaustive_corpus,
     random_bundle,
     random_cover,
-    random_finset,
-    random_gset,
-    random_gset_over,
-    random_map,
     random_qsobject,
 )
+from finstack.stack import constant_gauge
 from finstack.topology import all_maps, sheaf_condition_by_enumeration
+
+from support import random_finset, random_gset, random_gset_over, random_map
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
 

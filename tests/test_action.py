@@ -20,7 +20,6 @@ from finstack import (
     NotAssociative,
     NoUnit,
     SquareNotCommuting,
-    action_from_function,
     check_action,
     check_equivariant,
     check_group,
@@ -30,7 +29,6 @@ from finstack import (
     identity,
     invert,
     klein_four,
-    mediate_pullback,
     orbits,
     product,
     product_action,
@@ -38,7 +36,6 @@ from finstack import (
     pullback,
     pullback_action,
     regular_action,
-    subgroups,
     sym,
     terminal,
     trivial_action,
@@ -46,8 +43,16 @@ from finstack import (
 )
 from finstack.action import generators
 from finstack.finset import atom_key
-from finstack.sample import group_catalog, random_gset, random_gset_over
 from finstack.topology import all_maps
+
+from support import (
+    action_from_function,
+    group_catalog,
+    mediate_pullback,
+    random_gset,
+    random_gset_over,
+    subgroups,
+)
 
 
 def bang_from(a):

@@ -36,9 +36,7 @@ from finstack import (
     is_locally_trivial,
     is_principal_bundle,
     klein_four,
-    mediate_pullback,
     morphism_predicates,
-    pair_map,
     point_cover,
     product,
     product_action,
@@ -60,16 +58,21 @@ from finstack.errors import CoverNotCanonical
 from finstack.finset import atom_key
 from finstack.sample import (
     build_corpus,
-    group_catalog,
     random_bundle,
     random_cover,
-    random_gset_over,
-    random_map,
     random_qsobject,
-    random_gset,
     twist_bundle,
 )
 from finstack.topology import all_maps
+
+from support import (
+    group_catalog,
+    mediate_pullback,
+    pair_map,
+    random_gset,
+    random_gset_over,
+    random_map,
+)
 
 
 def projection_to(group, space, base, values):

@@ -63,7 +63,6 @@ from finstack.finset import (
     fibers,
     invert,
     mediate_coequalizer,
-    mediate_pullback,
     morphism_predicates,
     product,
     pullback,
@@ -72,20 +71,24 @@ from finstack.sample import (
     break_cocycle,
     build_corpus,
     conjugate_datum,
-    constant_gauge,
     drop_leg,
-    empty_object,
     exhaustive_corpus,
-    fiber_gauge,
-    group_catalog,
     random_cover,
-    random_gset,
     random_qsobject,
     relabel_qsobject,
 )
 from finstack.sitefile import load_site, parse_site
-from finstack.stack import QSMorphism, check_qs_morphism, check_qs_object
+from finstack.stack import (
+    QSMorphism,
+    check_qs_morphism,
+    check_qs_object,
+    constant_gauge,
+    empty_object,
+    fiber_gauge,
+)
 from finstack.topology import require_canonical
+
+from support import group_catalog, mediate_pullback, random_gset
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
 

@@ -29,9 +29,7 @@ from finstack.finset import (
     identity,
     invert,
     mediate_coequalizer,
-    mediate_pullback,
     morphism_predicates,
-    pair_map,
     product,
     product_map,
     product_space,
@@ -39,6 +37,8 @@ from finstack.finset import (
     pullback_along,
     terminal,
 )
+
+from support import mediate_pullback, pair_map
 
 
 def small_sets(max_size):

@@ -28,7 +28,7 @@ from finstack.finset import (
     pullback,
     terminal,
 )
-from finstack.sample import random_cover, random_finset, random_qsobject
+from finstack.sample import random_cover, random_qsobject
 from finstack.stack import (
     check_qs_object,
     classifying_stack,
@@ -37,6 +37,8 @@ from finstack.stack import (
     restrict,
 )
 from finstack.topology import point_cover
+
+from support import random_finset
 
 
 def _object(group, base):

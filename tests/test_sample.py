@@ -24,17 +24,14 @@ from finstack.sample import (
     build_corpus,
     equivariant_maps,
     exhaustive_corpus,
-    fiber_gauge,
-    group_catalog,
     random_bundle,
     random_cover,
-    random_finset,
-    random_gset,
-    random_map,
     random_qsobject,
-    random_surjection,
     twist_bundle,
 )
+from finstack.stack import fiber_gauge
+
+from support import group_catalog, random_finset, random_gset, random_map, random_surjection
 
 
 def test_same_seed_same_corpus():

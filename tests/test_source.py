@@ -7,14 +7,18 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "finstack"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "finstack"
+# the library's modules, keyed by stem, and the tests' helper module, whose
+# asserts pytest does not rewrite either
+CHECKED = {p.stem: p for p in [*sorted(SRC.glob("*.py")), ROOT / "tests" / "support.py"]}
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+@pytest.mark.parametrize("module", sorted(CHECKED))
 def test_no_assert_statements(module):
     # python -O strips assert statements, so a check anywhere in the library
-    # must raise explicitly
-    path = SRC / f"{module}.py"
+    # or in the tests' helpers must raise explicitly
+    path = CHECKED[module]
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = sorted(node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Assert))
@@ -116,12 +120,12 @@ def _names_read(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+@pytest.mark.parametrize("module", sorted(CHECKED))
 def test_no_unused_imports(module):
     # no linter is installed, so this is the F401 rule: every name a
     # top-level import binds is read in the module, unless its line is a
     # re-export marked `# noqa: F401`
-    path = SRC / f"{module}.py"
+    path = CHECKED[module]
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     tree = ast.parse(text, filename=str(path))
@@ -175,3 +179,72 @@ def test_no_module_imports_a_private_name():
                      if isinstance(node, ast.ImportFrom) and node.level > 0
                      for alias in node.names if alias.name.startswith("_"))
     assert private == []
+
+
+# top-level definitions of src that no src code reads, each with its reason
+SRC_API = {
+    "action.zmod": "stock group of the README-level API",
+    "action.klein_four": "stock group of the README-level API",
+    "action.sym": "stock group of the README-level API",
+    "descent.pullback_datum": "README-level API: base change of a descent datum",
+    "finset.product_map": "README-level API: f × g between products",
+    "finset.colimit_of_diagram": "README-level API: the colimit of a finite diagram",
+    "sitefile.format_site": "README-level API: the printer of the site files",
+    "stack.coherence_iota": "README-level API: the prestack's coherence cells",
+    "stack.coherence_assoc": "README-level API: the prestack's coherence cells",
+    "stack.coherence_triangles": "README-level API: the prestack's coherence cells",
+    "sample.exhaustive_corpus": "the exhaustive verify-stack corpus, due in production",
+    "errors.SrcMismatch": "a pinned error type, raised by the tests' mediating maps",
+}
+
+
+def test_src_defines_nothing_only_the_tests_read():
+    # what only the tests read lives in tests/support.py: every top-level
+    # function or class of a library module is read by src code outside its
+    # own definition, in its module or where another module imports it
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in SRC.glob("*.py") if p.stem != "__init__"}
+    imported = {mod: {(node.module, alias.name): alias.asname or alias.name
+                      for node in tree.body
+                      if isinstance(node, ast.ImportFrom) and node.level == 1
+                      for alias in node.names}
+                for mod, tree in trees.items()}
+    reads = {mod: [(stmt, _names_read(stmt)) for stmt in tree.body]
+             for mod, tree in trees.items()}
+    unread = []
+    for mod, tree in trees.items():
+        for defn in tree.body:
+            if not isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            local = {other: defn.name if other == mod else imported[other].get((mod, defn.name))
+                     for other in trees}
+            if not any(local[other] in names
+                       for other in trees if local[other] is not None
+                       for stmt, names in reads[other] if stmt is not defn):
+                unread.append(f"{mod}.{defn.name}")
+    assert sorted(unread) == sorted(SRC_API)
+
+
+def test_every_traced_name_resolves_in_finstack():
+    # bench/tracing.py looks each name up as a finstack module attribute when
+    # it installs, and reads cache_info() of the cached ones; a name moved out
+    # of src would fail only there, by AttributeError
+    import importlib
+    path = ROOT / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    keys = {target.id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+            and target.id in ("SPANNED", "COUNTED", "COUNTED_CLASSES", "CACHED")}
+    assert sorted(keys) == ["CACHED", "COUNTED", "COUNTED_CLASSES", "SPANNED"]
+    missing, uncached = [], []
+    for name, traced in keys.items():
+        for key in traced:
+            mod, attr = key.split(".")
+            value = getattr(importlib.import_module(f"finstack.{mod}"), attr, None)
+            if value is None:
+                missing.append(key)
+            elif name == "CACHED" and not callable(getattr(value, "cache_info", None)):
+                uncached.append(key)
+    assert (missing, uncached) == ([], [])

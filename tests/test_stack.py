@@ -37,7 +37,6 @@ from finstack import (
     is_principal_bundle,
     klein_four,
     morphism_predicates,
-    pair_map,
     product,
     pullback_action,
     qs_identity,
@@ -55,22 +54,18 @@ from finstack import (
 from finstack.descent import glue_morphisms
 from finstack.errors import OverlapMismatch
 from finstack.bundle import fiber_map
-from finstack.finset import CrossCheck, fibers, mediate_pullback, pullback
+from finstack.finset import CrossCheck, fibers, pullback
 from finstack.sample import (
     build_corpus,
-    constant_gauge,
-    empty_object,
     enumerate_qs_morphisms,
-    fiber_gauge,
-    group_catalog,
     random_bundle,
-    random_gset,
-    random_map,
     random_qsobject,
     relabel_qsobject,
 )
 from finstack.sitefile import load_site
-from finstack.stack import classify_by_enumeration
+from finstack.stack import classify_by_enumeration, constant_gauge, empty_object, fiber_gauge
+
+from support import group_catalog, mediate_pullback, pair_map, random_gset, random_map
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
 

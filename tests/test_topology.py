@@ -6,7 +6,6 @@ from random import Random
 
 import pytest
 
-import finstack.topology
 from finstack import (
     BoundExceeded,
     CoveringFamily,
@@ -24,7 +23,6 @@ from finstack import (
     is_universal_effective_epi,
     point_cover,
     pullback_family,
-    sieve_member,
     terminal,
 )
 from finstack.finset import is_epi
@@ -33,6 +31,9 @@ from finstack.topology import (
     cech_colimit,
     sheaf_condition_by_enumeration,
 )
+
+import support
+from support import sieve_member
 
 
 def small_families(target_sizes=(0, 1, 2), max_src=2, max_legs=2):
@@ -161,7 +162,7 @@ def test_sieve_membership_checks_its_witness(monkeypatch):
     target = FinSet((0, 1))
     fold = FinMap(FinSet(("a", "b", "c")), target, {"a": 0, "b": 0, "c": 1})
     sieve = GeneratedSieve(CoveringFamily(target, [fold]))
-    monkeypatch.setattr(finstack.topology, "fiber",
+    monkeypatch.setattr(support, "fiber",
                         lambda f, y: tuple(a for a in f.src if f.table[a] != y))
     with pytest.raises(RuntimeError, match="does not factor"):
         sieve_member(sieve, FinMap(FinSet(("x",)), target, {"x": 1}))

@@ -28,6 +28,14 @@ restrictions everything is built on (`stack.restrict`,
 `formula_object` or `formula_morphism`; `check_qs_morphism`, `make_datum`
 and `check_cocycle` re-run on them only under cross-check, and on the hot
 path certify only a caller's isos (`make_datum`, `pullback_datum`).
+
+A restricted datum carries its own certificate. `restrict_to_datum` keeps
+the source object and the overlap isos it built on the datum, outside its
+fields, and while the datum still holds exactly those isos `glue_object`
+takes it as lawful: its cocycle scan re-runs only under cross-check, and
+the chart reads each glued point's action and alpha through the source's
+tables, g·(p, a) = (g·p, a) and alpha(p, a) = alpha(p), so the locals'
+deferred tables stay unbuilt. Any other datum is checked in full.
 """
 
 from __future__ import annotations
@@ -116,8 +124,16 @@ class DescentDatum(Record):
     has real self-overlap). Isos over empty overlaps are forced, not stored.
 
     The cocycle condition is NOT checked at construction, so violating data
-    are representable; glue_object rejects them first.
+    are representable; glue_object rejects them first. The one exception is
+    a datum `restrict_to_datum` returns, lawful by its formulas: it keeps
+    its source object and the isos it was built with in its `_restricted`
+    slot, and while `overlaps` holds exactly those isos glue_object checks
+    its cocycle only under cross-check (`restricted_source`). The slot is
+    not a field: equality, hash and repr never read it, and a copy, or any
+    datum built by hand, starts without it.
     """
+
+    __slots__ = ("_restricted",)
 
     cover: CoveringFamily
     objects: tuple
@@ -133,6 +149,29 @@ class DescentDatum(Record):
         if len(cert.apex):
             raise MissingOverlapIso(i, j)
         return _identity_iso(self.objects, cert, i, j)
+
+
+class _Restricted(NamedTuple):
+    """What `restrict_to_datum` keeps on its datum: the object it restricts
+    and a copy of the overlap isos it built, keyed by leg pair."""
+
+    source: QSObject
+    isos: dict
+
+
+def restricted_source(datum: DescentDatum) -> Optional[QSObject]:
+    """The object `restrict_to_datum` restricted to this datum, while its
+    `overlaps` holds exactly the isos built there, compared key for key by
+    identity; else None: a datum built by hand, a copy, or one whose isos
+    were replaced since."""
+    kept = getattr(datum, "_restricted", None)
+    if kept is None:
+        return None
+    overlaps = datum.overlaps
+    if len(overlaps) != len(kept.isos) or any(
+            overlaps.get(ij) is not iso for ij, iso in kept.isos.items()):
+        return None
+    return kept.source
 
 
 def make_datum(cover: CoveringFamily, objects, overlaps) -> DescentDatum:
@@ -264,7 +303,9 @@ def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
     inverse ((p, b), (a, b)) -> ((p, a), (a, b)). The cocycle holds, since
     φ_jk∘φ_ij and φ_ik both send (p, a) over a to (p, c) over c. So neither
     `make_datum` nor `check_cocycle` runs; under cross-check each iso's
-    `check_qs_morphism`, then both, re-run."""
+    `check_qs_morphism`, then both, re-run. The datum keeps obj and the
+    isos (`restricted_source`), which hold no reference back to it, so
+    that `glue_object` need not prove the cocycle again."""
     require_canonical(cover)
     if cover.target != obj.base:
         raise ValueError(f"cover is over {cover.target!r}, object over {obj.base!r}")
@@ -279,6 +320,7 @@ def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
     datum = cross_check("a restricted datum", DescentDatum(cover, objects, overlaps),
                         make_datum, cover, objects, overlaps)
     cross_check("a restricted datum's cocycle", None, check_cocycle, datum)
+    kept_slot(datum, "_restricted", _Restricted, obj, dict(overlaps))
     return datum
 
 
@@ -437,7 +479,12 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     its pair (else ValueError), and the cocycle holds (else
     CocycleRequired). The group and structure action are the objects';
     passing others raises ValueError. The empty cover of the empty base has
-    no objects to read them from, so it needs both passed in.
+    no objects to read them from, so it needs both passed in. A datum that
+    `restrict_to_datum` built, whose `overlaps` still holds exactly its isos
+    (`restricted_source`), has its isos and cocycle by their formulas, so
+    `check_cocycle` re-runs on it only under cross-check, and each W_i is
+    the source restricted along leg i: the chart reads g·(p, a) = (g·p, a)
+    and alpha(p, a) = alpha(p) from the source's tables, not the locals'.
     """
     cover = datum.cover
     require_canonical(cover)
@@ -449,10 +496,14 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
                              "and structure action of the gluing")
     if group is None or x_action is None:
         raise ValueError("gluing over the empty cover needs group and x_action")
-    try:
-        check_cocycle(datum)
-    except CocycleFail as err:
-        raise CocycleRequired(err) from err
+    source = restricted_source(datum)
+    if source is None:
+        try:
+            check_cocycle(datum)
+        except CocycleFail as err:
+            raise CocycleRequired(err) from err
+    else:
+        cross_check("a glued restricted datum's cocycle", None, check_cocycle, datum)
     n = len(cover.legs)
     if n == 0:
         return GluingResult(empty_object(group, x_action), ())
@@ -481,16 +532,23 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
             for b in legs_over[fi[a]]:
                 names[i][phis[(i, i)][(w, (a, b))][0]] = q
     total = cross_check("the glued points", FinSet._ordered(points), FinSet, points)
-    acts = [obj.bundle.total.act.table for obj in datum.objects]
-    alphas = [obj.alpha.map.table for obj in datum.objects]
     gxw = product_space(group.carrier, total)
-    act = exact_map(
-        gxw, total, {(g, q): names[q.part][acts[q.part][(g, q.atom)]] for g, q in gxw})
+    if source is None:
+        acts = [obj.bundle.total.act.table for obj in datum.objects]
+        alphas = [obj.alpha.map.table for obj in datum.objects]
+        act_table = {(g, q): names[q.part][acts[q.part][(g, q.atom)]] for g, q in gxw}
+        alpha_table = {q: alphas[q.part][q.atom] for q in total}
+    else:
+        # q.atom is (p, a) in source|leg i: g·(p, a) = (g·p, a), alpha(p, a) = alpha(p)
+        st, sa = source.bundle.total.act.table, source.alpha.map.table
+        act_table = {(g, q): names[q.part][(st[(g, q.atom[0])], q.atom[1])] for g, q in gxw}
+        alpha_table = {q: sa[q.atom[0]] for q in total}
+    act = exact_map(gxw, total, act_table)
     pi_w = exact_map(total, cover.target,
                      {q: legs[q.part][pis[q.part][q.atom]] for q in total})
     bundle = formula_bundle("a glued bundle", act, pi_w, trivial_action(group, cover.target))
-    glued = formula_object("a glued object", bundle, exact_map(
-        total, x_action.space, {q: alphas[q.part][q.atom] for q in total}), x_action)
+    glued = formula_object("a glued object", bundle,
+                           exact_map(total, x_action.space, alpha_table), x_action)
     comparisons = DeferredComparisons(n, cover.legs, datum.objects, glued, phis, pis)
     cross_check("the comparisons against the overlap isos", None,
                 _check_comparisons, cover, phis, pi_w, comparisons)

@@ -704,6 +704,25 @@ def test_restrict_to_datum_builds_no_alpha_or_base_action_for_its_overlap_object
                 assert table._build is not None
 
 
+def test_gluing_a_restricted_datum_builds_no_table_for_its_locals(monkeypatch):
+    # off, the chart reads the source's action and alpha, so each local's
+    # deferred tables stay unbuilt, its comparisons read or not; a record
+    # of the same datum built by hand reads the locals' own
+    monkeypatch.setattr(CrossCheck, "on", False)
+    datum = restrict_to_datum(*datum_inputs(7))
+    result = glue_object(datum)
+    assert len(list(result.comparisons)) == len(datum.objects)
+
+    def built():
+        return [(obj.bundle.total.act._build is None, obj.alpha.map._build is None)
+                for obj in datum.objects]
+
+    assert built() == [(False, False)] * len(datum.objects)
+    glue_object(finstack.descent.DescentDatum(datum.cover, datum.objects,
+                                              dict(datum.overlaps)))
+    assert built() == [(True, True)] * len(datum.objects)
+
+
 def test_deferred_alpha_and_base_action_read_like_the_eager_ones(monkeypatch):
     monkeypatch.setattr(CrossCheck, "on", False)
     obj = regular_object(zmod(2), FinSet(("p", "q")))

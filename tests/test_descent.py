@@ -1,6 +1,7 @@
 """Descent along canonical covers: data, cocycles, gluing of objects and
 morphisms, uniqueness, and the stack verdict over generated corpora."""
 
+import copy
 import gc
 import itertools
 from pathlib import Path
@@ -50,6 +51,7 @@ from finstack.descent import (
     GluingResult,
     overlap,
     overlapping_pairs,
+    restricted_source,
     twist_overlap,
 )
 from finstack.errors import FinstackError
@@ -794,6 +796,76 @@ def test_glued_object_matches_coequalizer_oracle_on_fixtures(name):
     for d in data:
         new, old = glue_both(d.value)
         assert new == old
+
+
+# ------------------------------------- restricted data glued from their source
+
+def assert_glues_as_by_hand(datum, **kwargs):
+    """A datum from restrict_to_datum glues from its source, unchecked; a
+    record of it built by hand, and a copy, take the general path, with the
+    cocycle scanned and the locals' tables read. All three glue to equal
+    objects and equal comparisons, index by index."""
+    by_hand = DescentDatum(datum.cover, datum.objects, dict(datum.overlaps))
+    clone = copy.copy(datum)
+    assert clone == datum == by_hand and repr(clone) == repr(datum) == repr(by_hand)
+    assert restricted_source(clone) is None and restricted_source(by_hand) is None
+    fast = glue_object(datum, **kwargs)
+    for other in (glue_object(by_hand, **kwargs), glue_object(clone, **kwargs)):
+        assert glued_tables(other) == glued_tables(fast)
+        assert other.glued == fast.glued
+        assert len(other.comparisons) == len(fast.comparisons)
+        for j in range(len(fast.comparisons)):
+            assert other.comparisons[j] == fast.comparisons[j]
+
+
+def test_a_restricted_fixture_datum_glues_as_by_hand():
+    site = load_site(SITES / "stack_demo.site")
+    datum = site["D"].value
+    assert restricted_source(datum) is site["O"].value
+    assert_glues_as_by_hand(datum)
+    # a twisted datum is a new record, which keeps no source
+    assert restricted_source(load_site(SITES / "cocycle_bad.site")["Bad"].value) is None
+
+
+@given(grp=st.sampled_from(group_catalog()),
+       x_kind=st.sampled_from(["point", "regular", "random"]),
+       seed=st.integers(0, 2 ** 16), size=st.integers(0, 4))
+def test_a_restricted_datum_glues_as_by_hand(grp, x_kind, seed, size):
+    rng = Random(seed)
+    x = {"point": lambda: point_x(grp), "regular": lambda: regular_action(grp),
+         "random": lambda: random_gset(rng, grp, 4)}[x_kind]()
+    base = FinSet(f"y{t}" for t in range(size))
+    obj = random_qsobject(rng, grp, x, base)
+    datum = restrict_to_datum(obj, random_cover(rng, base))
+    assert restricted_source(datum) is obj
+    assert_glues_as_by_hand(datum, group=grp, x_action=x)
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["production", "cross-checked"])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_restricted_datum_with_an_iso_replaced_in_place_is_checked(monkeypatch, on, seed):
+    # the isos are compared with those restrict_to_datum built, so a twist
+    # written into its overlaps dict is refused, with the witness a record
+    # of the same isos built by hand gets
+    monkeypatch.setattr(CrossCheck, "on", on)
+    rng = Random(seed)
+    grp = sym(3)
+    obj = random_qsobject(rng, grp, point_x(grp), FinSet(("p", "q", "r")))
+    datum = restrict_to_datum(obj, random_cover(rng, obj.base))
+    i, j = rng.choice(sorted(ij for ij, iso in datum.overlaps.items() if len(iso.src.total)))
+    datum.overlaps[(i, j)] = twist_overlap(datum, i, j, grp.carrier.elements[-1]).overlaps[(i, j)]
+    assert restricted_source(datum) is None
+    witnesses = []
+    for d in (datum, DescentDatum(datum.cover, datum.objects, dict(datum.overlaps))):
+        with pytest.raises(CocycleRequired) as exc:
+            glue_object(d)
+        assert isinstance(exc.value.cause, CocycleFail)
+        witnesses.append(exc.value.payload())
+    assert witnesses[0] == witnesses[1]
+    # an iso taken out is missing, as from a record built by hand
+    del datum.overlaps[(i, j)]
+    with pytest.raises(MissingOverlapIso):
+        glue_object(datum)
 
 
 # --------------------------------------------------- morphism gluing

@@ -39,7 +39,7 @@ from finstack import (
 )
 from finstack.action import generators, product_action
 from finstack.bundle import torsor_structures
-from finstack.descent import overlap, overlapping_pairs
+from finstack.descent import overlap, overlapping_pairs, restricted_source
 from finstack.finset import CrossCheck, bang, fibers, product_space, terminal
 from finstack.sample import (
     break_cocycle,
@@ -206,6 +206,27 @@ def test_a_dropped_gluing_leaves_no_cyclic_garbage(monkeypatch, no_collector, se
     refs = [weakref.ref(datum.objects[0]), weakref.ref(result.glued)]
     del datum, result
     assert [r() for r in refs] == [None, None]
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["production", "cross-checked"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_glued_restricted_datum_frees_its_source(monkeypatch, no_collector, seed, on):
+    # the datum keeps its source object outside its fields, and nothing
+    # there refers back to the datum: dropping the datum and its gluing
+    # frees the source by reference counting
+    monkeypatch.setattr(CrossCheck, "on", on)
+    rng = Random(seed)
+    group = sym(3)
+    base = FinSet(("p", "q", "r"))
+    obj = random_qsobject(rng, group, regular_action(group), base)
+    datum = restrict_to_datum(obj, random_cover(rng, base))
+    assert restricted_source(datum) is obj
+    result = glue_object(datum)
+    assert qs_isomorphism(result.glued, obj) is not None
+    refs = [weakref.ref(obj), weakref.ref(datum), weakref.ref(result.glued)]
+    del obj, datum, result
+    assert [r() for r in refs] == [None, None, None]
     assert gc.collect() == 0
 
 

@@ -36,11 +36,7 @@ from .action import (
     pullback_action,
     trivial_action,
 )
-from .errors import (
-    BaseMismatch,
-    BoundExceeded,
-    TriangleFail,
-)
+from .errors import BoundExceeded, TriangleFail
 from .finset import (
     FinMap,
     FinSet,
@@ -124,7 +120,7 @@ def is_locally_trivial(proj: EquivariantMap,
     """
     _require_trivial_base(proj)
     if cover.target != proj.map.dst:
-        raise BaseMismatch(f"cover target {cover.target!r} != base {proj.map.dst!r}")
+        raise ValueError(f"cover target {cover.target!r} != base {proj.map.dst!r}")
     require_canonical(cover)
     group = proj.src_action.group
     legs = []
@@ -231,7 +227,7 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     time something reads it (b's own table is read only then), and Z
     carries `trivial_action(G, Z)`, whose table is deferred the same way."""
     if f.dst != b.base:
-        raise BaseMismatch(f"{f.dst!r} != {b.base!r}")
+        raise ValueError(f"{f.dst!r} != {b.base!r}")
     proj = pullback_along(b.proj.map, f)
     # the thunk captures the apex and b's table, never f
     group, apex, parent = b.group, proj.src, b.total.act
@@ -262,7 +258,7 @@ def check_bundle_morphism(src: Bundle, dst: Bundle, m: FinMap) -> BundleMorphism
     if src.group != dst.group:
         raise ValueError("bundles are for different groups")
     if src.base != dst.base:
-        raise BaseMismatch(f"{src.base!r} != {dst.base!r}")
+        raise ValueError(f"{src.base!r} != {dst.base!r}")
     for p in src.total.space:
         if dst.proj.map.table[m.table[p]] != src.proj.map.table[p]:
             raise TriangleFail(p, "proj")
@@ -310,7 +306,7 @@ def enumerate_bundle_morphisms(src: Bundle, dst: Bundle,
     if src.group != dst.group:
         raise ValueError("bundles are for different groups")
     if src.base != dst.base:
-        raise BaseMismatch(f"{src.base!r} != {dst.base!r}")
+        raise ValueError(f"{src.base!r} != {dst.base!r}")
     count = bundle_morphism_count(src.group, src.base)
     if count > bound:
         raise BoundExceeded("bundle-morphism enumeration", count, bound)

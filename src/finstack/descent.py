@@ -669,9 +669,10 @@ def verify_stack(group: FinGroup, x_action: GAction, cases) -> StackReport:
     globals agreeing on a canonical cover are equal. Rejected: an invalid
     datum is refused for its cocycle or its cover.
 
-    A FinstackError from effectiveness or gluing counts as a failed case.
-    Any other exception is an internal fault, no verdict on the stack, and
-    propagates.
+    A FinstackError from effectiveness or gluing is a witness and counts as
+    a failed case. Any other exception is no verdict on the stack and
+    propagates: an internal fault, or a ValueError for a case whose shapes
+    do not fit, such as an object over another leg's source.
     """
     report = StackReport()
     for condition, case in cases:

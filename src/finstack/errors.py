@@ -1,13 +1,17 @@
 """Structured errors raised by the checking operations.
 
-Every violation carries its witness data as attributes and exposes it as a
-plain dict via payload(), which is what the CLI serializes into reports.
+A `FinstackError` is a witness: a condition of the paper that fails at a
+named point, or bad input named by where it fails (a site file's syntax, a
+reference, a bound). It carries its witness data as attributes and exposes
+it as a plain dict via payload(), which is what the CLI serializes into
+reports.
 
-A witness error declares its fields once, as the class attribute `fields`
-(the witness names, in argument order), with a `template` for its message
+Each error declares its fields once, as the class attribute `fields` (the
+witness names, in argument order), with a `template` for its message
 formatted over them; `FinstackError` holds the one `__init__`, `payload()`
-and `__reduce__` for all of them. An error with no template takes a
-free-form message, like a plain exception, and has an empty payload.
+and `__reduce__` for all of them. A caller's mismatched arguments, such as
+maps that do not compose or an object over another base, are no witness:
+they raise `ValueError`.
 """
 
 from __future__ import annotations
@@ -20,21 +24,16 @@ class FinstackError(Exception):
     template = None    # the message, formatted over the fields
 
     def __init__(self, *values):
-        if self.template is not None:
-            if len(values) != len(self.fields):
-                raise TypeError(f"{type(self).__name__} takes {len(self.fields)} values "
-                                f"({', '.join(self.fields)}), got {len(values)}")
-            for name, value in zip(self.fields, values):
-                setattr(self, name, value)
-            values = (self.template.format_map(vars(self)),)
-        super().__init__(*values)
+        if len(values) != len(self.fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self.fields)} values "
+                            f"({', '.join(self.fields)}), got {len(values)}")
+        for name, value in zip(self.fields, values):
+            setattr(self, name, value)
+        super().__init__(self.template.format_map(vars(self)))
 
     def __reduce__(self):
-        # pickle and copy rebuild a witness error from its field values and
-        # a free-message error from its message
-        if self.template is not None:
-            return type(self), tuple(getattr(self, name) for name in self.fields)
-        return type(self), self.args
+        # pickle and copy rebuild an error from its field values
+        return type(self), tuple(getattr(self, name) for name in self.fields)
 
     def payload(self) -> dict:
         return {name: getattr(self, name) for name in self.fields}
@@ -45,18 +44,6 @@ class FinstackError(Exception):
 
 # ---------------------------------------------------------------- finset ---
 
-class SrcDstMismatch(FinstackError):
-    """Composition g ∘ f where dst(f) differs from src(g)."""
-
-
-class CodomainMismatch(FinstackError):
-    """Pullback legs with different codomains."""
-
-
-class SrcMismatch(FinstackError):
-    """Mediating pair (u, v) whose sources differ."""
-
-
 class SquareNotCommuting(FinstackError):
     """Mediating pair that fails f ∘ u = g ∘ v."""
 
@@ -64,19 +51,11 @@ class SquareNotCommuting(FinstackError):
     template = "square does not commute at {point!r}: {left!r} != {right!r}"
 
 
-class ShapeMismatch(FinstackError):
-    """Coequalizer pair that is not parallel."""
-
-
 class NotCoequalized(FinstackError):
     """Candidate map that does not coequalize the given pair."""
 
     fields = ("point", "left", "right")
     template = "map does not coequalize at {point!r}: {left!r} != {right!r}"
-
-
-class DanglingArrow(FinstackError):
-    """Diagram arrow whose endpoints or table do not match the listed objects."""
 
 
 # ----------------------------------------------------------- group-action ---
@@ -114,10 +93,6 @@ class EquivarianceFail(FinstackError):
 
 # ---------------------------------------------------------- site-topology ---
 
-class TargetMismatch(FinstackError):
-    """Covering family leg or tested map with the wrong codomain."""
-
-
 class CoverNotCanonical(FinstackError):
     fields = ("detail",)
     template = "cover not canonical: {detail}"
@@ -129,10 +104,6 @@ class BoundExceeded(FinstackError):
 
 
 # ------------------------------------------------------------------ bundle ---
-
-class BaseMismatch(FinstackError):
-    """Bundles or maps over different bases."""
-
 
 class TriangleFail(FinstackError):
     """A triangle over the base or over the action target fails to commute."""

@@ -76,13 +76,7 @@ import itertools
 import weakref
 from typing import Iterable, NamedTuple, Union
 
-from .errors import (
-    CodomainMismatch,
-    DanglingArrow,
-    NotCoequalized,
-    ShapeMismatch,
-    SrcDstMismatch,
-)
+from .errors import NotCoequalized
 
 Atom = Union[int, str, tuple]
 
@@ -471,7 +465,7 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
     """g after f: keyed by f's source atoms, with values in g's target,
     since f lands in g's source."""
     if f.dst != g.src:
-        raise SrcDstMismatch(f"cannot compose: {f.dst!r} != {g.src!r}")
+        raise ValueError(f"cannot compose: {f.dst!r} != {g.src!r}")
     return exact_map(f.src, g.dst, {a: g.table[f.table[a]] for a in f.src})
 
 
@@ -588,7 +582,7 @@ def pullback_along(f: FinMap, g: FinMap) -> FinMap:
     f's fiber over y times g.src, read from f's kept fibers without walking
     f.src. The apex is the projection's source, the keys of its table."""
     if f.dst != g.dst:
-        raise CodomainMismatch(f"{f.dst!r} != {g.dst!r}")
+        raise ValueError(f"{f.dst!r} != {g.dst!r}")
     over = fibers(g)
     if len(over) <= 1:
         table = {(a, b): b for y, bs in over.items()
@@ -640,9 +634,9 @@ def copair(cop: Coproduct, maps, dst: FinSet | None = None) -> FinMap:
     table = {}
     for i, (inj, h) in enumerate(zip(cop.injections, maps)):
         if h.dst != dst:
-            raise SrcDstMismatch(f"part {i} lands in {h.dst!r}, expected {dst!r}")
+            raise ValueError(f"part {i} lands in {h.dst!r}, expected {dst!r}")
         if h.src != inj.src:
-            raise SrcDstMismatch(f"part {i} has source {h.src!r}, expected {inj.src!r}")
+            raise ValueError(f"part {i} has source {h.src!r}, expected {inj.src!r}")
         for a in inj.src:
             table[Tag(i, a)] = h.table[a]
     return FinMap(cop.space, dst, table)
@@ -684,7 +678,7 @@ class CoequalizerCert(NamedTuple):
 
 def coequalizer(gamma1: FinMap, gamma2: FinMap) -> CoequalizerCert:
     if gamma1.src != gamma2.src or gamma1.dst != gamma2.dst:
-        raise ShapeMismatch("coequalizer needs a parallel pair")
+        raise ValueError("coequalizer needs a parallel pair")
     uf = _UnionFind(gamma1.dst)
     for a in gamma1.src:
         uf.union(gamma1.table[a], gamma2.table[a])
@@ -697,7 +691,7 @@ def coequalizer(gamma1: FinMap, gamma2: FinMap) -> CoequalizerCert:
 def mediate_coequalizer(cert: CoequalizerCert, d: FinMap) -> FinMap:
     """The unique m with m ∘ proj = d, for d coequalizing the pair."""
     if d.src != cert.proj.src:
-        raise SrcDstMismatch(f"{d.src!r} != {cert.proj.src!r}")
+        raise ValueError(f"{d.src!r} != {cert.proj.src!r}")
     for a in cert.gamma1.src:
         left, right = d.table[cert.gamma1.table[a]], d.table[cert.gamma2.table[a]]
         if left != right:
@@ -721,9 +715,9 @@ def colimit_of_diagram(objects, arrows) -> Colimit:
     arrows = tuple(arrows)
     for i, j, m in arrows:
         if not (0 <= i < len(objects) and 0 <= j < len(objects)):
-            raise DanglingArrow(f"arrow endpoints ({i},{j}) out of range")
+            raise ValueError(f"arrow endpoints ({i},{j}) out of range")
         if m.src != objects[i] or m.dst != objects[j]:
-            raise DanglingArrow(f"arrow ({i},{j}) table does not match its endpoints")
+            raise ValueError(f"arrow ({i},{j}) table does not match its endpoints")
     cop_objects = coproduct(objects)
     cop_sources = coproduct([objects[i] for i, _, _ in arrows])
     left = copair(cop_sources,

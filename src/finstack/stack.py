@@ -40,7 +40,7 @@ from .bundle import (
     pullback_bundle,
     trivial_bundle,
 )
-from .errors import BaseMismatch, TriangleFail
+from .errors import TriangleFail
 from .finset import (
     FinMap,
     FinSet,
@@ -199,7 +199,7 @@ def restrict(obj: QSObject, f: FinMap) -> QSObject:
     alpha is a `deferred_map`, written (reading obj's alpha) the first
     time something reads it."""
     if f.dst != obj.base:
-        raise BaseMismatch(f"{f.dst!r} != {obj.base!r}")
+        raise ValueError(f"{f.dst!r} != {obj.base!r}")
     b = pullback_bundle(obj.bundle, f)
     space, parent, x = b.total.space, obj.alpha.map, obj.x_action.space
 
@@ -261,7 +261,7 @@ def epsilon_component(obj: QSObject, f: FinMap, g: FinMap) -> QSMorphism:
     total, ((p, x), z) ↦ (p, z) is its inverse, h acts on p alone on both
     sides, z is kept, and both alphas read alpha(p)."""
     if f.dst != obj.base or g.dst != f.src:
-        raise BaseMismatch("maps are not composable under the object's base")
+        raise ValueError("maps are not composable under the object's base")
     src, dst = restrict(obj, compose(f, g)), restrict(restrict(obj, f), g)
     gt = g.table
     return formula_morphism("an ε component", src, dst, exact_map(
@@ -284,7 +284,7 @@ def coherence_iota(base: FinSet, objects, morphisms=()) -> CoherenceCell:
     comps = {}
     for obj in objects:
         if obj.base != base:
-            raise BaseMismatch(f"object over {obj.base!r}, expected {base!r}")
+            raise ValueError(f"object over {obj.base!r}, expected {base!r}")
         comps[obj] = iota_component(obj)
     checked = 0
     for m in morphisms:

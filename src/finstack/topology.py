@@ -21,7 +21,7 @@ import random
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import BoundExceeded, CoverNotCanonical, TargetMismatch
+from .errors import BoundExceeded, CoverNotCanonical
 from .finset import (
     FinMap,
     FinSet,
@@ -65,7 +65,7 @@ class CoveringFamily(Record):
         legs = tuple(legs)
         for i, f in enumerate(legs):
             if f.dst != target:
-                raise TargetMismatch(f"leg {i} has target {f.dst!r}, expected {target!r}")
+                raise ValueError(f"leg {i} has target {f.dst!r}, expected {target!r}")
         super().__init__(target, legs)
 
     def __len__(self):
@@ -188,7 +188,7 @@ def canonical_cover_cost(family: CoveringFamily) -> int:
 def pullback_family(family: CoveringFamily, t: FinMap) -> CoveringFamily:
     """Base change of a covering family along t, legs in the same order."""
     if t.dst != family.target:
-        raise TargetMismatch(f"{t.dst!r} != {family.target!r}")
+        raise ValueError(f"{t.dst!r} != {family.target!r}")
     return CoveringFamily(t.src, [pullback_along(f, t) for f in family.legs])
 
 

@@ -24,12 +24,7 @@ from finstack.action import (
     sym,
     zmod,
 )
-from finstack.errors import (
-    SquareNotCommuting,
-    SrcDstMismatch,
-    SrcMismatch,
-    TargetMismatch,
-)
+from finstack.errors import SquareNotCommuting
 from finstack.finset import (
     FinMap,
     FinSet,
@@ -168,7 +163,7 @@ def random_gset_over(rng: Random, y: GAction, max_size: int,
 def pair_map(u: FinMap, v: FinMap, prod: Product | None = None) -> FinMap:
     """The mediating map <u, v> into product(u.dst, v.dst)."""
     if u.src != v.src:
-        raise SrcMismatch(f"{u.src!r} != {v.src!r}")
+        raise ValueError(f"{u.src!r} != {v.src!r}")
     if prod is None:
         prod = product(u.dst, v.dst)
     return FinMap(u.src, prod.space, {s: (u.table[s], v.table[s]) for s in u.src})
@@ -177,9 +172,9 @@ def pair_map(u: FinMap, v: FinMap, prod: Product | None = None) -> FinMap:
 def mediate_pullback(cert: PullbackCert, u: FinMap, v: FinMap) -> FinMap:
     """The unique t with proj1 ∘ t = u and proj2 ∘ t = v."""
     if u.src != v.src:
-        raise SrcMismatch(f"{u.src!r} != {v.src!r}")
+        raise ValueError(f"{u.src!r} != {v.src!r}")
     if u.dst != cert.f.src or v.dst != cert.g.src:
-        raise SrcDstMismatch("mediating legs do not land in the pullback feet")
+        raise ValueError("mediating legs do not land in the pullback feet")
     for s in u.src:
         left, right = cert.f.table[u.table[s]], cert.g.table[v.table[s]]
         if left != right:
@@ -203,7 +198,7 @@ def sieve_member(s: GeneratedSieve, g: FinMap) -> Optional[SieveWitness]:
     least preimage of each value, so the witness is canonical.
     """
     if g.dst != s.target:
-        raise TargetMismatch(f"{g.dst!r} is not the sieve target {s.target!r}")
+        raise ValueError(f"{g.dst!r} is not the sieve target {s.target!r}")
     for i, f in enumerate(s.family.legs):
         image = set(f.table.values())
         if all(v in image for v in g.table.values()):

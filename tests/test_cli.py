@@ -131,6 +131,39 @@ def test_report_written_on_input_error(capsys, tmp_path):
     assert rep["error"]["payload"]["witness"]["a"] == 1
 
 
+# an object of [pt/Z2] over two points, and a cover of another set
+OFF_BASE = """\
+set Y = { 0 1 }
+set Z = { 0 }
+group G { elements { 0 1 } table [ [ 0 1 ] [ 1 0 ] ] }
+stack BG { group G classifying }
+bundle B { trivial group G base Y }
+qsobject O { stack BG bundle B alpha bang }
+cover CZ { target Z points }
+"""
+
+
+@pytest.mark.parametrize("decls, decl, message", [
+    ("datum D = restrict O over CZ", "D", "cover is over {0}, object over {0 1}"),
+    ("gluing L { cover CZ src O dst O locals [ { ((0,0),*) -> ((0,0),*)"
+     "  ((1,0),*) -> ((1,0),*) } ] }", "L", "{0} != {0 1}"),
+    ("set U = { u }\nmap f : U -> Z = { u -> 0 }\ncover C { target Y legs [ f ] }",
+     "C", "leg 0 has target {0}, expected {0 1}"),
+], ids=["datum", "gluing", "cover-leg"])
+def test_mismatched_shapes_on_load_are_value_errors(capsys, tmp_path, decls, decl, message):
+    # a cover over the wrong base, or a leg into another set, is bad input
+    # with no witness: one cause for each, whichever declaration meets it
+    site = tmp_path / "off_base.site"
+    site.write_text(OFF_BASE + decls + "\n")
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "glue-object", site, "--report", path)
+    assert (code, out) == (2, "")
+    assert err == f"desc: error: declaration {decl!r} invalid: {message}\n"
+    error = json.loads(path.read_text())["error"]
+    assert error["kind"] == "ValidationError"
+    assert error["payload"] == {"decl": decl, "cause": "ValueError", "witness": {}}
+
+
 Z4_CLASSIFY = """\
 set Y = { 0 }
 group G {

@@ -4,6 +4,7 @@ morphisms, uniqueness, and the stack verdict over generated corpora."""
 import copy
 import gc
 import itertools
+import re
 from pathlib import Path
 from random import Random
 
@@ -1089,6 +1090,34 @@ def test_verify_stack_keeps_two_failure_messages_per_condition():
     report = verify_stack(z2, x, itertools.repeat(("rejected", datum), 200))
     assert report.rejected.attempted - report.rejected.passed == 200
     assert report.rejected.failures == ["invalid datum was not rejected"] * 2
+
+
+def swapped_datum():
+    """Z/2 over the cover [u ↦ 0, {v w} ↦ 1] of {0 1}, restricted, then built
+    directly with its two objects swapped between the legs."""
+    z2 = zmod(2)
+    base = FinSet((0, 1))
+    cover = CoveringFamily(base, [FinMap(FinSet(("u",)), base, {"u": 0}),
+                                  FinMap(FinSet(("v", "w")), base, {"v": 1, "w": 1})])
+    datum = restrict_to_datum(trivial_object(z2, base), cover)
+    return DescentDatum(cover, datum.objects[::-1], datum.overlaps)
+
+
+def test_an_object_over_another_leg_is_a_value_error():
+    # the same fault, whichever entry point meets it first
+    bad = swapped_datum()
+    with pytest.raises(ValueError, match=re.escape("object 0 lives over {v w}, leg wants {u}")):
+        make_datum(bad.cover, bad.objects, bad.overlaps)
+    with pytest.raises(ValueError, match=re.escape("{u} != {v w}")):
+        glue_object(bad)
+
+
+def test_verify_stack_propagates_an_object_over_another_leg():
+    # a case whose shapes do not fit is no verdict on the stack: not a
+    # failed effectiveness case, but an error the caller sees
+    z2 = zmod(2)
+    with pytest.raises(ValueError, match=re.escape("{u} != {v w}")):
+        verify_stack(z2, point_x(z2), [("effectiveness", (swapped_datum(), None))])
 
 
 # ---------------------------------------- cross-checking off against on

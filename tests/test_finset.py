@@ -1,16 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from finstack.errors import (
-    DanglingArrow,
     NotCoequalized,
-    ShapeMismatch,
     SquareNotCommuting,
-    SrcDstMismatch,
-    SrcMismatch,
 )
 from finstack.finset import (
     CrossCheck,
@@ -101,7 +98,7 @@ def test_compose_requires_matching_middle():
     f = FinMap(a, b, {0: 1})
     g = FinMap(b, c, {1: 2})
     assert compose(g, f).table == {0: 2}
-    with pytest.raises(SrcDstMismatch):
+    with pytest.raises(ValueError, match=re.escape('cannot compose: {2} != {0}')):
         compose(f, g)
 
 
@@ -204,7 +201,7 @@ def test_pairing_is_unique_exhaustively():
 def test_pair_map_requires_common_source():
     u = FinMap(FinSet([0]), FinSet([0]), {0: 0})
     v = FinMap(FinSet([1]), FinSet([0]), {1: 0})
-    with pytest.raises(SrcMismatch):
+    with pytest.raises(ValueError, match=re.escape('{0} != {1}')):
         pair_map(u, v)
 
 
@@ -339,7 +336,7 @@ def test_coequalizer_chain_collapses_to_least():
 
 def test_coequalizer_shape_mismatch():
     a, b = FinSet([0]), FinSet([0, 1])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="coequalizer needs a parallel pair"):
         coequalizer(FinMap(a, b, {0: 0}), FinMap(b, b, {0: 0, 1: 1}))
 
 
@@ -383,7 +380,7 @@ def test_colimit_of_span_identifies_images():
 
 def test_colimit_rejects_dangling_arrows():
     a = FinSet([0])
-    with pytest.raises(DanglingArrow):
+    with pytest.raises(ValueError, match=re.escape('arrow endpoints (0,3) out of range')):
         colimit_of_diagram([a], [(0, 3, identity(a))])
 
 

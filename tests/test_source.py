@@ -194,7 +194,6 @@ SRC_API = {
     "stack.coherence_assoc": "README-level API: the prestack's coherence cells",
     "stack.coherence_triangles": "README-level API: the prestack's coherence cells",
     "sample.exhaustive_corpus": "the exhaustive verify-stack corpus, due in production",
-    "errors.SrcMismatch": "a pinned error type, raised by the tests' mediating maps",
 }
 
 

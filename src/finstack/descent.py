@@ -1,5 +1,5 @@
 """Descent for [X/G] along canonical covers: descent data, cocycle checking,
-gluing of morphisms and of objects, and the three stack conditions.
+gluing of morphisms and of objects, and the four stack conditions.
 
 An empty overlap U_i ×_Y U_j imposes nothing: a datum stores isos only on
 the leg pairs with a nonempty overlap (`overlapping_pairs`), and every pass
@@ -29,18 +29,17 @@ restrictions everything is built on (`stack.restrict`,
 and `check_cocycle` re-run on them only under cross-check, and on the hot
 path certify only a caller's isos (`make_datum`, `pullback_datum`).
 
-A restricted datum carries its own certificate. `restrict_to_datum` keeps
-the source object and the overlap isos it built on the datum, outside its
-fields, and while the datum still holds exactly those isos `glue_object`
-takes it as lawful: its cocycle scan re-runs only under cross-check, and
-the chart reads each glued point's action and alpha through the source's
-tables, g·(p, a) = (g·p, a) and alpha(p, a) = alpha(p), so the locals'
-deferred tables stay unbuilt. Any other datum is checked in full.
+A datum checks its shape and freezes its isos when it is built, so a
+restricted datum carries its own certificate: `restrict_to_datum` keeps
+the source object on it (`restricted_source`), and `glue_object` glues it
+from the source's tables, its cocycle scan re-run only under cross-check.
+Any other datum is checked in full.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .action import FinGroup, GAction, trivial_action
@@ -123,21 +122,44 @@ class DescentDatum(Record):
     pair of legs with a nonempty overlap, diagonal included (a non-mono leg
     has real self-overlap). Isos over empty overlaps are forced, not stored.
 
-    The cocycle condition is NOT checked at construction, so violating data
-    are representable; glue_object rejects them first. The one exception is
-    a datum `restrict_to_datum` returns, lawful by its formulas: it keeps
-    its source object and the isos it was built with in its `_restricted`
-    slot, and while `overlaps` holds exactly those isos glue_object checks
-    its cocycle only under cross-check (`restricted_source`). The slot is
-    not a field: equality, hash and repr never read it, and a copy, or any
-    datum built by hand, starts without it.
+    Built checked and frozen: one object per leg, object i over leg i's
+    source, all over object 0's group and structure action, and every iso
+    keyed by a pair of legs, else ValueError, in that order; the isos are
+    kept as a read-only copy, printed as a dict. Their endpoints and the
+    cocycle are NOT checked, so violating data are representable;
+    glue_object rejects them first. The one exception is a datum
+    `restrict_to_datum` returns, lawful by its formulas: it keeps its source
+    object in its `_restricted` slot, and glue_object checks its cocycle
+    only under cross-check (`restricted_source`). The slot is not a field:
+    equality, hash and repr never read it, and a copy, or any datum built
+    by hand, starts without it.
     """
 
     __slots__ = ("_restricted",)
 
     cover: CoveringFamily
     objects: tuple
-    overlaps: dict
+    overlaps: MappingProxyType
+
+    def __init__(self, cover, objects, overlaps):
+        objects = tuple(objects)
+        legs = cover.legs
+        if len(objects) != len(legs):
+            raise ValueError("need exactly one object per leg")
+        for i, (obj, leg) in enumerate(zip(objects, legs)):
+            if obj.base != leg.src:
+                raise ValueError(f"object {i} lives over {obj.base!r}, leg wants {leg.src!r}")
+            if obj.bundle.group != objects[0].bundle.group or obj.x_action != objects[0].x_action:
+                raise ValueError(f"object {i} has another group or structure action than object 0")
+        indexes = range(len(legs))
+        for ij in overlaps:
+            if not (type(ij) is tuple and len(ij) == 2 and ij[0] in indexes and ij[1] in indexes):
+                raise ValueError(f"overlap iso key {ij!r} is not a pair of legs")
+        super().__init__(cover, objects, MappingProxyType(dict(overlaps)))
+
+    def __repr__(self):
+        return (f"DescentDatum(cover={self.cover!r}, objects={self.objects!r}, "
+                f"overlaps={dict(self.overlaps)!r})")
 
     def overlap_iso(self, i: int, j: int) -> QSMorphism:
         """The stored iso, else the forced one over an empty overlap; raises
@@ -151,69 +173,43 @@ class DescentDatum(Record):
         return _identity_iso(self.objects, cert, i, j)
 
 
-class _Restricted(NamedTuple):
-    """What `restrict_to_datum` keeps on its datum: the object it restricts
-    and a copy of the overlap isos it built, keyed by leg pair."""
-
-    source: QSObject
-    isos: dict
-
-
 def restricted_source(datum: DescentDatum) -> Optional[QSObject]:
-    """The object `restrict_to_datum` restricted to this datum, while its
-    `overlaps` holds exactly the isos built there, compared key for key by
-    identity; else None: a datum built by hand, a copy, or one whose isos
-    were replaced since."""
-    kept = getattr(datum, "_restricted", None)
-    if kept is None:
-        return None
-    overlaps = datum.overlaps
-    if len(overlaps) != len(kept.isos) or any(
-            overlaps.get(ij) is not iso for ij, iso in kept.isos.items()):
-        return None
-    return kept.source
+    """The object `restrict_to_datum` restricted to this datum, else None:
+    a datum built by hand, or a copy."""
+    return getattr(datum, "_restricted", None)
 
 
 def make_datum(cover: CoveringFamily, objects, overlaps) -> DescentDatum:
-    """Validate shapes and isos. Each pair of overlapping_pairs(cover) needs
-    an iso: the identity on the diagonal of a mono leg is filled in, any other
-    gap raises MissingOverlapIso. Isos over empty overlaps are kept. Every
-    object must have the first one's group and structure action."""
-    objects = tuple(objects)
-    _one_object_per_leg(cover, objects)
-    for i, (obj, leg) in enumerate(zip(objects, cover.legs)):
-        if obj.base != leg.src:
-            raise ValueError(f"object {i} lives over {obj.base!r}, leg wants {leg.src!r}")
-        if obj.bundle.group != objects[0].bundle.group or obj.x_action != objects[0].x_action:
-            raise ValueError(f"object {i} has another group or structure action than object 0")
-    overlaps = dict(overlaps)
+    """Validate the shape (`DescentDatum`), then the isos. Each pair of
+    overlapping_pairs(cover) needs an iso: the identity on the diagonal of a
+    mono leg is filled in, any other gap raises MissingOverlapIso. Isos over
+    empty overlaps are kept. Each must run between the restrictions of its
+    pair and be a bijection."""
+    datum = DescentDatum(cover, objects, overlaps)
+    overlaps = dict(datum.overlaps)
     for i, j in overlapping_pairs(cover):
         if (i, j) in overlaps:
             continue
         cert = overlap(cover, i, j)
         if i != j or cert.proj1 != cert.proj2:
             raise MissingOverlapIso(i, j)
-        overlaps[(i, j)] = _identity_iso(objects, cert, i, j)
-    _check_endpoints(cover, objects, overlaps)
+        overlaps[(i, j)] = _identity_iso(datum.objects, cert, i, j)
+    datum = DescentDatum(cover, datum.objects, overlaps)
+    _check_endpoints(datum)
     for (i, j), iso in overlaps.items():
         if not morphism_predicates(iso.fn).iso:
             raise ValueError(f"overlap iso ({i},{j}) is not a bijection")
-    return DescentDatum(cover, objects, overlaps)
+    return datum
 
 
-def _one_object_per_leg(cover: CoveringFamily, objects) -> None:
-    if len(objects) != len(cover.legs):
-        raise ValueError("need exactly one object per leg")
-
-
-def _check_endpoints(cover: CoveringFamily, objects, overlaps: dict) -> None:
+def _check_endpoints(datum: DescentDatum) -> None:
     """Each iso (i, j) must run from W_i to W_j restricted to U_i ×_Y U_j;
     raises ValueError naming the first that does not."""
-    for (i, j), iso in overlaps.items():
-        cert = overlap(cover, i, j)
-        if iso.src != restrict(objects[i], cert.proj1):
+    for (i, j), iso in datum.overlaps.items():
+        cert = overlap(datum.cover, i, j)
+        if iso.src != restrict(datum.objects[i], cert.proj1):
             raise ValueError(f"overlap iso ({i},{j}) has the wrong source")
-        if iso.dst != restrict(objects[j], cert.proj2):
+        if iso.dst != restrict(datum.objects[j], cert.proj2):
             raise ValueError(f"overlap iso ({i},{j}) has the wrong target")
 
 
@@ -279,14 +275,12 @@ def cocycle_pointwise(datum: DescentDatum) -> Optional[tuple]:
 
 def check_cocycle(datum: DescentDatum) -> None:
     """For every ordered triple (i,j,k), the two composites around the
-    triple overlap agree pointwise. Raises ValueError when the datum has
-    not one object per leg or an iso does not run between the restrictions
-    of its pair (`_check_endpoints`), else
+    triple overlap agree pointwise. Raises ValueError when an iso does not
+    run between the restrictions of its pair (`_check_endpoints`), else
     CocycleFail(i,j,k,point) at the first failure in (i, j, k, a, b, c)
     order, decided by `cocycle_on_one_point`; under cross-check
     `cocycle_pointwise` re-runs and must name the same witness."""
-    _one_object_per_leg(datum.cover, datum.objects)
-    _check_endpoints(datum.cover, datum.objects, datum.overlaps)
+    _check_endpoints(datum)
     witness = cross_check("the cocycle on one point per fiber", cocycle_on_one_point(datum),
                           cocycle_pointwise, datum)
     if witness is not None:
@@ -303,9 +297,9 @@ def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
     inverse ((p, b), (a, b)) -> ((p, a), (a, b)). The cocycle holds, since
     φ_jk∘φ_ij and φ_ik both send (p, a) over a to (p, c) over c. So neither
     `make_datum` nor `check_cocycle` runs; under cross-check each iso's
-    `check_qs_morphism`, then both, re-run. The datum keeps obj and the
-    isos (`restricted_source`), which hold no reference back to it, so
-    that `glue_object` need not prove the cocycle again."""
+    `check_qs_morphism`, then both, re-run. The datum, whose isos cannot
+    be replaced, keeps obj (`restricted_source`), which holds no reference
+    back to it, so that `glue_object` need not prove the cocycle again."""
     require_canonical(cover)
     if cover.target != obj.base:
         raise ValueError(f"cover is over {cover.target!r}, object over {obj.base!r}")
@@ -320,7 +314,7 @@ def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
     datum = cross_check("a restricted datum", DescentDatum(cover, objects, overlaps),
                         make_datum, cover, objects, overlaps)
     cross_check("a restricted datum's cocycle", None, check_cocycle, datum)
-    kept_slot(datum, "_restricted", _Restricted, obj, dict(overlaps))
+    kept_slot(datum, "_restricted", lambda: obj)
     return datum
 
 
@@ -474,27 +468,28 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     cross-check the scan reads them all, so they are built and certified
     at once.
 
-    The input is checked: the cover is canonical, the objects share the
-    group and structure action, every iso runs between the restrictions of
-    its pair (else ValueError), and the cocycle holds (else
-    CocycleRequired). The group and structure action are the objects';
-    passing others raises ValueError. The empty cover of the empty base has
-    no objects to read them from, so it needs both passed in. A datum that
-    `restrict_to_datum` built, whose `overlaps` still holds exactly its isos
-    (`restricted_source`), has its isos and cocycle by their formulas, so
-    `check_cocycle` re-runs on it only under cross-check, and each W_i is
-    the source restricted along leg i: the chart reads g·(p, a) = (g·p, a)
-    and alpha(p, a) = alpha(p) from the source's tables, not the locals'.
+    The input is checked (its shape when it was built): the cover is
+    canonical, every iso runs between the restrictions of its pair (else
+    ValueError), and the cocycle holds (else CocycleRequired). The group
+    and structure action are object 0's, which all objects share; passing
+    others raises ValueError. The empty cover of the empty base has no
+    objects to read them from, so it needs both passed in. A datum that
+    `restrict_to_datum` built (`restricted_source`) has its isos and
+    cocycle by their formulas, so `check_cocycle` re-runs on it only under
+    cross-check, and each W_i is the source restricted along leg i: the
+    chart reads g·(p, a) = (g·p, a) and alpha(p, a) = alpha(p) from the
+    source's tables, not the locals'.
     """
     cover = datum.cover
     require_canonical(cover)
-    for obj in datum.objects:
-        group = obj.bundle.group if group is None else group
-        x_action = obj.x_action if x_action is None else x_action
-        if obj.bundle.group != group or obj.x_action != x_action:
+    if datum.objects:
+        first = datum.objects[0]
+        group = first.bundle.group if group is None else group
+        x_action = first.x_action if x_action is None else x_action
+        if first.bundle.group != group or first.x_action != x_action:
             raise ValueError("the datum's objects are not all over the group "
                              "and structure action of the gluing")
-    if group is None or x_action is None:
+    elif group is None or x_action is None:
         raise ValueError("gluing over the empty cover needs group and x_action")
     source = restricted_source(datum)
     if source is None:
@@ -657,7 +652,7 @@ class StackReport:
 
 
 def verify_stack(group: FinGroup, x_action: GAction, cases) -> StackReport:
-    """Run the three stack conditions over (condition, case) pairs, as
+    """Run the four stack conditions over (condition, case) pairs, as
     `sample.build_corpus` yields them, and report. Each case is checked as
     it arrives and then dropped, and a condition keeps the messages of its
     first two failures alone, so memory does not grow with the number of
@@ -672,7 +667,7 @@ def verify_stack(group: FinGroup, x_action: GAction, cases) -> StackReport:
     A FinstackError from effectiveness or gluing is a witness and counts as
     a failed case. Any other exception is no verdict on the stack and
     propagates: an internal fault, or a ValueError for a case whose shapes
-    do not fit, such as an object over another leg's source.
+    do not fit, such as an iso between the wrong restrictions.
     """
     report = StackReport()
     for condition, case in cases:

@@ -396,8 +396,8 @@ class Record:
 
     Nothing is generated at import: the one `__init__` here checks the number
     of values and sets each field with `set_field`, in the order of
-    `__match_args__`. A subclass that validates its values (CoveringFamily)
-    ends its own `__init__` in this one.
+    `__match_args__`. A subclass that validates its values (CoveringFamily,
+    DescentDatum) ends its own `__init__` in this one.
 
     A record has `__match_args__`, equality by the field tuple between
     instances of the same class, a hash equal to the hash of the field

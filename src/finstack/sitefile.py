@@ -473,6 +473,9 @@ class _Parser:
         tables = self.items("[", "]", self.table)
         self.expect("}")
         def build():
+            for obj in (x, y):
+                if cover.target != obj.base:
+                    raise ValueError(f"cover is over {cover.target!r}, object over {obj.base!r}")
             if len(tables) != len(cover.legs):
                 raise ValueError("need exactly one local table per leg")
             locals_ = []

@@ -146,7 +146,7 @@ cover CZ { target Z points }
 @pytest.mark.parametrize("decls, decl, message", [
     ("datum D = restrict O over CZ", "D", "cover is over {0}, object over {0 1}"),
     ("gluing L { cover CZ src O dst O locals [ { ((0,0),*) -> ((0,0),*)"
-     "  ((1,0),*) -> ((1,0),*) } ] }", "L", "{0} != {0 1}"),
+     "  ((1,0),*) -> ((1,0),*) } ] }", "L", "cover is over {0}, object over {0 1}"),
     ("set U = { u }\nmap f : U -> Z = { u -> 0 }\ncover C { target Y legs [ f ] }",
      "C", "leg 0 has target {0}, expected {0 1}"),
 ], ids=["datum", "gluing", "cover-leg"])

@@ -154,11 +154,11 @@ def test_make_datum_refuses_mixed_groups():
 
 def test_glue_refuses_objects_off_its_group():
     cover, objects, diagonals = mixed_objects()
-    # a datum built past make_datum is refused before gluing, not with the
-    # action law failure of a mixed total
-    mixed = finstack.descent.DescentDatum(cover, tuple(objects), diagonals)
-    with pytest.raises(ValueError, match="not all over the group"):
-        glue_object(mixed)
+    # a record of mixed objects built past make_datum is refused when it is
+    # built, not with the action law failure of a mixed total when glued
+    with pytest.raises(ValueError, match=re.escape(
+            "object 1 has another group or structure action than object 0")):
+        finstack.descent.DescentDatum(cover, tuple(objects), diagonals)
     z2 = zmod(2)
     datum = restrict_to_datum(trivial_object(z2, cover.target), cover)
     with pytest.raises(ValueError, match="not all over the group"):
@@ -575,27 +575,60 @@ def test_check_cocycle_refuses_isos_between_the_wrong_restrictions(monkeypatch):
         check_cocycle(break_cocycle(datum, 1, rng=Random(0)))
 
 
-def miscounted_data():
-    """Z/2 over {0 1} restricted to the cover [id_Y, ∅ -> Y], built directly
-    with object 0 alone (and its isos), and with object 0 once more."""
+def miscounted_parts(kind: str):
+    """Z/2 over {0 1} restricted to the cover [id_Y, ∅ -> Y]: the cover, its
+    isos and object 0 alone ("short") or object 0 once more ("long")."""
     obj = trivial_object(zmod(2), FinSet((0, 1)))
     base = obj.base
     cover = CoveringFamily(base, [identity(base), FinMap(FinSet(()), base, {})])
     datum = restrict_to_datum(obj, cover)
     assert list(datum.overlaps) == [(0, 0)]
-    short = DescentDatum(cover, datum.objects[:1], datum.overlaps)
-    long = DescentDatum(cover, datum.objects + datum.objects[:1], datum.overlaps)
-    return {"short": short, "long": long}
+    objects = {"short": datum.objects[:1], "long": datum.objects + datum.objects[:1]}[kind]
+    return cover, objects, datum.overlaps
 
 
 @pytest.mark.parametrize("check", [glue_object, check_cocycle])
 @pytest.mark.parametrize("kind", ["short", "long"])
 def test_a_datum_needs_one_object_per_leg(check, kind):
-    # before reading an object: the short datum once glued 4 atoms with 2
-    # comparisons that raised IndexError when read, the long one raised
-    # IndexError inside glue_object, and check_cocycle passed both
+    # the record is refused when built, so no check reads an object: the
+    # short datum once glued 4 atoms with 2 comparisons that raised
+    # IndexError when read, the long one raised IndexError inside
+    # glue_object, and check_cocycle passed both
+    cover, objects, isos = miscounted_parts(kind)
     with pytest.raises(ValueError, match="need exactly one object per leg"):
-        check(miscounted_data()[kind])
+        check(DescentDatum(cover, objects, isos))
+
+
+@pytest.mark.parametrize("key", [(5, 0), (0, 2), (0, -1), (0,), (0, 0, 0), "00"],
+                         ids=repr)
+def test_a_stray_iso_key_is_a_value_error(key):
+    # an iso keyed by no pair of legs once raised IndexError from glue_object,
+    # check_cocycle and make_datum; the record refuses it when built
+    cover = point_cover(FinSet(("p", "q")))
+    datum = restrict_to_datum(trivial_object(zmod(2), cover.target), cover)
+    isos = {**datum.overlaps, key: datum.overlaps[(0, 0)]}
+    message = re.escape(f"overlap iso key {key!r} is not a pair of legs")
+    with pytest.raises(ValueError, match=message):
+        glue_object(DescentDatum(cover, datum.objects, isos))
+    with pytest.raises(ValueError, match=message):
+        make_datum(cover, datum.objects, isos)
+
+
+def test_a_datum_does_not_change_with_what_it_was_built_from():
+    # the record keeps a read-only copy of the isos, not the caller's dict
+    cover = sharing_cover(FinSet(("p", "q")))
+    datum = restrict_to_datum(trivial_object(zmod(2), cover.target), cover)
+    isos, objects = dict(datum.overlaps), list(datum.objects)
+    by_hand = DescentDatum(cover, objects, isos)
+    isos.clear()
+    objects.clear()
+    assert by_hand == datum and len(by_hand.overlaps) == 4 and len(by_hand.objects) == 2
+    assert isinstance(by_hand.objects, tuple)
+    with pytest.raises(TypeError):
+        by_hand.overlaps[(0, 1)] = datum.overlaps[(0, 0)]
+    with pytest.raises(AttributeError):
+        by_hand.overlaps = {}
+    check_cocycle(by_hand)
 
 
 def test_empty_cover_gluing():
@@ -845,28 +878,37 @@ def test_a_restricted_datum_glues_as_by_hand(grp, x_kind, seed, size):
 @pytest.mark.parametrize("on", [False, True], ids=["production", "cross-checked"])
 @pytest.mark.parametrize("seed", range(4))
 def test_a_restricted_datum_with_an_iso_replaced_in_place_is_checked(monkeypatch, on, seed):
-    # the isos are compared with those restrict_to_datum built, so a twist
-    # written into its overlaps dict is refused, with the witness a record
-    # of the same isos built by hand gets
+    # the isos are read-only, so a twist cannot be written into a restricted
+    # datum, nor an iso taken out; a record of the twisted isos built by hand
+    # keeps no source and is refused with the witness twist_overlap's gets
     monkeypatch.setattr(CrossCheck, "on", on)
     rng = Random(seed)
     grp = sym(3)
     obj = random_qsobject(rng, grp, point_x(grp), FinSet(("p", "q", "r")))
     datum = restrict_to_datum(obj, random_cover(rng, obj.base))
     i, j = rng.choice(sorted(ij for ij, iso in datum.overlaps.items() if len(iso.src.total)))
-    datum.overlaps[(i, j)] = twist_overlap(datum, i, j, grp.carrier.elements[-1]).overlaps[(i, j)]
-    assert restricted_source(datum) is None
+    twisted = twist_overlap(datum, i, j, grp.carrier.elements[-1])
+    with pytest.raises(TypeError):
+        datum.overlaps[(i, j)] = twisted.overlaps[(i, j)]
+    with pytest.raises(TypeError):
+        del datum.overlaps[(i, j)]
+    assert restricted_source(datum) is obj
+    assert len(glue_object(datum).glued.total) == len(obj.total)
+    isos = dict(datum.overlaps)
+    isos[(i, j)] = twisted.overlaps[(i, j)]
+    by_hand = DescentDatum(datum.cover, datum.objects, isos)
+    assert restricted_source(by_hand) is None
     witnesses = []
-    for d in (datum, DescentDatum(datum.cover, datum.objects, dict(datum.overlaps))):
+    for d in (twisted, by_hand):
         with pytest.raises(CocycleRequired) as exc:
             glue_object(d)
         assert isinstance(exc.value.cause, CocycleFail)
         witnesses.append(exc.value.payload())
     assert witnesses[0] == witnesses[1]
-    # an iso taken out is missing, as from a record built by hand
-    del datum.overlaps[(i, j)]
+    # an iso taken out is missing
+    del isos[(i, j)]
     with pytest.raises(MissingOverlapIso):
-        glue_object(datum)
+        glue_object(DescentDatum(datum.cover, datum.objects, isos))
 
 
 # --------------------------------------------------- morphism gluing
@@ -1092,32 +1134,39 @@ def test_verify_stack_keeps_two_failure_messages_per_condition():
     assert report.rejected.failures == ["invalid datum was not rejected"] * 2
 
 
-def swapped_datum():
-    """Z/2 over the cover [u ↦ 0, {v w} ↦ 1] of {0 1}, restricted, then built
-    directly with its two objects swapped between the legs."""
+def swapped_parts(swap: str):
+    """Z/2 over the cover [u ↦ 0, {v w} ↦ 1] of {0 1}, restricted: the cover,
+    objects and isos, with the two objects swapped between the legs
+    ("objects") or the isos of the diagonals (0,0) and (1,1) swapped
+    ("isos")."""
     z2 = zmod(2)
     base = FinSet((0, 1))
     cover = CoveringFamily(base, [FinMap(FinSet(("u",)), base, {"u": 0}),
                                   FinMap(FinSet(("v", "w")), base, {"v": 1, "w": 1})])
     datum = restrict_to_datum(trivial_object(z2, base), cover)
-    return DescentDatum(cover, datum.objects[::-1], datum.overlaps)
+    if swap == "objects":
+        return cover, datum.objects[::-1], datum.overlaps
+    isos = {(0, 0): datum.overlaps[(1, 1)], (1, 1): datum.overlaps[(0, 0)]}
+    return cover, datum.objects, isos
 
 
 def test_an_object_over_another_leg_is_a_value_error():
-    # the same fault, whichever entry point meets it first
-    bad = swapped_datum()
-    with pytest.raises(ValueError, match=re.escape("object 0 lives over {v w}, leg wants {u}")):
-        make_datum(bad.cover, bad.objects, bad.overlaps)
-    with pytest.raises(ValueError, match=re.escape("{u} != {v w}")):
-        glue_object(bad)
+    # the same fault, whichever entry point meets it: the record refuses it
+    # when built, so no gluing is reached
+    message = re.escape("object 0 lives over {v w}, leg wants {u}")
+    for build in (DescentDatum, make_datum):
+        with pytest.raises(ValueError, match=message):
+            build(*swapped_parts("objects"))
 
 
 def test_verify_stack_propagates_an_object_over_another_leg():
     # a case whose shapes do not fit is no verdict on the stack: not a
-    # failed effectiveness case, but an error the caller sees
+    # failed effectiveness case, but an error the caller sees. An object
+    # over another leg is no datum at all, so isos over another leg stand in
     z2 = zmod(2)
-    with pytest.raises(ValueError, match=re.escape("{u} != {v w}")):
-        verify_stack(z2, point_x(z2), [("effectiveness", (swapped_datum(), None))])
+    with pytest.raises(ValueError, match=re.escape("overlap iso (0,0) has the wrong source")):
+        verify_stack(z2, point_x(z2),
+                     [("effectiveness", (DescentDatum(*swapped_parts("isos")), None))])
 
 
 # ---------------------------------------- cross-checking off against on

@@ -1,4 +1,3 @@
-import itertools
 import random
 import re
 
@@ -34,21 +33,9 @@ from finstack.finset import (
     pullback_along,
     terminal,
 )
+from finstack.topology import all_maps, small_sets
 
 from support import mediate_pullback, pair_map
-
-
-def small_sets(max_size):
-    return [FinSet(range(n)) for n in range(max_size + 1)]
-
-
-def all_maps(src, dst):
-    atoms = list(src)
-    if not atoms:
-        yield FinMap(src, dst, {})
-        return
-    for values in itertools.product(dst.elements, repeat=len(atoms)):
-        yield FinMap(src, dst, dict(zip(atoms, values)))
 
 
 # ------------------------------------------------------------------- atoms

@@ -58,7 +58,7 @@ def _records() -> dict:
 
 
 NAMES = list(_records())
-UNHASHABLE = {"DescentDatum"}   # its overlaps field is a dict
+UNHASHABLE = {"DescentDatum"}   # its overlaps field is a read-only mapping
 
 
 def _fields(x) -> tuple:
@@ -87,6 +87,16 @@ def test_hash_is_the_field_tuple_hash(name):
     assert hash(x) == hash(_fields(x))
     assert x._hash == hash(_fields(x))
     assert hash(type(x)(*_fields(x))) == hash(x)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_no_field_holds_a_mutable_container(name):
+    # frozen all the way down: a field cannot be assigned, and what it holds
+    # cannot be changed in place either
+    x = _records()[name]
+    mutable = [f for f in type(x).__match_args__
+               if isinstance(getattr(x, f), (dict, list, set))]
+    assert mutable == []
 
 
 def test_a_record_with_an_unhashable_field_is_unhashable():
@@ -195,4 +205,4 @@ def test_only_a_validating_record_defines_init():
     from finstack.finset import Record
     own = sorted(c.__name__ for c in subclasses(Record)
                  if "__init__" in vars(c) and c.__module__.startswith("finstack."))
-    assert own == ["CoveringFamily"]
+    assert own == ["CoveringFamily", "DescentDatum"]

@@ -29,11 +29,11 @@ restrictions everything is built on (`stack.restrict`,
 and `check_cocycle` re-run on them only under cross-check, and on the hot
 path certify only a caller's isos (`make_datum`, `pullback_datum`).
 
-A datum checks its shape and freezes its isos when it is built, so a
-restricted datum carries its own certificate: `restrict_to_datum` keeps
-the source object on it (`restricted_source`), and `glue_object` glues it
-from the source's tables, its cocycle scan re-run only under cross-check.
-Any other datum is checked in full.
+A datum checks its shape, fills in its forced isos and freezes them when
+it is built, so a restricted datum carries its own certificate:
+`restrict_to_datum` keeps the source object on it (`restricted_source`),
+and `glue_object` glues it from the source's tables, its cocycle scan
+re-run only under cross-check. Any other datum is checked in full.
 """
 
 from __future__ import annotations
@@ -122,17 +122,18 @@ class DescentDatum(Record):
     pair of legs with a nonempty overlap, diagonal included (a non-mono leg
     has real self-overlap). Isos over empty overlaps are forced, not stored.
 
-    Built checked and frozen: one object per leg, object i over leg i's
-    source, all over object 0's group and structure action, and every iso
-    keyed by a pair of legs, else ValueError, in that order; the isos are
-    kept as a read-only copy, printed as a dict. Their endpoints and the
-    cocycle are NOT checked, so violating data are representable;
-    glue_object rejects them first. The one exception is a datum
-    `restrict_to_datum` returns, lawful by its formulas: it keeps its source
-    object in its `_restricted` slot, and glue_object checks its cocycle
-    only under cross-check (`restricted_source`). The slot is not a field:
-    equality, hash and repr never read it, and a copy, or any datum built
-    by hand, starts without it.
+    Built checked, complete and frozen: one object per leg, object i over
+    leg i's source, all over object 0's group and structure action, and
+    every iso keyed by a pair of legs, else ValueError, in that order; a
+    missing mono-leg diagonal gets the identity the cocycle forces, and any
+    other gap raises MissingOverlapIso, here alone. The isos are kept as a
+    read-only copy, printed as a dict. Their endpoints and the cocycle are
+    NOT checked, so violating data are representable; glue_object rejects
+    them first. The one exception is a datum `restrict_to_datum` returns,
+    lawful by its formulas: it keeps its source object in its `_restricted`
+    slot, and glue_object checks its cocycle only under cross-check
+    (`restricted_source`). The slot is not a field: equality, hash and repr
+    never read it, and a copy, a pickle or a datum built by hand lacks it.
     """
 
     __slots__ = ("_restricted",)
@@ -151,26 +152,32 @@ class DescentDatum(Record):
                 raise ValueError(f"object {i} lives over {obj.base!r}, leg wants {leg.src!r}")
             if obj.bundle.group != objects[0].bundle.group or obj.x_action != objects[0].x_action:
                 raise ValueError(f"object {i} has another group or structure action than object 0")
+        overlaps = dict(overlaps)
         indexes = range(len(legs))
         for ij in overlaps:
             if not (type(ij) is tuple and len(ij) == 2 and ij[0] in indexes and ij[1] in indexes):
                 raise ValueError(f"overlap iso key {ij!r} is not a pair of legs")
-        super().__init__(cover, objects, MappingProxyType(dict(overlaps)))
+        for i, j in overlapping_pairs(cover):
+            if (i, j) not in overlaps:
+                cert = overlap(cover, i, j)
+                if i != j or cert.proj1 != cert.proj2:
+                    raise MissingOverlapIso(i, j)
+                overlaps[(i, j)] = _identity_iso(objects, cert, i, j)
+        super().__init__(cover, objects, MappingProxyType(overlaps))
+
+    def __reduce__(self):
+        return DescentDatum, (self.cover, self.objects, dict(self.overlaps))
 
     def __repr__(self):
         return (f"DescentDatum(cover={self.cover!r}, objects={self.objects!r}, "
                 f"overlaps={dict(self.overlaps)!r})")
 
     def overlap_iso(self, i: int, j: int) -> QSMorphism:
-        """The stored iso, else the forced one over an empty overlap; raises
-        MissingOverlapIso for a nonempty overlap with no iso."""
-        iso = self.overlaps.get((i, j))
-        if iso is not None:
-            return iso
-        cert = overlap(self.cover, i, j)
-        if len(cert.apex):
-            raise MissingOverlapIso(i, j)
-        return _identity_iso(self.objects, cert, i, j)
+        """The stored iso, else the forced identity: the datum is complete,
+        so a pair it does not store has an empty overlap."""
+        if (i, j) in self.overlaps:
+            return self.overlaps[(i, j)]
+        return _identity_iso(self.objects, overlap(self.cover, i, j), i, j)
 
 
 def restricted_source(datum: DescentDatum) -> Optional[QSObject]:
@@ -180,23 +187,12 @@ def restricted_source(datum: DescentDatum) -> Optional[QSObject]:
 
 
 def make_datum(cover: CoveringFamily, objects, overlaps) -> DescentDatum:
-    """Validate the shape (`DescentDatum`), then the isos. Each pair of
-    overlapping_pairs(cover) needs an iso: the identity on the diagonal of a
-    mono leg is filled in, any other gap raises MissingOverlapIso. Isos over
-    empty overlaps are kept. Each must run between the restrictions of its
-    pair and be a bijection."""
+    """Build the datum (`DescentDatum`: its shape checked, its forced isos
+    filled in, a real gap refused), then check its isos: each must run
+    between the restrictions of its pair and be a bijection."""
     datum = DescentDatum(cover, objects, overlaps)
-    overlaps = dict(datum.overlaps)
-    for i, j in overlapping_pairs(cover):
-        if (i, j) in overlaps:
-            continue
-        cert = overlap(cover, i, j)
-        if i != j or cert.proj1 != cert.proj2:
-            raise MissingOverlapIso(i, j)
-        overlaps[(i, j)] = _identity_iso(datum.objects, cert, i, j)
-    datum = DescentDatum(cover, datum.objects, overlaps)
     _check_endpoints(datum)
-    for (i, j), iso in overlaps.items():
+    for (i, j), iso in datum.overlaps.items():
         if not morphism_predicates(iso.fn).iso:
             raise ValueError(f"overlap iso ({i},{j}) is not a bijection")
     return datum
@@ -213,25 +209,17 @@ def _check_endpoints(datum: DescentDatum) -> None:
             raise ValueError(f"overlap iso ({i},{j}) has the wrong target")
 
 
-def _require_stored_isos(datum: DescentDatum) -> None:
-    """Raise MissingOverlapIso for a nonempty overlap without a stored iso."""
-    for i, j in overlapping_pairs(datum.cover):
-        if (i, j) not in datum.overlaps:
-            raise MissingOverlapIso(i, j)
-
-
 def _cocycle_scan(datum: DescentDatum, every_point: bool) -> Optional[tuple]:
     """The first (i, j, k, ((a, b), c)) in (i, j, k, a, b, c) order where
     φ_jk∘φ_ij and φ_ik differ on W_i's fiber over a, or None. The fiber is
     scanned at its least atom alone, or at every point if `every_point`.
 
-    A nonempty triple overlap lies over stored pairs (i,j), (j,k), (i,k), so
-    the scan takes the stored (i,j) in order and the k whose (j,k), (i,k) are
-    stored; c comes from leg k's fiber over a's image, w from W_i's over a.
+    A nonempty triple overlap lies over pairs (i,j), (j,k), (i,k) a complete
+    datum stores, so the scan takes the stored (i,j) in order and the k whose
+    (j,k), (i,k) are stored; c comes from leg k's fiber over a's image, w from W_i's over a.
     What does not depend on k is read once per pair: the partners k, and per
     point (a, b) of the overlap the image y of a and each w with φ_ij(w, (a, b))."""
     cover = datum.cover
-    _require_stored_isos(datum)
     phis = {ij: iso.fn.table for ij, iso in datum.overlaps.items()}
     pairs = sorted(phis)
     partners: dict = {}
@@ -468,7 +456,7 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     cross-check the scan reads them all, so they are built and certified
     at once.
 
-    The input is checked (its shape when it was built): the cover is
+    The input is checked (its shape and gaps when it was built): the cover is
     canonical, every iso runs between the restrictions of its pair (else
     ValueError), and the cocycle holds (else CocycleRequired). The group
     and structure action are object 0's, which all objects share; passing
@@ -587,8 +575,7 @@ def twist_overlap(datum: DescentDatum, i: int, j: int, k) -> DescentDatum:
     translation by k in the coordinates of the least fiber atom; the cocycle
     is not checked, so a k != e over a nonempty overlap breaks it."""
     phi = datum.overlap_iso(i, j)
-    twisted = dict(datum.overlaps)
-    twisted[(i, j)] = compose_qs(constant_gauge(phi.dst, k), phi)
+    twisted = {**datum.overlaps, (i, j): compose_qs(constant_gauge(phi.dst, k), phi)}
     return DescentDatum(datum.cover, datum.objects, twisted)
 
 
@@ -598,6 +585,7 @@ def pullback_datum(datum: DescentDatum, t: FinMap) -> DescentDatum:
     by the old iso at (w, (a, b)): ((w, (a, z)), ((a, z), (b, z))) ->
     ((φ_ij(w, (a, b)), (b, z)), ((a, z), (b, z))).
 
+    A nonempty new overlap lies over an old one, so its old iso is stored.
     The old isos are the caller's and may be unlawful, so each new one is
     certified by `check_qs_morphism` and the datum by `make_datum`."""
     cover = datum.cover
@@ -606,7 +594,6 @@ def pullback_datum(datum: DescentDatum, t: FinMap) -> DescentDatum:
     new_cover = pullback_family(cover, t)
     new_objects = tuple(
         restrict(obj, pullback(f, t).proj1) for obj, f in zip(datum.objects, cover.legs))
-    _require_stored_isos(datum)
     overlaps = {}
     for i, j in overlapping_pairs(new_cover):
         cert = overlap(new_cover, i, j)

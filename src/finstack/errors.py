@@ -94,8 +94,10 @@ class EquivarianceFail(FinstackError):
 # ---------------------------------------------------------- site-topology ---
 
 class CoverNotCanonical(FinstackError):
-    fields = ("detail",)
-    template = "cover not canonical: {detail}"
+    """The target atoms no leg hits (`topology.uncovered`), as check-cover."""
+
+    fields = ("uncovered",)
+    template = "cover not canonical, misses {uncovered!r}"
 
 
 class BoundExceeded(FinstackError):
@@ -133,6 +135,8 @@ class CocycleRequired(FinstackError):
 
 
 class MissingOverlapIso(FinstackError):
+    """A gap no cocycle fills, raised by `descent.DescentDatum` alone."""
+
     fields = ("i", "j")
     template = "no overlap iso supplied for ({i},{j}) and none is forced"
 

@@ -179,6 +179,10 @@ class FinSet:
             self._hash = hash(self.elements)
         return self._hash
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the atoms: no index, hash or memo
+        return FinSet._ordered, (self.elements,)
+
     def __repr__(self) -> str:
         return "{" + " ".join(format_atom(a) for a in self.elements) + "}"
 
@@ -223,6 +227,10 @@ class FinMap:
             self._hash = hash((self.src, self.dst,
                                tuple(self.table[a] for a in self.src)))
         return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild a plain map from the values, built if deferred
+        return FinMap, (self.src, self.dst, self.table)
 
     def __repr__(self) -> str:
         if len(self.src) <= 6:

@@ -286,7 +286,7 @@ class _Parser:
     def _build(self, name, builder):
         try:
             return builder()
-        except (FinstackError, ValueError, KeyError) as err:
+        except (FinstackError, ValueError) as err:
             raise ValidationError(name, err) from err
 
     def decl_set(self, name):

@@ -166,9 +166,9 @@ def is_jointly_surjective(family: CoveringFamily) -> bool:
 
 
 def require_canonical(family: CoveringFamily) -> None:
-    """Raise CoverNotCanonical unless the family is jointly surjective."""
-    if not is_jointly_surjective(family):
-        raise CoverNotCanonical(f"over {family.target!r}")
+    """Raise CoverNotCanonical, naming the atoms no leg hits, if any."""
+    if missed := uncovered(family):
+        raise CoverNotCanonical(list(missed))
 
 
 def is_canonical_cover(family: CoveringFamily, sample_budget: int = 8) -> bool:

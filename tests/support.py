@@ -2,8 +2,9 @@
 
 The stock groups, random sets, maps and G-sets, the subgroup list, an
 action from a Python function, the mediating maps into a product and a
-pullback, and sieve membership with its factorization witness. Every
-generator is deterministic given the Random instance passed in.
+pullback, sieve membership with its factorization witness, the trivial
+objects of [X/G] over a base, and `desc` run in-process. Every generator
+is deterministic given the Random instance passed in.
 
 Each check here raises: pytest rewrites the asserts of test modules only,
 and `python -O` strips the asserts of a helper module like this one.
@@ -22,8 +23,11 @@ from finstack.action import (
     check_equivariant,
     klein_four,
     sym,
+    trivial_action,
     zmod,
 )
+from finstack.bundle import trivial_bundle
+from finstack.cli import main
 from finstack.errors import SquareNotCommuting
 from finstack.finset import (
     FinMap,
@@ -31,11 +35,14 @@ from finstack.finset import (
     Product,
     PullbackCert,
     atom_key,
+    bang,
     compose,
     fiber,
     product,
     product_space,
+    terminal,
 )
+from finstack.stack import check_qs_object
 from finstack.topology import GeneratedSieve
 
 
@@ -208,3 +215,35 @@ def sieve_member(s: GeneratedSieve, g: FinMap) -> Optional[SieveWitness]:
                 raise RuntimeError(f"the witness through leg {i} does not factor g")
             return SieveWitness(i, via)
     return None
+
+
+# --------------------------------------------------------- trivial objects ---
+
+def point_x(group):
+    """The group acting on the one-point set."""
+    return trivial_action(group, terminal())
+
+
+def trivial_object(group, base, x_action=None):
+    """The trivial bundle over `base` as an object of [X/G], X the point
+    unless `x_action` is given, with alpha constant at X's first atom."""
+    x = x_action if x_action is not None else point_x(group)
+    b = trivial_bundle(group, base)
+    alpha = FinMap(b.total.space, x.space,
+                   {t: x.space.elements[0] for t in b.total.space})
+    return check_qs_object(b, alpha, x)
+
+
+def _object(group, base):
+    """The trivial bundle over `base` as an object of [T/G], alpha `bang`."""
+    b = trivial_bundle(group, base)
+    return check_qs_object(b, bang(b.total.space), trivial_action(group, terminal()))
+
+
+# --------------------------------------------------------------------- cli ---
+
+def run(capsys, *argv):
+    """`desc` with these arguments, in-process: (exit code, stdout, stderr)."""
+    code = main([str(a) for a in argv])
+    out = capsys.readouterr()
+    return code, out.out, out.err

@@ -42,7 +42,6 @@ from finstack import (
     restrict_to_datum,
     sym,
     terminal,
-    trivial_action,
     trivial_bundle,
     verify_stack,
     zmod,
@@ -59,7 +58,7 @@ from finstack.sample import (
 from finstack.stack import constant_gauge
 from finstack.topology import all_maps, sheaf_condition_by_enumeration
 
-from support import random_finset, random_gset, random_gset_over, random_map
+from support import point_x, random_finset, random_gset, random_gset_over, random_map
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
 
@@ -73,10 +72,6 @@ def emit(capsys, label, fn):
         raise
     with capsys.disabled():
         print(f"ACCEPT {label}: PASS ({detail})")
-
-
-def point_x(group):
-    return trivial_action(group, terminal())
 
 
 # 1 ------------------------------------------------------------------------

@@ -7,17 +7,13 @@ import pytest
 
 import finstack.bundle
 import finstack.descent
+import finstack.sitefile
 from finstack import NotBundle, cli
-from finstack.cli import main
 from finstack.sample import build_corpus
 
+from support import run
+
 SITES = Path(__file__).resolve().parent.parent / "sites"
-
-
-def run(capsys, *argv):
-    code = main([str(a) for a in argv])
-    out = capsys.readouterr()
-    return code, out.out, out.err
 
 
 MATRIX = [
@@ -373,6 +369,56 @@ def test_internal_error_exits_3_with_report(capsys, tmp_path, monkeypatch):
     rep = json.loads(path.read_text())
     assert rep["status"] == "error"
     assert rep["error"]["kind"] == "AssertionError"
+
+
+def test_internal_key_error_at_load_exits_3(capsys, tmp_path, monkeypatch):
+    # a KeyError inside finstack while a declaration is built is a fault,
+    # not bad input: only FinstackError and ValueError name bad input
+    def broken(obj, cover):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(finstack.sitefile, "restrict_to_datum", broken)
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "glue-object", SITES / "stack_demo.site",
+                         "--report", path)
+    assert code == 3
+    assert out == "" and "planted" in err
+    rep = json.loads(path.read_text())
+    assert rep["status"] == "error"
+    assert rep["error"]["kind"] == "KeyError"
+
+
+UNCOVERED_GLUING_SITE = """\
+set Y = { 0 1 }
+set U = { u }
+group G { elements { 0 1 } table [ [ 0 1 ] [ 1 0 ] ] }
+stack BG { group G classifying }
+bundle B { trivial group G base Y }
+qsobject O { stack BG bundle B alpha bang }
+map f : U -> Y = { u -> 0 }
+cover C { target Y legs [ f ] }
+gluing L {
+  cover C
+  src O
+  dst O
+  locals [ { ((0,0),u) -> ((0,0),u)  ((1,0),u) -> ((1,0),u) } ]
+}
+"""
+
+
+def test_a_cover_missing_an_atom_has_one_witness(capsys, tmp_path):
+    # check-cover decides the cover, glue-morphisms refuses to glue over
+    # it: both name the atom no leg hits, in the same witness
+    site = tmp_path / "uncovered.site"
+    site.write_text(UNCOVERED_GLUING_SITE)
+    failures = []
+    for command in ("check-cover", "glue-morphisms"):
+        path = tmp_path / f"{command}.json"
+        code, out, err = run(capsys, command, site, "--report", path)
+        assert (code, err) == (1, "")
+        [check] = json.loads(path.read_text())["checks"]
+        failures.append((check["status"], check["error"], check["witness"]))
+    assert failures[0] == failures[1] == ("fail", "CoverNotCanonical", {"uncovered": [1]})
 
 
 @pytest.mark.needs_cross_check

@@ -92,6 +92,8 @@ from finstack.stack import (
 )
 from finstack.topology import sheaf_condition_by_enumeration
 
+from support import run
+
 SITES = Path(__file__).resolve().parent.parent / "sites"
 
 # the classifying stack's demo with the structure space G under its
@@ -114,12 +116,6 @@ qsobject O { stack S bundle B alpha A }
 cover C { target Y points }
 datum D = restrict O over C
 """
-
-
-def run(capsys, *argv):
-    code = main([str(a) for a in argv])
-    out = capsys.readouterr()
-    return code, out.out, out.err
 
 
 def plant(monkeypatch, module, rewrite):
@@ -1053,7 +1049,6 @@ def test_desc_runs_no_oracle_without_cross_check(capsys, monkeypatch, cross_chec
     for command in ("check-bundle", "check-cover", "check-sheaf"):
         code, out, err = run(capsys, command, SITES / "stack_demo.site")
         assert code == 0, err
-
 
 
 @pytest.mark.parametrize("command", ["check-group", "check-action"])

@@ -40,8 +40,6 @@ from finstack import (
     restrict_to_datum,
     sym,
     terminal,
-    trivial_action,
-    trivial_bundle,
     verify_stack,
     zmod,
 )
@@ -65,6 +63,7 @@ from finstack.finset import (
     coproduct,
     fibers,
     invert,
+    is_mono,
     mediate_coequalizer,
     morphism_predicates,
     product,
@@ -91,20 +90,9 @@ from finstack.stack import (
 )
 from finstack.topology import require_canonical
 
-from support import group_catalog, mediate_pullback, random_gset
+from support import group_catalog, mediate_pullback, point_x, random_gset, trivial_object
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
-
-
-def point_x(group):
-    return trivial_action(group, terminal())
-
-
-def trivial_object(group, base):
-    x = point_x(group)
-    b = trivial_bundle(group, base)
-    alpha = FinMap(b.total.space, x.space, {t: "*" for t in b.total.space})
-    return check_qs_object(b, alpha, x)
 
 
 # ------------------------------------------------------------- data
@@ -438,18 +426,53 @@ def test_empty_overlap_iso_is_forced():
 
 
 def test_missing_nonempty_overlap_is_refused():
+    # a gap the cocycle does not fill is refused where the datum is built,
+    # so no reader ever meets it
     z2 = zmod(2)
     obj = trivial_object(z2, FinSet(("p", "q")))
     cover = sharing_cover(obj.base)
     datum = restrict_to_datum(obj, cover)
     partial = {k: v for k, v in datum.overlaps.items() if k != (0, 1)}
-    gappy = finstack.descent.DescentDatum(cover, datum.objects, partial)
     with pytest.raises(MissingOverlapIso) as exc:
-        gappy.overlap_iso(0, 1)
+        finstack.descent.DescentDatum(cover, datum.objects, partial)
     assert (exc.value.i, exc.value.j) == (0, 1)
-    with pytest.raises(MissingOverlapIso) as exc:
-        glue_object(gappy)
-    assert (exc.value.i, exc.value.j) == (0, 1)
+
+
+def forced_pairs(cover):
+    """The overlapping pairs whose iso the cocycle forces: the diagonals
+    of the mono legs."""
+    return [(i, i) for i, leg in enumerate(cover.legs) if len(leg.src) and is_mono(leg)]
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["production", "cross-checked"])
+@pytest.mark.parametrize("seed", range(6))
+def test_a_datum_missing_only_forced_isos_reads_as_complete(monkeypatch, on, seed):
+    # the record, make_datum, overlap_iso, check_cocycle, glue_object and
+    # pullback_datum all see the datum with its forced isos filled in
+    monkeypatch.setattr(CrossCheck, "on", on)
+    rng = Random(seed)
+    grp = zmod(2)
+    obj = random_qsobject(rng, grp, point_x(grp), FinSet(("p", "q", "r")))
+    # a random cover, and the point legs, which are monos, so some isos
+    # are forced whatever legs are drawn
+    cover = CoveringFamily(obj.base, random_cover(rng, obj.base).legs
+                           + point_cover(obj.base).legs)
+    datum = restrict_to_datum(obj, cover)
+    forced = forced_pairs(cover)
+    assert len(forced) >= len(obj.base)
+    partial = {ij: iso for ij, iso in datum.overlaps.items() if ij not in forced}
+    gappy = DescentDatum(cover, datum.objects, partial)
+    assert gappy == datum == make_datum(cover, datum.objects, partial)
+    assert restricted_source(gappy) is None
+    for i, j in forced:
+        assert gappy.overlap_iso(i, j) == datum.overlap_iso(i, j)
+        assert gappy.overlap_iso(i, j).fn == identity(gappy.overlap_iso(i, j).src.total)
+    assert check_cocycle(gappy) is None
+    glued = glue_object(gappy)
+    assert glued.glued == glue_object(datum).glued
+    assert len(glued.glued.total) == len(obj.total)
+    t = FinMap(FinSet(("z",)), obj.base, {"z": "p"})
+    assert pullback_datum(gappy, t) == pullback_datum(datum, t)
 
 
 def test_twist_of_an_empty_overlap_glues():
@@ -731,7 +754,6 @@ def glue_object_by_coequalizer(datum, group=None, x_action=None):
     return GluingResult(glued, tuple(comparisons))
 
 
-
 def glued_tables(result):
     """The glued total in order, its action, projection and structure map,
     and every comparison, as tables."""
@@ -905,10 +927,16 @@ def test_a_restricted_datum_with_an_iso_replaced_in_place_is_checked(monkeypatch
         assert isinstance(exc.value.cause, CocycleFail)
         witnesses.append(exc.value.payload())
     assert witnesses[0] == witnesses[1]
-    # an iso taken out is missing
+    # an iso taken out is missing, unless the cocycle forces it: then the
+    # record fills it in again, and glues as the restricted datum does
     del isos[(i, j)]
-    with pytest.raises(MissingOverlapIso):
-        glue_object(DescentDatum(datum.cover, datum.objects, isos))
+    if (i, j) in forced_pairs(datum.cover):
+        refilled = DescentDatum(datum.cover, datum.objects, isos)
+        assert refilled == datum
+        assert glue_object(refilled).glued == glue_object(datum).glued
+    else:
+        with pytest.raises(MissingOverlapIso):
+            DescentDatum(datum.cover, datum.objects, isos)
 
 
 # --------------------------------------------------- morphism gluing

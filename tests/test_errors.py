@@ -100,10 +100,10 @@ TABLE = [
      "equivariance fails at g=1 x=(0, 'p')",
      "EquivarianceFail(\"equivariance fails at g=1 x=(0, 'p')\")",
      {"g": 1, "x": (0, "p")}),
-    (14, CoverNotCanonical, ("over {p q}",),
-     "cover not canonical: over {p q}",
-     "CoverNotCanonical('cover not canonical: over {p q}')",
-     {"detail": "over {p q}"}),
+    (14, CoverNotCanonical, (["q"],),
+     "cover not canonical, misses ['q']",
+     "CoverNotCanonical(\"cover not canonical, misses ['q']\")",
+     {"uncovered": ["q"]}),
     (15, BoundExceeded, ("bundle enumeration", 4096, 100),
      "bundle enumeration: size 4096 exceeds bound 100",
      "BoundExceeded('bundle enumeration: size 4096 exceeds bound 100')",

@@ -15,12 +15,11 @@ from finstack.action import (
     trivial_action,
     zmod,
 )
-from finstack.bundle import check_bundle_morphism, trivial_bundle
+from finstack.bundle import check_bundle_morphism
 from finstack.descent import glue_object, restrict_to_datum
 from finstack.finset import (
     FinMap,
     FinSet,
-    bang,
     identity,
     memo,
     product,
@@ -30,7 +29,6 @@ from finstack.finset import (
 )
 from finstack.sample import random_cover, random_qsobject
 from finstack.stack import (
-    check_qs_object,
     classifying_stack,
     qs_identity,
     qs_isomorphism,
@@ -38,12 +36,7 @@ from finstack.stack import (
 )
 from finstack.topology import point_cover
 
-from support import random_finset
-
-
-def _object(group, base):
-    b = trivial_bundle(group, base)
-    return check_qs_object(b, bang(b.total.space), trivial_action(group, terminal()))
+from support import _object, random_finset
 
 
 def test_memo_entries_die_with_their_inputs():

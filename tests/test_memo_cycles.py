@@ -21,7 +21,6 @@ from finstack import (
     FinMap,
     FinSet,
     check_cocycle,
-    check_qs_object,
     glue_morphisms,
     glue_object,
     product,
@@ -33,14 +32,13 @@ from finstack import (
     restrict_to_datum,
     sym,
     trivial_action,
-    trivial_bundle,
     verify_stack,
     zmod,
 )
 from finstack.action import generators, product_action
 from finstack.bundle import torsor_structures
 from finstack.descent import overlap, overlapping_pairs, restricted_source
-from finstack.finset import CrossCheck, bang, fibers, product_space, terminal
+from finstack.finset import CrossCheck, fibers, product_space, terminal
 from finstack.sample import (
     break_cocycle,
     build_corpus,
@@ -50,6 +48,8 @@ from finstack.sample import (
     relabel_qsobject,
 )
 from finstack.topology import CoveringFamily, point_cover, require_canonical, uncovered
+
+from support import _object
 
 
 @pytest.fixture
@@ -98,11 +98,6 @@ def test_a_round_trip_leaves_no_cyclic_garbage(monkeypatch, no_collector, on, se
     monkeypatch.setattr(CrossCheck, "on", on)
     assert _round_trip(seed) == 2
     assert gc.collect() == 0
-
-
-def _object(group, base):
-    b = trivial_bundle(group, base)
-    return check_qs_object(b, bang(b.total.space), trivial_action(group, terminal()))
 
 
 def _inputs():

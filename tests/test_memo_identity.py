@@ -5,14 +5,10 @@ separately miss."""
 import pytest
 
 from finstack.action import trivial_action, zmod
-from finstack.bundle import trivial_bundle
-from finstack.finset import FinMap, FinSet, Record, bang, fibers, pullback, terminal
-from finstack.stack import check_qs_object, restrict
+from finstack.finset import FinMap, FinSet, Record, fibers, pullback
+from finstack.stack import restrict
 
-
-def _object(group, base):
-    b = trivial_bundle(group, base)
-    return check_qs_object(b, bang(b.total.space), trivial_action(group, terminal()))
+from support import _object
 
 
 def _calls():

@@ -5,6 +5,7 @@ the hash of the field tuple, `Name(field=value, ...)` reprs, and fields that
 cannot be assigned or deleted."""
 
 import copy
+import pickle
 
 import pytest
 
@@ -128,6 +129,19 @@ def test_copy_after_hashing(name):
     assert y is not x and y == x and _fields(y) == _fields(x)
     if name not in UNHASHABLE:
         assert hash(y) == hash(x)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle_rebuild_an_equal_record(name, clone):
+    # a FinSet, a FinMap and a DescentDatum rebuild from their values, so
+    # neither a set's keys-view index, nor the memo's weak references, nor
+    # a datum's read-only mapping stops a copy or a pickle
+    x = _records()[name]
+    y = clone(x)
+    assert type(y) is type(x) and y == x and repr(y) == repr(x)
 
 
 @pytest.mark.parametrize("name", NAMES)

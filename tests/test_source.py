@@ -112,6 +112,25 @@ def test_only_the_door_reads_the_cross_check_switch():
     assert readers == {"finset.cross_check", "cli.main"}
 
 
+def test_only_the_datum_raises_missing_overlap_iso():
+    # a datum fills its forced isos and refuses a real gap when it is
+    # built, so no reader decides again whether an iso is missing
+    raisers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "MissingOverlapIso"):
+            raisers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
+    assert raisers == {"descent.DescentDatum.__init__"}
+
+
 def _names_read(tree):
     """Every name the module reads. Under `from __future__ import
     annotations` an annotation is still an expression in the tree, so a

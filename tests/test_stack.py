@@ -65,21 +65,17 @@ from finstack.sample import (
 from finstack.sitefile import load_site
 from finstack.stack import classify_by_enumeration, constant_gauge, empty_object, fiber_gauge
 
-from support import group_catalog, mediate_pullback, pair_map, random_gset, random_map
+from support import (
+    group_catalog,
+    mediate_pullback,
+    pair_map,
+    point_x,
+    random_gset,
+    random_map,
+    trivial_object,
+)
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
-
-
-def point_x(group):
-    return trivial_action(group, terminal())
-
-
-def trivial_object(group, base, x_action=None):
-    x = x_action if x_action is not None else point_x(group)
-    b = trivial_bundle(group, base)
-    alpha = FinMap(b.total.space, x.space,
-                   {t: x.space.elements[0] for t in b.total.space})
-    return check_qs_object(b, alpha, x)
 
 
 # ------------------------------------------------------------- objects

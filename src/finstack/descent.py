@@ -25,9 +25,9 @@ by their formulas once their input is checked (the cocycle, the locals'
 endpoints), and so are the restricted datum of an object and the
 restrictions everything is built on (`stack.restrict`,
 `stack.restrict_morphism`). Each is built by `formula_bundle`,
-`formula_object` or `formula_morphism`; `check_qs_morphism`, `make_datum`
-and `check_cocycle` re-run on them only under cross-check, and on the hot
-path certify only a caller's isos (`make_datum`, `pullback_datum`).
+`formula_object` or `formula_morphism`; `check_qs_morphism` and
+`check_cocycle` re-run on them only under cross-check. `check_cocycle` alone
+checks a caller's isos, by their endpoints: a G-torsor map is bijective.
 
 A datum checks its shape, fills in its forced isos and freezes them when
 it is built, so a restricted datum carries its own certificate:
@@ -62,7 +62,6 @@ from .finset import (
     fibers,
     identity,
     kept_slot,
-    morphism_predicates,
     product_space,
     pullback,
 )
@@ -79,6 +78,7 @@ from .stack import (
     qs_isomorphism,
     restrict,
     restrict_morphism,
+    restricted_map,
 )
 from .topology import CoveringFamily, pullback_family, require_canonical
 
@@ -186,18 +186,6 @@ def restricted_source(datum: DescentDatum) -> Optional[QSObject]:
     return getattr(datum, "_restricted", None)
 
 
-def make_datum(cover: CoveringFamily, objects, overlaps) -> DescentDatum:
-    """Build the datum (`DescentDatum`: its shape checked, its forced isos
-    filled in, a real gap refused), then check its isos: each must run
-    between the restrictions of its pair and be a bijection."""
-    datum = DescentDatum(cover, objects, overlaps)
-    _check_endpoints(datum)
-    for (i, j), iso in datum.overlaps.items():
-        if not morphism_predicates(iso.fn).iso:
-            raise ValueError(f"overlap iso ({i},{j}) is not a bijection")
-    return datum
-
-
 def _check_endpoints(datum: DescentDatum) -> None:
     """Each iso (i, j) must run from W_i to W_j restricted to U_i ×_Y U_j;
     raises ValueError naming the first that does not."""
@@ -283,9 +271,9 @@ def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
     (p, b) lies over b because π(p) = f_i(a) = f_j(b), h acts on p alone,
     (a, b) is kept, and both alphas read alpha(p). It is a bijection, with
     inverse ((p, b), (a, b)) -> ((p, a), (a, b)). The cocycle holds, since
-    φ_jk∘φ_ij and φ_ik both send (p, a) over a to (p, c) over c. So neither
-    `make_datum` nor `check_cocycle` runs; under cross-check each iso's
-    `check_qs_morphism`, then both, re-run. The datum, whose isos cannot
+    φ_jk∘φ_ij and φ_ik both send (p, a) over a to (p, c) over c. So
+    `check_cocycle` does not run; under cross-check each iso's
+    `check_qs_morphism`, then it, re-run. The datum, whose isos cannot
     be replaced, keeps obj (`restricted_source`), which holds no reference
     back to it, so that `glue_object` need not prove the cocycle again."""
     require_canonical(cover)
@@ -299,8 +287,7 @@ def restrict_to_datum(obj: QSObject, cover: CoveringFamily) -> DescentDatum:
         dst = restrict(objects[j], cert.proj2)
         overlaps[(i, j)] = formula_morphism("an overlap iso", src, dst, exact_map(
             src.total, dst.total, {w: ((w[0][0], w[1][1]), w[1]) for w in src.total}))
-    datum = cross_check("a restricted datum", DescentDatum(cover, objects, overlaps),
-                        make_datum, cover, objects, overlaps)
+    datum = DescentDatum(cover, objects, overlaps)
     cross_check("a restricted datum's cocycle", None, check_cocycle, datum)
     kept_slot(datum, "_restricted", lambda: obj)
     return datum
@@ -313,8 +300,9 @@ def glue_morphisms(cover: CoveringFamily, x: QSObject, y: QSObject,
     for a over y. The overlap scan compares the locals and fills the table,
     and reaches every p, since the cover is jointly surjective and each leg
     i is paired with itself. η is a morphism, as each local (p, a) ↦ (q, a)
-    is, so `check_qs_morphism` re-runs only under cross-check; that η
-    restricts back to each local is checked."""
+    is, and restricts to each local, as every local at p names the same q;
+    so `check_qs_morphism`, and the comparison of each local with η's
+    restriction (`stack.restricted_map`), re-run only under cross-check."""
     require_canonical(cover)
     if x.base != cover.target or y.base != cover.target:
         raise ValueError("objects do not live over the cover's target")
@@ -337,9 +325,8 @@ def glue_morphisms(cover: CoveringFamily, x: QSObject, y: QSObject,
                     raise OverlapMismatch(i, j, (p, (a, b)))
                 table[p] = qi
     eta = formula_morphism("a glued morphism", x, y, exact_map(x.total, y.total, table))
-    for i in range(len(cover.legs)):
-        if restrict_morphism(eta, cover.legs[i]).fn != locals_[i].fn:
-            raise RuntimeError(f"glued morphism does not restrict to local {i}")
+    cross_check("a glued morphism's restrictions", [loc.fn for loc in locals_],
+                lambda: [restricted_map(eta.fn, loc.src, loc.dst) for loc in locals_])
     return eta
 
 
@@ -587,7 +574,7 @@ def pullback_datum(datum: DescentDatum, t: FinMap) -> DescentDatum:
 
     A nonempty new overlap lies over an old one, so its old iso is stored.
     The old isos are the caller's and may be unlawful, so each new one is
-    certified by `check_qs_morphism` and the datum by `make_datum`."""
+    certified by `check_qs_morphism`, between its pair's restrictions."""
     cover = datum.cover
     if t.dst != cover.target:
         raise ValueError(f"{t.dst!r} != {cover.target!r}")
@@ -603,7 +590,7 @@ def pullback_datum(datum: DescentDatum, t: FinMap) -> DescentDatum:
         table = {((w, az), (az2, bz)): ((phi[(w, (az[0], bz[0]))][0], bz), (az2, bz))
                  for ((w, az), (az2, bz)) in src.total}
         overlaps[(i, j)] = check_qs_morphism(src, dst, FinMap(src.total, dst.total, table))
-    return make_datum(new_cover, new_objects, overlaps)
+    return DescentDatum(new_cover, new_objects, overlaps)
 
 
 # ------------------------------------------------------------ verify-stack ---

@@ -564,14 +564,6 @@ def product(a: FinSet, b: FinSet) -> Product:
     )
 
 
-def product_map(f: FinMap, g: FinMap) -> FinMap:
-    """f × g between canonical product sets."""
-    src = product(f.src, g.src)
-    dst = product(f.dst, g.dst)
-    return FinMap(src.space, dst.space,
-                  {(x, y): (f.table[x], g.table[y]) for (x, y) in src.space})
-
-
 class PullbackCert(Record):
     """Pullback of f and g: apex of pairs (a, b) with f(a) = g(b)."""
 
@@ -706,34 +698,3 @@ def mediate_coequalizer(cert: CoequalizerCert, d: FinMap) -> FinMap:
             raise NotCoequalized(a, left, right)
     # class representatives are atoms of d's source, so evaluate d on them
     return FinMap(cert.quotient, d.dst, {q: d.table[q] for q in cert.quotient})
-
-
-class Colimit(NamedTuple):
-    space: FinSet
-    cocone: tuple
-
-
-def colimit_of_diagram(objects, arrows) -> Colimit:
-    """Colimit of a finite diagram, via the standard coequalizer of coproducts.
-
-    objects: list of FinSet. arrows: list of (src_index, dst_index, FinMap).
-    Returns the colimit set and one cocone leg per object.
-    """
-    objects = tuple(objects)
-    arrows = tuple(arrows)
-    for i, j, m in arrows:
-        if not (0 <= i < len(objects) and 0 <= j < len(objects)):
-            raise ValueError(f"arrow endpoints ({i},{j}) out of range")
-        if m.src != objects[i] or m.dst != objects[j]:
-            raise ValueError(f"arrow ({i},{j}) table does not match its endpoints")
-    cop_objects = coproduct(objects)
-    cop_sources = coproduct([objects[i] for i, _, _ in arrows])
-    left = copair(cop_sources,
-                  [cop_objects.injections[i] for i, _, _ in arrows],
-                  dst=cop_objects.space)
-    right = copair(cop_sources,
-                   [compose(cop_objects.injections[j], m) for _, j, m in arrows],
-                   dst=cop_objects.space)
-    cert = coequalizer(left, right)
-    cocone = tuple(compose(cert.proj, inj) for inj in cop_objects.injections)
-    return Colimit(cert.quotient, cocone)

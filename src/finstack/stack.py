@@ -221,11 +221,14 @@ def restrict_morphism(m: QSMorphism, f: FinMap) -> QSMorphism:
     acts on (p, z) as on p, so it is equivariant because m is; it keeps z,
     so it lies over Z; and its alpha is alpha(m(p)) = alpha(p), because m
     commutes with the alphas. Under cross-check it re-runs."""
-    src = restrict(m.src, f)
-    dst = restrict(m.dst, f)
-    mt = m.fn.table
-    return formula_morphism("a restricted morphism", src, dst, exact_map(
-        src.total, dst.total, {pz: (mt[pz[0]], pz[1]) for pz in src.total}))
+    src, dst = restrict(m.src, f), restrict(m.dst, f)
+    return formula_morphism("a restricted morphism", src, dst, restricted_map(m.fn, src, dst))
+
+
+def restricted_map(fn: FinMap, src: QSObject, dst: QSObject) -> FinMap:
+    """(p, z) ↦ (fn(p), z) from src to dst, fn's endpoints restricted."""
+    mt = fn.table
+    return exact_map(src.total, dst.total, {pz: (mt[pz[0]], pz[1]) for pz in src.total})
 
 
 def certify_canonical_iso(src: QSObject, dst: QSObject, fn: FinMap) -> QSMorphism:

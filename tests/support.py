@@ -2,9 +2,10 @@
 
 The stock groups, random sets, maps and G-sets, the subgroup list, an
 action from a Python function, the mediating maps into a product and a
-pullback, sieve membership with its factorization witness, the trivial
-objects of [X/G] over a base, and `desc` run in-process. Every generator
-is deterministic given the Random instance passed in.
+pullback, f × g between products, the colimit of a finite diagram, sieve
+membership with its factorization witness, the trivial objects of [X/G]
+over a base, and `desc` run in-process. Every generator is deterministic
+given the Random instance passed in.
 
 Each check here raises: pytest rewrites the asserts of test modules only,
 and `python -O` strips the asserts of a helper module like this one.
@@ -36,7 +37,10 @@ from finstack.finset import (
     PullbackCert,
     atom_key,
     bang,
+    coequalizer,
     compose,
+    copair,
+    coproduct,
     fiber,
     product,
     product_space,
@@ -187,6 +191,47 @@ def mediate_pullback(cert: PullbackCert, u: FinMap, v: FinMap) -> FinMap:
         if left != right:
             raise SquareNotCommuting(s, left, right)
     return FinMap(u.src, cert.apex, {s: (u.table[s], v.table[s]) for s in u.src})
+
+
+def product_map(f: FinMap, g: FinMap) -> FinMap:
+    """f × g between canonical product sets."""
+    src = product(f.src, g.src)
+    dst = product(f.dst, g.dst)
+    return FinMap(src.space, dst.space,
+                  {(x, y): (f.table[x], g.table[y]) for (x, y) in src.space})
+
+
+# ---------------------------------------------------------------- colimits ---
+
+class Colimit(NamedTuple):
+    space: FinSet
+    cocone: tuple
+
+
+def colimit_of_diagram(objects, arrows) -> Colimit:
+    """Colimit of a finite diagram, via the standard coequalizer of coproducts.
+
+    objects: list of FinSet. arrows: list of (src_index, dst_index, FinMap).
+    Returns the colimit set and one cocone leg per object.
+    """
+    objects = tuple(objects)
+    arrows = tuple(arrows)
+    for i, j, m in arrows:
+        if not (0 <= i < len(objects) and 0 <= j < len(objects)):
+            raise ValueError(f"arrow endpoints ({i},{j}) out of range")
+        if m.src != objects[i] or m.dst != objects[j]:
+            raise ValueError(f"arrow ({i},{j}) table does not match its endpoints")
+    cop_objects = coproduct(objects)
+    cop_sources = coproduct([objects[i] for i, _, _ in arrows])
+    left = copair(cop_sources,
+                  [cop_objects.injections[i] for i, _, _ in arrows],
+                  dst=cop_objects.space)
+    right = copair(cop_sources,
+                   [compose(cop_objects.injections[j], m) for _, j, m in arrows],
+                   dst=cop_objects.space)
+    cert = coequalizer(left, right)
+    cocone = tuple(compose(cert.proj, inj) for inj in cop_objects.injections)
+    return Colimit(cert.quotient, cocone)
 
 
 # ------------------------------------------------------------------ sieves ---

@@ -10,23 +10,18 @@ import time
 from pathlib import Path
 from random import Random
 
-import pytest
-
 from finstack import (
     Bundle,
     CoveringFamily,
-    FinMap,
     FinSet,
     check_equivariant,
     coherence_assoc,
     coherence_epsilon,
     coherence_iota,
     coherence_triangles,
-    compose,
     compose_qs,
     enumerate_bundles,
     epsilon_component,
-    identity,
     is_canonical_cover,
     is_jointly_surjective,
     is_principal_bundle,
@@ -37,7 +32,6 @@ from finstack import (
     pullback_action,
     pullback_bundle,
     qs_isomorphism,
-    restrict,
     restrict_morphism,
     restrict_to_datum,
     sym,

@@ -1,7 +1,6 @@
 """Group and action layer: axiom checking, orbit structure, equivariant
 isomorphism search, and induced actions on pullbacks."""
 
-import itertools
 from random import Random
 
 import pytest
@@ -27,12 +26,10 @@ from finstack import (
     group_from_table,
     gset_isomorphism_over,
     identity,
-    invert,
     klein_four,
     orbits,
     product,
     product_action,
-    product_map,
     pullback,
     pullback_action,
     regular_action,
@@ -49,6 +46,7 @@ from support import (
     action_from_function,
     group_catalog,
     mediate_pullback,
+    product_map,
     random_gset,
     random_gset_over,
     subgroups,

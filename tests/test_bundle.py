@@ -32,7 +32,6 @@ from finstack import (
     glue_object,
     gset_isomorphism_over,
     identity,
-    invert,
     is_locally_trivial,
     is_principal_bundle,
     klein_four,

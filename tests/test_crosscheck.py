@@ -80,6 +80,7 @@ from finstack.finset import (
 from finstack.sample import (
     break_cocycle,
     build_corpus,
+    conjugate_datum,
     random_cover,
     random_qsobject,
     relabel_qsobject,
@@ -88,6 +89,7 @@ from finstack.sample import (
 from finstack.stack import (
     classify_by_enumeration,
     classify_enumeration_cost,
+    constant_gauge,
     formula_morphism,
 )
 from finstack.topology import sheaf_condition_by_enumeration
@@ -414,7 +416,7 @@ def test_restrict_to_datum_runs_no_certifier_on_base_changes(monkeypatch):
     assert all(counts[name] > 0 for name in CERTIFIERS), counts
 
 
-FORMULA_CERTIFIERS = ("check_qs_morphism", "check_cocycle", "make_datum")
+FORMULA_CERTIFIERS = ("check_qs_morphism", "check_cocycle")
 
 
 def test_restrict_to_datum_runs_no_certifier_on_its_overlap_isos(monkeypatch):
@@ -424,8 +426,8 @@ def test_restrict_to_datum_runs_no_certifier_on_its_overlap_isos(monkeypatch):
     datum = restrict_to_datum(obj, cover)
     assert datum.overlaps
     assert counts == dict.fromkeys(FORMULA_CERTIFIERS, 0)
-    # cross-checking re-runs each iso's certifier, the datum's shape checks
-    # and its cocycle
+    # cross-checking re-runs each iso's certifier and the datum's cocycle,
+    # which checks the isos' endpoints first
     monkeypatch.setattr(CrossCheck, "on", True)
     restrict_to_datum(*datum_inputs(7))
     assert all(counts[name] > 0 for name in FORMULA_CERTIFIERS), counts
@@ -449,6 +451,50 @@ def test_restricted_morphisms_and_coherence_isos_run_no_certifier(monkeypatch):
     monkeypatch.setattr(CrossCheck, "on", True)
     build()
     assert counts["check_qs_morphism"] == 3
+
+
+def test_glue_morphisms_restricts_nothing_off_cross_check(monkeypatch):
+    # each local is the glued η restricted to its leg by the formula, so
+    # the restrictions are built and compared only under cross-check, and
+    # there as maps, with no restricted morphism to re-certify
+    obj, cover = datum_inputs(7)
+    obj2, m = relabel_qsobject(Random(7), obj)
+    locals_ = [restrict_morphism(m, f) for f in cover.legs]
+    names = ("restrict_morphism", "restricted_map", "check_qs_morphism")
+    monkeypatch.setattr(CrossCheck, "on", False)
+    counts = count_calls(monkeypatch, names)
+    assert glue_morphisms(cover, obj, obj2, locals_).fn == m.fn
+    assert counts == dict.fromkeys(names, 0)
+    monkeypatch.setattr(CrossCheck, "on", True)
+    assert glue_morphisms(cover, obj, obj2, locals_).fn == m.fn
+    # check_qs_morphism re-runs on η alone
+    assert counts == {"restrict_morphism": 0, "restricted_map": len(cover.legs),
+                      "check_qs_morphism": 1}
+
+
+@pytest.mark.needs_cross_check
+def test_conjugating_a_datum_keeps_its_cocycle_verdict(monkeypatch):
+    # the conjugate passes check_cocycle exactly when the datum does, so a
+    # caller's broken datum conjugates to a broken one, and no fault
+    rng, group = Random(7), sym(3)
+    base = FinSet(("p", "q", "r"))
+    obj = random_qsobject(rng, group, trivial_action(group, terminal()), base)
+    k = next(g for g in group.carrier if g != group.unit_atom)
+    datum = restrict_to_datum(obj, random_cover(rng, base, max_legs=3, max_extra=2))
+    gauges = [constant_gauge(w, k) for w in datum.objects]
+    check_cocycle(conjugate_datum(datum, gauges))
+    with pytest.raises(CocycleFail):
+        check_cocycle(conjugate_datum(break_cocycle(datum, k), gauges))
+    # a planted conjugation that breaks the cocycle is an internal fault
+    real = finstack.sample.DescentDatum
+    monkeypatch.setattr(finstack.sample, "DescentDatum", lambda cover, objects, overlaps:
+                        break_cocycle(real(cover, objects, overlaps), k))
+    with pytest.raises(RuntimeError, match="cross-check of a conjugated datum's cocycle "
+                                           "disagrees"):
+        conjugate_datum(datum, gauges)
+    monkeypatch.setattr(CrossCheck, "on", False)
+    with pytest.raises(CocycleFail):
+        check_cocycle(conjugate_datum(datum, gauges))
 
 
 @pytest.mark.needs_cross_check

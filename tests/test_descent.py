@@ -30,7 +30,6 @@ from finstack import (
     identity,
     klein_four,
     regular_action,
-    make_datum,
     point_cover,
     pullback_datum,
     qs_identity,
@@ -87,24 +86,33 @@ from finstack.stack import (
     constant_gauge,
     empty_object,
     fiber_gauge,
+    restricted_map,
 )
-from finstack.topology import require_canonical
+from finstack.topology import is_jointly_surjective, require_canonical
 
-from support import group_catalog, mediate_pullback, point_x, random_gset, trivial_object
+from support import (
+    group_catalog,
+    mediate_pullback,
+    point_x,
+    random_finset,
+    random_gset,
+    random_map,
+    trivial_object,
+)
 
 SITES = Path(__file__).resolve().parent.parent / "sites"
 
 
 # ------------------------------------------------------------- data
 
-def test_make_datum_fills_forced_overlaps_only():
+def test_a_datum_fills_forced_overlaps_only():
     z2 = zmod(2)
     obj = trivial_object(z2, FinSet(("p", "q")))
     cover = point_cover(obj.base)
     datum = restrict_to_datum(obj, cover)
     # disjoint point legs: every off-diagonal overlap is empty, so a datum
     # can be rebuilt from the objects alone
-    rebuilt = make_datum(cover, datum.objects, {})
+    rebuilt = DescentDatum(cover, datum.objects, {})
     assert rebuilt == datum
     # two legs sharing the point q have a real overlap that must be supplied
     base = obj.base
@@ -114,7 +122,7 @@ def test_make_datum_fills_forced_overlaps_only():
     parts = restrict_to_datum(obj, sharing)
     partial = {k: v for k, v in parts.overlaps.items() if k != (0, 1)}
     with pytest.raises(MissingOverlapIso) as exc:
-        make_datum(sharing, parts.objects, partial)
+        DescentDatum(sharing, parts.objects, partial)
     assert (exc.value.i, exc.value.j) == (0, 1)
 
 
@@ -129,21 +137,21 @@ def mixed_objects():
     return cover, objects, diagonals
 
 
-def test_make_datum_refuses_mixed_groups():
+def test_a_datum_refuses_mixed_groups():
     cover, objects, _ = mixed_objects()
     with pytest.raises(ValueError, match="another group or structure action"):
-        make_datum(cover, objects, {})
+        DescentDatum(cover, objects, {})
     # the same group over another structure space is refused too
     z2 = zmod(2)
     other = random_qsobject(Random(3), z2, regular_action(z2), cover.legs[1].src)
     with pytest.raises(ValueError, match="another group or structure action"):
-        make_datum(cover, [objects[0], other], {})
+        DescentDatum(cover, [objects[0], other], {})
 
 
 def test_glue_refuses_objects_off_its_group():
     cover, objects, diagonals = mixed_objects()
-    # a record of mixed objects built past make_datum is refused when it is
-    # built, not with the action law failure of a mixed total when glued
+    # a record of mixed objects, with the diagonal isos given, is refused when
+    # it is built, not with the action law failure of a mixed total when glued
     with pytest.raises(ValueError, match=re.escape(
             "object 1 has another group or structure action than object 0")):
         finstack.descent.DescentDatum(cover, tuple(objects), diagonals)
@@ -447,8 +455,8 @@ def forced_pairs(cover):
 @pytest.mark.parametrize("on", [False, True], ids=["production", "cross-checked"])
 @pytest.mark.parametrize("seed", range(6))
 def test_a_datum_missing_only_forced_isos_reads_as_complete(monkeypatch, on, seed):
-    # the record, make_datum, overlap_iso, check_cocycle, glue_object and
-    # pullback_datum all see the datum with its forced isos filled in
+    # the record, overlap_iso, check_cocycle, glue_object and pullback_datum
+    # all see the datum with its forced isos filled in
     monkeypatch.setattr(CrossCheck, "on", on)
     rng = Random(seed)
     grp = zmod(2)
@@ -462,7 +470,7 @@ def test_a_datum_missing_only_forced_isos_reads_as_complete(monkeypatch, on, see
     assert len(forced) >= len(obj.base)
     partial = {ij: iso for ij, iso in datum.overlaps.items() if ij not in forced}
     gappy = DescentDatum(cover, datum.objects, partial)
-    assert gappy == datum == make_datum(cover, datum.objects, partial)
+    assert gappy == datum
     assert restricted_source(gappy) is None
     for i, j in forced:
         assert gappy.overlap_iso(i, j) == datum.overlap_iso(i, j)
@@ -625,8 +633,8 @@ def test_a_datum_needs_one_object_per_leg(check, kind):
 @pytest.mark.parametrize("key", [(5, 0), (0, 2), (0, -1), (0,), (0, 0, 0), "00"],
                          ids=repr)
 def test_a_stray_iso_key_is_a_value_error(key):
-    # an iso keyed by no pair of legs once raised IndexError from glue_object,
-    # check_cocycle and make_datum; the record refuses it when built
+    # an iso keyed by no pair of legs once raised IndexError from glue_object
+    # and check_cocycle; the record refuses it when built
     cover = point_cover(FinSet(("p", "q")))
     datum = restrict_to_datum(trivial_object(zmod(2), cover.target), cover)
     isos = {**datum.overlaps, key: datum.overlaps[(0, 0)]}
@@ -634,7 +642,7 @@ def test_a_stray_iso_key_is_a_value_error(key):
     with pytest.raises(ValueError, match=message):
         glue_object(DescentDatum(cover, datum.objects, isos))
     with pytest.raises(ValueError, match=message):
-        make_datum(cover, datum.objects, isos)
+        check_cocycle(DescentDatum(cover, datum.objects, isos))
 
 
 def test_a_datum_does_not_change_with_what_it_was_built_from():
@@ -982,19 +990,27 @@ def test_glue_morphisms_empty_cover():
     assert eta.fn == identity(obj.total)
 
 
+@pytest.mark.needs_cross_check
 def test_glue_morphisms_checks_its_restrictions(monkeypatch):
     # a glued morphism that fails to restrict to its locals is an internal
-    # fault, raised also under python -O
+    # fault, raised also under python -O; the restrictions hold by the point
+    # formula, so they are compared only under cross-check
     z2 = zmod(2)
     base = FinSet(("p", "q"))
     obj = trivial_object(z2, base)
     cover = point_cover(base)
     locals_ = [qs_identity(restrict(obj, f)) for f in cover.legs]
     gauge = constant_gauge(obj, 1)
-    monkeypatch.setattr(finstack.descent, "restrict_morphism",
-                        lambda m, f: restrict_morphism(gauge, f))
-    with pytest.raises(RuntimeError, match="does not restrict to local 0"):
+    monkeypatch.setattr(finstack.descent, "restricted_map",
+                        lambda fn, src, dst: restricted_map(gauge.fn, src, dst))
+    ran, agreed = CrossCheck.ran, CrossCheck.agreed
+    with pytest.raises(RuntimeError, match="cross-check of a glued morphism's restrictions "
+                                           "disagrees"):
         glue_morphisms(cover, obj, obj, locals_)
+    # one disagreement: no restricted morphism is re-certified under it
+    assert CrossCheck.ran - ran == CrossCheck.agreed - agreed + 1
+    monkeypatch.setattr(CrossCheck, "on", False)
+    assert glue_morphisms(cover, obj, obj, locals_).fn == identity(obj.total)
 
 
 def glue_morphisms_by_coequalizer(cover, x, y, locals_):
@@ -1117,6 +1133,51 @@ def test_pullback_datum_target_mismatch(rng):
         pullback_datum(datum, identity(FinSet(("z",))))
 
 
+# ------------------------------------- every stored iso is a bijection
+
+def isos_are_bijections(datum):
+    return all(morphism_predicates(iso.fn).iso for iso in datum.overlaps.values())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_every_stored_iso_is_a_bijection(seed):
+    # check_cocycle checks an iso's endpoints alone, and no check its
+    # bijectivity: a morphism between G-torsor bundles over one base is
+    # bijective. So over the corpus of every stock group (restricted,
+    # conjugated and twisted data) and over base changes of its data along
+    # random maps, every stored iso is a bijection, and check_cocycle passes
+    # on the lawful data and fails on the twisted ones
+    rng = Random(seed)
+    seen = dict.fromkeys(("lawful", "twisted", "dropped", "pulled back"), 0)
+    for grp in group_catalog():
+        for x in (point_x(grp), regular_action(grp)):
+            for condition, case in build_corpus(grp, x, Random(seed), cases=3):
+                if condition not in ("effectiveness", "rejected"):
+                    continue
+                datum = case[0] if condition == "effectiveness" else case
+                assert isos_are_bijections(datum)
+                if condition == "effectiveness":
+                    check_cocycle(datum)
+                    seen["lawful"] += 1
+                elif is_jointly_surjective(datum.cover):
+                    with pytest.raises(CocycleFail):
+                        check_cocycle(datum)
+                    seen["twisted"] += 1
+                else:
+                    seen["dropped"] += 1
+                    continue
+                base = datum.cover.target
+                if not len(base):
+                    continue
+                t = random_map(rng, random_finset(rng, 3, prefix="z"), base)
+                pulled = pullback_datum(datum, t)
+                assert isos_are_bijections(pulled)
+                if condition == "effectiveness":
+                    check_cocycle(pulled)
+                seen["pulled back"] += 1
+    assert all(seen.values()), seen
+
+
 # ------------------------------------------------------------- verdicts
 
 def test_verify_stack_exhaustive_small():
@@ -1179,12 +1240,15 @@ def swapped_parts(swap: str):
 
 
 def test_an_object_over_another_leg_is_a_value_error():
-    # the same fault, whichever entry point meets it: the record refuses it
-    # when built, so no gluing is reached
-    message = re.escape("object 0 lives over {v w}, leg wants {u}")
-    for build in (DescentDatum, make_datum):
-        with pytest.raises(ValueError, match=message):
-            build(*swapped_parts("objects"))
+    # the record refuses it when built, so no check or gluing is reached.
+    # Isos over another leg pass the record; check_cocycle, the one check of
+    # their endpoints, refuses them, also where glue_object runs it
+    with pytest.raises(ValueError, match=re.escape("object 0 lives over {v w}, leg wants {u}")):
+        DescentDatum(*swapped_parts("objects"))
+    datum = DescentDatum(*swapped_parts("isos"))
+    for check in (check_cocycle, glue_object):
+        with pytest.raises(ValueError, match=re.escape("overlap iso (0,0) has the wrong source")):
+            check(datum)
 
 
 def test_verify_stack_propagates_an_object_over_another_leg():

@@ -16,7 +16,6 @@ from finstack.finset import (
     atom_key,
     bang,
     coequalizer,
-    colimit_of_diagram,
     compose,
     coproduct,
     copair,
@@ -27,7 +26,6 @@ from finstack.finset import (
     mediate_coequalizer,
     morphism_predicates,
     product,
-    product_map,
     product_space,
     pullback,
     pullback_along,
@@ -35,7 +33,7 @@ from finstack.finset import (
 )
 from finstack.topology import all_maps, small_sets
 
-from support import mediate_pullback, pair_map
+from support import colimit_of_diagram, mediate_pullback, pair_map, product_map
 
 
 # ------------------------------------------------------------------- atoms

@@ -9,7 +9,6 @@ import pytest
 
 from finstack.action import (
     FinGroup,
-    check_equivariant,
     klein_four,
     sym,
     trivial_action,

@@ -12,7 +12,6 @@ from finstack import (
     CocycleFail,
     EquivarianceFail,
     EquivariantMap,
-    FinMap,
     FinSet,
     NoInverse,
     SiteSyntaxError,

@@ -12,6 +12,8 @@ SRC = ROOT / "src" / "finstack"
 # the library's modules, keyed by stem, and the tests' helper module, whose
 # asserts pytest does not rewrite either
 CHECKED = {p.stem: p for p in [*sorted(SRC.glob("*.py")), ROOT / "tests" / "support.py"]}
+# the library's modules and every module of the suite, keyed by stem
+IMPORTING = {**CHECKED, **{p.stem: p for p in sorted((ROOT / "tests").glob("*.py"))}}
 
 
 @pytest.mark.parametrize("module", sorted(CHECKED))
@@ -139,12 +141,12 @@ def _names_read(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
-@pytest.mark.parametrize("module", sorted(CHECKED))
+@pytest.mark.parametrize("module", sorted(IMPORTING))
 def test_no_unused_imports(module):
     # no linter is installed, so this is the F401 rule: every name a
     # top-level import binds is read in the module, unless its line is a
     # re-export marked `# noqa: F401`
-    path = CHECKED[module]
+    path = IMPORTING[module]
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     tree = ast.parse(text, filename=str(path))
@@ -206,8 +208,6 @@ SRC_API = {
     "action.klein_four": "stock group of the README-level API",
     "action.sym": "stock group of the README-level API",
     "descent.pullback_datum": "README-level API: base change of a descent datum",
-    "finset.product_map": "README-level API: f × g between products",
-    "finset.colimit_of_diagram": "README-level API: the colimit of a finite diagram",
     "sitefile.format_site": "README-level API: the printer of the site files",
     "stack.coherence_iota": "README-level API: the prestack's coherence cells",
     "stack.coherence_assoc": "README-level API: the prestack's coherence cells",

@@ -3,7 +3,6 @@ sheaf condition for representables."""
 
 import itertools
 import re
-from random import Random
 
 import pytest
 

@@ -8,8 +8,9 @@ equivariant iso from the pulled-back action to the trivialized model G×U_i
 over U_i) is kept as an oracle, `is_locally_trivial` with
 `check_trivialization`, that the tests compare with the decider. The trivial
 model, the enumerated bundles (streamed) and base changes are bundles by
-their formulas: `constructed_bundle` re-runs on them only under cross-check.
-Each of them lies over `trivial_action(G, base)`, the one trivial action.
+their formulas: `formula_bundle` builds them and re-runs the decider on them
+only under cross-check. Each of them lies over `trivial_action(G, base)`,
+the one trivial action.
 The torsor structures the enumeration draws from are found once per group
 and kept on it.
 
@@ -180,25 +181,17 @@ def is_principal_bundle(proj: EquivariantMap) -> Union[Bundle, NotBundle]:
     return Bundle(proj.src_action.group, proj.map.dst, proj.src_action, proj)
 
 
-def constructed_bundle(total: GAction, proj: FinMap) -> Bundle:
-    """Certify a projection built to be a bundle: equivariant from `total`
-    onto the trivially acted base, and with torsor fibers. A failure is an
-    internal fault, not a verdict."""
-    eq = check_equivariant(proj, total, trivial_action(total.group, proj.dst))
-    out = is_principal_bundle(eq)
-    if isinstance(out, NotBundle):
-        raise RuntimeError(f"a constructed projection is not a bundle: {out}")
-    return out
-
-
 def formula_bundle(what: str, act: FinMap, proj: FinMap, base: GAction) -> Bundle:
     """The bundle with action table `act` and projection `proj` onto the
     trivially acted `base`, for a caller whose formula makes it one. Under
-    cross-check `check_action` and `constructed_bundle` re-run."""
+    cross-check `check_action`, `check_equivariant` and the decider
+    `is_principal_bundle` re-run; a `NotBundle` from it disagrees with the
+    built record."""
     total = GAction(base.group, proj.src, act)
     return cross_check(
         what, Bundle(base.group, proj.dst, total, EquivariantMap(proj, total, base)),
-        lambda: constructed_bundle(check_action(base.group, proj.src, act), proj))
+        lambda: is_principal_bundle(check_equivariant(
+            proj, check_action(base.group, proj.src, act), base)))
 
 
 def trivial_bundle(group: FinGroup, base: FinSet) -> Bundle:
@@ -217,7 +210,7 @@ def pullback_bundle(b: Bundle, f: FinMap) -> Bundle:
     acted base; h acts as on P, so both action laws hold; the projection
     keeps z, so it is equivariant onto the trivially acted Z; and the fiber
     over z is b's fiber over f(z), a G-torsor, paired with z. Under
-    cross-check, `check_action` and `constructed_bundle` re-run on it.
+    cross-check `formula_bundle`'s certifiers re-run on it.
 
     The space and projection come from `pullback_along`, the pullback's
     join without its memo and without the first projection, which nothing

@@ -69,7 +69,6 @@ from .stack import (
     QSMorphism,
     QSObject,
     check_qs_morphism,
-    certify_canonical_iso,
     compose_qs,
     constant_gauge,
     empty_object,
@@ -117,6 +116,14 @@ def _identity_iso(objects, cert, i: int, j: int) -> QSMorphism:
                             identity(src.total))
 
 
+def _require_leg_pair(ij, n: int) -> None:
+    """Raise ValueError unless ij is a pair of int leg indexes of n legs;
+    a bool or a negative index is not one."""
+    if not (type(ij) is tuple and len(ij) == 2 and type(ij[0]) is int and type(ij[1]) is int
+            and 0 <= ij[0] < n and 0 <= ij[1] < n):
+        raise ValueError(f"overlap iso key {ij!r} is not a pair of legs")
+
+
 class DescentDatum(Record):
     """Objects over the legs of a cover plus an overlap iso for every ordered
     pair of legs with a nonempty overlap, diagonal included (a non-mono leg
@@ -153,10 +160,8 @@ class DescentDatum(Record):
             if obj.bundle.group != objects[0].bundle.group or obj.x_action != objects[0].x_action:
                 raise ValueError(f"object {i} has another group or structure action than object 0")
         overlaps = dict(overlaps)
-        indexes = range(len(legs))
         for ij in overlaps:
-            if not (type(ij) is tuple and len(ij) == 2 and ij[0] in indexes and ij[1] in indexes):
-                raise ValueError(f"overlap iso key {ij!r} is not a pair of legs")
+            _require_leg_pair(ij, len(legs))
         for i, j in overlapping_pairs(cover):
             if (i, j) not in overlaps:
                 cert = overlap(cover, i, j)
@@ -174,7 +179,9 @@ class DescentDatum(Record):
 
     def overlap_iso(self, i: int, j: int) -> QSMorphism:
         """The stored iso, else the forced identity: the datum is complete,
-        so a pair it does not store has an empty overlap."""
+        so a pair it does not store has an empty overlap. A pair that is
+        not two leg indexes raises ValueError, as in the constructor."""
+        _require_leg_pair((i, j), len(self.cover.legs))
         if (i, j) in self.overlaps:
             return self.overlaps[(i, j)]
         return _identity_iso(self.objects, overlap(self.cover, i, j), i, j)
@@ -432,9 +439,9 @@ def glue_object(datum: DescentDatum, group=None, x_action=None) -> GluingResult:
     equivariant and keeps alpha because φ_ij does, and it agrees with every
     overlap iso by the cocycle. A bundle morphism between G-torsor bundles
     over one base is bijective on each fiber, so each ψ_j is an iso. Under
-    cross-check `check_action`, `constructed_bundle`, `check_qs_object`,
-    each ψ_j's `check_qs_morphism` with its bijection check, and the scan
-    of the ψ_j against the overlap isos re-run.
+    cross-check `check_action`, `is_principal_bundle`, `check_qs_object`,
+    each ψ_j's `check_qs_morphism`, and the scan of the ψ_j against the
+    overlap isos re-run.
 
     The comparisons come back as `DeferredComparisons`: their number is
     known at once, and the restrictions glued|U_j and the ψ_j tables are
@@ -535,8 +542,7 @@ def _comparison_isos(legs: tuple, objects: tuple, glued: QSObject, phis: dict,
         comparisons.append(formula_morphism("a comparison iso", src, dst, exact_map(
             src.total, dst.total,
             {(q, b): phis[(q.part, j)][(q.atom, (pis[q.part][q.atom], b))][0]
-             for q, b in src.total}),
-            certify_canonical_iso))
+             for q, b in src.total})))
     return tuple(comparisons)
 
 

@@ -98,8 +98,8 @@ def twist_bundle(rng: Random, b: Bundle):
     runs: conjugating a lawful action by a bijection keeps both action laws,
     and h keeps each fiber, so the projection stays equivariant onto the
     trivially acted base and each fiber stays a G-torsor. That h keeps the
-    fibers is checked. Under cross-check `check_action` and
-    `constructed_bundle` re-run."""
+    fibers is checked. Under cross-check `formula_bundle`'s certifiers
+    re-run."""
     perm = {}
     for y in b.base:
         fib = fiber(b.proj.map, y)

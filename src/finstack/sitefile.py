@@ -459,8 +459,6 @@ class _Parser:
             i, j, k = twist
             if not (0 <= i < len(cover.legs) and 0 <= j < len(cover.legs)):
                 raise ValueError("twist indexes a missing leg")
-            if k not in obj.bundle.group.carrier:
-                raise ValueError(f"{format_atom(k)} is not a group element")
             return twist_overlap(datum, i, j, k)
         self.define("datum", name, self._build(name, build))
 

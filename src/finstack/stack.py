@@ -51,10 +51,9 @@ from .finset import (
     deferred_map,
     exact_map,
     fibers,
+    format_atom,
     identity,
-    invert,
     memo,
-    morphism_predicates,
     terminal,
 )
 
@@ -135,14 +134,12 @@ def formula_object(what: str, bundle: Bundle, alpha: FinMap, x_action: GAction) 
                        check_qs_object, bundle, alpha, x_action)
 
 
-def formula_morphism(what: str, src: QSObject, dst: QSObject, fn: FinMap,
-                     certify=None) -> QSMorphism:
+def formula_morphism(what: str, src: QSObject, dst: QSObject, fn: FinMap) -> QSMorphism:
     """The morphism src => dst with map fn, written by a point formula that
     makes it one: the record `check_qs_morphism` would return, built
-    without running it. Under cross-check `certify(src, dst, fn)`, by
-    default that certifier, re-runs and must return the same record."""
-    return cross_check(what, QSMorphism(src, dst, fn), certify or check_qs_morphism,
-                       src, dst, fn)
+    without running it. Under cross-check that certifier re-runs and must
+    return the same record."""
+    return cross_check(what, QSMorphism(src, dst, fn), check_qs_morphism, src, dst, fn)
 
 
 def fiber_gauge(obj: QSObject, k_by_base: dict) -> QSMorphism:
@@ -151,7 +148,13 @@ def fiber_gauge(obj: QSObject, k_by_base: dict) -> QSMorphism:
     map onto k·w0, a bundle morphism by its formula. Raises TriangleFail at
     the first w0, in fiber order, whose k moves alpha: alpha(g·k·w0) =
     g·alpha(k·w0), so a fiber keeps alpha at every point or at none, and
-    that w0 is where `check_qs_morphism`, re-run under cross-check, fails."""
+    that w0 is where `check_qs_morphism`, re-run under cross-check, fails.
+    Raises ValueError first if k_by_base is not keyed by exactly the base
+    atoms, or maps one to a k outside the group."""
+    if len(k_by_base) != len(obj.base) or any(y not in k_by_base for y in obj.base):
+        raise ValueError(f"the gauge is not keyed by the base atoms {obj.base!r}")
+    for k in k_by_base.values():
+        _require_element(obj, k)
     act, at = obj.bundle.total, obj.alpha.map.table
     fibs = fibers(obj.bundle.proj.map)
     image = {y: act(k_by_base[y], fib[0]) for y, fib in fibs.items()}
@@ -162,7 +165,15 @@ def fiber_gauge(obj: QSObject, k_by_base: dict) -> QSMorphism:
 
 
 def constant_gauge(obj: QSObject, k) -> QSMorphism:
+    """The fiber gauge by k over every base atom; a k outside the group
+    raises ValueError, also over the empty base."""
+    _require_element(obj, k)
     return fiber_gauge(obj, {y: k for y in obj.base})
+
+
+def _require_element(obj: QSObject, k) -> None:
+    if k not in obj.bundle.group.carrier:
+        raise ValueError(f"{format_atom(k)} is not a group element")
 
 
 def empty_object(group: FinGroup, x_action: GAction) -> QSObject:
@@ -172,8 +183,6 @@ def empty_object(group: FinGroup, x_action: GAction) -> QSObject:
                           x_action)
 
 
-# morphisms by their formulas; a morphism between G-torsor bundles over
-# one base is bijective, so `invert` always finds the inverse
 def qs_identity(obj: QSObject) -> QSMorphism:
     return formula_morphism("an identity", obj, obj, identity(obj.total))
 
@@ -185,7 +194,11 @@ def compose_qs(m2: QSMorphism, m1: QSMorphism) -> QSMorphism:
 
 
 def qs_inverse(m: QSMorphism) -> QSMorphism:
-    return formula_morphism("an inverse", m.dst, m.src, invert(m.fn))
+    """m⁻¹ by its formula q ↦ p: a morphism between G-torsor bundles over
+    one base is bijective, and its inverse is one too. Under cross-check
+    `FinMap` refuses the table of a map that is not."""
+    return formula_morphism("an inverse", m.dst, m.src, exact_map(
+        m.fn.dst, m.fn.src, {q: p for p, q in m.fn.table.items()}))
 
 
 @memo(lambda obj, f: (obj.total, f))
@@ -231,45 +244,35 @@ def restricted_map(fn: FinMap, src: QSObject, dst: QSObject) -> FinMap:
     return exact_map(src.total, dst.total, {pz: (mt[pz[0]], pz[1]) for pz in src.total})
 
 
-def certify_canonical_iso(src: QSObject, dst: QSObject, fn: FinMap) -> QSMorphism:
-    """The certifier of an iso in a fiber of [X/G] written by its point
-    formula: a bijection of the totals, and `check_qs_morphism`. It runs
-    only under cross-check, where a failure is an internal fault."""
-    if not morphism_predicates(fn).iso:
-        raise RuntimeError("a canonical iso is not a bijection")
-    return check_qs_morphism(src, dst, fn)
-
-
 def iota_component(obj: QSObject) -> QSMorphism:
     """The canonical iso restrict(obj, id) -> obj, (p, y) ↦ p: the first
     projection of the pullback along the identity.
 
-    An iso in the fiber by its formula, so neither its bijectivity nor
-    `check_qs_morphism` is checked: the pullback along the identity pairs
-    each p with y = π(p) alone, so the map is a bijection over the base;
-    h·(p, y) = (h·p, y) and the alpha (p, y) ↦ alpha(p) of the restriction
-    make it equivariant and commute with the alphas. Under cross-check
-    `certify_canonical_iso` re-runs."""
+    A morphism in the fiber by its formula, so `check_qs_morphism` does not
+    run: the pullback along the identity pairs each p with y = π(p) alone,
+    so the map lies over the base; h·(p, y) = (h·p, y) and the alpha
+    (p, y) ↦ alpha(p) of the restriction make it equivariant and commute
+    with the alphas. Like every morphism between G-torsor bundles over one
+    base it is an iso. Under cross-check `check_qs_morphism` re-runs."""
     src = restrict(obj, identity(obj.base))
     return formula_morphism("an ι component", src, obj, exact_map(
-        src.total, obj.total, {py: py[0] for py in src.total}), certify_canonical_iso)
+        src.total, obj.total, {py: py[0] for py in src.total}))
 
 
 def epsilon_component(obj: QSObject, f: FinMap, g: FinMap) -> QSMorphism:
     """The canonical iso restrict(obj, f∘g) -> restrict(restrict(obj, f), g),
     (p, z) ↦ ((p, g(z)), z).
 
-    An iso in the fiber by its formula, checked the same way as ι's: π(p)
-    = f(g(z)) puts (p, g(z)) in P ×_Y X and the image in the target's
-    total, ((p, x), z) ↦ (p, z) is its inverse, h acts on p alone on both
-    sides, z is kept, and both alphas read alpha(p)."""
+    A morphism in the fiber by its formula, checked the same way as ι's:
+    π(p) = f(g(z)) puts (p, g(z)) in P ×_Y X and the image in the target's
+    total, h acts on p alone on both sides, z is kept, and both alphas read
+    alpha(p)."""
     if f.dst != obj.base or g.dst != f.src:
         raise ValueError("maps are not composable under the object's base")
     src, dst = restrict(obj, compose(f, g)), restrict(restrict(obj, f), g)
     gt = g.table
     return formula_morphism("an ε component", src, dst, exact_map(
-        src.total, dst.total, {pz: ((pz[0], gt[pz[1]]), pz[1]) for pz in src.total}),
-        certify_canonical_iso)
+        src.total, dst.total, {pz: ((pz[0], gt[pz[1]]), pz[1]) for pz in src.total}))
 
 
 class CoherenceCell(Record):
@@ -357,7 +360,7 @@ def qs_isomorphism(a: QSObject, b: QSObject) -> Optional[FinMap]:
     lies over p0's base atom, and it keeps alpha, since alpha_b(g·q0) =
     g·alpha_b(q0) = g·alpha_a(p0) = alpha_a(g·p0); a bundle morphism
     between G-torsor bundles over one base is bijective on each fiber.
-    Under cross-check `certify_canonical_iso` re-runs. No q0 with the
+    Under cross-check `check_qs_morphism` re-runs. No q0 with the
     alpha of p0 means no iso: None is a verdict."""
     if a.base != b.base or a.x_action != b.x_action:
         return None
@@ -368,8 +371,7 @@ def qs_isomorphism(a: QSObject, b: QSObject) -> Optional[FinMap]:
         image[y] = next((q for q in b_fibers[y] if ba[q] == aa[fib[0]]), None)
         if image[y] is None:
             return None
-    return formula_morphism("an iso in a fiber", a, b, fiber_map(a.bundle, b.bundle, image),
-                            certify_canonical_iso).fn
+    return formula_morphism("an iso in a fiber", a, b, fiber_map(a.bundle, b.bundle, image)).fn
 
 
 class ClassifyingReport(Record):

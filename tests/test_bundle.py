@@ -231,7 +231,7 @@ def test_base_change_without_torsor_fibers_is_an_internal_fault(monkeypatch):
     assert isinstance(b, Bundle)
     monkeypatch.setattr(finstack.bundle, "_torsor_fibers",
                         lambda proj: NotBundle("p", "fiber action is not free"))
-    with pytest.raises(RuntimeError, match="a constructed projection is not a bundle"):
+    with pytest.raises(RuntimeError, match="of a base change disagrees: NotBundle"):
         pullback_bundle(b, identity(base))
 
 

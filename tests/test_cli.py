@@ -136,6 +136,7 @@ stack BG { group G classifying }
 bundle B { trivial group G base Y }
 qsobject O { stack BG bundle B alpha bang }
 cover CZ { target Z points }
+cover CY { target Y points }
 """
 
 
@@ -145,10 +146,16 @@ cover CZ { target Z points }
      "  ((1,0),*) -> ((1,0),*) } ] }", "L", "cover is over {0}, object over {0 1}"),
     ("set U = { u }\nmap f : U -> Z = { u -> 0 }\ncover C { target Y legs [ f ] }",
      "C", "leg 0 has target {0}, expected {0 1}"),
-], ids=["datum", "gluing", "cover-leg"])
+    ("datum D = restrict O over CY twist (0 , 5) by 1", "D", "twist indexes a missing leg"),
+    ("datum D = restrict O over CY twist (0 , 0) by 7", "D", "7 is not a group element"),
+    # the overlap of the two points is empty: no fiber sees the k
+    ("datum D = restrict O over CY twist (0 , 1) by 7", "D", "7 is not a group element"),
+], ids=["datum", "gluing", "cover-leg", "twist-leg", "twist-element",
+        "twist-element-empty-overlap"])
 def test_mismatched_shapes_on_load_are_value_errors(capsys, tmp_path, decls, decl, message):
-    # a cover over the wrong base, or a leg into another set, is bad input
-    # with no witness: one cause for each, whichever declaration meets it
+    # a cover over the wrong base, a leg into another set, or a twist by a
+    # missing leg or a non-element, is bad input with no witness: one cause
+    # for each, whichever declaration meets it
     site = tmp_path / "off_base.site"
     site.write_text(OFF_BASE + decls + "\n")
     path = tmp_path / "report.json"
@@ -306,7 +313,7 @@ def test_glued_non_bundle_exits_3(capsys, tmp_path, monkeypatch):
     rep = json.loads(path.read_text())
     assert rep["status"] == "error"
     assert rep["error"]["kind"] == "RuntimeError"
-    assert "not a bundle" in rep["error"]["message"]
+    assert "disagrees: NotBundle(base_atom='p'" in rep["error"]["message"]
     assert rep["checks"] == []
 
 

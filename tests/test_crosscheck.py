@@ -228,7 +228,7 @@ PLANTED = {
     "base change by h⁻¹": (finstack.bundle, inverse_action, base_change, sym(3),
                            "of a base change failed: action associativity fails"),
     "base change frozen": (finstack.bundle, lambda g: frozen_action, base_change, zmod(2),
-                           "of a base change failed: a constructed projection is not a bundle"),
+                           "of a base change disagrees: NotBundle.*fiber action is not free"),
     "restriction's alpha constant": (finstack.stack, lambda g: constant_table, restriction,
                                      zmod(2), "of a restriction failed: equivariance fails"),
     "trivial action": (finstack.action, collapse_nonunit,
@@ -248,10 +248,9 @@ PLANTED = {
                                "of a glued bundle failed: action associativity fails"),
     "comparison constant": (finstack.descent, lambda g: on_comparisons(constant_table),
                             gluing, zmod(2),
-                            "of a comparison iso failed: a canonical iso is not a bijection"),
+                            "of a comparison iso failed: equivariance fails"),
     "iso in a fiber constant": (finstack.bundle, lambda g: constant_table, iso_in_a_fiber,
-                                zmod(2), "of an iso in a fiber failed: "
-                                         "a canonical iso is not a bijection"),
+                                zmod(2), "of an iso in a fiber failed: proj triangle fails"),
     "enumerated bundle collapsed": (finstack.bundle, collapse_nonunit, enumerated_bundles,
                                     zmod(3), "of an enumerated bundle failed: "
                                              "action associativity fails"),
@@ -263,7 +262,7 @@ PLANTED = {
     "trivialized model bundle frozen": (
         finstack.action, lambda g: frozen_action,
         lambda g, base: lambda: trivial_bundle(g, base), zmod(2),
-        "of the trivialized model bundle failed: a constructed projection is not a bundle"),
+        "of the trivialized model bundle disagrees: NotBundle.*fiber action is not free"),
 }
 
 
@@ -372,8 +371,7 @@ def test_cross_check_counts_and_raises():
 
 # ------------------------------------------------------ certifier call counts ---
 
-CERTIFIERS = ("check_action", "is_principal_bundle", "check_qs_object",
-              "constructed_bundle")
+CERTIFIERS = ("check_action", "check_equivariant", "is_principal_bundle", "check_qs_object")
 
 
 def count_calls(monkeypatch, names):
@@ -499,18 +497,18 @@ def test_conjugating_a_datum_keeps_its_cocycle_verdict(monkeypatch):
 
 @pytest.mark.needs_cross_check
 def test_non_bijective_coherence_iso_passes_with_cross_check_off(monkeypatch):
-    # the bijection check of ι and ε runs only under cross-check
+    # ι and ε are re-certified by `check_qs_morphism` only under cross-check
     obj, cover = datum_inputs(7)
     f = cover.legs[0]
     real = finstack.stack.formula_morphism
-    monkeypatch.setattr(finstack.stack, "formula_morphism", lambda what, src, dst, fn, certify:
+    monkeypatch.setattr(finstack.stack, "formula_morphism", lambda what, src, dst, fn:
                         real(what, src, dst, FinMap(fn.src, fn.dst, dict.fromkeys(
-                            fn.table, fn.dst.elements[0])), certify))
+                            fn.table, fn.dst.elements[0]))))
     with pytest.raises(RuntimeError, match="cross-check of an ι component failed: "
-                                           "a canonical iso is not a bijection"):
+                                           "proj triangle fails"):
         iota_component(obj)
     with pytest.raises(RuntimeError, match="cross-check of an ε component failed: "
-                                           "a canonical iso is not a bijection"):
+                                           "proj triangle fails"):
         epsilon_component(obj, f, identity(f.src))
     monkeypatch.setattr(CrossCheck, "on", False)
     assert len(set(iota_component(obj).fn.table.values())) == 1
@@ -571,7 +569,7 @@ def test_classify_certifies_no_enumerated_bundle_with_cross_check_off(
     # only --cross-check runs the oracle that enumerates them
     site = tmp_path / "z3.site"
     site.write_text(Z3_CLASSIFY_SITE)
-    names = ("check_action", "constructed_bundle", "check_qs_object")
+    names = ("check_action", "is_principal_bundle", "check_qs_object")
     counts = count_calls(monkeypatch, names)
     off = run(capsys, "classify", site)
     assert off[0] == 0 and "(4 bundles, 1 classes, 9 automorphisms" in off[1]

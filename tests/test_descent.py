@@ -42,8 +42,8 @@ from finstack import (
     verify_stack,
     zmod,
 )
-from finstack.action import check_action
-from finstack.bundle import constructed_bundle
+from finstack.action import check_action, check_equivariant, trivial_action
+from finstack.bundle import NotBundle, is_principal_bundle
 from finstack.descent import (
     Distinguish,
     GluingResult,
@@ -726,7 +726,11 @@ def glue_object_by_coequalizer(datum, group=None, x_action=None):
         dst=cover.target))
     alpha_w = mediate_coequalizer(cert, copair(
         c1, [obj.alpha.map for obj in datum.objects], dst=x_action.space))
-    glued = check_qs_object(constructed_bundle(act, pi_w), alpha_w, x_action)
+    bundle = is_principal_bundle(
+        check_equivariant(pi_w, act, trivial_action(group, cover.target)))
+    if isinstance(bundle, NotBundle):
+        raise RuntimeError(f"the glued projection is not a bundle: {bundle}")
+    glued = check_qs_object(bundle, alpha_w, x_action)
     # comparison isos psi_i : glued|U_i -> W_i, assembled through the datum
     pis = [obj.bundle.proj.map.table for obj in datum.objects]
     comparisons = []

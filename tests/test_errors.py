@@ -16,6 +16,7 @@ import pytest
 
 from finstack import (
     CoveringFamily,
+    DescentDatum,
     FinMap,
     FinSet,
     check_bundle_morphism,
@@ -36,6 +37,7 @@ from finstack import (
     pullback_bundle,
     pullback_family,
     restrict,
+    restrict_to_datum,
     terminal,
     trivial_action,
     trivial_bundle,
@@ -64,6 +66,9 @@ from finstack.errors import (
     ValidationError,
 )
 
+from finstack.descent import twist_overlap
+from finstack.sample import break_cocycle
+from finstack.stack import constant_gauge, fiber_gauge
 from support import colimit_of_diagram
 
 # (row, class, arguments, str, repr, payload); args is always (str,). The
@@ -229,7 +234,7 @@ def test_errors_declare_fields_not_constructors():
 
 # ------------------------------------------------------ mismatched arguments
 
-P, Q = FinSet(("p",)), FinSet(("q",))
+P, Q, PQ = FinSet(("p",)), FinSet(("q",)), FinSet(("p", "q"))
 Z2 = zmod(2)
 
 
@@ -238,6 +243,11 @@ def object_over(base):
     x = trivial_action(Z2, terminal())
     b = trivial_bundle(Z2, base)
     return check_qs_object(b, FinMap(b.total.space, x.space, {t: "*" for t in b.total.space}), x)
+
+
+def datum_over(base):
+    """The trivial object over base restricted to its point cover."""
+    return restrict_to_datum(object_over(base), point_cover(base))
 
 
 # (raise site, call, message)
@@ -283,6 +293,26 @@ MISMATCHES = [
      "maps are not composable under the object's base"),
     ("stack.coherence_iota", lambda: coherence_iota(Q, [object_over(P)]),
      "object over {p}, expected {q}"),
+    ("stack.fiber_gauge-keys", lambda: fiber_gauge(object_over(PQ), {"p": 1}),
+     "the gauge is not keyed by the base atoms {p q}"),
+    ("stack.fiber_gauge-element", lambda: fiber_gauge(object_over(PQ), {"p": 1, "q": "zz"}),
+     "zz is not a group element"),
+    ("stack.constant_gauge", lambda: constant_gauge(object_over(PQ), "zz"),
+     "zz is not a group element"),
+    ("stack.constant_gauge-empty-base", lambda: constant_gauge(object_over(FinSet()), "zz"),
+     "zz is not a group element"),
+    ("stack.constant_gauge-via-break_cocycle", lambda: break_cocycle(datum_over(PQ), "zz"),
+     "zz is not a group element"),
+    ("descent.DescentDatum-bool-key",
+     lambda: DescentDatum(point_cover(PQ), datum_over(PQ).objects,
+                          {(True, 0): datum_over(PQ).overlap_iso(1, 0)}),
+     "overlap iso key (True, 0) is not a pair of legs"),
+    ("descent.overlap_iso-negative", lambda: datum_over(PQ).overlap_iso(-1, 0),
+     "overlap iso key (-1, 0) is not a pair of legs"),
+    ("descent.overlap_iso-past-the-legs", lambda: datum_over(PQ).overlap_iso(5, 0),
+     "overlap iso key (5, 0) is not a pair of legs"),
+    ("descent.twist_overlap", lambda: twist_overlap(datum_over(PQ), 0, -1, 1),
+     "overlap iso key (0, -1) is not a pair of legs"),
 ]
 
 

@@ -106,7 +106,7 @@ def test_twist_checks_its_bundle(rng, monkeypatch):
     b0 = random_bundle(rng, zmod(2), FinSet(("p",)))
     monkeypatch.setattr(finstack.bundle, "is_principal_bundle",
                         lambda proj: NotBundle("p", "planted"))
-    with pytest.raises(RuntimeError, match="not a bundle"):
+    with pytest.raises(RuntimeError, match="of a relabelled bundle disagrees: NotBundle"):
         twist_bundle(rng, b0)
 
 

@@ -192,6 +192,34 @@ def test_each_record_has_one_certifier_and_one_formula_builder():
     }
 
 
+def test_cross_check_re_runs_only_named_certifiers():
+    # each formula-built value is re-checked, under cross-check, by its
+    # record's one certifier or by an oracle, named or in a lambda: no
+    # second certifier of a record, no expression that picks one at run
+    # time, and no certifier handed to any other call to re-run later
+    again, handed = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id == "cross_check":
+                arg = node.args[2]
+                if isinstance(arg, ast.Name):
+                    again.add(arg.id)
+                elif not isinstance(arg, ast.Lambda):
+                    again.add(f"{path.name}:{node.lineno}: {ast.unparse(arg)}")
+                continue
+            handed += [f"{path.name}:{node.lineno}: {arg.id}"
+                       for arg in [*node.args, *(k.value for k in node.keywords)]
+                       if isinstance(arg, ast.Name) and arg.id.startswith(("check_", "certify"))]
+    assert handed == []
+    assert again == {
+        "FinMap", "FinSet", "check_action", "check_bundle_morphism", "check_qs_object",
+        "check_qs_morphism", "check_cocycle", "cocycle_pointwise", "_check_comparisons",
+        "_locally_trivial", "sheaf_condition_by_enumeration", "classify_by_enumeration",
+    }
+
+
 def test_no_module_imports_a_private_name():
     # what one module builds for another is public, under its own name
     private = sorted(f"{path.stem}: {alias.name}"

@@ -421,32 +421,32 @@ def coherence_setup():
     return obj, f, g, h
 
 
-def test_canonical_iso_must_be_a_bijection():
-    one = trivial_object(zmod(2), FinSet(("p",)))
-    two = trivial_object(zmod(2), FinSet(("p", "q")))
-    # onto the two atoms of one, but not injective
-    onto = {t: one.total.elements[k % 2] for k, t in enumerate(two.total)}
-    with pytest.raises(RuntimeError, match="not a bijection"):
-        finstack.stack.certify_canonical_iso(two, one, FinMap(two.total, one.total, onto))
-    # injective, but missing the fiber over q
-    into = {t: t for t in one.total}
-    with pytest.raises(RuntimeError, match="not a bijection"):
-        finstack.stack.certify_canonical_iso(one, two, FinMap(one.total, two.total, into))
-
-
 @pytest.mark.needs_cross_check
 def test_non_bijective_comparison_raises(monkeypatch):
     # a comparison whose table sends every point to one target atom reaches
     # the certification of iota and of epsilon
     obj, f, g, _ = coherence_setup()
     real = finstack.stack.formula_morphism
-    monkeypatch.setattr(finstack.stack, "formula_morphism", lambda what, src, dst, fn, certify:
+    monkeypatch.setattr(finstack.stack, "formula_morphism", lambda what, src, dst, fn:
                         real(what, src, dst, FinMap(fn.src, fn.dst, dict.fromkeys(
-                            fn.table, fn.dst.elements[0])), certify))
-    with pytest.raises(RuntimeError, match="not a bijection"):
+                            fn.table, fn.dst.elements[0]))))
+    with pytest.raises(RuntimeError, match="of an ι component failed: proj triangle fails"):
         iota_component(obj)
-    with pytest.raises(RuntimeError, match="not a bijection"):
+    with pytest.raises(RuntimeError, match="of an ε component failed: proj triangle fails"):
         epsilon_component(obj, f, g)
+
+
+@pytest.mark.needs_cross_check
+def test_inverse_of_a_non_bijection_raises(monkeypatch):
+    # qs_inverse writes q ↦ p by its formula; a map that is no bijection
+    # leaves a target atom without a preimage, which only cross-check sees
+    obj, *_ = coherence_setup()
+    collapse = FinMap(obj.total, obj.total, dict.fromkeys(obj.total, obj.total.elements[0]))
+    m = finstack.stack.QSMorphism(obj, obj, collapse)
+    with pytest.raises(RuntimeError, match="cross-check of a constructed table failed"):
+        qs_inverse(m)
+    monkeypatch.setattr(CrossCheck, "on", False)
+    assert len(qs_inverse(m).fn.table) == 1
 
 
 def test_iota_naturality_failure_raises(monkeypatch):
